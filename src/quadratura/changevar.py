@@ -19,12 +19,8 @@ integral.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +36,7 @@ from .darboux import (
     as_evaluator,
     integrate_signed,
 )
-from .expr import Expr, NonDifferentiableError, differentiate, evaluate, variables
+from .expr import Expr, NonDifferentiableError, differentiate
 from .partition import Interval
 
 __all__ = [
@@ -60,7 +56,6 @@ __all__ = [
     "check_hypotheses",
     "verify_zero_extension",
     "report_to_json",
-    "thread_budget",
 ]
 
 VERIFIED = "verified"
@@ -73,15 +68,6 @@ UNDECIDABLE = "undecidable-numerically"
 
 _OVERFLOW_LIMIT = 1e15
 _GROWTH_LIMIT = 10.0
-
-
-def thread_budget() -> int:
-    """QUADRATURA_THREADS caps internal parallelism; 0 or unset means serial."""
-    raw = os.environ.get("QUADRATURA_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,46 +244,26 @@ def verify(
     hypotheses = check_hypotheses(p, grid_size)
     side_tol = tol / 2.0
 
-    def run_lhs():
-        return lhs_integral(p, side_tol, cfg, max_cells)
-
-    def run_rhs():
-        return rhs_integral(p, side_tol, cfg, max_cells)
-
-    lhs = rhs = None
+    lhs_est = rhs_est = None
+    lhs_ok = rhs_ok = False
     reasons = []
-    if thread_budget() >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = (pool.submit(run_lhs), pool.submit(run_rhs))
-            results = []
-            for name, fut in zip(("lhs", "rhs"), futures):
-                try:
-                    results.append(fut.result())
-                except (NonConvergenceError, ValueError) as exc:
-                    results.append(exc)
-                    reasons.append(f"{name}: {exc}")
-            lhs, rhs = results
-    else:
-        for name, runner in (("lhs", run_lhs), ("rhs", run_rhs)):
-            try:
-                result = runner()
-            except (NonConvergenceError, ValueError) as exc:
-                result = exc
-                reasons.append(f"{name}: {exc}")
-            if name == "lhs":
-                lhs = result
-            else:
-                rhs = result
+    try:
+        lhs_est = lhs_integral(p, side_tol, cfg, max_cells)
+        lhs_ok = True
+    except NonConvergenceError as exc:
+        lhs_est = exc.estimate
+        reasons.append(f"lhs: {exc}")
+    except ValueError as exc:
+        reasons.append(f"lhs: {exc}")
+    try:
+        rhs_est = rhs_integral(p, side_tol, cfg, max_cells)
+        rhs_ok = True
+    except NonConvergenceError as exc:
+        rhs_est = exc.estimate
+        reasons.append(f"rhs: {exc}")
+    except ValueError as exc:
+        reasons.append(f"rhs: {exc}")
 
-    def settle(x):
-        if isinstance(x, NonConvergenceError):
-            return x.estimate, False
-        if isinstance(x, DarbouxEstimate):
-            return x, True
-        return None, False
-
-    lhs_est, lhs_ok = settle(lhs)
-    rhs_est, rhs_ok = settle(rhs)
     if lhs_est is not None and rhs_est is not None:
         abs_diff = abs(lhs_est.midpoint - rhs_est.midpoint)
     else:

@@ -1,19 +1,11 @@
-"""Batch command-line front end.
+"""Batch command-line front end: argument parsing, commands, output.
 
 Subcommands: integrate, substitute, improper, approx, diff, gallery.
 Each prints a JSON report on stdout (CSV where noted) and exits 0 on
 success/verified, 1 on usage or parse errors, 2 on numerical
-non-convergence, mismatch or resource limits.
-
-The improper runner truncates each side on its own schedule: finite open
-endpoints are approached geometrically (offset * 2^-k) and infinite ones
-through doubling cutoffs (base * 2^k).  A side counts as converged when
-three consecutive truncation values differ by less than its tolerance;
-a stable geometric tail is also extrapolated (Aitken) and the
-extrapolated value is preferred when trustworthy.
-
-The environment variable QUADRATURA_THREADS caps internal parallelism
-(0 or unset = serial).
+non-convergence, mismatch or resource limits.  The improper runner
+lives in ``quadratura.improper`` and the examples in
+``quadratura.gallery``.
 """
 
 from __future__ import annotations
@@ -24,458 +16,20 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import approximant, changevar, darboux, expr
-from .changevar import INCONCLUSIVE, MISMATCH, VERIFIED, SubstitutionProblem
+from .changevar import VERIFIED, SubstitutionProblem
 from .darboux import CELL_CAP, DarbouxEstimate, NonConvergenceError, SamplingConfig
 from .expr import ParseError
+from .gallery import run_gallery
+from .improper import ImproperReport, ImproperSchedule, improper_verify
 from .partition import Interval, ResourceLimitError
 
-__all__ = [
-    "main",
-    "GalleryEntry",
-    "GALLERY",
-    "ImproperSchedule",
-    "ImproperSide",
-    "ImproperReport",
-    "improper_verify",
-    "run_gallery",
-]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
-
-
-# ---------------------------------------------------------------------------
-# Improper integrals
-
-
-@dataclass(frozen=True, slots=True)
-class ImproperSchedule:
-    """Truncation schedule for one pair of endpoints.
-
-    Open finite endpoints are approached as ``endpoint -+ offset * 2^-k``;
-    infinite ones are cut off at ``-+ cutoff_base * 2^k``.  Closed
-    endpoints stay fixed.  The sequences are strictly monotone toward
-    the limits.
-    """
-
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
-    offset: float = 0.25
-    cutoff_base: float = 1.0
-    max_steps: int = 40
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if math.isinf(self.lo) and not self.lo_open:
-            object.__setattr__(self, "lo_open", True)
-        if math.isinf(self.hi) and not self.hi_open:
-            object.__setattr__(self, "hi_open", True)
-        if self.offset <= 0 or self.cutoff_base <= 0:
-            raise ValueError("offset and cutoff_base must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-
-    @property
-    def any_open(self) -> bool:
-        return self.lo_open or self.hi_open
-
-    def truncation(self, k: int) -> tuple[float, float]:
-        if self.lo_open:
-            u = -self.cutoff_base * 2.0**k if math.isinf(self.lo) else self.lo + self.offset * 2.0**-k
-        else:
-            u = self.lo
-        if self.hi_open:
-            v = self.cutoff_base * 2.0**k if math.isinf(self.hi) else self.hi - self.offset * 2.0**-k
-        else:
-            v = self.hi
-        return u, v
-
-
-@dataclass(slots=True)
-class ImproperSide:
-    """Per-truncation trail for one side of the identity."""
-
-    steps: list[dict] = field(default_factory=list)
-    value: float = math.nan
-    last: float = math.nan
-    extrapolated: float | None = None
-    converged: bool = False
-    stable_trend: bool = False
-    error: str = ""
-
-    @property
-    def usable(self) -> bool:
-        return bool(self.steps) and (self.converged or self.stable_trend)
-
-    def to_json(self) -> dict:
-        return {
-            "steps": self.steps,
-            "value": self.value,
-            "last": self.last,
-            "extrapolated": self.extrapolated,
-            "converged": self.converged,
-            "stable_trend": self.stable_trend,
-            "error": self.error,
-        }
-
-
-def _aitken(values: list[float]) -> tuple[float | None, bool]:
-    """(extrapolated limit, trend is stably geometric) from the last values."""
-    if len(values) < 4:
-        return None, False
-    d = np.diff(np.asarray(values[-4:]))
-    if (d == 0).any():
-        return None, False
-    r1, r2 = d[1] / d[0], d[2] / d[1]
-    if not (0.05 <= r2 <= 0.95 and 0.05 <= r1 <= 0.95 and abs(r2 - r1) <= 0.25):
-        return None, False
-    limit = values[-1] + d[2] * r2 / (1.0 - r2)
-    return float(limit), True
-
-
-def _run_side(
-    ev,
-    schedule: ImproperSchedule,
-    inner_tol: float,
-    cfg: SamplingConfig,
-    max_cells: int,
-    sign: float = 1.0,
-) -> ImproperSide:
-    side = ImproperSide()
-    values: list[float] = []
-    for k in range(schedule.max_steps):
-        u, v = schedule.truncation(k)
-        if not u < v:
-            side.error = f"schedule degenerate at step {k}"
-            break
-        try:
-            est = darboux.integrate(ev, Interval(u, v), inner_tol, cfg, max_cells=max_cells)
-        except (NonConvergenceError, ValueError) as exc:
-            side.error = f"step {k} on [{u:.6g}, {v:.6g}]: {exc}"
-            break
-        value = sign * est.midpoint
-        values.append(value)
-        side.steps.append(
-            {
-                "step": k,
-                "lo": u,
-                "hi": v,
-                "value": value,
-                "bracket_width": est.width,
-                "cells": est.cells,
-            }
-        )
-        if not schedule.any_open:
-            side.converged = True
-            break
-        if len(values) >= 4:
-            d = np.abs(np.diff(values[-4:]))
-            if (d < schedule.tol).all():
-                side.converged = True
-                break
-    if values:
-        side.last = values[-1]
-        ext, stable = _aitken(values)
-        side.extrapolated = ext
-        side.stable_trend = stable
-        side.value = ext if (stable and ext is not None) else side.last
-    return side
-
-
-@dataclass(slots=True)
-class ImproperReport:
-    rhs: ImproperSide
-    lhs: ImproperSide
-    image_lo: float
-    image_hi: float
-    orientation: float
-    abs_diff: float
-    tol: float
-    verdict: str
-
-    def to_json(self) -> dict:
-        return {
-            "rhs": self.rhs.to_json(),
-            "lhs": self.lhs.to_json(),
-            "image": {"lo": self.image_lo, "hi": self.image_hi, "orientation": self.orientation},
-            "abs_diff": self.abs_diff,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
-
-
-def _image_limit(phi_ev, ts: list[float]) -> float:
-    vals = [float(phi_ev(np.array([t]))[0]) for t in ts]
-    vals = [v for v in vals if not math.isnan(v)]
-    if not vals:
-        raise ValueError("phi undefined along the probe sequence")
-    if len(vals) >= 2 and abs(vals[-1]) > 1e8 and abs(vals[-1]) > 2.0 * abs(vals[0]):
-        return math.copysign(math.inf, vals[-1])
-    return vals[-1]
-
-
-def improper_verify(
-    p: SubstitutionProblem,
-    t_schedule: ImproperSchedule,
-    tol: float,
-    rhs_inner_tol: float,
-    lhs_inner_tol: float,
-    lhs_offset: float | None = None,
-    lhs_cutoff_base: float = 1.0,
-    lhs_max_steps: int | None = None,
-    lhs_tol: float | None = None,
-    cfg: SamplingConfig = SamplingConfig(samples_per_cell=2),
-    max_cells: int = CELL_CAP,
-) -> ImproperReport:
-    """Truncate both sides toward their improper endpoints and compare.
-
-    The t side integrates (f o phi) phi' over the ``t_schedule``
-    truncations.  The x side integrates f over its own schedule built on
-    the probed limits of phi (finite limits approached geometrically,
-    infinite ones through doubling cutoffs), oriented by the direction
-    of phi.
-    """
-    rhs = _run_side(p.product_evaluator(), t_schedule, rhs_inner_tol, cfg, max_cells)
-
-    phi_ev = changevar.as_evaluator(p.phi)
-    probe_ks = (0, 6, 12, 18, 24, 30, 36)
-    lo_probes = [t_schedule.truncation(k)[0] for k in probe_ks]
-    hi_probes = [t_schedule.truncation(k)[1] for k in probe_ks]
-    lhs = ImproperSide()
-    image_a = image_b = math.nan
-    orientation = 1.0
-    try:
-        image_a = _image_limit(phi_ev, lo_probes)
-        image_b = _image_limit(phi_ev, hi_probes)
-    except ValueError as exc:
-        lhs.error = str(exc)
-
-    if not lhs.error:
-        if image_a == image_b:
-            lhs.value = lhs.last = 0.0
-            lhs.converged = True
-            lhs.steps.append({"step": 0, "lo": image_a, "hi": image_b, "value": 0.0,
-                              "bracket_width": 0.0, "cells": 0})
-        else:
-            orientation = 1.0 if image_a < image_b else -1.0
-            x_lo, x_hi = min(image_a, image_b), max(image_a, image_b)
-            f_ev = changevar.as_evaluator(p.f)
-
-            def endpoint_open(x: float, t_open: bool) -> bool:
-                if math.isinf(x):
-                    return True
-                if t_open:
-                    return True
-                return math.isnan(float(f_ev(np.array([x]))[0]))
-
-            lo_open = endpoint_open(x_lo, t_schedule.lo_open if orientation > 0 else t_schedule.hi_open)
-            hi_open = endpoint_open(x_hi, t_schedule.hi_open if orientation > 0 else t_schedule.lo_open)
-            width = x_hi - x_lo
-            offset = lhs_offset
-            if offset is None:
-                offset = width / 4.0 if math.isfinite(width) else 0.25
-            x_schedule = ImproperSchedule(
-                lo=x_lo,
-                hi=x_hi,
-                lo_open=lo_open,
-                hi_open=hi_open,
-                offset=offset,
-                cutoff_base=lhs_cutoff_base,
-                max_steps=lhs_max_steps if lhs_max_steps is not None else t_schedule.max_steps,
-                tol=lhs_tol if lhs_tol is not None else t_schedule.tol,
-            )
-            lhs = _run_side(f_ev, x_schedule, lhs_inner_tol, cfg, max_cells, sign=orientation)
-
-    if rhs.steps and lhs.steps:
-        abs_diff = abs(rhs.value - lhs.value)
-    else:
-        abs_diff = math.nan
-    if rhs.usable and lhs.usable and abs_diff <= tol:
-        verdict = VERIFIED
-    elif rhs.usable and lhs.usable and abs_diff > tol:
-        verdict = MISMATCH
-    else:
-        verdict = INCONCLUSIVE
-    return ImproperReport(
-        rhs=rhs,
-        lhs=lhs,
-        image_lo=image_a,
-        image_hi=image_b,
-        orientation=orientation,
-        abs_diff=abs_diff,
-        tol=tol,
-        verdict=verdict,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gallery
-
-
-@dataclass(frozen=True, slots=True)
-class GalleryEntry:
-    """A shipped example; ``expected`` is a formula, evaluated at run time."""
-
-    id: str
-    f: str
-    phi: str
-    alpha: float
-    beta: float
-    expected: str
-    tol: float
-    improper: bool = False
-
-
-GALLERY: tuple[GalleryEntry, ...] = (
-    GalleryEntry(
-        id="E1",
-        f="x^3",
-        phi="t*sin(1/t)",
-        alpha=0.0,
-        beta=2.0 / math.pi,
-        expected="4/pi^4",
-        tol=5e-4,
-    ),
-    GalleryEntry(
-        id="E2",
-        f="x/(x^4+1)",
-        phi="sqrt(t)",
-        alpha=0.0,
-        beta=1.0,
-        expected="pi/8",
-        tol=1e-7,
-    ),
-    GalleryEntry(
-        id="E3",
-        f="1/(x^2+1)",
-        phi="tan(t)",
-        alpha=-math.pi / 2.0,
-        beta=math.pi / 2.0,
-        expected="pi",
-        tol=1.5e-3,
-        improper=True,
-    ),
-)
-
-# Engine knobs per entry: sampling density and internal tolerances are
-# tuned to each integrand (E1's product oscillates, so it gets the dense
-# sampling; E2 and E3 are piecewise monotone and run on cell edges).
-GALLERY_PROFILES: dict[str, dict] = {
-    "E1": {"samples": 64, "verify_tol": 5e-4},
-    "E2": {"samples": 2, "verify_tol": 1e-5},
-    "E3": {
-        "samples": 2,
-        "t_offset": math.pi / 4.0,
-        "rhs_tol": 1e-9,
-        "rhs_inner_tol": 2.5e-10,
-        "lhs_tol": 1.5e-3,
-        "lhs_inner_tol": 2e-2,
-        "lhs_cutoff_base": 125.0,
-        "lhs_max_steps": 5,
-        "max_steps": 40,
-    },
-}
-
-
-def expected_value(entry: GalleryEntry) -> float:
-    return expr.evaluate(expr.parse(entry.expected), 0.0)
-
-
-def _entry_problem(entry: GalleryEntry) -> SubstitutionProblem:
-    return SubstitutionProblem(
-        f=expr.parse(entry.f),
-        phi=expr.parse(entry.phi),
-        alpha=entry.alpha,
-        beta=entry.beta,
-    )
-
-
-def run_gallery_entry(
-    entry: GalleryEntry,
-    tol_override: float | None = None,
-    samples_override: int | None = None,
-    max_cells: int = CELL_CAP,
-) -> dict:
-    """Run one entry end to end; returns a result row."""
-    profile = GALLERY_PROFILES[entry.id]
-    expected = expected_value(entry)
-    tol = entry.tol if tol_override is None else tol_override
-    samples = profile.get("samples", 2) if samples_override is None else samples_override
-    cfg = SamplingConfig(samples_per_cell=samples)
-    problem = _entry_problem(entry)
-
-    if entry.improper:
-        schedule = ImproperSchedule(
-            lo=entry.alpha,
-            hi=entry.beta,
-            lo_open=True,
-            hi_open=True,
-            offset=profile.get("t_offset", (entry.beta - entry.alpha) / 4.0),
-            max_steps=profile.get("max_steps", 40),
-            tol=profile["rhs_tol"] if tol_override is None else tol_override,
-        )
-        report = improper_verify(
-            problem,
-            schedule,
-            tol=tol,
-            rhs_inner_tol=profile.get("rhs_inner_tol", tol / 4.0),
-            lhs_inner_tol=profile.get("lhs_inner_tol", tol / 4.0),
-            lhs_cutoff_base=profile.get("lhs_cutoff_base", 1.0),
-            lhs_max_steps=profile.get("lhs_max_steps"),
-            lhs_tol=profile.get("lhs_tol", tol),
-            cfg=cfg,
-            max_cells=max_cells,
-        )
-        lhs_value, rhs_value = report.lhs.value, report.rhs.value
-        verdict = report.verdict
-        detail = report.to_json()
-    else:
-        verify_tol = profile.get("verify_tol", tol) if tol_override is None else tol_override
-        report = changevar.verify(problem, verify_tol, cfg, max_cells=max_cells)
-        lhs_value = report.lhs.midpoint if report.lhs else math.nan
-        rhs_value = report.rhs.midpoint if report.rhs else math.nan
-        verdict = report.verdict
-        detail = report.to_json()
-
-    lhs_err = abs(lhs_value - expected)
-    rhs_err = abs(rhs_value - expected)
-    ok = verdict == VERIFIED and lhs_err <= tol and rhs_err <= tol
-    return {
-        "id": entry.id,
-        "expected": expected,
-        "lhs": lhs_value,
-        "rhs": rhs_value,
-        "lhs_error": lhs_err,
-        "rhs_error": rhs_err,
-        "tol": tol,
-        "verdict": verdict,
-        "pass": ok,
-        "detail": detail,
-    }
-
-
-def run_gallery(
-    only: str | None = None,
-    tol_override: float | None = None,
-    samples_override: int | None = None,
-    max_cells: int = CELL_CAP,
-) -> list[dict]:
-    rows = []
-    for entry in GALLERY:
-        if only is not None and entry.id != only:
-            continue
-        rows.append(run_gallery_entry(entry, tol_override, samples_override, max_cells))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +139,7 @@ def cmd_substitute(args) -> int:
 
 
 def cmd_improper(args) -> int:
-    lo = float(args.alpha)
-    hi = float(args.beta)
+    lo, hi = args.alpha, args.beta
     lo_open = args.open_alpha or math.isinf(lo)
     hi_open = args.open_beta or math.isinf(hi)
     if not (lo_open or hi_open):
@@ -737,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadratura",
         description="Sampled Darboux quadrature and substitution-identity checks",
-        epilog="QUADRATURA_THREADS caps internal parallelism (0 = serial).",
+        epilog="Exit status: 0 success or verified, 1 usage or parse error,"
+        " 2 non-convergence, mismatch or resource limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -761,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("improper", help="verify the identity through truncation schedules")
     p.add_argument("--f", required=True)
     p.add_argument("--phi", required=True)
-    p.add_argument("--alpha", type=_endpoint, required=True, help="number, 'inf' or '-inf'")
-    p.add_argument("--beta", type=_endpoint, required=True)
+    p.add_argument("--alpha", type=float, required=True, help="number, 'inf' or '-inf'")
+    p.add_argument("--beta", type=float, required=True)
     p.add_argument("--open-alpha", action="store_true", help="approach alpha as an open endpoint")
     p.add_argument("--open-beta", action="store_true")
     p.add_argument("--steps", type=int, default=40, help="maximum truncation steps")
@@ -803,11 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gallery)
 
     return parser
-
-
-def _endpoint(text: str) -> float:
-    v = float(text)
-    return v
 
 
 def main(argv: list[str] | None = None) -> int:

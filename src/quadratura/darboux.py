@@ -18,7 +18,8 @@ Isolated undefined sample points (both neighbours defined) are skipped
 under the default policy; this is how endpoint singularities like a
 derivative that only fails to exist at the boundary are tolerated.
 Reductions run in fixed ascending cell order with compensated chunk
-summation, so results do not depend on internal scheduling.
+summation, so results are bitwise reproducible.  A sum that is not
+finite ends refinement at once with a non-convergence error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .expr import Expr, evaluate_array
-from .partition import Interval, Partition, uniform_partition
+from .partition import Interval, Partition
+
+# Unused here, but perfbench/tracer.py wraps ``darboux.uniform_partition``.
+from .partition import uniform_partition  # noqa: F401
 
 __all__ = [
     "SamplingConfig",
@@ -80,13 +84,13 @@ class UndefinedSamplesError(ValueError):
 class SamplingConfig:
     """How cell extrema are sampled.
 
-    samples_per_cell=2 with endpoints included costs one evaluation per
-    cell edge and is exact for cell-monotone integrands; the default 64
-    guards oscillatory ones.
+    Samples are equally spaced and include both cell edges, which
+    neighbouring cells share.  samples_per_cell=2 costs one evaluation
+    per cell edge and is exact for cell-monotone integrands; the default
+    64 guards oscillatory ones.
     """
 
     samples_per_cell: int = 64
-    include_endpoints: bool = True
     undefined_policy: str = SKIP_ISOLATED
 
     def __post_init__(self):
@@ -139,56 +143,78 @@ def as_evaluator(f: Integrand) -> Evaluator:
     raise TypeError(f"not an integrand: {f!r}")
 
 
+def _fsum(values) -> float:
+    """``math.fsum``, giving +-inf on overflow and NaN for inf - inf."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite terms whose partial sums overflow
+        with np.errstate(over="ignore"):
+            return math.copysign(math.inf, float(np.sum(values)))
+    except ValueError:  # both infinities among the terms
+        return math.nan
+
+
 def compensated_sum(values: np.ndarray) -> float:
     """Deterministic compensated reduction in fixed (ascending) order."""
     values = np.asarray(values, dtype=float)
     if values.size <= 4096:
-        return math.fsum(values)
+        return _fsum(values)
     starts = np.arange(0, values.size, 4096)
-    return math.fsum(np.add.reduceat(values, starts))
+    with np.errstate(over="ignore"):
+        return _fsum(np.add.reduceat(values, starts))
 
 
-def _check_adjacent_undefined(mask: np.ndarray, policy: str, context: str) -> None:
-    if not mask.any():
-        return
-    if policy == FAIL_ON_UNDEFINED:
-        raise UndefinedSamplesError(f"undefined sample value in {context}")
-    if mask.all() or (mask[:-1] & mask[1:]).any():
-        raise UndefinedSamplesError(
-            f"adjacent undefined samples in {context}; only isolated"
-            " undefined points can be skipped"
-        )
+def _cell_extrema(ys: np.ndarray, w: int, policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell (min, max) of shared-edge samples; cell i owns ys[i*w : i*w + w + 1].
+
+    Undefined (NaN) samples raise under FAIL_ON_UNDEFINED; under
+    SKIP_ISOLATED they are left out unless two are adjacent, so every
+    cell keeps a defined sample.  ``ys`` is masked in place and restored.
+    """
+    mask = np.isnan(ys)
+    undefined = None
+    if mask.any():
+        if policy == FAIL_ON_UNDEFINED:
+            raise UndefinedSamplesError("undefined sample value")
+        if (mask[:-1] & mask[1:]).any():
+            raise UndefinedSamplesError(
+                "adjacent undefined samples; only isolated undefined points can be skipped"
+            )
+        undefined = np.flatnonzero(mask)
+        ys[undefined] = np.inf
+    body = ys[:-1].reshape(-1, w)
+    right = ys[w::w]
+    lo = body.min(axis=1)
+    np.minimum(lo, right, out=lo)
+    if undefined is not None:
+        ys[undefined] = -np.inf
+    hi = body.max(axis=1)
+    np.maximum(hi, right, out=hi)
+    if undefined is not None:
+        ys[undefined] = np.nan
+    return lo, hi
 
 
-def _cell_samples(cell: Interval, cfg: SamplingConfig) -> np.ndarray:
-    m = cfg.samples_per_cell
-    if cfg.include_endpoints:
-        return np.linspace(cell.a, cell.b, m)
-    step = cell.width / (m + 1)
-    return cell.a + step * np.arange(1, m + 1)
-
-
-def _extremum_on(
+def _cell_bounds(
     f: Integrand,
     cell: Interval,
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
-    want_max: bool,
-) -> float:
+) -> tuple[float, float]:
+    """(min, max) of ``f`` over one cell's grid plus the hints inside it."""
     if cell.is_degenerate:
         raise ValueError("cell must be non-degenerate")
-    ev = as_evaluator(f)
-    xs = _cell_samples(cell, cfg)
+    w = cfg.samples_per_cell - 1
+    # np.linspace(a, b, w + 1) bit for bit, without its overhead
+    xs = cell.a + (cell.width / w) * np.arange(w + 1)
+    xs[-1] = cell.b
     if hints:
         inside = [h for h in hints if cell.a < h < cell.b]
         if inside:
             xs = np.concatenate([xs, np.asarray(inside, dtype=float)])
             xs.sort()
-    ys = ev(xs)
-    mask = np.isnan(ys)
-    _check_adjacent_undefined(mask, cfg.undefined_policy, f"cell [{cell.a}, {cell.b}]")
-    good = ys[~mask]
-    return float(good.max() if want_max else good.min())
+    lo, hi = _cell_extrema(as_evaluator(f)(xs), xs.size - 1, cfg.undefined_policy)
+    return float(lo[0]), float(hi[0])
 
 
 def infimum_on(
@@ -202,7 +228,7 @@ def infimum_on(
     With ``hints`` (interior turning points of f) the value is the true
     infimum for functions monotone between hints.
     """
-    return _extremum_on(f, cell, cfg, hints, want_max=False)
+    return _cell_bounds(f, cell, cfg, hints)[0]
 
 
 def supremum_on(
@@ -212,7 +238,7 @@ def supremum_on(
     hints: Sequence[float] | None = None,
 ) -> float:
     """Maximum of ``f`` over the cell's sample grid (approximate supremum)."""
-    return _extremum_on(f, cell, cfg, hints, want_max=True)
+    return _cell_bounds(f, cell, cfg, hints)[1]
 
 
 def _scatter_hints(
@@ -232,22 +258,15 @@ def _scatter_hints(
             extrema[i] = op(extrema[i], y)
 
 
-def _cells_minmax(
-    ys: np.ndarray, has_nan: bool, rows: int, cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row min and max of a (rows, cols) sample block, honouring NaNs."""
-    block = ys.reshape(rows, cols)
-    if not has_nan:
-        return block.min(axis=1), block.max(axis=1)
-    with np.errstate(all="ignore"):
-        mins = np.nanmin(block, axis=1)
-        maxs = np.nanmax(block, axis=1)
-    if np.isnan(mins).any():
-        raise UndefinedSamplesError("a cell has no defined samples")
-    return mins, maxs
+def _hint_values(ev: Evaluator, hints: Sequence[float] | None):
+    """(sorted hint points, their values), or None without hints."""
+    if not hints:
+        return None
+    hint_xs = np.asarray(sorted(hints), dtype=float)
+    return hint_xs, ev(hint_xs)
 
 
-def _sum_pair(
+def _partition_sums(
     f: Integrand,
     p: Partition,
     cfg: SamplingConfig,
@@ -258,44 +277,25 @@ def _sum_pair(
     pts = p.points
     widths = p.widths()
     n = p.cell_count
-    m = cfg.samples_per_cell
-    if cfg.include_endpoints:
-        offsets = np.linspace(0.0, 1.0, m)
-    else:
-        offsets = np.arange(1, m + 1) / (m + 1)
+    w = cfg.samples_per_cell - 1
+    offsets = np.linspace(0.0, 1.0, w + 1)[:-1]
 
     lows = np.empty(n)
     highs = np.empty(n)
-    chunk = max(1, _CHUNK_POINTS // m)
+    chunk = max(1, _CHUNK_POINTS // w)
     for i0 in range(0, n, chunk):
         i1 = min(n, i0 + chunk)
-        xs = pts[i0:i1, None] + widths[i0:i1, None] * offsets[None, :]
-        if cfg.include_endpoints:
-            xs[:, -1] = pts[i0 + 1 : i1 + 1]  # exact shared edges
-        ys = ev(xs.ravel())
-        mask = np.isnan(ys)
-        has_nan = bool(mask.any())
-        if has_nan:
-            block_mask = mask.reshape(i1 - i0, m)
-            if cfg.undefined_policy == FAIL_ON_UNDEFINED:
-                raise UndefinedSamplesError("undefined sample value in partition sum")
-            if (block_mask[:, :-1] & block_mask[:, 1:]).any():
-                raise UndefinedSamplesError(
-                    "adjacent undefined samples in partition sum"
-                )
-        lo, hi = _cells_minmax(ys, has_nan, i1 - i0, m)
-        lows[i0:i1] = lo
-        highs[i0:i1] = hi
+        grid = pts[i0:i1, None] + widths[i0:i1, None] * offsets
+        xs = np.append(grid.ravel(), pts[i1])  # exact shared edges
+        lows[i0:i1], highs[i0:i1] = _cell_extrema(ev(xs), w, cfg.undefined_policy)
 
-    if hints:
-        hint_xs = np.asarray(sorted(hints), dtype=float)
-        hint_ys = ev(hint_xs)
-        _scatter_hints(lows, pts, hint_xs, hint_ys, want_max=False)
-        _scatter_hints(highs, pts, hint_xs, hint_ys, want_max=True)
+    hinted = _hint_values(ev, hints)
+    if hinted is not None:
+        _scatter_hints(lows, pts, *hinted, want_max=False)
+        _scatter_hints(highs, pts, *hinted, want_max=True)
 
-    lower = compensated_sum(lows * widths)
-    upper = compensated_sum(highs * widths)
-    return lower, upper
+    with np.errstate(over="ignore"):
+        return compensated_sum(lows * widths), compensated_sum(highs * widths)
 
 
 def lower_sum(
@@ -305,7 +305,7 @@ def lower_sum(
     hints: Sequence[float] | None = None,
 ) -> float:
     """Sampled lower Darboux sum: sum of (cell minimum) * (cell width)."""
-    return _sum_pair(f, p, cfg, hints)[0]
+    return _partition_sums(f, p, cfg, hints)[0]
 
 
 def upper_sum(
@@ -315,10 +315,10 @@ def upper_sum(
     hints: Sequence[float] | None = None,
 ) -> float:
     """Sampled upper Darboux sum: sum of (cell maximum) * (cell width)."""
-    return _sum_pair(f, p, cfg, hints)[1]
+    return _partition_sums(f, p, cfg, hints)[1]
 
 
-def _uniform_bracket(
+def _uniform_sums(
     ev: Evaluator,
     a: float,
     b: float,
@@ -326,70 +326,36 @@ def _uniform_bracket(
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
 ) -> tuple[float, float]:
-    """(lower, upper) over a uniform grid, sharing edge evaluations.
+    """(lower, upper) over ``cells`` equal cells, sharing edge evaluations.
 
-    With endpoints included, cell i's samples are the global uniform
-    grid slice [i*w, i*w + w] for w = samples_per_cell - 1, so each
-    distinct point is evaluated once.
+    Cell i's samples are the global uniform grid slice [i*w, i*w + w]
+    for w = samples_per_cell - 1, so each distinct point is evaluated
+    once.
     """
-    if not cfg.include_endpoints:
-        p = uniform_partition(Interval(a, b), cells)
-        return _sum_pair(ev, p, cfg, hints)
-
     w = cfg.samples_per_cell - 1
-    total = cells * w  # sample gaps; points = total + 1
-    step = (b - a) / total
+    step = (b - a) / (cells * w)
     dx = (b - a) / cells
+    hinted = _hint_values(ev, hints)
 
     lo_parts: list[float] = []
     hi_parts: list[float] = []
     cells_per_chunk = max(1, _CHUNK_POINTS // w)
-    hint_xs = np.asarray(sorted(hints), dtype=float) if hints else None
-    hint_ys = ev(hint_xs) if hint_xs is not None and hint_xs.size else None
-
     for c0 in range(0, cells, cells_per_chunk):
         c1 = min(cells, c0 + cells_per_chunk)
-        i0, i1 = c0 * w, c1 * w
-        xs = a + step * np.arange(i0, i1 + 1)
+        xs = np.arange(c0 * w, c1 * w + 1, dtype=float)
+        xs *= step
+        xs += a
         if c1 == cells:
             xs[-1] = b
-        ys = ev(xs)
-        mask = np.isnan(ys)
-        has_nan = bool(mask.any())
-        if has_nan:
-            if cfg.undefined_policy == FAIL_ON_UNDEFINED:
-                raise UndefinedSamplesError("undefined sample value in integrand")
-            if (mask[:-1] & mask[1:]).any():
-                raise UndefinedSamplesError("adjacent undefined samples in integrand")
-            idx = np.flatnonzero(mask)
-            saved = ys[idx]
-            ys[idx] = np.inf
-        body = ys[:-1].reshape(c1 - c0, w)
-        lo = body.min(axis=1)
-        hi_src = ys
-        if has_nan:
-            hi_src = ys.copy()
-            hi_src[idx] = -np.inf
-            hi_body = hi_src[:-1].reshape(c1 - c0, w)
-            hi = hi_body.max(axis=1)
-        else:
-            hi = body.max(axis=1)
-        edge_r = hi_src[w::w] if has_nan else ys[w::w]
-        np.minimum(lo, ys[w::w], out=lo)
-        np.maximum(hi, edge_r, out=hi)
-        if has_nan:
-            ys[idx] = saved
-            bad = np.isinf(lo) & (lo > 0)
-            if bad.any():
-                raise UndefinedSamplesError("a cell has no defined samples")
-        if hint_ys is not None:
+        lo, hi = _cell_extrema(ev(xs), w, cfg.undefined_policy)
+        if hinted is not None:
             edges = a + dx * np.arange(c0, c1 + 1)
-            _scatter_hints(lo, edges, hint_xs, hint_ys, want_max=False)
-            _scatter_hints(hi, edges, hint_xs, hint_ys, want_max=True)
+            _scatter_hints(lo, edges, *hinted, want_max=False)
+            _scatter_hints(hi, edges, *hinted, want_max=True)
         lo_parts.append(compensated_sum(lo))
         hi_parts.append(compensated_sum(hi))
 
-    return math.fsum(lo_parts) * dx, math.fsum(hi_parts) * dx
+    return _fsum(lo_parts) * dx, _fsum(hi_parts) * dx
 
 
 def integrate(
@@ -404,8 +370,10 @@ def integrate(
     """Refine uniform cells (doubling from 2**10) until upper - lower <= tol.
 
     Raises NonConvergenceError carrying the last bracket when the cap is
-    reached first.  The bracket endpoints are the sampled Darboux sums of
-    the final refinement; ``midpoint`` is the point estimate.
+    reached first, or at once when a sum is not finite (refining keeps
+    every sample point, so it cannot become finite later).  The bracket
+    endpoints are the sampled Darboux sums of the final refinement;
+    ``midpoint`` is the point estimate.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -413,12 +381,16 @@ def integrate(
         raise ValueError("cannot integrate over a degenerate interval")
     ev = as_evaluator(f)
     cells = min(start_cells, max_cells)
-    est = None
     while True:
-        lower, upper = _uniform_bracket(ev, iv.a, iv.b, cells, cfg, hints)
+        lower, upper = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints)
         est = DarbouxEstimate(lower, upper, norm=iv.width / cells, cells=cells)
         gap = upper - lower
-        if gap <= tol:  # NaN-safe: NaN fails the test
+        if not math.isfinite(gap):
+            raise NonConvergenceError(
+                f"sum is not finite: bracket [{lower:.3g}, {upper:.3g}] at {cells} cells",
+                est,
+            )
+        if gap <= tol:
             return est
         if cells >= max_cells:
             raise NonConvergenceError(

@@ -32,6 +32,7 @@ __all__ = [
     "EvalOutcome",
     "UNDEFINED",
     "ParseError",
+    "MAX_PARSE_DEPTH",
     "UnknownIdentifierError",
     "ArityError",
     "NonDifferentiableError",
@@ -174,6 +175,12 @@ def variables(e: Expr) -> frozenset[str]:
 
 _NUMBER_START = "0123456789."
 
+#: Deepest nesting of factors (parentheses, calls, unary minus, powers) that
+#: parses.  Parsing, differentiating, evaluating and printing all recurse
+#: per level, and at this depth they stay well inside Python's default
+#: recursion limit.
+MAX_PARSE_DEPTH = 100
+
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
@@ -229,6 +236,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.varname: str | None = None
 
     def peek(self):
@@ -272,14 +280,19 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_PARSE_DEPTH:
+            self.error(f"formula nested deeper than {MAX_PARSE_DEPTH} levels", self.peek()[2])
         if self.peek()[0] == "-":
             self.advance()
-            return neg(self.factor())
-        base = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            return pow_(base, self.factor())
-        return base
+            e = neg(self.factor())
+        else:
+            e = self.base()
+            if self.peek()[0] == "^":
+                self.advance()
+                e = pow_(e, self.factor())
+        self.depth -= 1
+        return e
 
     def base(self) -> Expr:
         tok = self.advance()
@@ -332,8 +345,9 @@ def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises ParseError (with byte offset), UnknownIdentifierError or
-    ArityError.  The returned tree mirrors the grammar; no folding or
-    rewriting is applied.
+    ArityError; nesting deeper than MAX_PARSE_DEPTH is a ParseError.
+    The returned tree mirrors the grammar; no folding or rewriting is
+    applied.
     """
     return _Parser(text).parse()
 
@@ -441,10 +455,21 @@ def _eval(e: Expr, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Long inputs are evaluated in blocks of this many points: each node's
+# temporaries (64 KB) then stay in cache and under malloc's default mmap
+# threshold (128 KB), instead of being mapped and faulted in afresh.
+_EVAL_BLOCK = 8192
+
+
 def evaluate_array(e: Expr, xs: np.ndarray) -> np.ndarray:
     """Evaluate ``e`` elementwise over ``xs``; NaN marks undefined points."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
+        if xs.ndim == 1 and xs.size > _EVAL_BLOCK:
+            out = np.empty_like(xs)
+            for i in range(0, xs.size, _EVAL_BLOCK):
+                out[i : i + _EVAL_BLOCK] = _eval(e, xs[i : i + _EVAL_BLOCK])
+            return out
         out = _eval(e, xs)
     if out is xs:  # bare variable: never alias the caller's buffer
         out = xs.copy()

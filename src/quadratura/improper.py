@@ -1,0 +1,292 @@
+"""Improper integrals: verify the identity through truncation schedules.
+
+Each side is truncated on its own schedule: finite open endpoints are
+approached geometrically (offset * 2^-k) and infinite ones through
+doubling cutoffs (base * 2^k).  A side counts as converged when three
+consecutive truncation values differ by less than its tolerance; a
+stable geometric tail is also extrapolated (Aitken) and the
+extrapolated value is preferred when trustworthy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import changevar, darboux
+from .changevar import INCONCLUSIVE, MISMATCH, VERIFIED, SubstitutionProblem
+from .darboux import CELL_CAP, NonConvergenceError, SamplingConfig
+from .partition import Interval
+
+__all__ = [
+    "ImproperSchedule",
+    "ImproperSide",
+    "ImproperReport",
+    "improper_verify",
+]
+
+
+@dataclass(frozen=True, slots=True)
+class ImproperSchedule:
+    """Truncation schedule for one pair of endpoints.
+
+    Open finite endpoints are approached as ``endpoint -+ offset * 2^-k``;
+    infinite ones are cut off at ``-+ cutoff_base * 2^k``.  Closed
+    endpoints stay fixed.  The sequences are strictly monotone toward
+    the limits.
+    """
+
+    lo: float
+    hi: float
+    lo_open: bool = False
+    hi_open: bool = False
+    offset: float = 0.25
+    cutoff_base: float = 1.0
+    max_steps: int = 40
+    tol: float = 1e-6
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if math.isinf(self.lo) and not self.lo_open:
+            object.__setattr__(self, "lo_open", True)
+        if math.isinf(self.hi) and not self.hi_open:
+            object.__setattr__(self, "hi_open", True)
+        if self.offset <= 0 or self.cutoff_base <= 0:
+            raise ValueError("offset and cutoff_base must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+
+    @property
+    def any_open(self) -> bool:
+        return self.lo_open or self.hi_open
+
+    def truncation(self, k: int) -> tuple[float, float]:
+        if self.lo_open:
+            u = -self.cutoff_base * 2.0**k if math.isinf(self.lo) else self.lo + self.offset * 2.0**-k
+        else:
+            u = self.lo
+        if self.hi_open:
+            v = self.cutoff_base * 2.0**k if math.isinf(self.hi) else self.hi - self.offset * 2.0**-k
+        else:
+            v = self.hi
+        return u, v
+
+
+@dataclass(slots=True)
+class ImproperSide:
+    """Per-truncation trail for one side of the identity."""
+
+    steps: list[dict] = field(default_factory=list)
+    value: float = math.nan
+    last: float = math.nan
+    extrapolated: float | None = None
+    converged: bool = False
+    stable_trend: bool = False
+    error: str = ""
+
+    @property
+    def usable(self) -> bool:
+        return bool(self.steps) and (self.converged or self.stable_trend)
+
+    def to_json(self) -> dict:
+        return {
+            "steps": self.steps,
+            "value": self.value,
+            "last": self.last,
+            "extrapolated": self.extrapolated,
+            "converged": self.converged,
+            "stable_trend": self.stable_trend,
+            "error": self.error,
+        }
+
+
+def _aitken(values: list[float]) -> tuple[float | None, bool]:
+    """(extrapolated limit, trend is stably geometric) from the last values."""
+    if len(values) < 4:
+        return None, False
+    d = np.diff(np.asarray(values[-4:]))
+    if (d == 0).any():
+        return None, False
+    r1, r2 = d[1] / d[0], d[2] / d[1]
+    if not (0.05 <= r2 <= 0.95 and 0.05 <= r1 <= 0.95 and abs(r2 - r1) <= 0.25):
+        return None, False
+    limit = values[-1] + d[2] * r2 / (1.0 - r2)
+    return float(limit), True
+
+
+def _run_side(
+    ev,
+    schedule: ImproperSchedule,
+    inner_tol: float,
+    cfg: SamplingConfig,
+    max_cells: int,
+    sign: float = 1.0,
+) -> ImproperSide:
+    side = ImproperSide()
+    values: list[float] = []
+    for k in range(schedule.max_steps):
+        u, v = schedule.truncation(k)
+        if not u < v:
+            side.error = f"schedule degenerate at step {k}"
+            break
+        try:
+            est = darboux.integrate(ev, Interval(u, v), inner_tol, cfg, max_cells=max_cells)
+        except (NonConvergenceError, ValueError) as exc:
+            side.error = f"step {k} on [{u:.6g}, {v:.6g}]: {exc}"
+            break
+        value = sign * est.midpoint
+        values.append(value)
+        side.steps.append(
+            {
+                "step": k,
+                "lo": u,
+                "hi": v,
+                "value": value,
+                "bracket_width": est.width,
+                "cells": est.cells,
+            }
+        )
+        if not schedule.any_open:
+            side.converged = True
+            break
+        if len(values) >= 4:
+            d = np.abs(np.diff(values[-4:]))
+            if (d < schedule.tol).all():
+                side.converged = True
+                break
+    if values:
+        side.last = values[-1]
+        ext, stable = _aitken(values)
+        side.extrapolated = ext
+        side.stable_trend = stable
+        side.value = ext if (stable and ext is not None) else side.last
+    return side
+
+
+@dataclass(slots=True)
+class ImproperReport:
+    rhs: ImproperSide
+    lhs: ImproperSide
+    image_lo: float
+    image_hi: float
+    orientation: float
+    abs_diff: float
+    tol: float
+    verdict: str
+
+    def to_json(self) -> dict:
+        return {
+            "rhs": self.rhs.to_json(),
+            "lhs": self.lhs.to_json(),
+            "image": {"lo": self.image_lo, "hi": self.image_hi, "orientation": self.orientation},
+            "abs_diff": self.abs_diff,
+            "tol": self.tol,
+            "verdict": self.verdict,
+        }
+
+
+def _image_limit(phi_ev, ts: list[float]) -> float:
+    vals = [float(phi_ev(np.array([t]))[0]) for t in ts]
+    vals = [v for v in vals if not math.isnan(v)]
+    if not vals:
+        raise ValueError("phi undefined along the probe sequence")
+    if len(vals) >= 2 and abs(vals[-1]) > 1e8 and abs(vals[-1]) > 2.0 * abs(vals[0]):
+        return math.copysign(math.inf, vals[-1])
+    return vals[-1]
+
+
+def improper_verify(
+    p: SubstitutionProblem,
+    t_schedule: ImproperSchedule,
+    tol: float,
+    rhs_inner_tol: float,
+    lhs_inner_tol: float,
+    lhs_offset: float | None = None,
+    lhs_cutoff_base: float = 1.0,
+    lhs_max_steps: int | None = None,
+    lhs_tol: float | None = None,
+    cfg: SamplingConfig = SamplingConfig(samples_per_cell=2),
+    max_cells: int = CELL_CAP,
+) -> ImproperReport:
+    """Truncate both sides toward their improper endpoints and compare.
+
+    The t side integrates (f o phi) phi' over the ``t_schedule``
+    truncations.  The x side integrates f over its own schedule built on
+    the probed limits of phi (finite limits approached geometrically,
+    infinite ones through doubling cutoffs), oriented by the direction
+    of phi.
+    """
+    rhs = _run_side(p.product_evaluator(), t_schedule, rhs_inner_tol, cfg, max_cells)
+
+    phi_ev = changevar.as_evaluator(p.phi)
+    probe_ks = (0, 6, 12, 18, 24, 30, 36)
+    lo_probes = [t_schedule.truncation(k)[0] for k in probe_ks]
+    hi_probes = [t_schedule.truncation(k)[1] for k in probe_ks]
+    lhs = ImproperSide()
+    image_a = image_b = math.nan
+    orientation = 1.0
+    try:
+        image_a = _image_limit(phi_ev, lo_probes)
+        image_b = _image_limit(phi_ev, hi_probes)
+    except ValueError as exc:
+        lhs.error = str(exc)
+
+    if not lhs.error:
+        if image_a == image_b:
+            lhs.value = lhs.last = 0.0
+            lhs.converged = True
+            lhs.steps.append({"step": 0, "lo": image_a, "hi": image_b, "value": 0.0,
+                              "bracket_width": 0.0, "cells": 0})
+        else:
+            orientation = 1.0 if image_a < image_b else -1.0
+            x_lo, x_hi = min(image_a, image_b), max(image_a, image_b)
+            f_ev = changevar.as_evaluator(p.f)
+
+            def endpoint_open(x: float, t_open: bool) -> bool:
+                if math.isinf(x):
+                    return True
+                if t_open:
+                    return True
+                return math.isnan(float(f_ev(np.array([x]))[0]))
+
+            lo_open = endpoint_open(x_lo, t_schedule.lo_open if orientation > 0 else t_schedule.hi_open)
+            hi_open = endpoint_open(x_hi, t_schedule.hi_open if orientation > 0 else t_schedule.lo_open)
+            width = x_hi - x_lo
+            offset = lhs_offset
+            if offset is None:
+                offset = width / 4.0 if math.isfinite(width) else 0.25
+            x_schedule = ImproperSchedule(
+                lo=x_lo,
+                hi=x_hi,
+                lo_open=lo_open,
+                hi_open=hi_open,
+                offset=offset,
+                cutoff_base=lhs_cutoff_base,
+                max_steps=lhs_max_steps if lhs_max_steps is not None else t_schedule.max_steps,
+                tol=lhs_tol if lhs_tol is not None else t_schedule.tol,
+            )
+            lhs = _run_side(f_ev, x_schedule, lhs_inner_tol, cfg, max_cells, sign=orientation)
+
+    if rhs.steps and lhs.steps:
+        abs_diff = abs(rhs.value - lhs.value)
+    else:
+        abs_diff = math.nan
+    if rhs.usable and lhs.usable and abs_diff <= tol:
+        verdict = VERIFIED
+    elif rhs.usable and lhs.usable and abs_diff > tol:
+        verdict = MISMATCH
+    else:
+        verdict = INCONCLUSIVE
+    return ImproperReport(
+        rhs=rhs,
+        lhs=lhs,
+        image_lo=image_a,
+        image_hi=image_b,
+        orientation=orientation,
+        abs_diff=abs_diff,
+        tol=tol,
+        verdict=verdict,
+    )

@@ -13,8 +13,8 @@ cumulative addition, so multi-million point grids stay monotone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class Interval:
         a, b = float(self.a), float(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if not (np.isfinite(a) and np.isfinite(b)):
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
         if a > b:
             raise ValueError(f"interval endpoints out of order: [{a}, {b}]")
@@ -94,10 +94,6 @@ class Partition:
     @property
     def norm(self) -> float:
         return float(self.widths().max())
-
-    def cells(self) -> Iterator[Interval]:
-        for lo, hi in zip(self.points[:-1], self.points[1:]):
-            yield Interval(float(lo), float(hi))
 
     def refines(self, coarser: "Partition") -> bool:
         return bool(np.all(np.isin(coarser.points, self.points)))
@@ -185,10 +181,6 @@ class BlockGrid:
     def sub_intervals(self, k: int) -> tuple[Interval, Interval, Interval, Interval]:
         p = self.sub_boundaries(k)
         return tuple(Interval(p[j], p[j + 1]) for j in range(4))
-
-    def blocks(self) -> Iterator[Interval]:
-        for k in range(1, self.block_count + 1):
-            yield self.block(k)
 
     def _check_index(self, k: int) -> None:
         if not 1 <= k <= self.block_count:

@@ -12,9 +12,9 @@ import numpy as np
 from quadratura import darboux
 from quadratura.approximant import build_approximant, eval_pl, integrate_pl, l1_distance
 from quadratura.changevar import FAIL, PASS, VERIFIED, SubstitutionProblem, verify
-from quadratura.cli import GALLERY, run_gallery_entry
 from quadratura.darboux import SamplingConfig
 from quadratura.expr import differentiate, evaluate_array, parse
+from quadratura.gallery import GALLERY, run_gallery_entry
 from quadratura.partition import Interval, uniform_partition
 
 EDGES = SamplingConfig(samples_per_cell=2)

@@ -5,19 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from quadratura import cli
-from quadratura.cli import (
-    EXIT_NUMERIC,
-    EXIT_OK,
-    EXIT_USAGE,
-    GALLERY,
-    ImproperSchedule,
-    improper_verify,
-    main,
-)
+from quadratura import gallery
+from quadratura.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from quadratura.changevar import SubstitutionProblem
 from quadratura.darboux import SamplingConfig
 from quadratura.expr import evaluate, parse
+from quadratura.gallery import GALLERY
+from quadratura.improper import ImproperSchedule, improper_verify
 
 
 def run(capsys, *argv):
@@ -53,6 +47,14 @@ class TestIntegrateCommand:
         payload = json.loads(out)
         assert "error" in payload
         assert payload["lower"] <= 1.0 / 3.0 <= payload["upper"]
+
+    def test_overflow_exits_numeric_with_json(self, capsys):
+        code, out = run(capsys, "integrate", "--f", "exp(x)", "--a", "0",
+                        "--b", "1000")
+        assert code == EXIT_NUMERIC
+        payload = json.loads(out)
+        assert "not finite" in payload["error"]
+        assert payload["cells"] == 1024
 
     def test_reversed_orientation(self, capsys):
         code, out = run(capsys, "integrate", "--f", "x", "--a", "1", "--b", "0",
@@ -261,7 +263,7 @@ class TestGalleryCommand:
         expected = {e.id: e.expected for e in GALLERY}
         assert expected == {"E1": "4/pi^4", "E2": "pi/8", "E3": "pi"}
         assert math.isclose(
-            cli.expected_value(GALLERY[0]), 4.0 / math.pi**4, rel_tol=1e-15
+            gallery.expected_value(GALLERY[0]), 4.0 / math.pi**4, rel_tol=1e-15
         )
 
 

@@ -19,7 +19,7 @@ from quadratura.darboux import (
     upper_sum,
 )
 from quadratura.expr import parse
-from quadratura.partition import Interval, uniform_partition
+from quadratura.partition import Interval, Partition, uniform_partition
 
 EDGES = SamplingConfig(samples_per_cell=2)
 
@@ -184,6 +184,28 @@ class TestIntegrate:
                 parse("1/sqrt(x)"), Interval(0.0, 1.0), 1e-6, EDGES, max_cells=2**14
             )
 
+    def test_overflowing_sum_fails_fast(self):
+        # exp(x) on [0, 1000]: finite samples whose sum overflows, then inf
+        with pytest.raises(NonConvergenceError, match="not finite") as exc:
+            integrate(parse("exp(x)"), Interval(0.0, 1000.0), 1e-6, EDGES)
+        est = exc.value.estimate
+        assert est.cells == 2**10
+        assert est.upper == math.inf
+
+    def test_opposite_infinite_cells_fail_fast(self):
+        # samples saturate to -inf on the left and +inf on the right
+        with pytest.raises(NonConvergenceError, match="not finite") as exc:
+            integrate(parse("exp(x)-exp(-x)"), Interval(-1000.0, 1000.0), 1e-6, EDGES)
+        assert math.isnan(exc.value.estimate.width)
+
+    def test_non_finite_width_stops_at_first_level(self):
+        # every sample is finite, but the cell sums overflow; doubling keeps
+        # every sample point, so no later level could be finite
+        with pytest.raises(NonConvergenceError, match="not finite") as exc:
+            integrate(parse("x"), Interval(0.0, 1e300), 1e-6, EDGES)
+        assert exc.value.estimate.cells == 2**10
+        assert not math.isfinite(exc.value.estimate.width)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             integrate(parse("x"), Interval(0.0, 1.0), 0.0)
@@ -241,6 +263,14 @@ class TestCompensatedSum:
         vals = np.array([1e16, 1.0, -1e16, 1.0])
         assert compensated_sum(vals) == 2.0
 
+    def test_overflow_gives_signed_infinity(self):
+        assert compensated_sum(np.array([1e308, 1e308])) == math.inf
+        assert compensated_sum(np.array([-1e308, -1e308])) == -math.inf
+        assert compensated_sum(np.full(10_000, 1e305)) == math.inf
+
+    def test_opposite_infinities_give_nan(self):
+        assert math.isnan(compensated_sum(np.array([math.inf, -math.inf])))
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         vals = rng.normal(size=50_000)
@@ -254,13 +284,153 @@ class TestSamplingConfig:
         with pytest.raises(ValueError):
             SamplingConfig(undefined_policy="whatever")
 
-    def test_interior_sampling(self):
-        cfg = SamplingConfig(samples_per_cell=4, include_endpoints=False)
-        # interior samples never touch the singular endpoint
-        v = infimum_on(parse("1/x"), Interval(0.0, 1.0), cfg)
-        assert v > 1.0
 
-    def test_interior_sampling_integrates(self):
-        cfg = SamplingConfig(samples_per_cell=4, include_endpoints=False)
-        est = integrate(parse("x"), Interval(0.0, 1.0), 1e-3, cfg)
-        assert abs(est.midpoint - 0.5) < 1e-3
+# float.hex of (lower_sum, upper_sum) on UNIFORM_16, the same on IRREGULAR,
+# integrate's (lower, upper) on [0, 1] at tol 2e-4 and (infimum_on,
+# supremum_on) on PIN_CELL, keyed by (formula, samples, hinted, cells that
+# integrate stops at).  The formulas use arithmetic only, no libm call, so
+# the bits do not depend on the CPU; the third has an isolated undefined
+# point at 0.5, a grid edge in most rows.
+PIN_HINTS = {
+    "x/(x^4+1)": (0.7598356856515925,),
+    "(x-0.3)^2": (0.3,),
+    "(x^2-0.25)/(x-0.5)": (0.5,),
+}
+UNIFORM_16 = uniform_partition(Interval(0.0, 1.0), 16)
+IRREGULAR = Partition(np.array([0.0, 0.03, 0.1, 0.17, 0.31, 0.5, 0.52, 0.77, 0.9, 1.0]))
+PIN_CELL = Interval(0.1, 0.9)
+PINNED = {
+    ('x/(x^4+1)', 2, False, 4096): (
+        '0x1.7d292750b5ebfp-2', '0x1.a61629981dfe2p-2',
+        '0x1.5ea949b128665p-2', '0x1.bb1ef33b65219p-2',
+        '0x1.920b3be7e6554p-2', '0x1.92342da09f4dbp-2',
+        '0x1.998f1d838b954p-4', '0x1.163e7b334631ep-1',
+    ),
+    ('x/(x^4+1)', 2, True, 4096): (
+        '0x1.7d292750b5ebfp-2', '0x1.a61884d8b3e8bp-2',
+        '0x1.5ea949b128665p-2', '0x1.bb28eda43cc7dp-2',
+        '0x1.920b3be7e6554p-2', '0x1.92342da0a71b7p-2',
+        '0x1.998f1d838b954p-4', '0x1.23c6e3224f9d1p-1',
+    ),
+    ('x/(x^4+1)', 8, False, 4096): (
+        '0x1.7d292750b5ebfp-2', '0x1.a6187fbc09679p-2',
+        '0x1.5ea949b128665p-2', '0x1.bb1ef33b65219p-2',
+        '0x1.920b3be7e6554p-2', '0x1.92342da0a71b6p-2',
+        '0x1.998f1d838b954p-4', '0x1.23468bdb80f2cp-1',
+    ),
+    ('x/(x^4+1)', 8, True, 4096): (
+        '0x1.7d292750b5ebfp-2', '0x1.a61884d8b3e8bp-2',
+        '0x1.5ea949b128665p-2', '0x1.bb28eda43cc7dp-2',
+        '0x1.920b3be7e6554p-2', '0x1.92342da0a71b7p-2',
+        '0x1.998f1d838b954p-4', '0x1.23c6e3224f9d1p-1',
+    ),
+    ('x/(x^4+1)', 64, False, 4096): (
+        '0x1.7d292750b5ebfp-2', '0x1.a61884cd3b197p-2',
+        '0x1.5ea949b128665p-2', '0x1.bb28a2570bb31p-2',
+        '0x1.920b3be7e6554p-2', '0x1.92342da0a71b6p-2',
+        '0x1.998f1d838b954p-4', '0x1.23c6d79af9a09p-1',
+    ),
+    ('x/(x^4+1)', 64, True, 4096): (
+        '0x1.7d292750b5ebfp-2', '0x1.a61884d8b3e8bp-2',
+        '0x1.5ea949b128665p-2', '0x1.bb28eda43cc7dp-2',
+        '0x1.920b3be7e6554p-2', '0x1.92342da0a71b7p-2',
+        '0x1.998f1d838b954p-4', '0x1.23c6e3224f9d1p-1',
+    ),
+    ('(x-0.3)^2', 2, False, 4096): (
+        '0x1.b1a3d70a3d70ap-4', '0x1.23051eb851eb8p-3',
+        '0x1.5753a3ec02f31p-4', '0x1.61682f944241dp-3',
+        '0x1.f8e224ccd70a3p-4', '0x1.f9769fae0a3d6p-4',
+        '0x1.47ae147ae147ap-5', '0x1.70a3d70a3d70cp-2',
+    ),
+    ('(x-0.3)^2', 2, True, 4096): (
+        '0x1.b199999999999p-4', '0x1.23051eb851eb8p-3',
+        '0x1.5744f5d35653ep-4', '0x1.61682f944241dp-3',
+        '0x1.f8e224cccccccp-4', '0x1.f9769fae0a3d6p-4',
+        '0x0.0p+0', '0x1.70a3d70a3d70cp-2',
+    ),
+    ('(x-0.3)^2', 8, False, 4096): (
+        '0x1.b19a6f98589b7p-4', '0x1.23051eb851eb8p-3',
+        '0x1.5753a3ec02f31p-4', '0x1.61682f944241dp-3',
+        '0x1.f8e224cccda2cp-4', '0x1.f9769fae0a3d6p-4',
+        '0x1.abfd7e03c2fc8p-11', '0x1.70a3d70a3d70cp-2',
+    ),
+    ('(x-0.3)^2', 8, True, 4096): (
+        '0x1.b199999999999p-4', '0x1.23051eb851eb8p-3',
+        '0x1.5744f5d35653ep-4', '0x1.61682f944241dp-3',
+        '0x1.f8e224cccccccp-4', '0x1.f9769fae0a3d6p-4',
+        '0x0.0p+0', '0x1.70a3d70a3d70cp-2',
+    ),
+    ('(x-0.3)^2', 64, False, 4096): (
+        '0x1.b1999c3dee218p-4', '0x1.23051eb851eb8p-3',
+        '0x1.57452438c7137p-4', '0x1.61682f944241dp-3',
+        '0x1.f8e224cccccf6p-4', '0x1.f9769fae0a3d6p-4',
+        '0x1.522a43f65490fp-17', '0x1.70a3d70a3d70cp-2',
+    ),
+    ('(x-0.3)^2', 64, True, 4096): (
+        '0x1.b199999999999p-4', '0x1.23051eb851eb8p-3',
+        '0x1.5744f5d35653ep-4', '0x1.61682f944241dp-3',
+        '0x1.f8e224cccccccp-4', '0x1.f9769fae0a3d6p-4',
+        '0x0.0p+0', '0x1.70a3d70a3d70cp-2',
+    ),
+    ('(x^2-0.25)/(x-0.5)', 2, False, 8192): (
+        '0x1.f200000000000p-1', '0x1.0700000000000p+0',
+        '0x1.d837b4a2339c2p-1', '0x1.0ac083126e979p+0',
+        '0x1.fff8008000000p-1', '0x1.0003ffc000000p+0',
+        '0x1.3333333333333p-1', '0x1.6666666666667p+0',
+    ),
+    ('(x^2-0.25)/(x-0.5)', 2, True, 8192): (
+        '0x1.f200000000000p-1', '0x1.0700000000000p+0',
+        '0x1.d837b4a2339c2p-1', '0x1.0ac083126e979p+0',
+        '0x1.fff8008000000p-1', '0x1.0003ffc000000p+0',
+        '0x1.3333333333333p-1', '0x1.6666666666667p+0',
+    ),
+    ('(x^2-0.25)/(x-0.5)', 8, False, 8192): (
+        '0x1.f049249249248p-1', '0x1.07db6db6db6dbp+0',
+        '0x1.d80ac441c5228p-1', '0x1.12ac6211e7c66p+0',
+        '0x1.fff800124924ap-1', '0x1.0003fff6db6dcp+0',
+        '0x1.3333333333333p-1', '0x1.6666666666667p+0',
+    ),
+    ('(x^2-0.25)/(x-0.5)', 8, True, 8192): (
+        '0x1.f049249249248p-1', '0x1.07db6db6db6dbp+0',
+        '0x1.d80ac441c5228p-1', '0x1.12ac6211e7c66p+0',
+        '0x1.fff800124924ap-1', '0x1.0003fff6db6dcp+0',
+        '0x1.3333333333333p-1', '0x1.6666666666667p+0',
+    ),
+    ('(x^2-0.25)/(x-0.5)', 64, False, 8192): (
+        '0x1.f00820820820fp-1', '0x1.07fbefbefbef8p+0',
+        '0x1.d8041be7a1ce6p-1', '0x1.13d8cef562062p+0',
+        '0x1.fff8000208208p-1', '0x1.0003fffefbefcp+0',
+        '0x1.3333333333333p-1', '0x1.6666666666667p+0',
+    ),
+    ('(x^2-0.25)/(x-0.5)', 64, True, 8192): (
+        '0x1.f00820820820fp-1', '0x1.07fbefbefbef8p+0',
+        '0x1.d8041be7a1ce6p-1', '0x1.13d8cef562062p+0',
+        '0x1.fff8000208208p-1', '0x1.0003fffefbefcp+0',
+        '0x1.3333333333333p-1', '0x1.6666666666667p+0',
+    ),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("key", sorted(PINNED, key=repr), ids=repr)
+    def test_bits(self, key):
+        text, samples, hinted, cells = key
+        f = parse(text)
+        cfg = SamplingConfig(samples_per_cell=samples)
+        hints = PIN_HINTS[text] if hinted else None
+        est = integrate(f, Interval(0.0, 1.0), 2e-4, cfg, hints)
+        got = (
+            lower_sum(f, UNIFORM_16, cfg, hints), upper_sum(f, UNIFORM_16, cfg, hints),
+            lower_sum(f, IRREGULAR, cfg, hints), upper_sum(f, IRREGULAR, cfg, hints),
+            est.lower, est.upper,
+            infimum_on(f, PIN_CELL, cfg, hints), supremum_on(f, PIN_CELL, cfg, hints),
+        )
+        assert est.cells == cells
+        assert tuple(v.hex() for v in got) == PINNED[key]
+
+    def test_integrate_across_chunks(self):
+        # 131072 cells of 63 gaps span four evaluation chunks
+        cfg = SamplingConfig(samples_per_cell=64)
+        est = integrate(parse("x/(x^4+1)"), Interval(0.0, 1.0), 8e-6, cfg)
+        assert est.cells == 131072
+        assert (est.lower.hex(), est.upper.hex()) == ('0x1.921f117d3faf4p-2', '0x1.9220590b05f3ep-2')

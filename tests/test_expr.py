@@ -76,6 +76,28 @@ class TestParse:
         assert ev(".25", 0.0) == 0.25
         assert ev("2e-1", 0.0) == 0.2
 
+    def test_nesting_at_depth_cap(self):
+        # 1/(1/(...x)) costs the most stack per level to differentiate;
+        # x sits at depth MAX_PARSE_DEPTH
+        k = E.MAX_PARSE_DEPTH - 1
+        e = parse("1/(" * k + "x" + ")" * k)
+        d = differentiate(e)
+        assert evaluate(e, 2.0) == 0.5
+        assert math.isclose(evaluate(d, 2.0), -0.25, rel_tol=1e-12)
+        assert evaluate(parse(to_text(e)), 2.0) == 0.5
+        assert to_text(d)
+
+    def test_nesting_above_depth_cap(self):
+        k = E.MAX_PARSE_DEPTH
+        with pytest.raises(ParseError) as exc:
+            parse("1/(" * k + "x" + ")" * k)
+        assert exc.value.offset == 3 * k  # the x one level too deep
+
+    def test_deep_parentheses_are_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse("(" * 5000 + "x" + ")" * 5000)
+        assert exc.value.offset == E.MAX_PARSE_DEPTH
+
 
 class TestPrecedence:
     def test_mul_over_add(self):
@@ -146,6 +168,16 @@ class TestEvaluate:
         ys = evaluate_array(e, xs)
         for x, y in zip(xs, ys):
             assert evaluate(e, float(x)) == y
+
+    def test_long_array_matches_short_pieces(self):
+        # long inputs are evaluated block by block; the bits must not change
+        e = parse("t*sin(1/t)+sqrt(t)/log(t)")
+        xs = np.linspace(-1.0, 3.0, 3 * E._EVAL_BLOCK + 5)
+        pieces = np.concatenate([evaluate_array(e, xs[i : i + 1000])
+                                 for i in range(0, xs.size, 1000)])
+        assert np.isnan(pieces).any()
+        assert evaluate_array(e, xs).tobytes() == pieces.tobytes()
+        assert evaluate_array(parse("t"), xs) is not xs
 
     def test_array_input_not_mutated(self):
         xs = np.linspace(0.0, 1.0, 5)
