@@ -117,7 +117,10 @@ class SubstitutionProblem:
         dphi_ev = self.phi_prime_evaluator()
 
         def product(ts: np.ndarray) -> np.ndarray:
-            return f_ev(phi_ev(ts)) * dphi_ev(ts)
+            # inf/NaN flow on to the sums.  One expression of temporaries
+            # lets numpy reuse the left factor's buffer for the product.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return f_ev(phi_ev(ts)) * dphi_ev(ts)
 
         return product
 
@@ -401,7 +404,8 @@ def _bounded_verdict(ev: Evaluator, lo: float, hi: float, grid_size: int) -> Hyp
 
 def _modulus(ev: Evaluator, lo: float, hi: float, n: int) -> float:
     ys = ev(np.linspace(lo, hi, n))
-    diffs = np.abs(np.diff(ys))
+    with np.errstate(invalid="ignore"):  # inf - inf where phi overflows
+        diffs = np.abs(np.diff(ys))
     diffs = diffs[np.isfinite(diffs)]
     return float(diffs.max()) if diffs.size else math.nan
 
@@ -446,7 +450,8 @@ def check_hypotheses(p: SubstitutionProblem, grid_size: int = 1000) -> Hypothesi
                 HypothesisCheck("f_bounded_on_J", PASS, {"degenerate_J": j_lo})
             )
         else:
-            b = _bounded_verdict(as_evaluator(p.f), j_lo, j_hi, grid_size)
+            with np.errstate(over="ignore", invalid="ignore"):  # J may be unbounded
+                b = _bounded_verdict(as_evaluator(p.f), j_lo, j_hi, grid_size)
             checks.append(HypothesisCheck("f_bounded_on_J", b.verdict, b.witness))
         endpoint_witness = {"phi_alpha": u, "phi_beta": v}
         if p.f_domain is not None:

@@ -286,8 +286,32 @@ def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-6) ->
     p.add_argument("--out", type=str, default=None, help="write the report to PATH")
 
 
+class _FloatToken:
+    """Matches a token that ``float`` accepts: '-inf', '-1e308', '-.5'."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any negative float as a value, not an option.
+
+    argparse only treats '-5' and '-.5' that way, so ``--alpha -inf``
+    failed with "expected one argument".  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatToken
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadratura",
         description="Sampled Darboux quadrature and substitution-identity checks",
         epilog="Exit status: 0 success or verified, 1 usage or parse error,"

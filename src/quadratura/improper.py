@@ -6,6 +6,17 @@ doubling cutoffs (base * 2^k).  A side counts as converged when three
 consecutive truncation values differ by less than its tolerance; a
 stable geometric tail is also extrapolated (Aitken) and the
 extrapolated value is preferred when trustworthy.
+
+Truncation is incremental.  Step 0 integrates [u_0, v_0]; step k >= 1
+integrates only the strips it adds, [u_k, u_{k-1}] and [v_{k-1}, v_k]
+(whichever are non-empty), and adds their lower/upper sums, in that
+order, to running totals.  Step 0 gets a bracket budget of inner_tol/2
+when the schedule has an open end, step k gets inner_tol * 2^-(k+1)
+split evenly among its strips, so the running bracket of every step
+stays within inner_tol.  A step reports the midpoint and width of the
+running bracket, and ``cells`` counts all cells covering [u_k, v_k].
+Each strip gets its own uniform grid, so a strip near a steep end does
+not force fine cells onto the rest of the truncation.
 """
 
 from __future__ import annotations
@@ -127,17 +138,32 @@ def _run_side(
 ) -> ImproperSide:
     side = ImproperSide()
     values: list[float] = []
+    lower = upper = 0.0
+    cells = 0
+    prev: tuple[float, float] | None = None
     for k in range(schedule.max_steps):
         u, v = schedule.truncation(k)
         if not u < v:
             side.error = f"schedule degenerate at step {k}"
             break
+        if prev is None:
+            strips = [(u, v)]
+            budget = inner_tol / 2.0 if schedule.any_open else inner_tol
+        else:
+            # No strips once offset * 2^-k no longer moves a finite endpoint.
+            strips = [(a, b) for a, b in ((u, prev[0]), (prev[1], v)) if a < b]
+            budget = inner_tol * 2.0 ** -(k + 1) / max(len(strips), 1)
         try:
-            est = darboux.integrate(ev, Interval(u, v), inner_tol, cfg, max_cells=max_cells)
+            for a, b in strips:
+                est = darboux.integrate(ev, Interval(a, b), budget, cfg, max_cells=max_cells)
+                lower += est.lower
+                upper += est.upper
+                cells += est.cells
         except (NonConvergenceError, ValueError) as exc:
             side.error = f"step {k} on [{u:.6g}, {v:.6g}]: {exc}"
             break
-        value = sign * est.midpoint
+        prev = (u, v)
+        value = sign * 0.5 * (lower + upper)
         values.append(value)
         side.steps.append(
             {
@@ -145,8 +171,8 @@ def _run_side(
                 "lo": u,
                 "hi": v,
                 "value": value,
-                "bracket_width": est.width,
-                "cells": est.cells,
+                "bracket_width": upper - lower,
+                "cells": cells,
             }
         )
         if not schedule.any_open:

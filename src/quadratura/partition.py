@@ -38,7 +38,7 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """Closed bounded interval [a, b]; degenerate (a == b) allowed."""
+    """Closed bounded interval [a, b] of finite width; degenerate (a == b) allowed."""
 
     a: float
     b: float
@@ -51,6 +51,8 @@ class Interval:
             raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
         if a > b:
             raise ValueError(f"interval endpoints out of order: [{a}, {b}]")
+        if not math.isfinite(b - a):
+            raise ValueError(f"interval width overflows: [{a}, {b}]")
 
     @property
     def width(self) -> float:

@@ -1,17 +1,19 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from quadratura import gallery
+from quadratura import darboux, gallery, improper
 from quadratura.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from quadratura.changevar import SubstitutionProblem
 from quadratura.darboux import SamplingConfig
 from quadratura.expr import evaluate, parse
 from quadratura.gallery import GALLERY
 from quadratura.improper import ImproperSchedule, improper_verify
+from quadratura.partition import Interval
 
 
 def run(capsys, *argv):
@@ -55,6 +57,20 @@ class TestIntegrateCommand:
         payload = json.loads(out)
         assert "not finite" in payload["error"]
         assert payload["cells"] == 1024
+
+    def test_negative_float_values(self, capsys):
+        code, out = run(capsys, "integrate", "--f", "1", "--a", "-1e3", "--b", "-.5")
+        assert code == EXIT_OK
+        assert json.loads(out)["midpoint"] == 999.5
+
+    def test_overflowing_width_is_usage_error(self, capsys):
+        code = main(["integrate", "--f", "x", "--a", "-1e308", "--b", "1e308"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "width overflows" in lines[0]
 
     def test_reversed_orientation(self, capsys):
         code, out = run(capsys, "integrate", "--f", "x", "--a", "1", "--b", "0",
@@ -154,6 +170,16 @@ class TestImproperCommand:
         assert lines[0] == "side,step,lo,hi,value,bracket_width,cells"
         assert any(line.startswith("rhs,0,") for line in lines)
         assert any(line.startswith("lhs,") for line in lines)
+
+    def test_negative_infinite_alpha_value(self, capsys):
+        # --alpha -inf (not only --alpha=-inf) reads as a value
+        code, out = run(capsys, "improper", "--f", "exp(x)", "--phi", "t",
+                        "--alpha", "-inf", "--beta", "0", "--tol", "1e-4")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["rhs"]["steps"][-1]["lo"] < -10.0
+        assert abs(payload["rhs"]["value"] - 1.0) < 1e-4
+        assert abs(payload["lhs"]["value"] - 1.0) < 1e-4
 
     def test_infinite_endpoints_imply_open(self, capsys):
         code, out = run(capsys, "improper", "--f", "1/(x^2+1)", "--phi", "tan(t)",
@@ -292,6 +318,40 @@ class TestImproperSchedule:
             ImproperSchedule(lo=0.0, hi=1.0, offset=-1.0)
 
 
+IMPROPER_CASES = {
+    "x over 1/(1+t) on (0, inf)": (
+        "x", "1/(1+t)", dict(lo=0.0, hi=math.inf, lo_open=True, max_steps=20, tol=1e-3)),
+    "x^2 over t on (0, 1)": (
+        "x^2", "t", dict(lo=0.0, hi=1.0, lo_open=True, hi_open=True, tol=1e-3)),
+}
+INNER_TOL = 1e-4
+
+
+def improper_report(case: str):
+    f, phi, sched = IMPROPER_CASES[case]
+    schedule = ImproperSchedule(**sched)
+    p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
+    return improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=INNER_TOL,
+                           lhs_inner_tol=INNER_TOL, cfg=SamplingConfig(samples_per_cell=2))
+
+
+@pytest.fixture(params=list(IMPROPER_CASES))
+def traced_improper(request, monkeypatch):
+    """(report, {evaluator: integrated intervals}), rhs evaluator first."""
+    calls: dict = {}
+    integrate = darboux.integrate
+
+    def recording(ev, iv, *args, **kwargs):
+        calls.setdefault(ev, []).append((iv.a, iv.b))
+        return integrate(ev, iv, *args, **kwargs)
+
+    monkeypatch.setattr(improper.darboux, "integrate", recording)
+    report = improper_report(request.param)
+    monkeypatch.undo()
+    assert report.verdict == "verified"
+    return report, calls
+
+
 class TestImproperEngine:
     def test_decreasing_phi_orientation(self):
         # phi = -t maps [0, 1) onto (-1, 0]; image endpoints reversed
@@ -306,6 +366,36 @@ class TestImproperEngine:
         assert abs(report.lhs.value + 1.0 / 3.0) < 1e-3
         assert abs(report.rhs.value + 1.0 / 3.0) < 1e-3
 
+    def test_running_bracket_and_cells(self, traced_improper):
+        report, _ = traced_improper
+        for side in (report.rhs, report.lhs):
+            assert len(side.steps) >= 4
+            assert all(s["bracket_width"] <= INNER_TOL for s in side.steps)
+            cells = [s["cells"] for s in side.steps]
+            assert cells == sorted(cells)
+
+    def test_strips_tile_the_last_truncation(self, traced_improper):
+        report, calls = traced_improper
+        assert len(calls) == 2
+        for side, strips in zip((report.rhs, report.lhs), calls.values()):
+            strips = sorted(strips)
+            assert strips[0][0] == side.steps[-1]["lo"]
+            assert strips[-1][1] == side.steps[-1]["hi"]
+            assert all(b == a for (_, b), (a, _) in zip(strips, strips[1:]))
+
+    def test_last_step_matches_one_integration(self, traced_improper):
+        report, calls = traced_improper
+        cfg = SamplingConfig(samples_per_cell=2)
+        signs = (1.0, report.orientation)
+        for side, ev, sign in zip((report.rhs, report.lhs), calls, signs):
+            last = side.steps[-1]
+            whole = darboux.integrate(ev, Interval(last["lo"], last["hi"]), INNER_TOL, cfg)
+            assert abs(last["value"] - sign * whole.midpoint) <= INNER_TOL
+
+    def test_repeatable(self):
+        first, second = (improper_report("x over 1/(1+t) on (0, inf)") for _ in range(2))
+        assert first.rhs.steps + first.lhs.steps == second.rhs.steps + second.lhs.steps
+
 
 class TestUsage:
     def test_missing_command(self, capsys):
@@ -313,3 +403,14 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ("substitute", "--f", "x", "--phi", "exp(t)", "--alpha", "0", "--beta", "800"),
+        ("integrate", "--f", "x", "--a=-1e308", "--b", "1e308"),
+    ])
+    def test_no_runtime_warnings_on_stderr(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main(list(argv))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err

@@ -32,6 +32,11 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(0.0, math.inf)
 
+    def test_finite_width_required(self):
+        with pytest.raises(ValueError, match="width overflows"):
+            Interval(-1e308, 1e308)
+        assert Interval(-8e307, 8e307).width == 1.6e308
+
 
 class TestUniformPartition:
     def test_quarters(self):
