@@ -36,7 +36,7 @@ from .darboux import (
     as_evaluator,
     integrate_signed,
 )
-from .expr import Expr, NonDifferentiableError, differentiate
+from .expr import Expr, NonDifferentiableError, differentiate, mul, substitute
 from .partition import Interval
 
 __all__ = [
@@ -96,13 +96,19 @@ class SubstitutionProblem:
     def span(self) -> float:
         return self.beta - self.alpha
 
-    def phi_prime_evaluator(self) -> Evaluator:
+    def _phi_prime_expr(self) -> Expr | None:
+        """The override or the symbolic derivative; None if phi has none."""
         if self.phi_prime is not None:
-            return as_evaluator(self.phi_prime)
+            return self.phi_prime
         try:
-            return as_evaluator(differentiate(self.phi))
+            return differentiate(self.phi)
         except NonDifferentiableError:
-            pass
+            return None
+
+    def phi_prime_evaluator(self) -> Evaluator:
+        dphi = self._phi_prime_expr()
+        if dphi is not None:
+            return as_evaluator(dphi)
         phi_ev = as_evaluator(self.phi)
         h = 1e-7 * self.span
 
@@ -112,6 +118,15 @@ class SubstitutionProblem:
         return central
 
     def product_evaluator(self) -> Evaluator:
+        """(f o phi) * phi', compiled as one expression when all are formulas.
+
+        f, phi and phi' then share their common subterms (for t*sin(1/t),
+        1/t and sin(1/t)); the values are those of the three separate
+        evaluations, bit for bit.
+        """
+        dphi = self._phi_prime_expr()
+        if all(isinstance(g, Expr) for g in (self.f, self.phi, dphi)):
+            return as_evaluator(mul(substitute(self.f, self.phi), dphi))
         f_ev = as_evaluator(self.f)
         phi_ev = as_evaluator(self.phi)
         dphi_ev = self.phi_prime_evaluator()
@@ -385,12 +400,12 @@ def _window_maxima(ev: Evaluator, lo: float, hi: float, at_left: bool) -> list[f
 
 
 def _bounded_verdict(ev: Evaluator, lo: float, hi: float, grid_size: int) -> HypothesisCheck:
-    xs = np.linspace(lo, hi, grid_size)
-    grid_max, defined = _finite_stats(ev(xs))
+    ys = ev(np.linspace(lo, hi, grid_size))
+    grid_max, defined = _finite_stats(ys)
     witness: dict = {"grid_max": grid_max, "defined_samples": defined}
     if defined == 0:
         return HypothesisCheck("", FAIL, witness)  # name filled by caller
-    diverging = bool(np.isinf(ev(xs)).any()) or grid_max >= _OVERFLOW_LIMIT
+    diverging = bool(np.isinf(ys).any()) or grid_max >= _OVERFLOW_LIMIT
     for side, at_left in (("left", True), ("right", False)):
         maxima = _window_maxima(ev, lo, hi, at_left)
         witness[f"{side}_window_maxima"] = maxima
@@ -445,12 +460,17 @@ def check_hypotheses(p: SubstitutionProblem, grid_size: int = 1000) -> Hypothesi
     try:
         u, v = p.image_endpoints()
         j_lo, j_hi = min(u, v), max(u, v)
+        unbounded = [end for end, x in (("lower", j_lo), ("upper", j_hi)) if math.isinf(x)]
         if j_lo == j_hi:
             checks.append(
                 HypothesisCheck("f_bounded_on_J", PASS, {"degenerate_J": j_lo})
             )
+        elif unbounded:
+            # a grid on an unbounded J has no defined sample: nothing to judge
+            witness = {"unbounded_end": " and ".join(unbounded)}
+            checks.append(HypothesisCheck("f_bounded_on_J", UNDECIDABLE, witness))
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # J may be unbounded
+            with np.errstate(over="ignore", invalid="ignore"):  # J's width may overflow
                 b = _bounded_verdict(as_evaluator(p.f), j_lo, j_hi, grid_size)
             checks.append(HypothesisCheck("f_bounded_on_J", b.verdict, b.witness))
         endpoint_witness = {"phi_alpha": u, "phi_beta": v}

@@ -90,9 +90,9 @@ def _estimate_json(est: DarbouxEstimate) -> dict:
     }
 
 
-def _parse_formula(text: str, what: str) -> expr.Expr:
+def _parse_formula(text: str, what: str, max_height: int | None = None) -> expr.Expr:
     try:
-        return expr.parse(text)
+        return expr.parse(text, max_height)
     except ParseError as exc:
         raise SystemExit(_usage_error(f"cannot parse {what}: {exc}"))
 
@@ -126,7 +126,7 @@ def cmd_integrate(args) -> int:
 def cmd_substitute(args) -> int:
     problem = SubstitutionProblem(
         f=_parse_formula(args.f, "--f"),
-        phi=_parse_formula(args.phi, "--phi"),
+        phi=_parse_formula(args.phi, "--phi", expr.MAX_TREE_HEIGHT),
         alpha=args.alpha,
         beta=args.beta,
         phi_prime=_parse_formula(args.phi_prime, "--phi-prime") if args.phi_prime else None,
@@ -158,7 +158,7 @@ def cmd_improper(args) -> int:
     first_lo, first_hi = schedule.truncation(0)
     problem = SubstitutionProblem(
         f=_parse_formula(args.f, "--f"),
-        phi=_parse_formula(args.phi, "--phi"),
+        phi=_parse_formula(args.phi, "--phi", expr.MAX_TREE_HEIGHT),
         alpha=first_lo,
         beta=first_hi,
     )
@@ -227,7 +227,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    f = _parse_formula(args.f, "--f")
+    f = _parse_formula(args.f, "--f", expr.MAX_TREE_HEIGHT)
     try:
         d = expr.differentiate(f, args.var)
     except (expr.NonDifferentiableError, ValueError) as exc:
@@ -286,28 +286,26 @@ def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-6) ->
     p.add_argument("--out", type=str, default=None, help="write the report to PATH")
 
 
-class _FloatToken:
-    """Matches a token that ``float`` accepts: '-inf', '-1e308', '-.5'."""
+class _SingleDashToken:
+    """Matches a token with one leading '-': '-inf', '-1e308', '-x^2'."""
 
     @staticmethod
     def match(text: str) -> bool:
-        try:
-            float(text)
-        except ValueError:
-            return False
-        return True
+        return not text.startswith("--")
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads any negative float as a value, not an option.
+    """An ArgumentParser that reads a token with one leading '-' as a value.
 
-    argparse only treats '-5' and '-.5' that way, so ``--alpha -inf``
-    failed with "expected one argument".  Subparsers inherit the class.
+    argparse only treats '-5' and '-.5' that way, so ``--alpha -inf`` and
+    ``--f -x^2`` failed with "expected one argument".  The only
+    single-dash option is -h, which argparse looks up before asking the
+    matcher.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _FloatToken
+        self._negative_number_matcher = _SingleDashToken
 
 
 def build_parser() -> argparse.ArgumentParser:

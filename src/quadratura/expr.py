@@ -18,6 +18,20 @@ node's domain (division by zero, log of a non-positive, even root of a
 negative) yields NaN, the *undefined* outcome.  Undefinedness
 propagates: an undefined sub-term makes the enclosing term undefined.
 Overflow saturates to +-inf.
+
+A tree is compiled once, on its first evaluation, to a flat tape: one
+step per distinct subtree in postorder, constants held as scalars and
+constant-only subtrees folded.  Identical subtrees share one step
+(common-subexpression elimination), keyed on each node's kind, the bit
+pattern of its constant and its operands' steps, so ``0.0`` and
+``-0.0`` stay apart.  Sharing only skips recomputing a value, so the
+tape gives the bits a node-by-node evaluation gives.  ``substitute``
+builds ``f(phi(t))`` as one tree; ``changevar`` evaluates the
+substitution product ``f(phi(t))*phi'(t)`` that way, so f, phi and phi'
+share their common subterms.  Compiling and evaluating are iterative,
+so any height evaluates.  Differentiating and printing recurse once per
+level; ``parse(text, max_height=MAX_TREE_HEIGHT)`` keeps a formula
+within their reach.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ __all__ = [
     "UNDEFINED",
     "ParseError",
     "MAX_PARSE_DEPTH",
+    "MAX_TREE_HEIGHT",
     "UnknownIdentifierError",
     "ArityError",
     "NonDifferentiableError",
@@ -40,6 +55,7 @@ __all__ = [
     "evaluate",
     "evaluate_array",
     "differentiate",
+    "substitute",
     "to_text",
     "variables",
     "is_undefined",
@@ -103,6 +119,8 @@ class Expr:
     value: float = 0.0
     name: str = ""
     args: tuple["Expr", ...] = field(default=())
+    # The compiled tape, set on first evaluation (see ``evaluate_array``).
+    _tape: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in _ARITY:
@@ -169,6 +187,40 @@ def variables(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
+def _postorder(root: Expr):
+    """Each distinct node object of ``root`` once, operands first, without recursion."""
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in seen:
+            continue
+        if expanded or not node.args:
+            seen.add(id(node))
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(node.args))
+
+
+def substitute(e: Expr, value: Expr) -> Expr:
+    """``e`` with every variable replaced by ``value``: ``f(phi)`` as one tree.
+
+    ``value`` is shared, not copied, so it is compiled once when the
+    result is evaluated.
+    """
+    new: dict[int, Expr] = {}
+    for node in _postorder(e):
+        if node.kind == "var":
+            new[id(node)] = value
+        elif node.args:
+            args = tuple(new[id(a)] for a in node.args)
+            new[id(node)] = Expr(node.kind, node.value, node.name, args)
+        else:
+            new[id(node)] = node
+    return new[id(e)]
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
@@ -176,10 +228,16 @@ def variables(e: Expr) -> frozenset[str]:
 _NUMBER_START = "0123456789."
 
 #: Deepest nesting of factors (parentheses, calls, unary minus, powers) that
-#: parses.  Parsing, differentiating, evaluating and printing all recurse
-#: per level, and at this depth they stay well inside Python's default
-#: recursion limit.
+#: parses.  The parser recurses per level, and at this depth it stays well
+#: inside Python's default recursion limit.
 MAX_PARSE_DEPTH = 100
+
+#: Tallest tree, counting every link of a chain like ``x+x+x``, that
+#: ``differentiate`` and ``to_text`` (which recurse per level, ``to_text``
+#: also on the derivative's taller tree) are known to handle.  Pass it as
+#: ``parse(..., max_height=MAX_TREE_HEIGHT)`` for a formula that will be
+#: differentiated.
+MAX_TREE_HEIGHT = 100
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -232,12 +290,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_height: int | None = None):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
         self.varname: str | None = None
+        self.max_height = max_height
+        self.heights: dict[int, int] = {}  # id(inner node) -> height, under a cap
+
+    def node(self, e: Expr, pos: int) -> Expr:
+        """Return the inner node ``e``; taller than ``max_height`` is an error at ``pos``."""
+        if self.max_height is None:
+            return e
+        h = 1 + max(self.heights.get(id(a), 1) for a in e.args)  # leaves: 1
+        if h > self.max_height:
+            self.error(f"formula taller than {self.max_height} levels", pos)
+        self.heights[id(e)] = h
+        return e
 
     def peek(self):
         return self.tokens[self.i]
@@ -266,17 +336,17 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            e = self.node(add(e, rhs) if op == "+" else sub(e, rhs), pos)
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             rhs = self.factor()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            e = self.node(mul(e, rhs) if op == "*" else div(e, rhs), pos)
         return e
 
     def factor(self) -> Expr:
@@ -284,13 +354,13 @@ class _Parser:
         if self.depth > MAX_PARSE_DEPTH:
             self.error(f"formula nested deeper than {MAX_PARSE_DEPTH} levels", self.peek()[2])
         if self.peek()[0] == "-":
-            self.advance()
-            e = neg(self.factor())
+            pos = self.advance()[2]
+            e = self.node(neg(self.factor()), pos)
         else:
             e = self.base()
             if self.peek()[0] == "^":
-                self.advance()
-                e = pow_(e, self.factor())
+                pos = self.advance()[2]
+                e = self.node(pow_(e, self.factor()), pos)
         self.depth -= 1
         return e
 
@@ -338,31 +408,37 @@ class _Parser:
             self.error(f"unknown identifier {fname!r}", pos, UnknownIdentifierError)
         if len(args) != 1:
             self.error(f"{fname} takes 1 argument, got {len(args)}", pos, ArityError)
-        return call(fname, args[0])
+        return self.node(call(fname, args[0]), pos)
 
 
-def parse(text: str) -> Expr:
+def parse(text: str, max_height: int | None = None) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises ParseError (with byte offset), UnknownIdentifierError or
-    ArityError; nesting deeper than MAX_PARSE_DEPTH is a ParseError.
-    The returned tree mirrors the grammar; no folding or rewriting is
+    ArityError; nesting deeper than MAX_PARSE_DEPTH is a ParseError, and
+    so is a tree taller than ``max_height`` when one is given (the
+    offset is that of the operator or token that crosses it).  The
+    returned tree mirrors the grammar; no folding or rewriting is
     applied.
     """
-    return _Parser(text).parse()
+    return _Parser(text, max_height).parse()
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: each tree is compiled once to a tape of numpy calls
+
+
+def _undefined_where(out: np.ndarray, mask) -> np.ndarray:
+    if mask.any():
+        out[mask] = np.nan
+    return out
 
 
 def _patch_nan(out: np.ndarray, *parents: np.ndarray) -> np.ndarray:
     # numpy lets NaN escape through power (nan**0 == 1, 1**nan == 1);
     # undefinedness must propagate unconditionally.
     for p in parents:
-        bad = np.isnan(p)
-        if bad.any():
-            out[bad] = np.nan
+        _undefined_where(out, np.isnan(p))
     return out
 
 
@@ -375,104 +451,177 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
     m = k
     while m:
         if m & 1:
-            acc = sq.copy() if acc is None else acc * sq
+            acc = sq if acc is None else acc * sq
         m >>= 1
         if m:
             sq = sq * sq
     return acc
 
 
-def _eval(e: Expr, x: np.ndarray) -> np.ndarray:
-    kind = e.kind
-    if kind == "const":
-        return np.full_like(x, e.value)
-    if kind == "var":
-        return x
-    if kind == "neg":
-        return -_eval(e.args[0], x)
-    if kind == "call":
-        u = _eval(e.args[0], x)
-        name = e.name
-        if name == "sin":
-            return np.sin(u)
-        if name == "cos":
-            return np.cos(u)
-        if name == "tan":
-            return np.tan(u)
-        if name == "sqrt":
-            return np.sqrt(u)
-        if name == "atan":
-            return np.arctan(u)
-        if name == "exp":
-            return np.exp(u)
-        if name == "abs":
-            return np.abs(u)
-        # log: non-positive arguments are out of domain (np.log(0) == -inf)
-        out = np.log(u)
-        bad = u <= 0.0
-        if bad.any():
-            out = out.copy() if out is u else out
-            out[bad] = np.nan
-        return out
-    a = _eval(e.args[0], x)
-    if kind == "pow":
-        exp_node = e.args[1]
-        if exp_node.kind == "const":
-            c = exp_node.value
-            if float(c).is_integer() and abs(c) <= 64:
-                k = int(c)
-                if k >= 0:
-                    return _int_power(a, k)
-                out = 1.0 / _int_power(a, -k)
-                zero = a == 0.0
-                if zero.any():
-                    out[zero] = np.nan
-                return _patch_nan(out, a)
-            out = np.power(a, c)
-            if c < 0:
-                zero = a == 0.0
-                if zero.any():
-                    out[zero] = np.nan
-            return _patch_nan(out, a)
-        b = _eval(exp_node, x)
-        out = np.power(a, b)
-        bad = (a == 0.0) & (b < 0.0)
-        if bad.any():
-            out[bad] = np.nan
-        return _patch_nan(out, a, b)
-    b = _eval(e.args[1], x)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    # div: division by zero is out of domain, not +-inf
-    out = a / b
-    zero = b == 0.0
-    if zero.any():
-        out[zero] = np.nan
-    return out
+# Steps see arrays, or the scalar of a constant in place of one operand:
+# a node whose operands are all constant is folded when compiled.  No
+# step writes into an operand, so a step may return one (x^1 does).
 
 
-# Long inputs are evaluated in blocks of this many points: each node's
+def _div(a, b):
+    # division by zero is out of domain, not +-inf
+    return _undefined_where(a / b, b == 0.0)
+
+
+def _log(u):
+    # non-positive arguments are out of domain (np.log(0) == -inf)
+    return _undefined_where(np.log(u), u <= 0.0)
+
+
+def _pow_literal(a, c):
+    """a^c for a literal exponent c: binary powering for an integer up to 64."""
+    if c.is_integer() and abs(c) <= 64:
+        k = int(c)
+        if k >= 0:
+            return _int_power(a, k)
+        out = 1.0 / _int_power(a, -k)
+    else:
+        out = np.power(a, c)
+    if c < 0:
+        _undefined_where(out, a == 0.0)
+    return _patch_nan(out, a)
+
+
+def _pow(a, b):
+    """a^b for an exponent that is not a literal."""
+    # A constant operand is spread to a full array: np.power rounds a
+    # scalar exponent of 2 or 0.5 differently from an array of them.
+    if np.ndim(a) == 0:
+        a = np.full_like(b, a)
+    if np.ndim(b) == 0:
+        b = np.full_like(a, b)
+    out = _undefined_where(np.power(a, b), (a == 0.0) & (b < 0.0))
+    return _patch_nan(out, a, b)
+
+
+_STEP = {"neg": np.negative, "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div}
+_CALL = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "sqrt": np.sqrt,
+    "atan": np.arctan,
+    "exp": np.exp,
+    "abs": np.abs,
+    "log": _log,
+}
+
+
+def _step_fn(e: Expr):
+    if e.kind == "call":
+        return _CALL[e.name]
+    if e.kind == "pow":
+        return _pow_literal if e.args[1].kind == "const" else _pow
+    return _STEP[e.kind]
+
+
+def _fold_constants(fn, values: list[np.float64]) -> np.float64:
+    """``fn`` on constant operands, each as a one-point array as at run time."""
+    args = [v if i and fn is _pow_literal else np.array([v]) for i, v in enumerate(values)]
+    with np.errstate(all="ignore"):
+        return fn(*args)[0]
+
+
+def _compile(root: Expr) -> tuple:
+    """Compile ``root`` to ``(registers, steps, result)`` for ``_run``.
+
+    Values are numbered in postorder.  A node's key is its step function
+    (which tells the kinds and pow variants apart) with its operands'
+    numbers, or the bit pattern of a constant, so identical subtrees get
+    one number and equal but differently signed zeros do not.  Register
+    0 holds the input and constants their own registers; a computed
+    value's register is reused after its last read.
+    """
+    number: dict[int, int] = {}  # id(node) -> value number
+    by_key: dict[tuple, int] = {("var",): 0}
+    constant: dict[int, np.float64] = {}
+    computed: dict[int, tuple] = {}  # value number -> (fn, operand numbers)
+    for node in _postorder(root):
+        if node.kind == "var":
+            key, c = ("var",), None
+        elif node.kind == "const":
+            c = np.float64(node.value)
+            key = ("const", c.tobytes())
+        else:
+            fn = _step_fn(node)
+            operands = tuple(number[id(a)] for a in node.args)
+            if all(k in constant for k in operands):
+                c = _fold_constants(fn, [constant[k] for k in operands])
+                key = ("const", c.tobytes())
+            else:
+                key, c = (fn, *operands), None
+        k = by_key.get(key)
+        if k is None:
+            k = by_key[key] = len(by_key)
+            if c is None:
+                computed[k] = key
+            else:
+                constant[k] = c
+        number[id(node)] = k
+
+    result = number[id(root)]
+    last_read = {k: at for at, (_, *operands) in computed.items() for k in operands}
+    registers: list = [None]
+    reg = {0: 0}
+    for k, c in constant.items():
+        reg[k] = len(registers)
+        registers.append(c)
+    free: list[int] = []
+    steps = []
+    for at, (fn, *operands) in computed.items():  # in postorder
+        srcs = [reg[k] for k in operands]
+        for k in set(operands):
+            if k in computed and last_read[k] == at:
+                free.append(reg[k])
+        if free:
+            reg[at] = free.pop()
+        else:
+            reg[at] = len(registers)
+            registers.append(None)
+        steps.append((fn, reg[at], srcs[0], srcs[1] if len(srcs) > 1 else -1))
+    return registers, tuple(steps), reg[result]
+
+
+def _run(tape: tuple, x: np.ndarray):
+    """The result array, ``x`` itself for a bare variable, or a scalar constant."""
+    registers, steps, result = tape
+    regs = registers.copy()
+    regs[0] = x
+    for fn, dst, i, j in steps:
+        regs[dst] = fn(regs[i]) if j < 0 else fn(regs[i], regs[j])
+    return regs[result]
+
+
+# Long inputs are evaluated in blocks of this many points: each step's
 # temporaries (64 KB) then stay in cache and under malloc's default mmap
 # threshold (128 KB), instead of being mapped and faulted in afresh.
 _EVAL_BLOCK = 8192
 
 
 def evaluate_array(e: Expr, xs: np.ndarray) -> np.ndarray:
-    """Evaluate ``e`` elementwise over ``xs``; NaN marks undefined points."""
+    """Evaluate ``e`` elementwise over ``xs``; NaN marks undefined points.
+
+    The tape is compiled on the first call and kept on ``e``.
+    """
     xs = np.asarray(xs, dtype=float)
+    tape = e._tape
+    if tape is None:
+        tape = _compile(e)
+        object.__setattr__(e, "_tape", tape)
     with np.errstate(all="ignore"):
         if xs.ndim == 1 and xs.size > _EVAL_BLOCK:
             out = np.empty_like(xs)
             for i in range(0, xs.size, _EVAL_BLOCK):
-                out[i : i + _EVAL_BLOCK] = _eval(e, xs[i : i + _EVAL_BLOCK])
+                out[i : i + _EVAL_BLOCK] = _run(tape, xs[i : i + _EVAL_BLOCK])
             return out
-        out = _eval(e, xs)
-    if out is xs:  # bare variable: never alias the caller's buffer
-        out = xs.copy()
+        out = _run(tape, xs)
+    if out is xs or not isinstance(out, np.ndarray):  # x itself, or a constant
+        out = np.array(np.broadcast_to(out, xs.shape))
     return out
 
 

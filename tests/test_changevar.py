@@ -197,6 +197,27 @@ class TestHypotheses:
         with pytest.raises(ValueError):
             check_hypotheses(p, grid_size=50)
 
+    def test_bounded_check_evaluates_its_grid_once(self):
+        sizes = []
+
+        def ev(xs):
+            sizes.append(xs.size)
+            return xs**2
+
+        check = CV._bounded_verdict(ev, 0.0, 1.0, 1000)
+        assert check.verdict == PASS
+        assert sizes.count(1000) == 1
+
+    def test_unbounded_image_interval_is_undecidable(self):
+        h = check_hypotheses(problem("x", "exp(t)", 0.0, 800.0))
+        check = next(c for c in h if c.name == "f_bounded_on_J")
+        assert check.verdict == UNDECIDABLE
+        assert check.witness == {"unbounded_end": "upper"}
+        h = check_hypotheses(problem("x", "-exp(t)", 0.0, 800.0))
+        assert next(c for c in h if c.name == "f_bounded_on_J").witness == {
+            "unbounded_end": "lower"
+        }
+
     def test_oscillator_flags(self):
         p = problem("x^3", "t*sin(1/t)", 0.0, 2.0 / math.pi)
         h = check_hypotheses(p)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quadratura import darboux, gallery, improper
+from quadratura import darboux, expr, gallery, improper
 from quadratura.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from quadratura.changevar import SubstitutionProblem
 from quadratura.darboux import SamplingConfig
@@ -118,6 +118,16 @@ class TestSubstituteCommand:
                         "--alpha", "0", "--beta", "1", "--tol", "1e-5")
         payload = json.loads(out)
         assert set(payload) == {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict"}
+
+    def test_unbounded_image_interval_is_undecidable(self, capsys):
+        # phi(800) overflows, so J = [1, inf]: no grid on J has a defined sample
+        code, out = run(capsys, "substitute", "--f", "x", "--phi", "exp(t)",
+                        "--alpha", "0", "--beta", "800")
+        payload = json.loads(out)
+        assert set(payload) == {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict"}
+        check = next(h for h in payload["hypotheses"] if h["name"] == "f_bounded_on_J")
+        assert check["verdict"] == "undecidable-numerically"
+        assert check["witness"] == {"unbounded_end": "upper"}
 
 
 class TestImproperCommand:
@@ -414,3 +424,56 @@ class TestUsage:
             main(list(argv))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("integrate", "--f", "-x^2", "--a", "0", "--b", "1"),
+        ("substitute", "--f", "-x", "--phi", "-t", "--phi-prime", "-1",
+         "--alpha", "0", "--beta", "1"),
+        ("improper", "--f", "-x^2", "--phi", "-t", "--alpha", "0", "--beta", "1",
+         "--open-beta"),
+        ("approx", "--f", "-x+2", "--a", "0", "--b", "1", "--n", "3"),
+        ("diff", "--f", "-x^2"),
+    ], ids=lambda argv: argv[0])
+    def test_formula_starting_with_minus(self, capsys, argv):
+        assert main(list(argv)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
+class TestDeepFormulas:
+    """A formula taller than the recursive passes can take is JSON or one error line."""
+
+    @staticmethod
+    def one_error_line(capsys, code):
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        return lines[0]
+
+    def test_integrate_twenty_thousand_terms(self, capsys):
+        code, out = run(capsys, "integrate", "--f", "+".join(["x"] * 20000),
+                        "--a", "0", "--b", "1", "--tol", "100")
+        assert code == EXIT_OK
+        assert json.loads(out)["midpoint"] == 10000.0
+
+    def test_phi_at_height_cap(self, capsys):
+        phi = "+".join(["t"] * expr.MAX_TREE_HEIGHT)
+        code, out = run(capsys, "substitute", "--f", "x", "--phi", phi,
+                        "--alpha", "0", "--beta", "1", "--tol", "50")
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "verified"
+        code, out = run(capsys, "diff", "--f", phi)
+        assert code == EXIT_OK and out.strip() == str(expr.MAX_TREE_HEIGHT)
+
+    @pytest.mark.parametrize("terms", [expr.MAX_TREE_HEIGHT + 1, 20000])
+    @pytest.mark.parametrize("command", ["substitute", "improper", "diff"])
+    def test_phi_above_height_cap(self, capsys, command, terms):
+        phi = "+".join(["t"] * terms)
+        argv = {
+            "substitute": ["substitute", "--f", "x", "--phi", phi, "--alpha", "0", "--beta", "1"],
+            "improper": ["improper", "--f", "x", "--phi", phi, "--alpha", "0", "--beta", "1",
+                         "--open-beta"],
+            "diff": ["diff", "--f", phi],
+        }[command]
+        line = self.one_error_line(capsys, main(argv))
+        assert f"taller than {expr.MAX_TREE_HEIGHT} levels" in line

@@ -98,6 +98,33 @@ class TestParse:
             parse("(" * 5000 + "x" + ")" * 5000)
         assert exc.value.offset == E.MAX_PARSE_DEPTH
 
+    @pytest.mark.parametrize("shape", ["+", "*", "/", "nested 1/(", "nested tan(", "^1"])
+    def test_tree_at_height_cap(self, shape):
+        # chains count: every shape is exactly MAX_TREE_HEIGHT tall, and
+        # differentiating and printing it stay inside the recursion limit
+        h = E.MAX_TREE_HEIGHT
+        if shape.startswith("nested"):
+            opener = shape.split()[1]
+            text = opener * (h - 1) + "x" + ")" * (h - 1)
+        elif shape == "^1":
+            text = "x" + "^1" * (h - 1)
+        else:
+            text = shape.join(["x"] * h)
+        e = parse(text, max_height=h)
+        d = differentiate(e)
+        assert to_text(d) and to_text(e)
+        assert math.isfinite(evaluate(d, 0.75))
+
+    def test_tree_above_height_cap(self):
+        h = E.MAX_TREE_HEIGHT
+        text = "+".join(["x"] * (h + 1))
+        parse(text)  # no cap unless asked for
+        with pytest.raises(ParseError) as exc:
+            parse(text, max_height=h)
+        assert exc.value.offset == 2 * h - 1  # the '+' that makes it h+1 tall
+        with pytest.raises(ParseError):
+            parse("-" * h + "x", max_height=h)
+
 
 class TestPrecedence:
     def test_mul_over_add(self):
@@ -279,6 +306,76 @@ def _expr_strategy():
         return st.one_of(unary, calls, binop)
 
     return st.recursive(leaves, extend, max_leaves=12)
+
+
+class TestTape:
+    def test_compiled_once_and_kept(self):
+        e = parse("x^2+1")
+        assert e._tape is None
+        evaluate_array(e, np.arange(3.0))
+        tape = e._tape
+        evaluate_array(e, np.arange(5.0))
+        assert e._tape is tape
+
+    def test_identical_subtrees_share_one_step(self):
+        # the E1 product: 1/t, sin(1/t) and t^2 recur in f(phi), phi and phi'
+        phi = parse("t*sin(1/t)")
+        product = E.mul(E.substitute(parse("x^3"), phi), differentiate(phi))
+        _, steps, _ = E._compile(product)
+        distinct = {to_text(n) for n in E._postorder(product) if E.variables(n) and n.args}
+        assert len(steps) == len(distinct) == 11
+
+    def test_signed_zero_constants_stay_apart(self):
+        x = E.var("x")
+        e = E.mul(E.mul(x, E.const(0.0)), E.mul(x, E.const(-0.0)))
+        assert evaluate(e, 1.0).hex() == "-0x0.0p+0"
+
+    def test_constant_formula_fills_the_input_shape(self):
+        for text, value in (("2^3", 8.0), ("pi", math.pi), ("1/0", math.nan)):
+            for xs in (np.zeros(4), np.zeros((2, 3)), np.zeros(3 * E._EVAL_BLOCK)):
+                ys = evaluate_array(parse(text), xs)
+                assert ys.shape == xs.shape
+                assert np.array_equal(ys, np.full(xs.shape, value), equal_nan=True)
+
+    def test_unit_power_does_not_alias_the_input(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        ys = evaluate_array(parse("x^1"), xs)
+        assert ys is not xs and np.array_equal(ys, xs)
+
+    def test_twenty_thousand_term_sum(self):
+        # compiling and evaluating are iterative
+        e = parse("+".join(["x"] * 20000))
+        xs = np.array([0.0, 0.5, 2.0])
+        assert evaluate_array(e, xs).tolist() == [0.0, 10000.0, 40000.0]
+
+
+class TestSubstitute:
+    def test_replaces_every_variable(self):
+        e = E.substitute(parse("x^2+sin(x)"), parse("1/t"))
+        assert to_text(e) == "(1/t)^2+sin(1/t)"
+
+    def test_shares_the_value(self):
+        phi = parse("exp(t)")
+        e = E.substitute(parse("x*x"), phi)
+        assert e.args[0] is phi and e.args[1] is phi
+
+    def test_deep_formula(self):
+        e = E.substitute(parse("+".join(["x"] * 20000)), parse("2*t"))
+        assert evaluate(e, 0.25) == 10000.0
+
+    @given(f=_expr_strategy(), phi=_expr_strategy(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_fused_product_is_bitwise_the_separate_one(self, f, phi, seed):
+        try:
+            dphi = differentiate(phi)
+        except NonDifferentiableError:
+            dphi = phi
+        ts = np.random.default_rng(seed).uniform(-3.0, 3.0, 40)
+        ts[:3] = (0.0, -0.0, 1.0)
+        fused = evaluate_array(E.mul(E.substitute(f, phi), dphi), ts)
+        with np.errstate(all="ignore"):
+            separate = evaluate_array(f, evaluate_array(phi, ts)) * evaluate_array(dphi, ts)
+        assert fused.tobytes() == separate.tobytes()
 
 
 class TestRoundTrip:
