@@ -72,7 +72,7 @@ _GROWTH_LIMIT = 10.0
 
 @dataclass(frozen=True, slots=True)
 class SubstitutionProblem:
-    """One identity instance: f in x, phi in t, endpoints alpha < beta.
+    """One identity instance: f in x, phi in t, bounded [alpha, beta], alpha < beta.
 
     ``phi_prime`` overrides the symbolic derivative when given; when phi
     is not symbolically differentiable the engine falls back to central
@@ -91,6 +91,8 @@ class SubstitutionProblem:
     def __post_init__(self):
         if not self.alpha < self.beta:
             raise ValueError(f"need alpha < beta, got [{self.alpha}, {self.beta}]")
+        if not math.isfinite(self.beta - self.alpha):
+            raise ValueError(f"need a bounded [alpha, beta], got [{self.alpha}, {self.beta}]")
 
     @property
     def span(self) -> float:
@@ -113,7 +115,8 @@ class SubstitutionProblem:
         h = 1e-7 * self.span
 
         def central(ts: np.ndarray) -> np.ndarray:
-            return (phi_ev(ts + h) - phi_ev(ts - h)) / (2.0 * h)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where phi overflows
+                return (phi_ev(ts + h) - phi_ev(ts - h)) / (2.0 * h)
 
         return central
 

@@ -36,8 +36,27 @@ EXIT_NUMERIC = 2
 # Command implementations
 
 
+def _finite_json(obj):
+    """``obj`` with each non-finite float as the string "inf", "-inf" or "nan".
+
+    Strict JSON has no such numbers; ``float()`` reads the strings back.
+    """
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
+def _json_text(payload) -> str:
+    # allow_nan=False: a non-finite number that escapes _finite_json raises
+    return json.dumps(_finite_json(payload), indent=2, allow_nan=False)
+
+
 def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -124,13 +143,16 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_substitute(args) -> int:
-    problem = SubstitutionProblem(
-        f=_parse_formula(args.f, "--f"),
-        phi=_parse_formula(args.phi, "--phi", expr.MAX_TREE_HEIGHT),
-        alpha=args.alpha,
-        beta=args.beta,
-        phi_prime=_parse_formula(args.phi_prime, "--phi-prime") if args.phi_prime else None,
-    )
+    try:
+        problem = SubstitutionProblem(
+            f=_parse_formula(args.f, "--f"),
+            phi=_parse_formula(args.phi, "--phi", expr.MAX_TREE_HEIGHT),
+            alpha=args.alpha,
+            beta=args.beta,
+            phi_prime=_parse_formula(args.phi_prime, "--phi-prime") if args.phi_prime else None,
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     report = changevar.verify(
         problem, args.tol, _cfg_from(args), grid_size=args.grid_size, max_cells=args.max_cells
     )
@@ -145,23 +167,26 @@ def cmd_improper(args) -> int:
     if not (lo_open or hi_open):
         return _usage_error("improper needs at least one open or infinite endpoint")
     span = (hi - lo) if (math.isfinite(lo) and math.isfinite(hi)) else 1.0
-    schedule = ImproperSchedule(
-        lo=lo,
-        hi=hi,
-        lo_open=lo_open,
-        hi_open=hi_open,
-        offset=args.offset if args.offset is not None else span / 4.0,
-        cutoff_base=args.cutoff_base,
-        max_steps=args.steps,
-        tol=args.tol,
-    )
-    first_lo, first_hi = schedule.truncation(0)
-    problem = SubstitutionProblem(
-        f=_parse_formula(args.f, "--f"),
-        phi=_parse_formula(args.phi, "--phi", expr.MAX_TREE_HEIGHT),
-        alpha=first_lo,
-        beta=first_hi,
-    )
+    try:
+        schedule = ImproperSchedule(
+            lo=lo,
+            hi=hi,
+            lo_open=lo_open,
+            hi_open=hi_open,
+            offset=args.offset if args.offset is not None else span / 4.0,
+            cutoff_base=args.cutoff_base,
+            max_steps=args.steps,
+            tol=args.tol,
+        )
+        first_lo, first_hi = schedule.truncation(0)
+        problem = SubstitutionProblem(
+            f=_parse_formula(args.f, "--f"),
+            phi=_parse_formula(args.phi, "--phi", expr.MAX_TREE_HEIGHT),
+            alpha=first_lo,
+            beta=first_hi,
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     inner = args.inner_tol if args.inner_tol is not None else max(args.tol / 4.0, 1e-12)
     lhs_inner = args.lhs_inner_tol if args.lhs_inner_tol is not None else inner
     report = improper_verify(
@@ -222,7 +247,7 @@ def cmd_approx(args) -> int:
                 "deficit_within_bound": bool(-1e-9 <= deficit <= bound + 1e-9),
             }
         )
-    print(json.dumps(summary, indent=2))
+    print(_json_text(summary))
     return EXIT_OK
 
 

@@ -606,9 +606,14 @@ _EVAL_BLOCK = 8192
 def evaluate_array(e: Expr, xs: np.ndarray) -> np.ndarray:
     """Evaluate ``e`` elementwise over ``xs``; NaN marks undefined points.
 
-    The tape is compiled on the first call and kept on ``e``.
+    The tape is compiled on the first call and kept on ``e``.  A 0-d
+    input is evaluated as a one-point array (numpy ufuncs return scalars
+    for 0-d arrays, which a domain rule cannot write NaN into) and gives
+    a 0-d result.
     """
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 0:
+        return evaluate_array(e, xs.reshape(1)).reshape(())
     tape = e._tape
     if tape is None:
         tape = _compile(e)

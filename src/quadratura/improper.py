@@ -11,12 +11,17 @@ Truncation is incremental.  Step 0 integrates [u_0, v_0]; step k >= 1
 integrates only the strips it adds, [u_k, u_{k-1}] and [v_{k-1}, v_k]
 (whichever are non-empty), and adds their lower/upper sums, in that
 order, to running totals.  Step 0 gets a bracket budget of inner_tol/2
-when the schedule has an open end, step k gets inner_tol * 2^-(k+1)
-split evenly among its strips, so the running bracket of every step
-stays within inner_tol.  A step reports the midpoint and width of the
-running bracket, and ``cells`` counts all cells covering [u_k, v_k].
-Each strip gets its own uniform grid, so a strip near a steep end does
-not force fine cells onto the rest of the truncation.
+when the schedule has an open end; step k gets half of the slack that
+the running bracket leaves under inner_tol, and strip i of its n gets
+the step's unspent budget over n - i, so a strip that closes cheaply
+passes what it leaves to the next.  The slack after step k is at least
+inner_tol * 2^-(k+1): the running bracket stays within inner_tol, and no
+strip gets a smaller budget (or sweeps more cells) than a fixed halving
+schedule, inner_tol * 2^-(k+1) split evenly, would give it.  A step
+reports the midpoint and width of the running bracket, and ``cells``
+counts all cells covering [u_k, v_k].  Each strip gets its own uniform
+grid, so a strip near a steep end does not force fine cells onto the
+rest of the truncation.
 """
 
 from __future__ import annotations
@@ -152,15 +157,20 @@ def _run_side(
         else:
             # No strips once offset * 2^-k no longer moves a finite endpoint.
             strips = [(a, b) for a, b in ((u, prev[0]), (prev[1], v)) if a < b]
-            budget = inner_tol * 2.0 ** -(k + 1) / max(len(strips), 1)
+            budget = (inner_tol - (upper - lower)) / 2.0
         try:
-            for a, b in strips:
-                est = darboux.integrate(ev, Interval(a, b), budget, cfg, max_cells=max_cells)
+            for i, (a, b) in enumerate(strips):
+                tol = budget / (len(strips) - i)
+                est = darboux.integrate(ev, Interval(a, b), tol, cfg, max_cells=max_cells)
                 lower += est.lower
                 upper += est.upper
                 cells += est.cells
+                budget -= est.upper - est.lower
         except (NonConvergenceError, ValueError) as exc:
             side.error = f"step {k} on [{u:.6g}, {v:.6g}]: {exc}"
+            break
+        if not math.isfinite(upper - lower):
+            side.error = f"step {k} on [{u:.6g}, {v:.6g}]: running bracket is not finite"
             break
         prev = (u, v)
         value = sign * 0.5 * (lower + upper)

@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadratura import darboux, expr, gallery, improper
 from quadratura.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -334,32 +337,51 @@ IMPROPER_CASES = {
     "x^2 over t on (0, 1)": (
         "x^2", "t", dict(lo=0.0, hi=1.0, lo_open=True, hi_open=True, tol=1e-3)),
 }
+# The t^-2 tail needs most of each step's budget in the strip toward inf.
+TAIL_CASE = "x^2 over t/(1+t) on (0, inf)"
+BUDGET_CASES = {
+    **IMPROPER_CASES,
+    TAIL_CASE: ("x^2", "t/(1+t)", dict(lo=0.0, hi=math.inf, lo_open=True, max_steps=20, tol=1e-3)),
+}
 INNER_TOL = 1e-4
 
 
 def improper_report(case: str):
-    f, phi, sched = IMPROPER_CASES[case]
+    f, phi, sched = BUDGET_CASES[case]
     schedule = ImproperSchedule(**sched)
     p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
     return improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=INNER_TOL,
                            lhs_inner_tol=INNER_TOL, cfg=SamplingConfig(samples_per_cell=2))
 
 
-@pytest.fixture(params=list(IMPROPER_CASES))
-def traced_improper(request, monkeypatch):
-    """(report, {evaluator: integrated intervals}), rhs evaluator first."""
+def recorded_improper(monkeypatch, case: str):
+    """(report, {evaluator: [(a, b, tol) per strip]}), rhs evaluator first."""
     calls: dict = {}
     integrate = darboux.integrate
 
-    def recording(ev, iv, *args, **kwargs):
-        calls.setdefault(ev, []).append((iv.a, iv.b))
-        return integrate(ev, iv, *args, **kwargs)
+    def recording(ev, iv, tol, *args, **kwargs):
+        calls.setdefault(ev, []).append((iv.a, iv.b, tol))
+        return integrate(ev, iv, tol, *args, **kwargs)
 
     monkeypatch.setattr(improper.darboux, "integrate", recording)
-    report = improper_report(request.param)
+    report = improper_report(case)
     monkeypatch.undo()
     assert report.verdict == "verified"
     return report, calls
+
+
+@pytest.fixture(params=list(IMPROPER_CASES))
+def traced_improper(request, monkeypatch):
+    """(report, {evaluator: integrated intervals}), rhs evaluator first."""
+    report, calls = recorded_improper(monkeypatch, request.param)
+    return report, {ev: [(a, b) for a, b, _ in strips] for ev, strips in calls.items()}
+
+
+def step_strips(steps: list[dict]):
+    """The strips each step integrates, in the runner's order."""
+    yield [(steps[0]["lo"], steps[0]["hi"])]
+    for prev, step in zip(steps, steps[1:]):
+        yield [(a, b) for a, b in ((step["lo"], prev["lo"]), (prev["hi"], step["hi"])) if a < b]
 
 
 class TestImproperEngine:
@@ -405,6 +427,57 @@ class TestImproperEngine:
     def test_repeatable(self):
         first, second = (improper_report("x over 1/(1+t) on (0, inf)") for _ in range(2))
         assert first.rhs.steps + first.lhs.steps == second.rhs.steps + second.lhs.steps
+
+    @pytest.mark.parametrize("case", list(BUDGET_CASES))
+    def test_strip_budgets_carry_the_slack(self, monkeypatch, case):
+        # Step k >= 1 gets half of what the running bracket leaves under
+        # inner_tol, and a strip passes on what it leaves unused: no strip
+        # gets less than the halving schedule inner_tol * 2^-(k+1) / n, and
+        # some get more.
+        report, calls = recorded_improper(monkeypatch, case)
+        for side, strips in zip((report.rhs, report.lhs), calls.values()):
+            assert all(s["bracket_width"] < INNER_TOL for s in side.steps)
+            strips = iter(strips)
+            surplus = []
+            for k, expected in enumerate(step_strips(side.steps)):
+                for a, b in expected:
+                    got_a, got_b, tol = next(strips)
+                    assert (got_a, got_b) == (a, b)
+                    if k == 0:
+                        assert tol == INNER_TOL / 2.0
+                    else:
+                        halving = INNER_TOL * 2.0 ** -(k + 1) / len(expected)
+                        assert tol >= halving
+                        surplus.append(tol > halving)
+            assert next(strips, None) is None
+            assert any(surplus)
+
+    def test_tail_cells(self):
+        # x^2 over t/(1+t) on (0, inf) at rhs inner tol 1e-5: the halving
+        # schedule swept ~8.3 M rhs cells; carrying the slack needs < 2^21.
+        f, phi, sched = BUDGET_CASES[TAIL_CASE]
+        schedule = ImproperSchedule(**sched)
+        p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
+        report = improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=1e-5,
+                                 lhs_inner_tol=1e-5, cfg=SamplingConfig(samples_per_cell=2))
+        assert report.verdict == "verified"
+        assert report.rhs.steps[-1]["cells"] <= 2**21
+        assert all(s["bracket_width"] < 1e-5 for s in report.rhs.steps)
+
+    def test_overflowing_running_bracket_stops(self):
+        # Every strip of 1e305/(1+(x/4000)^2) on (0, inf) is finite, but the
+        # running sums pass 1.8e308; the side stops there with a reason
+        # instead of budgeting the next strips with NaN.
+        schedule = ImproperSchedule(lo=0.0, hi=math.inf, lo_open=True, max_steps=40, tol=1e300)
+        p = SubstitutionProblem(parse("1e305/(1+(x/4000)^2)"), parse("t"),
+                                *schedule.truncation(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = improper_verify(p, schedule, tol=1e300, rhs_inner_tol=1e306,
+                                     lhs_inner_tol=1e306, cfg=SamplingConfig(samples_per_cell=2))
+        assert report.verdict == "inconclusive"
+        assert report.rhs.error.endswith("running bracket is not finite")
+        assert all(math.isfinite(s["bracket_width"]) for s in report.rhs.steps)
 
 
 class TestUsage:
@@ -477,3 +550,106 @@ class TestDeepFormulas:
         }[command]
         line = self.one_error_line(capsys, main(argv))
         assert f"taller than {expr.MAX_TREE_HEIGHT} levels" in line
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects the Infinity, -Infinity and NaN tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+class TestStrictJson:
+    """Non-finite numbers are the strings "inf", "-inf" and "nan"."""
+
+    @pytest.mark.parametrize("argv, path, value", [
+        (("substitute", "--f", "x", "--phi", "exp(t)", "--alpha", "0", "--beta", "800"),
+         ("abs_diff",), "nan"),
+        (("substitute", "--f", "x", "--phi", "exp(t)", "--alpha", "0", "--beta", "800"),
+         ("rhs", "upper"), "inf"),
+        (("integrate", "--f", "exp(x)", "--a", "0", "--b", "1000"), ("upper",), "inf"),
+        (("integrate", "--f", "-exp(x)", "--a", "0", "--b", "1000"), ("lower",), "-inf"),
+    ])
+    def test_non_finite_numbers_are_strings(self, capsys, argv, path, value):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_NUMERIC
+        payload = strict_json(out)
+        if argv[0] == "substitute":
+            assert set(payload) == {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict"}
+        for key in path:
+            payload = payload[key]
+        assert payload == value
+
+
+_FUNCTIONS = ("sin", "cos", "tan", "sqrt", "atan", "exp", "log", "abs")
+
+
+def _formulas(var: str = "x"):
+    """Small formula texts in ``var`` from the grammar; some are errors (a
+    second variable, nesting past the parse-depth cap), some leave every
+    domain."""
+
+    def grow(inner):
+        return st.one_of(
+            st.builds("-{}".format, inner),
+            st.builds("{} {} {}".format, inner, st.sampled_from("+-*/^"), inner),
+            st.builds("{}({})".format, st.sampled_from(_FUNCTIONS), inner),
+            st.builds("({})".format, inner),
+        )
+
+    atoms = st.sampled_from((var, var, "2", "0", "0.5", "1e308", "pi", "e", "1/0", "y"))
+    small = st.recursive(atoms, grow, max_leaves=6)
+    deep = st.builds(lambda n, f: "(" * n + f + ")" * n, st.integers(90, 110), small)
+    return st.one_of(small, small, deep)
+
+
+_ENDPOINTS = st.sampled_from(
+    (0.0, 1.0, -1.0, 0.5, 1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324))
+
+
+def _formula_args(option: str, text: str) -> list[str]:
+    # argparse reads a token that begins with '--' as an option
+    return [f"{option}={text}"] if text.startswith("--") else [option, text]
+
+
+class TestCliFuzz:
+    """Any formula and any endpoints: strict JSON, or exactly one ``error:`` line."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
+        out, err = out.getvalue(), err.getvalue()
+        if out:
+            assert err == "", argv
+            strict_json(out)
+        else:
+            lines = err.splitlines()
+            assert code != EXIT_OK and len(lines) == 1, (argv, err)
+            assert lines[0].startswith("error:"), (argv, err)
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_formulas(), a=_ENDPOINTS, b=_ENDPOINTS, same=st.booleans())
+    def test_integrate(self, f, a, b, same):
+        b = a if same else b
+        self.check(["integrate", *_formula_args("--f", f), "--a", repr(a), "--b", repr(b),
+                    "--max-cells", "4096"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_formulas(), phi=_formulas("t"), a=_ENDPOINTS, b=_ENDPOINTS, same=st.booleans())
+    def test_substitute(self, f, phi, a, b, same):
+        b = a if same else b
+        self.check(["substitute", *_formula_args("--f", f), *_formula_args("--phi", phi),
+                    "--alpha", repr(a), "--beta", repr(b), "--max-cells", "4096"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_formulas())
+    def test_diff(self, f):
+        self.check(["diff", *_formula_args("--f", f), "--json"])

@@ -213,6 +213,27 @@ class TestEvaluate:
         evaluate_array(parse("x^2+1"), xs)
         assert np.array_equal(xs, snapshot)
 
+    @pytest.mark.parametrize("text, x", [
+        ("1/x", 0.0),            # division by zero
+        ("log(x)", 0.0),         # log of a non-positive
+        ("log(x)", -1.0),
+        ("sqrt(x)", -4.0),       # even root of a negative
+        ("x^0.5", -1.0),
+        ("x^-1", 0.0),           # zero to a negative literal power
+        ("x^(x-1)", 0.0),        # zero to a negative computed power
+        ("(1/x)^0", 0.0),        # undefinedness through a power
+        ("x^2+1", 3.0),          # no rule fires
+        ("x", 2.0),
+        ("7", 2.0),
+    ])
+    def test_zero_dimensional_input(self, text, x):
+        e = parse(text)
+        for xs in (np.float64(x), np.array(x)):
+            ys = evaluate_array(e, xs)
+            assert isinstance(ys, np.ndarray) and ys.shape == ()
+            assert float(ys).hex() == evaluate(e, x).hex()
+        assert math.isnan(evaluate(e, x)) == (text not in ("x^2+1", "x", "7"))
+
 
 class TestDifferentiate:
     def test_power_rule(self):
