@@ -1,13 +1,18 @@
 """Piecewise-linear below-approximants built from block infima.
 
-Level n >= 3 splits the interval into 2**n equal blocks; the approximant
-sits at the block infimum m_k on each block's plateau region and ramps
-linearly between adjacent levels inside the narrow width-eps strips next
-to the block boundaries (ramping up in the right-hand strip of the
-boundary, down in the left-hand one, so the graph never leaves the block
-whose infimum bounds it).  Levels 1 and 2 are the zero function.  The
-construction requires f >= 0 and produces a continuous function with
-0 <= f_n <= f whenever the block infima are exact.
+Level n >= 3 splits [a, b] into 2**n equal blocks with edges
+a = e_0 < e_1 < ... < e_N = b and block infima m_1..m_N, and sets
+eps = (b-a) / (n * 2**n).  The knots (x, value) are (a, m_1), then
+(e_1 - eps, m_1), and for each inner edge e_k in turn (e_k, min(m_k,
+m_{k+1})), (e_k + eps, m_{k+1}) and (e_{k+1} - eps, m_{k+1}), where the
+last of these is (b, m_N).  So the function sits at m_k on each block's
+plateau and ramps between adjacent levels inside a width-eps strip next
+to each edge: up in the strip right of the edge, down in the one left
+of it, so the graph never leaves the block whose infimum bounds it.  A
+knot that rounds onto the one before it is dropped.  Levels 1 and 2 are
+the zero function.  The construction requires f >= 0 and produces a
+continuous function with 0 <= f_n <= f whenever the block infima are
+exact.
 """
 
 from __future__ import annotations
@@ -88,45 +93,25 @@ def build_approximant(
         return PiecewiseLinear(np.array([iv.a, iv.b]), np.zeros(2))
 
     grid = block_grid(iv, n)
-    blocks = grid.block_count
-    m = np.empty(blocks)
-    for k in range(1, blocks + 1):
-        m[k - 1] = darboux.infimum_on(f, grid.block(k), cfg, hints)
+    e = grid.boundaries()
+    m = np.array(
+        [darboux.infimum_on(f, Interval(lo, hi), cfg, hints) for lo, hi in zip(e[:-1], e[1:])]
+    )
     if (m < 0).any():
         k_bad = int(np.argmin(m)) + 1
         raise NegativityError(
             f"f is negative on block {k_bad} (sampled infimum {m[k_bad - 1]:.3g})"
         )
 
-    xs: list[float] = []
-    ys: list[float] = []
-
-    def emit(x: float, y: float) -> None:
-        if xs and x == xs[-1]:
-            return
-        xs.append(x)
-        ys.append(y)
-
-    # first plateau covers the first three sub-intervals of block 1
-    p = grid.sub_boundaries(1)
-    emit(p[0], m[0])
-    emit(p[3], m[0])
-    for k in range(1, blocks):
-        left = grid.sub_boundaries(k)
-        right = grid.sub_boundaries(k + 1)
-        boundary = left[4]  # == right[0]
-        mk, mk1 = m[k - 1], m[k]
-        if mk <= mk1:
-            # stay at m_k through the left strip, ramp up in the right one
-            emit(boundary, mk)
-            emit(right[1], mk1)
-        else:
-            # ramp down in the left strip, stay at m_{k+1} through the right
-            emit(boundary, mk1)
-            emit(right[1], mk1)
-        plateau_end = right[4] if k + 1 == blocks else right[3]
-        emit(plateau_end, mk1)
-    return PiecewiseLinear(np.array(xs), np.array(ys))
+    eps = grid.epsilon
+    # np.where, not np.minimum: a tie between -0.0 and 0.0 keeps m_k
+    ramp_lo = np.where(m[:-1] <= m[1:], m[:-1], m[1:])
+    xs = np.column_stack([e[1:-1], e[1:-1] + eps, e[2:] - eps]).ravel()
+    ys = np.column_stack([ramp_lo, m[1:], m[1:]]).ravel()
+    xs = np.concatenate([[e[0], e[1] - eps], xs[:-1], [e[-1]]])
+    ys = np.concatenate([m[:1], m[:1], ys])
+    keep = np.concatenate([[True], xs[1:] != xs[:-1]])  # rounding can merge knots
+    return PiecewiseLinear(xs[keep], ys[keep])
 
 
 def eval_pl(g: PiecewiseLinear, x):

@@ -125,7 +125,7 @@ class SubstitutionProblem:
 
         f, phi and phi' then share their common subterms (for t*sin(1/t),
         1/t and sin(1/t)); the values are those of the three separate
-        evaluations, bit for bit.
+        evaluations, bit for bit where defined.
         """
         dphi = self._phi_prime_expr()
         if all(isinstance(g, Expr) for g in (self.f, self.phi, dphi)):

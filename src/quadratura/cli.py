@@ -15,6 +15,7 @@ import csv as _csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import approximant, changevar, darboux, expr
@@ -325,12 +326,17 @@ class _Parser(argparse.ArgumentParser):
     argparse only treats '-5' and '-.5' that way, so ``--alpha -inf`` and
     ``--f -x^2`` failed with "expected one argument".  The only
     single-dash option is -h, which argparse looks up before asking the
-    matcher.  Subparsers inherit the class.
+    matcher.  A usage error is one ``error:`` line, exit 1.  Subparsers
+    inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _SingleDashToken
+
+    def error(self, message):
+        # one error line instead of the usage text argparse prints
+        raise SystemExit(_usage_error(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,6 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader closed stdout early; point the descriptor at devnull so
+        # the interpreter's final flush has nothing left to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

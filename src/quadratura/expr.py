@@ -25,10 +25,11 @@ constant-only subtrees folded.  Identical subtrees share one step
 (common-subexpression elimination), keyed on each node's kind, the bit
 pattern of its constant and its operands' steps, so ``0.0`` and
 ``-0.0`` stay apart.  Sharing only skips recomputing a value, so the
-tape gives the bits a node-by-node evaluation gives.  ``substitute``
-builds ``f(phi(t))`` as one tree; ``changevar`` evaluates the
-substitution product ``f(phi(t))*phi'(t)`` that way, so f, phi and phi'
-share their common subterms.  Compiling and evaluating are iterative,
+tape gives the bits a node-by-node evaluation gives, bit for bit where
+defined; an undefined point is NaN either way, its sign unspecified.
+``substitute`` builds ``f(phi(t))`` as one tree; ``changevar``
+evaluates the substitution product ``f(phi(t))*phi'(t)`` that way, so
+f, phi and phi' share their common subterms.  Compiling and evaluating are iterative,
 so any height evaluates.  Differentiating and printing recurse once per
 level; ``parse(text, max_height=MAX_TREE_HEIGHT)`` keeps a formula
 within their reach.
@@ -58,7 +59,6 @@ __all__ = [
     "substitute",
     "to_text",
     "variables",
-    "is_undefined",
     "const",
     "var",
 ]
@@ -81,10 +81,6 @@ _ARITY = {
     "pow": 2,
     "call": 1,
 }
-
-
-def is_undefined(y: float) -> bool:
-    return math.isnan(y)
 
 
 class ParseError(ValueError):

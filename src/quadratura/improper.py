@@ -173,7 +173,10 @@ def _run_side(
             side.error = f"step {k} on [{u:.6g}, {v:.6g}]: running bracket is not finite"
             break
         prev = (u, v)
-        value = sign * 0.5 * (lower + upper)
+        mid = 0.5 * (lower + upper)
+        if not math.isfinite(mid):  # finite sums whose sum overflows
+            mid = 0.5 * lower + 0.5 * upper
+        value = sign * mid
         values.append(value)
         side.steps.append(
             {

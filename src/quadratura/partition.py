@@ -1,11 +1,8 @@
 """Intervals, partitions, and the dyadic block grid behind the approximants.
 
-The block grid splits [a, b] into 2**n equal blocks and each block into
-four closed sub-intervals.  Interior blocks get narrow first and last
-sub-intervals of width eps = (b-a) / (n * 2**n) with the middle two
-sharing the remainder; the first block instead narrows only its last
-sub-interval and the final block only its first.  The narrow strips are
-where the approximant is allowed to ramp between block levels.
+The block grid splits [a, b] into 2**n equal blocks and carries the
+width eps = (b-a) / (n * 2**n) of the narrow strips next to each block
+edge, where the approximant is allowed to ramp between block levels.
 
 Grid points are formed as ``a + i * h`` (one rounding each), never by
 cumulative addition, so multi-million point grids stay monotone.
@@ -29,7 +26,7 @@ __all__ = [
     "MAX_GRID_LEVEL",
 ]
 
-MAX_GRID_LEVEL = 24  # 2**24 blocks ~ 6.7e7 sub-intervals; beyond that, refuse
+MAX_GRID_LEVEL = 24  # 2**24 blocks ~ 5e7 approximant knots; beyond that, refuse
 
 
 class ResourceLimitError(RuntimeError):
@@ -97,9 +94,6 @@ class Partition:
     def norm(self) -> float:
         return float(self.widths().max())
 
-    def refines(self, coarser: "Partition") -> bool:
-        return bool(np.all(np.isin(coarser.points, self.points)))
-
 
 def uniform_partition(iv: Interval, n: int) -> Partition:
     """Split ``iv`` into ``n`` equal cells (n + 1 points, norm width/n)."""
@@ -119,10 +113,10 @@ def epsilon_n(iv: Interval, n: int) -> float:
 
 @dataclass(frozen=True, slots=True)
 class BlockGrid:
-    """Level-``n`` block grid over an interval, computed lazily per block.
+    """Level-``n`` block grid over an interval: 2**n equal blocks.
 
-    Blocks are indexed 1..2**n left to right; ``sub_boundaries(k)`` gives
-    the five cut points of block k's four closed sub-intervals.
+    ``boundaries()`` gives the 2**n + 1 block edges; ``epsilon`` is the
+    width of the ramp strips the approximant places next to each edge.
     """
 
     interval: Interval
@@ -144,49 +138,12 @@ class BlockGrid:
         return 1 << self.n
 
     @property
-    def block_width(self) -> float:
-        return self.interval.width / self.block_count
-
-    @property
     def epsilon(self) -> float:
         return epsilon_n(self.interval, self.n)
 
-    def boundary(self, i: int) -> float:
-        """i-th block edge, i in 0..2**n; exact at both interval endpoints."""
-        if i == self.block_count:
-            return self.interval.b
-        return self.interval.a + i * self.block_width
-
     def boundaries(self) -> np.ndarray:
+        """Block edges a + i*(b-a)/2**n, exact at both interval endpoints."""
         return np.linspace(self.interval.a, self.interval.b, self.block_count + 1)
-
-    def block(self, k: int) -> Interval:
-        """Block k, 1-indexed."""
-        self._check_index(k)
-        return Interval(self.boundary(k - 1), self.boundary(k))
-
-    def sub_boundaries(self, k: int) -> tuple[float, float, float, float, float]:
-        self._check_index(k)
-        lo = self.boundary(k - 1)
-        hi = self.boundary(k)
-        eps = self.epsilon
-        if k == 1:
-            # narrow strip only on the right; the rest in three equal parts
-            third = (hi - eps - lo) / 3.0
-            return (lo, lo + third, lo + 2.0 * third, hi - eps, hi)
-        if k == self.block_count:
-            third = (hi - (lo + eps)) / 3.0
-            p1 = lo + eps
-            return (lo, p1, p1 + third, p1 + 2.0 * third, hi)
-        return (lo, lo + eps, (lo + hi) / 2.0, hi - eps, hi)
-
-    def sub_intervals(self, k: int) -> tuple[Interval, Interval, Interval, Interval]:
-        p = self.sub_boundaries(k)
-        return tuple(Interval(p[j], p[j + 1]) for j in range(4))
-
-    def _check_index(self, k: int) -> None:
-        if not 1 <= k <= self.block_count:
-            raise IndexError(f"block index {k} outside 1..{self.block_count}")
 
 
 def block_grid(iv: Interval, n: int) -> BlockGrid:

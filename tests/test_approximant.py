@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadratura import darboux
 from quadratura.approximant import (
@@ -17,7 +18,12 @@ from quadratura.approximant import (
 )
 from quadratura.darboux import SamplingConfig
 from quadratura.expr import parse
-from quadratura.partition import Interval, ResourceLimitError, uniform_partition
+from quadratura.partition import (
+    Interval,
+    ResourceLimitError,
+    block_grid,
+    uniform_partition,
+)
 
 EDGES = SamplingConfig(samples_per_cell=2)
 UNIT = Interval(0.0, 1.0)
@@ -72,6 +78,98 @@ class TestBuild:
         # ramp occupies [k/8 - eps, k/8]
         mid_ramp = eval_pl(g, 0.125 - eps / 2)
         assert 0.75 < mid_ramp < 0.875
+
+
+def reference_build(f, iv, n, cfg, hints):
+    """The per-block rule behind build_approximant, one block at a time.
+
+    Block i spans [a + i*h, a + (i+1)*h] (the last ends at b); knots are
+    emitted in order and one equal to the knot before it is skipped.
+    """
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
+    if iv.is_degenerate:
+        raise ValueError("cannot approximate over a degenerate interval")
+    if n <= 2:
+        return PiecewiseLinear(np.array([iv.a, iv.b]), np.zeros(2))
+    blocks = 1 << n
+    h = iv.width / blocks
+    eps = iv.width / (n * blocks)
+
+    def edge(i):
+        return iv.b if i == blocks else iv.a + i * h
+
+    m = np.empty(blocks)
+    for i in range(blocks):
+        m[i] = darboux.infimum_on(f, Interval(edge(i), edge(i + 1)), cfg, hints)
+    if (m < 0).any():
+        k_bad = int(np.argmin(m)) + 1
+        raise NegativityError(
+            f"f is negative on block {k_bad} (sampled infimum {m[k_bad - 1]:.3g})"
+        )
+    xs, ys = [], []
+
+    def emit(x, y):
+        if not xs or x != xs[-1]:
+            xs.append(x)
+            ys.append(y)
+
+    emit(edge(0), m[0])
+    emit(edge(1) - eps, m[0])
+    for k in range(1, blocks):
+        mk, mk1 = m[k - 1], m[k]
+        emit(edge(k), mk if mk <= mk1 else mk1)
+        emit(edge(k) + eps, mk1)
+        emit(edge(k + 1) if k + 1 == blocks else edge(k + 1) - eps, mk1)
+    return PiecewiseLinear(np.array(xs), np.array(ys))
+
+
+def outcome(build_fn, *args):
+    try:
+        g = build_fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return g.knots.tobytes(), g.values.tobytes()
+
+
+# Nonnegative, sign-changing, undefined-in-places and signed-zero formulas.
+REFERENCE_FORMULAS = (
+    "x^2", "1+sin(x)", "abs(x-1/3)", "exp(-x)", "x", "1/x", "sqrt(x)", "-(0*x)", "0*x",
+)
+
+
+class TestMatchesPerBlockRule:
+    @given(
+        text=st.sampled_from(REFERENCE_FORMULAS),
+        a=st.one_of(
+            st.floats(-10.0, 10.0),
+            st.sampled_from([0.0, -0.0, 1e6, 1e15, -1e15, 3e14]),
+        ),
+        log_width=st.floats(-12.0, 4.0),
+        n=st.integers(1, 11),
+        samples=st.sampled_from([2, 8]),
+        hint_fractions=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), max_size=3)),
+    )
+    @settings(max_examples=120, deadline=None)
+    # blocks either side of 0 hold infima +0.0 and -0.0: the tie keeps m_k
+    @example(text="-(0*x)", a=-1.0, log_width=math.log10(2.0), n=3, samples=2,
+             hint_fractions=None)
+    @example(text="0*x", a=-1.0, log_width=math.log10(2.0), n=3, samples=2,
+             hint_fractions=None)
+    def test_knots_values_and_errors_bitwise(
+        self, text, a, log_width, n, samples, hint_fractions
+    ):
+        width = 10.0**log_width
+        iv = Interval(a, a + width)
+        hints = None
+        if hint_fractions is not None:
+            hints = [iv.a + t * iv.width for t in hint_fractions]
+        f = parse(text)
+        cfg = SamplingConfig(samples_per_cell=samples)
+        with np.errstate(all="ignore"):
+            want = outcome(reference_build, f, iv, n, cfg, hints)
+            got = outcome(build_approximant, f, iv, n, cfg, hints)
+        assert got == want
 
 
 class TestEvalPl:
@@ -172,30 +270,25 @@ class TestBelowApproximantProperties:
                 assert np.all(gv <= fv), f"{b.name} level {n}"
 
     def test_plateau_bound(self, battery):
-        from quadratura.partition import block_grid
-
         n = 5
+        edges = block_grid(UNIT, n).boundaries()
         for b in battery:
             g = build(b, n)
-            grid = block_grid(UNIT, n)
-            for k in range(1, grid.block_count + 1):
-                blk = grid.block(k)
-                m_k = darboux.infimum_on(b.fn, blk, EDGES, hints=b.hints)
-                xs = np.linspace(blk.a, blk.b, 9)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                m_k = darboux.infimum_on(b.fn, Interval(lo, hi), EDGES, hints=b.hints)
+                xs = np.linspace(lo, hi, 9)
                 assert np.all(eval_pl(g, xs) <= m_k + 1e-12)
 
     def test_ramp_bound(self):
-        from quadratura.partition import block_grid
-
         f = parse("x^2")
         n = 4
         g = build_approximant(f, UNIT, n, EDGES)
         grid = block_grid(UNIT, n)
-        m = [darboux.infimum_on(f, grid.block(k), EDGES) for k in range(1, 17)]
+        edges, eps = grid.boundaries(), grid.epsilon
+        m = [darboux.infimum_on(f, Interval(lo, hi), EDGES) for lo, hi in zip(edges[:-1], edges[1:])]
         for k in range(1, 16):
-            left = grid.sub_boundaries(k)
-            right = grid.sub_boundaries(k + 1)
-            xs = np.linspace(left[3], right[1], 17)
+            # the strips either side of inner edge k hold the ramp
+            xs = np.linspace(edges[k] - eps, edges[k] + eps, 17)
             ys = eval_pl(g, xs)
             lo, hi = min(m[k - 1], m[k]), max(m[k - 1], m[k])
             assert np.all(ys >= lo - 1e-15) and np.all(ys <= hi + 1e-15)

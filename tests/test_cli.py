@@ -3,7 +3,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,10 +483,56 @@ class TestImproperEngine:
         assert report.rhs.error.endswith("running bracket is not finite")
         assert all(math.isfinite(s["bracket_width"]) for s in report.rhs.steps)
 
+    def test_step_value_of_huge_finite_sums_is_finite(self):
+        # Both running sums of 1.5e305/(1+(x/1000)^2) stay finite while
+        # their sum passes 1.8e308; the step value must not overflow.
+        schedule = ImproperSchedule(lo=0.0, hi=math.inf, lo_open=True, max_steps=40, tol=1e300)
+        p = SubstitutionProblem(parse("1.5e305/(1+(x/1000)^2)"), parse("t"),
+                                *schedule.truncation(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = improper_verify(p, schedule, tol=1e300, rhs_inner_tol=1e306,
+                                     lhs_inner_tol=1e306, cfg=SamplingConfig(samples_per_cell=2))
+        steps = report.rhs.steps + report.lhs.steps
+        assert any(s["value"] > 0.9e308 for s in steps)
+        assert all(math.isfinite(s["value"]) for s in steps)
+
 
 class TestUsage:
     def test_missing_command(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("integrate", "--f", "x", "--a", "0"),
+        ("integrate", "--f", "--x", "--a", "0", "--b", "1"),
+        ("diff", "--f", "x", "--bogus"),
+        ("nosuch",),
+        (),
+    ])
+    def test_argparse_errors_are_one_line(self, capsys, argv):
+        assert main(list(argv)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+    def test_closed_stdout_exits_one_silently(self):
+        # The read end is closed before the command starts, so its first
+        # write fails however small the output is.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quadratura.cli", "diff", "--f", "x^2", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == b""
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
