@@ -94,6 +94,11 @@ def build_approximant(
 
     grid = block_grid(iv, n)
     e = grid.boundaries()
+    if (e[1:] == e[:-1]).any():
+        raise ValueError(
+            f"level {n} is too fine for [{iv.a!r}, {iv.b!r}]:"
+            f" some of its 2^{n} blocks round to zero width"
+        )
     m = np.array(
         [darboux.infimum_on(f, Interval(lo, hi), cfg, hints) for lo, hi in zip(e[:-1], e[1:])]
     )
@@ -144,8 +149,12 @@ def integrate_pl(g: PiecewiseLinear, c: float, d: float) -> float:
     inner = g.knots[(g.knots > c) & (g.knots < d)]
     xs = np.concatenate([[c], inner, [d]])
     ys = eval_pl(g, xs)
-    areas = 0.5 * (ys[:-1] + ys[1:]) * np.diff(xs)
-    return math.fsum(areas)
+    with np.errstate(over="ignore"):  # halving first keeps values near 1e308 finite
+        areas = (0.5 * ys[:-1] + 0.5 * ys[1:]) * np.diff(xs)
+    try:
+        return math.fsum(areas)
+    except OverflowError:  # finite nonnegative areas whose sum overflows
+        return math.inf
 
 
 def l1_distance(

@@ -212,9 +212,9 @@ def cmd_improper(args) -> int:
 
 def cmd_approx(args) -> int:
     f = _parse_formula(args.f, "--f")
-    iv = Interval(args.a, args.b)
     cfg = _cfg_from(args)
     try:
+        iv = Interval(args.a, args.b)
         g = approximant.build_approximant(f, iv, args.n, cfg)
     except (ResourceLimitError, approximant.NegativityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,12 +7,23 @@ functions that are piecewise monotone at the sampling scale the bracket
 is exact; callers needing guarantees pass ``hints`` listing the interior
 turning points, which makes every cell extremum exact.
 
-``integrate`` doubles a uniform cell count until the bracket closes to
-the requested tolerance; the midpoint of the final bracket is the point
-estimate.  For smooth integrands the midpoint converges one order
-faster than the bracket width (it is the trapezoid value when cell
-extrema sit at cell edges), so moderate tolerances already give tight
-values.
+``integrate`` refines a uniform cell count N, 2N, 4N, ... until the
+bracket closes to the requested tolerance; the midpoint of the final
+bracket is the point estimate.  For smooth integrands the midpoint
+converges one order faster than the bracket width (it is the trapezoid
+value when cell extrema sit at cell edges), so moderate tolerances
+already give tight values.
+
+Levels that cannot close are skipped, keeping every bit of plain
+doubling.  The grids nest exactly (``2j * (s/2) == j * s``), and the two
+halves of a cell share its midpoint sample and hold all its samples and
+hints, so width(2M) >= width(M)/2 in exact arithmetic: a gap g at N
+cells rules out each level N*2**i where g/2**i, less a margin for the
+rounding of the sums, exceeds the tolerance.  Every point of a skipped
+level is a point of the level jumped to, so when that level has an
+undefined sample inside (a, b) (a shared midpoint may be one), raises
+``UndefinedSamplesError`` or has a sum that is not finite, refinement
+goes back to the first skipped level and doubles plainly from there.
 
 Isolated undefined sample points (both neighbours defined) are skipped
 under the default policy; this is how endpoint singularities like a
@@ -108,13 +119,17 @@ class DarbouxEstimate:
     """One quadrature pass: sampled lower/upper sums over ``cells`` cells.
 
     ``norm`` is the partition norm (0 only for the degenerate-interval
-    estimate).  The point estimate is ``midpoint``.
+    estimate).  The point estimate is ``midpoint``.  ``levels`` and
+    ``swept`` count the work behind it: refinement levels evaluated and
+    the cells summed over all of them.
     """
 
     lower: float
     upper: float
     norm: float
     cells: int
+    levels: int = 0
+    swept: int = 0
 
     def __post_init__(self):
         if self.lower > self.upper:  # NaN-safe: comparison is False for NaN
@@ -131,7 +146,9 @@ class DarbouxEstimate:
         return 0.5 * (self.lower + self.upper)
 
     def __neg__(self) -> "DarbouxEstimate":
-        return DarbouxEstimate(-self.upper, -self.lower, self.norm, self.cells)
+        return DarbouxEstimate(
+            -self.upper, -self.lower, self.norm, self.cells, self.levels, self.swept
+        )
 
 
 def as_evaluator(f: Integrand) -> Evaluator:
@@ -148,8 +165,9 @@ def _fsum(values) -> float:
     try:
         return math.fsum(values)
     except OverflowError:  # finite terms whose partial sums overflow
-        with np.errstate(over="ignore"):
-            return math.copysign(math.inf, float(np.sum(values)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(values))
+        return total if math.isnan(total) else math.copysign(math.inf, total)
     except ValueError:  # both infinities among the terms
         return math.nan
 
@@ -164,12 +182,13 @@ def compensated_sum(values: np.ndarray) -> float:
         return _fsum(np.add.reduceat(values, starts))
 
 
-def _cell_extrema(ys: np.ndarray, w: int, policy: str) -> tuple[np.ndarray, np.ndarray]:
+def _cell_extrema(ys: np.ndarray, w: int, policy: str):
     """Per-cell (min, max) of shared-edge samples; cell i owns ys[i*w : i*w + w + 1].
 
     Undefined (NaN) samples raise under FAIL_ON_UNDEFINED; under
     SKIP_ISOLATED they are left out unless two are adjacent, so every
-    cell keeps a defined sample.  ``ys`` is masked in place and restored.
+    cell keeps a defined sample.  The third value holds their indices
+    (None when there are none).  ``ys`` is masked in place and restored.
     """
     mask = np.isnan(ys)
     undefined = None
@@ -192,7 +211,7 @@ def _cell_extrema(ys: np.ndarray, w: int, policy: str) -> tuple[np.ndarray, np.n
     np.maximum(hi, right, out=hi)
     if undefined is not None:
         ys[undefined] = np.nan
-    return lo, hi
+    return lo, hi, undefined
 
 
 def _cell_bounds(
@@ -213,7 +232,7 @@ def _cell_bounds(
         if inside:
             xs = np.concatenate([xs, np.asarray(inside, dtype=float)])
             xs.sort()
-    lo, hi = _cell_extrema(as_evaluator(f)(xs), xs.size - 1, cfg.undefined_policy)
+    lo, hi, _ = _cell_extrema(as_evaluator(f)(xs), xs.size - 1, cfg.undefined_policy)
     return float(lo[0]), float(hi[0])
 
 
@@ -248,21 +267,21 @@ def _scatter_hints(
     hint_ys: np.ndarray,
     want_max: bool,
 ) -> None:
-    if hint_xs.size == 0:
-        return
+    # a hint on an edge belongs to the cell on its right, also across chunks
     idx = np.searchsorted(edges, hint_xs, side="right") - 1
-    keep = (idx >= 0) & (idx < extrema.size) & (hint_xs > edges[0]) & (hint_xs < edges[-1])
+    keep = (idx >= 0) & (idx < extrema.size)
     op = max if want_max else min
     for i, y in zip(idx[keep], hint_ys[keep]):
         if not np.isnan(y):
             extrema[i] = op(extrema[i], y)
 
 
-def _hint_values(ev: Evaluator, hints: Sequence[float] | None):
-    """(sorted hint points, their values), or None without hints."""
-    if not hints:
+def _hint_values(ev: Evaluator, hints: Sequence[float] | None, a: float, b: float):
+    """(sorted hint points inside (a, b), their values), or None without any."""
+    inside = sorted(h for h in hints or () if a < h < b)
+    if not inside:
         return None
-    hint_xs = np.asarray(sorted(hints), dtype=float)
+    hint_xs = np.asarray(inside, dtype=float)
     return hint_xs, ev(hint_xs)
 
 
@@ -287,9 +306,9 @@ def _partition_sums(
         i1 = min(n, i0 + chunk)
         grid = pts[i0:i1, None] + widths[i0:i1, None] * offsets
         xs = np.append(grid.ravel(), pts[i1])  # exact shared edges
-        lows[i0:i1], highs[i0:i1] = _cell_extrema(ev(xs), w, cfg.undefined_policy)
+        lows[i0:i1], highs[i0:i1], _ = _cell_extrema(ev(xs), w, cfg.undefined_policy)
 
-    hinted = _hint_values(ev, hints)
+    hinted = _hint_values(ev, hints, pts[0], pts[-1])
     if hinted is not None:
         _scatter_hints(lows, pts, *hinted, want_max=False)
         _scatter_hints(highs, pts, *hinted, want_max=True)
@@ -325,20 +344,23 @@ def _uniform_sums(
     cells: int,
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
-) -> tuple[float, float]:
-    """(lower, upper) over ``cells`` equal cells, sharing edge evaluations.
+) -> tuple[float, float, float, bool]:
+    """(lower, upper, magnitude, holes) over ``cells`` equal cells.
 
     Cell i's samples are the global uniform grid slice [i*w, i*w + w]
     for w = samples_per_cell - 1, so each distinct point is evaluated
-    once.
+    once.  ``magnitude``, the sum of (|min| + |max|) * width over the
+    cells, scales the rounding of the sums; ``holes`` tells whether an
+    undefined sample was skipped strictly inside (a, b).
     """
     w = cfg.samples_per_cell - 1
     step = (b - a) / (cells * w)
     dx = (b - a) / cells
-    hinted = _hint_values(ev, hints)
+    hinted = _hint_values(ev, hints, a, b)
 
     lo_parts: list[float] = []
     hi_parts: list[float] = []
+    magnitude, holes = 0.0, False
     cells_per_chunk = max(1, _CHUNK_POINTS // w)
     for c0 in range(0, cells, cells_per_chunk):
         c1 = min(cells, c0 + cells_per_chunk)
@@ -347,15 +369,22 @@ def _uniform_sums(
         xs += a
         if c1 == cells:
             xs[-1] = b
-        lo, hi = _cell_extrema(ev(xs), w, cfg.undefined_policy)
+        lo, hi, undefined = _cell_extrema(ev(xs), w, cfg.undefined_policy)
+        if undefined is not None:
+            undefined += c0 * w  # global sample index; 0 is a, cells*w is b
+            holes = holes or bool(((undefined > 0) & (undefined < cells * w)).any())
         if hinted is not None:
             edges = a + dx * np.arange(c0, c1 + 1)
+            if c1 == cells:
+                edges[-1] = b  # as the last sample is, so no hint below b falls out
             _scatter_hints(lo, edges, *hinted, want_max=False)
             _scatter_hints(hi, edges, *hinted, want_max=True)
         lo_parts.append(compensated_sum(lo))
         hi_parts.append(compensated_sum(hi))
+        with np.errstate(over="ignore"):
+            magnitude += float(np.abs(lo, out=lo).sum() + np.abs(hi, out=hi).sum())
 
-    return _fsum(lo_parts) * dx, _fsum(hi_parts) * dx
+    return _fsum(lo_parts) * dx, _fsum(hi_parts) * dx, magnitude * dx, holes
 
 
 def integrate(
@@ -367,13 +396,18 @@ def integrate(
     max_cells: int = CELL_CAP,
     start_cells: int = START_CELLS,
 ) -> DarbouxEstimate:
-    """Refine uniform cells (doubling from 2**10) until upper - lower <= tol.
+    """Refine uniform cells from 2**10 until upper - lower <= tol.
 
-    Raises NonConvergenceError carrying the last bracket when the cap is
-    reached first, or at once when a sum is not finite (refining keeps
-    every sample point, so it cannot become finite later).  The bracket
-    endpoints are the sampled Darboux sums of the final refinement;
-    ``midpoint`` is the point estimate.
+    A level of N cells that does not close is followed by N*2**j cells
+    for the least j >= 1 at which the bracket might close: a gap g at N
+    cells rules out every level N*2**i with g/2**i, less a rounding
+    margin, above ``tol`` (see the module docstring).  The result is the
+    one plain doubling gives, bit for bit.  Raises NonConvergenceError
+    carrying the last bracket when ``max_cells`` is reached first, or at
+    once when a sum is not finite (refining keeps every sample point, so
+    it cannot become finite later).  The bracket endpoints are the
+    sampled Darboux sums of the final refinement; ``midpoint`` is the
+    point estimate.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -381,9 +415,22 @@ def integrate(
         raise ValueError("cannot integrate over a degenerate interval")
     ev = as_evaluator(f)
     cells = min(start_cells, max_cells)
+    levels = swept = last = 0  # ``last``: cells of the previous level
+    jumps = True
     while True:
-        lower, upper = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints)
-        est = DarbouxEstimate(lower, upper, norm=iv.width / cells, cells=cells)
+        jumped = 0 < 2 * last < cells
+        levels, swept = levels + 1, swept + cells
+        try:
+            lower, upper, magnitude, holes = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints)
+            undo = jumped and (holes or not math.isfinite(upper - lower))
+        except UndefinedSamplesError:
+            if not jumped:
+                raise
+            undo = True
+        if undo:  # a skipped level may have failed first or broken the bound
+            cells, jumps = 2 * last, False
+            continue
+        est = DarbouxEstimate(lower, upper, iv.width / cells, cells, levels, swept)
         gap = upper - lower
         if not math.isfinite(gap):
             raise NonConvergenceError(
@@ -397,7 +444,15 @@ def integrate(
                 f"bracket width {gap:.3g} > tol {tol:.3g} at {cells} cells",
                 est,
             )
-        cells = min(cells * 2, max_cells)
+        nxt = 2 * cells
+        # Skip nxt while its width (>= gap*cells/nxt) stays above tol after
+        # rounding: 2**-30 of gap, and 2**-36 (32x the error bound of a 4096-term
+        # block sum) of magnitude.  Land only on a level that nests in the cap.
+        while jumps and 2 * nxt <= max_cells and (
+            gap * (1 - 2**-30) * cells / nxt - magnitude * 2**-36 > tol
+        ):
+            nxt *= 2
+        last, cells = cells, min(nxt, max_cells)
 
 
 def integrate_signed(

@@ -83,8 +83,10 @@ class TestBuild:
 def reference_build(f, iv, n, cfg, hints):
     """The per-block rule behind build_approximant, one block at a time.
 
-    Block i spans [a + i*h, a + (i+1)*h] (the last ends at b); knots are
-    emitted in order and one equal to the knot before it is skipped.
+    Block i spans [a + i*h, a + (i+1)*h] (the last ends at b); a block
+    that rounds to zero width is an error before any infimum is taken.
+    Knots are emitted in order and one equal to the knot before it is
+    skipped.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
@@ -99,6 +101,11 @@ def reference_build(f, iv, n, cfg, hints):
     def edge(i):
         return iv.b if i == blocks else iv.a + i * h
 
+    if any(edge(i) == edge(i + 1) for i in range(blocks)):
+        raise ValueError(
+            f"level {n} is too fine for [{iv.a!r}, {iv.b!r}]:"
+            f" some of its 2^{n} blocks round to zero width"
+        )
     m = np.empty(blocks)
     for i in range(blocks):
         m[i] = darboux.infimum_on(f, Interval(edge(i), edge(i + 1)), cfg, hints)
@@ -156,6 +163,8 @@ class TestMatchesPerBlockRule:
              hint_fractions=None)
     @example(text="0*x", a=-1.0, log_width=math.log10(2.0), n=3, samples=2,
              hint_fractions=None)
+    # 32 blocks of width 1/32 where the float spacing is 1/8
+    @example(text="x", a=1e15, log_width=0.0, n=5, samples=2, hint_fractions=None)
     def test_knots_values_and_errors_bitwise(
         self, text, a, log_width, n, samples, hint_fractions
     ):
@@ -230,6 +239,11 @@ class TestIntegratePl:
         exact = integrate_pl(g, 0.0, 1.0)
         est = darboux.integrate(lambda xs: eval_pl(g, xs), UNIT, 1e-6, EDGES)
         assert est.lower - 1e-12 <= exact <= est.upper + 1e-12
+
+    def test_values_near_overflow(self):
+        g = PiecewiseLinear(np.array([0.0, 1.0, 2.0]), np.array([1e308, 1.5e308, 1e308]))
+        assert integrate_pl(g, 0.0, 1.0) == 1.25e308
+        assert integrate_pl(g, 0.0, 2.0) == math.inf
 
     def test_empty_range(self):
         g = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 2.0]))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadratura import darboux, expr, gallery, improper
 from quadratura.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -241,6 +241,17 @@ class TestApproxCommand:
     def test_bad_level(self, capsys):
         code, _ = run(capsys, "approx", "--f", "x", "--a", "0", "--b", "1", "--n", "0")
         assert code == EXIT_USAGE
+
+    def test_blocks_below_float_resolution(self, capsys):
+        # 32 blocks of width 1/32 at 1e15, where the float spacing is 1/8
+        code = main(["approx", "--f", "x", "--a", "1e15", "--b", "1000000000000001",
+                     "--n", "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == (
+            "error: level 5 is too fine for [1000000000000000.0, 1000000000000001.0]:"
+            " some of its 2^5 blocks round to zero width\n"
+        )
 
 
 class TestDiffCommand:
@@ -703,3 +714,26 @@ class TestCliFuzz:
     @given(f=_formulas())
     def test_diff(self, f):
         self.check(["diff", *_formula_args("--f", f), "--json"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=_formulas(), phi=_formulas("t"), a=_ENDPOINTS, b=_ENDPOINTS,
+           open_ends=st.sampled_from([[], ["--open-alpha"], ["--open-beta"],
+                                      ["--open-alpha", "--open-beta"]]),
+           steps=st.integers(1, 4))
+    # partial sums of +-1e308 overflow both ways: numpy warned "invalid value"
+    @example(f="1e308", phi="sin(t)", a=-math.inf, b=1e308, open_ends=[], steps=1)
+    def test_improper(self, f, phi, a, b, open_ends, steps):
+        self.check(["improper", *_formula_args("--f", f), *_formula_args("--phi", phi),
+                    "--alpha", repr(a), "--beta", repr(b), *open_ends,
+                    "--steps", str(steps), "--lhs-steps", str(steps), "--max-cells", "4096"])
+
+    @settings(max_examples=500, deadline=None)
+    @given(f=_formulas(), a=_ENDPOINTS, b=_ENDPOINTS, same=st.booleans(),
+           n=st.integers(-1, 8))
+    # reversed ends raised a ValueError traceback; 1e308 overflowed a trapezoid
+    @example(f="x", a=1.0, b=0.0, same=False, n=3)
+    @example(f="1e308", a=-1.0, b=0.0, same=False, n=3)
+    def test_approx(self, f, a, b, same, n):
+        b = a if same else b
+        self.check(["approx", *_formula_args("--f", f), "--a", repr(a), "--b", repr(b),
+                    "--n", str(n), "--max-cells", "4096"])

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import sici
 
 from quadratura import darboux as D
+from quadratura.changevar import SubstitutionProblem, rhs_integral
 from quadratura.darboux import (
     DarbouxEstimate,
     NonConvergenceError,
@@ -246,9 +248,14 @@ class TestEstimateType:
         assert est.width == 2.0
 
     def test_negation(self):
-        est = DarbouxEstimate(1.0, 3.0, 0.5, 2)
+        est = DarbouxEstimate(1.0, 3.0, 0.5, 2, levels=3, swept=14)
         neg = -est
         assert (neg.lower, neg.upper) == (-3.0, -1.0)
+        assert (neg.levels, neg.swept) == (3, 14)
+
+    def test_counts_default_to_zero(self):
+        est = DarbouxEstimate(1.0, 3.0, 0.5, 2)
+        assert (est.levels, est.swept) == (0, 0)
 
 
 class TestCompensatedSum:
@@ -283,6 +290,134 @@ class TestSamplingConfig:
             SamplingConfig(samples_per_cell=1)
         with pytest.raises(ValueError):
             SamplingConfig(undefined_policy="whatever")
+
+
+class TestWorkCounts:
+    def test_closed_estimate_counts_its_levels(self):
+        # E1's rhs: x^3 over t*sin(1/t), 64 samples per cell
+        p = SubstitutionProblem(f=parse("x^3"), phi=parse("t*sin(1/t)"), alpha=0.0,
+                                beta=2.0 / math.pi)
+        est = rhs_integral(p, 1e-5, SamplingConfig(samples_per_cell=64))
+        doubling = est.cells.bit_length() - D.START_CELLS.bit_length() + 1
+        assert est.levels < doubling
+        assert D.START_CELLS + est.cells <= est.swept < 2 * est.cells
+
+    def test_nonconvergence_estimate_carries_counts(self):
+        with pytest.raises(NonConvergenceError) as exc:
+            integrate(parse("x^2"), Interval(0.0, 1.0), 1e-13, EDGES, max_cells=2**14)
+        est = exc.value.estimate
+        assert est.cells == 2**14
+        assert 2 <= est.levels <= 5 and est.swept >= 2**10 + 2**14
+
+    def test_reversed_interval_carries_counts(self):
+        fwd = integrate_signed(parse("x^2"), 0.0, 1.0, 1e-6, EDGES)
+        rev = integrate_signed(parse("x^2"), 1.0, 0.0, 1e-6, EDGES)
+        assert fwd.levels > 0 and (rev.levels, rev.swept) == (fwd.levels, fwd.swept)
+
+
+class TestHintOnChunkEdge:
+    # 65,536 cells of 63 gaps: chunks of 33,288 cells, one edge at cell 33,288
+    CFG = SamplingConfig(samples_per_cell=64)
+
+    def hint_effect(self, a, b, k):
+        cells = 65536
+        c = a + (b - a) / cells * k
+        ev = D.as_evaluator(parse(f"abs(x-{c!r})^0.01"))
+        hinted = D._uniform_sums(ev, a, b, cells, self.CFG, [c])[0]
+        return hinted - D._uniform_sums(ev, a, b, cells, self.CFG, None)[0]
+
+    def test_hint_on_chunk_edge_counts(self):
+        assert self.hint_effect(1.0 / 3.0, 2.0, 33288) < -1e-6
+        assert self.hint_effect(0.1, 1.3, 33287) < -1e-6  # an edge inside a chunk
+
+
+def plain_doubling(f, iv, tol, cfg, hints, max_cells, start_cells):
+    """The refinement rule without level skipping: N, 2N, 4N, ... up to the cap."""
+    ev = D.as_evaluator(f)
+    cells = min(start_cells, max_cells)
+    while True:
+        lower, upper = D._uniform_sums(ev, iv.a, iv.b, cells, cfg, hints)[:2]
+        est = DarbouxEstimate(lower, upper, iv.width / cells, cells)
+        gap = upper - lower
+        if not math.isfinite(gap):
+            raise NonConvergenceError(
+                f"sum is not finite: bracket [{lower:.3g}, {upper:.3g}] at {cells} cells", est
+            )
+        if gap <= tol:
+            return est
+        if cells >= max_cells:
+            raise NonConvergenceError(
+                f"bracket width {gap:.3g} > tol {tol:.3g} at {cells} cells", est
+            )
+        cells = min(cells * 2, max_cells)
+
+
+def integrate_outcome(run, *args):
+    def bits(est):
+        return est.lower.hex(), est.upper.hex(), est.norm.hex(), est.cells
+
+    try:
+        return bits(run(*args))
+    except NonConvergenceError as exc:
+        return type(exc), str(exc), bits(exc.estimate)
+    except UndefinedSamplesError as exc:
+        return type(exc), str(exc)
+
+
+# Isolated holes across 0 (x/x, sin(x)/x, a jump with a hole), a band of
+# adjacent undefined samples, poles with finite, overflowing and infinite
+# samples, sin(1/x), a kink for hints, and a huge offset.
+SKIP_FORMULAS = (
+    "x/x", "sin(x)/x", "x/abs(x)", "sqrt(x^2-0.0001)", "1/(x-0.3)", "1e300/(x-0.3)",
+    "exp(1/x)", "sin(1/x)", "abs(x-1/3)^0.01", "1e6+sin(200*x)",
+)
+SKIP_CAP = 50_000
+
+
+@st.composite
+def skip_cases(draw):
+    text = draw(st.sampled_from(SKIP_FORMULAS))
+    a = draw(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.1]), st.floats(-1.5, 0.5)))
+    b = a + draw(st.one_of(st.sampled_from([1.0, 1.3, 2.0]), st.floats(0.1, 3.0)))
+    samples = draw(st.sampled_from([2, 3, 8, 64]))
+    start = draw(st.sampled_from([3, 7]))
+    tol = 10.0 ** draw(st.floats(-9.0, -2.0))
+    chunk = 2**21 // (samples - 1)  # cells per evaluation chunk
+    hints = None
+    if draw(st.booleans()):
+        hints = []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                hints.append(a + draw(st.floats(0.0, 1.0)) * (b - a))
+                continue
+            # an edge of some level, or the chunk edge of a level that has one
+            cells = min(start << draw(st.integers(0, 14)), SKIP_CAP)
+            on_chunk = cells > chunk and draw(st.booleans())
+            k = chunk if on_chunk else draw(st.integers(1, cells - 1))
+            hints.append(a + (b - a) / cells * k)
+    return text, a, b, samples, start, tol, hints
+
+
+class TestLevelSkipping:
+    """integrate skips levels that cannot close, yet ends as plain doubling does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=skip_cases())
+    # gap cancellation under |lower| = 1e9: fails without the absolute margin
+    @example(case=("1e9+sin(20*x)", 0.0, 1.0, 2, 3, float.fromhex("0x1.1378p-10"), None))
+    # a hole on a skipped level's edge splits the jump: fails without the fallback
+    @example(case=("x/abs(x)", -1.0, 1.0, 64, 3, 1e-3, None))
+    # a hint on the edge between the two evaluation chunks of 49,152 cells
+    @example(case=("abs(x-1/3)^0.01", 1.0 / 3.0, 2.0, 64, 3, 1e-4,
+                   [1.0 / 3.0 + (2.0 - 1.0 / 3.0) / 49152 * 33288]))
+    def test_matches_plain_doubling_bitwise(self, case):
+        text, a, b, samples, start, tol, hints = case
+        args = (parse(text), Interval(a, b), tol, SamplingConfig(samples_per_cell=samples),
+                hints, SKIP_CAP, start)
+        with np.errstate(all="ignore"):
+            want = integrate_outcome(plain_doubling, *args)
+            got = integrate_outcome(integrate, *args)
+        assert got == want
 
 
 # float.hex of (lower_sum, upper_sum) on UNIFORM_16, the same on IRREGULAR,
