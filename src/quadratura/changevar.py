@@ -87,6 +87,9 @@ class SubstitutionProblem:
     beta: float
     phi_prime: Expr | None = None
     f_domain: tuple[float, float] | None = None
+    # (phi' or None, the product expression or None), built on first use so
+    # the hypothesis probes and the rhs share one derivative and one tape.
+    _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -98,17 +101,27 @@ class SubstitutionProblem:
     def span(self) -> float:
         return self.beta - self.alpha
 
-    def _phi_prime_expr(self) -> Expr | None:
-        """The override or the symbolic derivative; None if phi has none."""
-        if self.phi_prime is not None:
-            return self.phi_prime
-        try:
-            return differentiate(self.phi)
-        except NonDifferentiableError:
-            return None
+    def _derived_exprs(self) -> tuple[Expr | None, Expr | None]:
+        """phi' (the override, else the symbolic derivative, else None) and
+        (f o phi) * phi' as one expression (None unless all three are formulas).
+        """
+        derived = self._derived
+        if derived is None:
+            dphi = self.phi_prime
+            if dphi is None:
+                try:
+                    dphi = differentiate(self.phi)
+                except NonDifferentiableError:
+                    pass
+            product = None
+            if all(isinstance(g, Expr) for g in (self.f, self.phi, dphi)):
+                product = mul(substitute(self.f, self.phi), dphi)
+            derived = (dphi, product)
+            object.__setattr__(self, "_derived", derived)
+        return derived
 
     def phi_prime_evaluator(self) -> Evaluator:
-        dphi = self._phi_prime_expr()
+        dphi = self._derived_exprs()[0]
         if dphi is not None:
             return as_evaluator(dphi)
         phi_ev = as_evaluator(self.phi)
@@ -127,9 +140,9 @@ class SubstitutionProblem:
         1/t and sin(1/t)); the values are those of the three separate
         evaluations, bit for bit where defined.
         """
-        dphi = self._phi_prime_expr()
-        if all(isinstance(g, Expr) for g in (self.f, self.phi, dphi)):
-            return as_evaluator(mul(substitute(self.f, self.phi), dphi))
+        fused = self._derived_exprs()[1]
+        if fused is not None:
+            return as_evaluator(fused)
         f_ev = as_evaluator(self.f)
         phi_ev = as_evaluator(self.phi)
         dphi_ev = self.phi_prime_evaluator()
@@ -203,6 +216,7 @@ def report_to_json(report: SubstitutionReport) -> dict:
         "tol": report.tol,
         "hypotheses": report.hypotheses.to_json(),
         "verdict": report.verdict,
+        "reason": report.reason,
     }
 
 
@@ -379,40 +393,43 @@ def verify_zero_extension(
 # Hypothesis heuristics
 
 
-def _finite_stats(ys: np.ndarray) -> tuple[float, int]:
-    finite = ys[np.isfinite(ys)]
-    if finite.size == 0:
-        return math.nan, 0
-    return float(np.abs(finite).max()), int(finite.size)
+# 10^-j, j = 0..9, as Python's pow gives them: the endpoint windows' decades
+_DECADES = tuple(10.0 ** -j for j in range(10))
 
 
-def _window_maxima(ev: Evaluator, lo: float, hi: float, at_left: bool) -> list[float]:
-    """max |value| over nested windows shrinking geometrically into an endpoint."""
+def _finite_abs_max(ys: np.ndarray) -> np.ndarray:
+    """max |y| over each row's finite entries (last axis); NaN for a row with none."""
+    m = np.where(np.isfinite(ys), np.abs(ys), -np.inf).max(axis=-1)
+    return np.where(m == -np.inf, np.nan, m)
+
+
+def _window_grids(lo: float, hi: float) -> np.ndarray:
+    """Rows 0-8: 64 points on [lo + w/10^(j+1), lo + w/10^j], w = hi - lo; rows
+    9-17: the mirrors at hi.  Each row equals that window's own ``np.linspace``.
+    """
     width = hi - lo
-    out = []
-    for j in range(9):
-        w_far = width * 10.0 ** (-j)
-        w_near = width * 10.0 ** (-j - 1)
-        if at_left:
-            xs = np.linspace(lo + w_near, lo + w_far, 64)
-        else:
-            xs = np.linspace(hi - w_far, hi - w_near, 64)
-        m, count = _finite_stats(ev(xs))
-        out.append(m if count else math.nan)
-    return out
+    far = width * np.array(_DECADES[:-1])
+    near = width * np.array(_DECADES[1:])
+    starts = np.concatenate([lo + near, hi - far])
+    stops = np.concatenate([lo + far, hi - near])
+    if ((stops - starts) / 63 == 0).any():
+        # linspace scales every row by delta/div once any row's step underflows
+        return np.array([np.linspace(s, e, 64) for s, e in zip(starts, stops)])
+    return np.linspace(starts, stops, 64, axis=1)
 
 
 def _bounded_verdict(ev: Evaluator, lo: float, hi: float, grid_size: int) -> HypothesisCheck:
     ys = ev(np.linspace(lo, hi, grid_size))
-    grid_max, defined = _finite_stats(ys)
+    grid_max, defined = float(_finite_abs_max(ys)), int(np.isfinite(ys).sum())
     witness: dict = {"grid_max": grid_max, "defined_samples": defined}
     if defined == 0:
         return HypothesisCheck("", FAIL, witness)  # name filled by caller
     diverging = bool(np.isinf(ys).any()) or grid_max >= _OVERFLOW_LIMIT
-    for side, at_left in (("left", True), ("right", False)):
-        maxima = _window_maxima(ev, lo, hi, at_left)
-        witness[f"{side}_window_maxima"] = maxima
-        clean = [m for m in maxima if not math.isnan(m)]
+    windows = _window_grids(lo, hi)
+    maxima = _finite_abs_max(ev(windows.ravel()).reshape(windows.shape)).tolist()
+    for side, side_maxima in (("left", maxima[:9]), ("right", maxima[9:])):
+        witness[f"{side}_window_maxima"] = side_maxima
+        clean = [m for m in side_maxima if not math.isnan(m)]
         if len(clean) >= 2:
             first, last = clean[0], clean[-1]
             if last >= _OVERFLOW_LIMIT or last > _GROWTH_LIMIT * max(first, 1e-12):
@@ -420,16 +437,13 @@ def _bounded_verdict(ev: Evaluator, lo: float, hi: float, grid_size: int) -> Hyp
     return HypothesisCheck("", FAIL if diverging else PASS, witness)
 
 
-def _modulus(ev: Evaluator, lo: float, hi: float, n: int) -> float:
-    ys = ev(np.linspace(lo, hi, n))
-    with np.errstate(invalid="ignore"):  # inf - inf where phi overflows
-        diffs = np.abs(np.diff(ys))
-    diffs = diffs[np.isfinite(diffs)]
-    return float(diffs.max()) if diffs.size else math.nan
-
-
 def _continuity_verdict(ev: Evaluator, lo: float, hi: float, grid_size: int) -> HypothesisCheck:
-    mods = [_modulus(ev, lo, hi, k * grid_size) for k in (1, 2, 4)]
+    sizes = [k * grid_size for k in (1, 2, 4)]
+    ys = ev(np.concatenate([np.linspace(lo, hi, n) for n in sizes]))
+    mods = []
+    for grid in np.split(ys, np.cumsum(sizes[:-1])):
+        with np.errstate(invalid="ignore"):  # inf - inf where phi overflows
+            mods.append(float(_finite_abs_max(np.diff(grid))))
     witness = {"sampled_moduli": mods}
     if any(math.isnan(m) for m in mods):
         return HypothesisCheck("", UNDECIDABLE, witness)

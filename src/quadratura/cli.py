@@ -221,8 +221,6 @@ def cmd_approx(args) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         return _usage_error(str(exc))
-    if args.out:
-        approximant.write_csv(g, args.out)
     summary = {
         "level": args.n,
         "knots": int(g.knots.size),
@@ -248,6 +246,12 @@ def cmd_approx(args) -> int:
                 "deficit_within_bound": bool(-1e-9 <= deficit <= bound + 1e-9),
             }
         )
+    for key in ("integral", "block_lower_sum"):
+        if key in summary and not math.isfinite(summary[key]):
+            print(f"error: the {key} overflows ({_finite_json(summary[key])})", file=sys.stderr)
+            return EXIT_NUMERIC
+    if args.out:
+        approximant.write_csv(g, args.out)
     print(_json_text(summary))
     return EXIT_OK
 

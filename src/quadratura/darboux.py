@@ -175,11 +175,12 @@ def _fsum(values) -> float:
 def compensated_sum(values: np.ndarray) -> float:
     """Deterministic compensated reduction in fixed (ascending) order."""
     values = np.asarray(values, dtype=float)
+    # fsum reads a list of floats faster than it iterates an array: same floats, same bits
     if values.size <= 4096:
-        return _fsum(values)
+        return _fsum(values.tolist())
     starts = np.arange(0, values.size, 4096)
-    with np.errstate(over="ignore"):
-        return _fsum(np.add.reduceat(values, starts))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf inside a block
+        return _fsum(np.add.reduceat(values, starts).tolist())
 
 
 def _cell_extrema(ys: np.ndarray, w: int, policy: str):

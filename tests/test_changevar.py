@@ -1,8 +1,10 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadratura import changevar as CV
 from quadratura import darboux
@@ -191,7 +193,134 @@ class TestAffineOracle:
             assert abs(report.rhs.midpoint - want) < 1e-9
 
 
+# Reference probes with one np.linspace, one evaluation and one finite-max
+# per endpoint window or continuity grid.  check_hypotheses, which evaluates
+# all windows (or all three grids) in one call, must match them bit for bit.
+
+
+def _ref_finite_stats(ys):
+    finite = ys[np.isfinite(ys)]
+    if finite.size == 0:
+        return math.nan, 0
+    return float(np.abs(finite).max()), int(finite.size)
+
+
+def _ref_window_maxima(ev, lo, hi, at_left):
+    width = hi - lo
+    out = []
+    for j in range(9):
+        w_far = width * 10.0 ** (-j)
+        w_near = width * 10.0 ** (-j - 1)
+        if at_left:
+            xs = np.linspace(lo + w_near, lo + w_far, 64)
+        else:
+            xs = np.linspace(hi - w_far, hi - w_near, 64)
+        m, count = _ref_finite_stats(ev(xs))
+        out.append(m if count else math.nan)
+    return out
+
+
+def _ref_bounded_verdict(ev, lo, hi, grid_size):
+    ys = ev(np.linspace(lo, hi, grid_size))
+    grid_max, defined = _ref_finite_stats(ys)
+    witness = {"grid_max": grid_max, "defined_samples": defined}
+    if defined == 0:
+        return CV.HypothesisCheck("", FAIL, witness)
+    diverging = bool(np.isinf(ys).any()) or grid_max >= CV._OVERFLOW_LIMIT
+    for side, at_left in (("left", True), ("right", False)):
+        maxima = _ref_window_maxima(ev, lo, hi, at_left)
+        witness[f"{side}_window_maxima"] = maxima
+        clean = [m for m in maxima if not math.isnan(m)]
+        if len(clean) >= 2:
+            first, last = clean[0], clean[-1]
+            if last >= CV._OVERFLOW_LIMIT or last > CV._GROWTH_LIMIT * max(first, 1e-12):
+                diverging = True
+    return CV.HypothesisCheck("", FAIL if diverging else PASS, witness)
+
+
+def _ref_modulus(ev, lo, hi, n):
+    ys = ev(np.linspace(lo, hi, n))
+    with np.errstate(invalid="ignore"):
+        diffs = np.abs(np.diff(ys))
+    diffs = diffs[np.isfinite(diffs)]
+    return float(diffs.max()) if diffs.size else math.nan
+
+
+def _ref_continuity_verdict(ev, lo, hi, grid_size):
+    mods = [_ref_modulus(ev, lo, hi, k * grid_size) for k in (1, 2, 4)]
+    witness = {"sampled_moduli": mods}
+    if any(math.isnan(m) for m in mods):
+        return CV.HypothesisCheck("", UNDECIDABLE, witness)
+    scale = 1.0 + max(mods)
+    shrinking = mods[2] <= max(0.8 * mods[0], 1e-9 * scale)
+    return CV.HypothesisCheck("", PASS if shrinking else FAIL, witness)
+
+
+def _step(x):
+    return np.where(x < 0.5, 0.0, 1.0)
+
+
+# Undefined regions (1/x, log, sqrt of a negative), overflow-scale values,
+# a plain callable, and phi without a symbolic derivative (abs: central
+# differences).  exp(t) on [0, 800] gives an unbounded J.
+_PROBE_FS = st.sampled_from(("x", "x^3", "1/x", "log(x)", "sqrt(-x)", "tan(x)", "1e308*x",
+                             "exp(x)", "sin(1/x)", "abs(x-0.5)", "1", _step))
+_PROBE_PHIS = st.sampled_from(("t", "t*sin(1/t)", "1/t", "log(t)", "tan(t)", "abs(t-0.5)",
+                               "sqrt(t)", "exp(t)", "t^3-t", "1e300*t", "sqrt(1-t^2)"))
+_PROBE_ALPHAS = st.sampled_from((0.0, -1.0, 0.5, 1e-310, -1e300, 5e-324))
+_PROBE_WIDTHS = st.sampled_from((1.0, 2.0 / math.pi, 800.0, 1e-12, 1e-320, 1e300, 1.5e308))
+
+
 class TestHypotheses:
+    @settings(max_examples=150, deadline=None)
+    @given(f=_PROBE_FS, phi=_PROBE_PHIS, alpha=_PROBE_ALPHAS, width=_PROBE_WIDTHS,
+           grid_size=st.sampled_from((100, 137, 1000)))
+    # every window step of a width near 1e-320 underflows to 0 below some decade
+    @example(f="x", phi="t", alpha=0.0, width=1e-320, grid_size=1000)
+    @example(f="x", phi="exp(t)", alpha=0.0, width=800.0, grid_size=1000)
+    def test_matches_per_window_reference(self, f, phi, alpha, width, grid_size):
+        beta = alpha + width
+        assume(alpha < beta and math.isfinite(beta - alpha))
+
+        def report():
+            p = SubstitutionProblem(
+                parse(f) if isinstance(f, str) else f, parse(phi), alpha, beta
+            )
+            return json.dumps(check_hypotheses(p, grid_size).to_json())
+
+        got = report()
+        with mock.patch.object(CV, "_bounded_verdict", _ref_bounded_verdict), \
+                mock.patch.object(CV, "_continuity_verdict", _ref_continuity_verdict):
+            want = report()
+        assert got == want  # json writes NaN as NaN, so NaN compares as NaN
+
+    def test_formula_problem_probes_in_nine_evaluations(self, monkeypatch):
+        sizes = []
+        original = darboux.evaluate_array
+
+        def counting(e, xs):
+            sizes.append(xs.size)
+            return original(e, xs)
+
+        monkeypatch.setattr(darboux, "evaluate_array", counting)
+        h = check_hypotheses(problem("x^2+1", "t^3+t", 0.0, 1.0))
+        assert h.verdict("product_bounded") == PASS
+        assert len(sizes) <= 9
+        assert sum(sizes) == 7000 + 3 * (1000 + 18 * 64) + 2
+
+    def test_verify_differentiates_once(self, monkeypatch):
+        calls = []
+        original = CV.differentiate
+
+        def counting(e, *args):
+            calls.append(e)
+            return original(e, *args)
+
+        monkeypatch.setattr(CV, "differentiate", counting)
+        report = verify(problem("x^2", "t^3-t", 0.0, 1.0), 1e-5, EDGES)
+        assert report.verdict == VERIFIED
+        assert len(calls) == 1
+
     def test_grid_size_validated(self):
         p = problem("x", "t", 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -296,10 +425,18 @@ class TestReportJson:
         p = problem("x^2", "t", 0.0, 1.0)
         report = verify(p, 1e-5, EDGES)
         payload = report_to_json(report)
-        assert set(payload) == {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict"}
+        assert set(payload) == {
+            "lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict", "reason"
+        }
+        assert payload["reason"] == ""
         assert set(payload["lhs"]) == {"lower", "upper"}
         for entry in payload["hypotheses"]:
             assert set(entry) == {"name", "verdict", "witness"}
+
+    def test_reason_names_the_side_that_failed(self):
+        payload = report_to_json(verify(problem("x", "exp(t)", 0.0, 800.0), 1e-5, EDGES))
+        assert payload["verdict"] == INCONCLUSIVE
+        assert "rhs: sum is not finite" in payload["reason"]
 
     def test_round_trip(self):
         p = problem("x^2", "t", 0.0, 1.0)
@@ -319,3 +456,10 @@ class TestProblemType:
         p = problem("x", "t", 0.0, 1.0)
         with pytest.raises(AttributeError):
             p.alpha = 5.0
+
+    def test_derived_expressions_leave_equality_alone(self):
+        p = problem("x^2", "t^3-t", 0.0, 1.0)
+        fresh = problem("x^2", "t^3-t", 0.0, 1.0)
+        check_hypotheses(p)
+        assert p == fresh and hash(p) == hash(fresh)
+        assert repr(p) == repr(fresh)

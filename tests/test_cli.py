@@ -23,6 +23,10 @@ from quadratura.improper import ImproperSchedule, improper_verify
 from quadratura.partition import Interval
 
 
+# ``reason`` is empty when both sides closed
+SUBSTITUTE_KEYS = {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict", "reason"}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -124,17 +128,20 @@ class TestSubstituteCommand:
         code, out = run(capsys, "substitute", "--f", "x^2", "--phi", "t",
                         "--alpha", "0", "--beta", "1", "--tol", "1e-5")
         payload = json.loads(out)
-        assert set(payload) == {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict"}
+        assert set(payload) == SUBSTITUTE_KEYS
+        assert payload["reason"] == ""
 
     def test_unbounded_image_interval_is_undecidable(self, capsys):
         # phi(800) overflows, so J = [1, inf]: no grid on J has a defined sample
         code, out = run(capsys, "substitute", "--f", "x", "--phi", "exp(t)",
                         "--alpha", "0", "--beta", "800")
         payload = json.loads(out)
-        assert set(payload) == {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict"}
+        assert set(payload) == SUBSTITUTE_KEYS
         check = next(h for h in payload["hypotheses"] if h["name"] == "f_bounded_on_J")
         assert check["verdict"] == "undecidable-numerically"
         assert check["witness"] == {"unbounded_end": "upper"}
+        assert payload["reason"].startswith("lhs: ")
+        assert "rhs: sum is not finite" in payload["reason"]
 
 
 class TestImproperCommand:
@@ -252,6 +259,16 @@ class TestApproxCommand:
             "error: level 5 is too fine for [1000000000000000.0, 1000000000000001.0]:"
             " some of its 2^5 blocks round to zero width\n"
         )
+
+    def test_overflowing_integral_is_an_error(self, capsys, tmp_path):
+        # 1e308 over a width of 2: the integral is inf, which no bound can judge
+        target = tmp_path / "never.csv"
+        code = main(["approx", "--f", "1e308", "--a", "-1", "--b", "1", "--n", "3",
+                     "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC and captured.out == ""
+        assert captured.err == "error: the integral overflows (inf)\n"
+        assert not target.exists()
 
 
 class TestDiffCommand:
@@ -638,7 +655,7 @@ class TestStrictJson:
         assert code == EXIT_NUMERIC
         payload = strict_json(out)
         if argv[0] == "substitute":
-            assert set(payload) == {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict"}
+            assert set(payload) == SUBSTITUTE_KEYS
         for key in path:
             payload = payload[key]
         assert payload == value
@@ -733,6 +750,8 @@ class TestCliFuzz:
     # reversed ends raised a ValueError traceback; 1e308 overflowed a trapezoid
     @example(f="x", a=1.0, b=0.0, same=False, n=3)
     @example(f="1e308", a=-1.0, b=0.0, same=False, n=3)
+    # the integral overflowed: exit 0 with "integral": "inf" and "deficit": "nan"
+    @example(f="1e308", a=-1.0, b=1.0, same=False, n=3)
     def test_approx(self, f, a, b, same, n):
         b = a if same else b
         self.check(["approx", *_formula_args("--f", f), "--a", repr(a), "--b", repr(b),

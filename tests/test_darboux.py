@@ -277,6 +277,46 @@ class TestCompensatedSum:
 
     def test_opposite_infinities_give_nan(self):
         assert math.isnan(compensated_sum(np.array([math.inf, -math.inf])))
+        both_in_one_block = np.zeros(4097)
+        both_in_one_block[:2] = math.inf, -math.inf
+        with np.errstate(all="raise"):  # and numpy warns of nothing
+            assert math.isnan(compensated_sum(both_in_one_block))
+
+    @staticmethod
+    def array_path(values):
+        """compensated_sum with fsum iterating the numpy arrays themselves."""
+        values = np.asarray(values, dtype=float)
+        if values.size <= 4096:
+            return D._fsum(values)
+        starts = np.arange(0, values.size, 4096)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return D._fsum(np.add.reduceat(values, starts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.sampled_from((0, 1, 2, 4095, 4096, 4097, 8192, 8193, 12289)),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from((1.0, 1e-300, 1e300, 1e308, -0.0)),
+           specials=st.lists(st.tuples(st.integers(0, 2**14), st.sampled_from(
+               (1e308, -1e308, math.inf, -math.inf, math.nan, -0.0, 5e-324))), max_size=6))
+    # one whole fsum block, and one block plus a single term
+    @example(size=4096, seed=0, scale=1.0, specials=[])
+    @example(size=4097, seed=0, scale=1.0, specials=[(4096, 1e16)])
+    # partial sums of +-1e308 overflow each way, within a block and across two
+    @example(size=4096, seed=0, scale=1.0, specials=[(0, 1e308), (1, 1e308)])
+    @example(size=4097, seed=0, scale=1.0, specials=[(0, -1e308), (4096, -1e308)])
+    @example(size=4097, seed=0, scale=1e308, specials=[])
+    @example(size=4097, seed=0, scale=1.0, specials=[(0, math.inf), (4096, -math.inf)])
+    @example(size=4096, seed=0, scale=1.0, specials=[(7, math.nan)])
+    @example(size=4097, seed=0, scale=-0.0, specials=[])
+    def test_matches_array_path(self, size, seed, scale, specials):
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, size) * scale
+        for i, v in specials:
+            if size:
+                values[i % size] = v
+        got, want = compensated_sum(values), self.array_path(values)
+        assert (math.isnan(got) and math.isnan(want)) or (
+            np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+        ), (got, want)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
