@@ -26,7 +26,7 @@ import numpy as np
 
 from . import darboux
 from .darboux import DEFAULT_CONFIG, Integrand, SamplingConfig, as_evaluator
-from .partition import Interval, block_grid
+from .partition import Interval, Partition, block_grid
 
 __all__ = [
     "PiecewiseLinear",
@@ -99,9 +99,7 @@ def build_approximant(
             f"level {n} is too fine for [{iv.a!r}, {iv.b!r}]:"
             f" some of its 2^{n} blocks round to zero width"
         )
-    m = np.array(
-        [darboux.infimum_on(f, Interval(lo, hi), cfg, hints) for lo, hi in zip(e[:-1], e[1:])]
-    )
+    m = darboux.infimum_on(f, Partition(e), cfg, hints)
     if (m < 0).any():
         k_bad = int(np.argmin(m)) + 1
         raise NegativityError(

@@ -442,7 +442,8 @@ def _continuity_verdict(ev: Evaluator, lo: float, hi: float, grid_size: int) -> 
     ys = ev(np.concatenate([np.linspace(lo, hi, n) for n in sizes]))
     mods = []
     for grid in np.split(ys, np.cumsum(sizes[:-1])):
-        with np.errstate(invalid="ignore"):  # inf - inf where phi overflows
+        # inf - inf where phi overflows; finite neighbours near +-1e308 overflow
+        with np.errstate(over="ignore", invalid="ignore"):
             mods.append(float(_finite_abs_max(np.diff(grid))))
     witness = {"sampled_moduli": mods}
     if any(math.isnan(m) for m in mods):

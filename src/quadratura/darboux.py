@@ -28,6 +28,12 @@ goes back to the first skipped level and doubles plainly from there.
 Isolated undefined sample points (both neighbours defined) are skipped
 under the default policy; this is how endpoint singularities like a
 derivative that only fails to exist at the boundary are tolerated.
+Hints take part in this unequally.  ``infimum_on`` and ``supremum_on``
+sort a hint's value into its cell's samples, so an undefined one is
+skipped between defined samples and raises next to an undefined one,
+and a defined hint can keep a cell whose grid samples are all undefined.
+``_scatter_hints`` (behind ``lower_sum``, ``upper_sum`` and
+``integrate``) leaves an undefined hint value out instead.
 Reductions run in fixed ascending cell order with compensated chunk
 summation, so results are bitwise reproducible.  A sum that is not
 finite ends refinement at once with a non-convergence error.
@@ -217,48 +223,89 @@ def _cell_extrema(ys: np.ndarray, w: int, policy: str):
 
 def _cell_bounds(
     f: Integrand,
-    cell: Interval,
+    cells: Interval | Partition,
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
-) -> tuple[float, float]:
-    """(min, max) of ``f`` over one cell's grid plus the hints inside it."""
-    if cell.is_degenerate:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Per-cell (min, max) of ``f`` over each cell's grid plus the hints inside it.
+
+    Cell [a, b] samples ``a + (width/w)*arange(w+1)`` with the last point
+    set to b, and the hints strictly inside it sorted in.  Runs of cells
+    without such a hint share their edge samples and are evaluated in
+    chunks of at most _CHUNK_POINTS samples; a cell with one is reduced on
+    its own.  A run also ends at an inner edge of -0.0, which the cell on
+    its left samples as b = -0.0 and the one on its right as a + 0 = +0.0.
+    An Interval gives floats, a Partition arrays.
+    """
+    if isinstance(cells, Partition):
+        pts = cells.points
+    elif cells.is_degenerate:
         raise ValueError("cell must be non-degenerate")
+    else:
+        pts = np.array([cells.a, cells.b])
+    ev = as_evaluator(f)
+    n = pts.size - 1
     w = cfg.samples_per_cell - 1
-    # np.linspace(a, b, w + 1) bit for bit, without its overhead
-    xs = cell.a + (cell.width / w) * np.arange(w + 1)
-    xs[-1] = cell.b
-    if hints:
-        inside = [h for h in hints if cell.a < h < cell.b]
-        if inside:
-            xs = np.concatenate([xs, np.asarray(inside, dtype=float)])
-            xs.sort()
-    lo, hi, _ = _cell_extrema(as_evaluator(f)(xs), xs.size - 1, cfg.undefined_policy)
-    return float(lo[0]), float(hi[0])
+    ramp = np.arange(w)
+
+    def grid(e: np.ndarray) -> np.ndarray:
+        # each cell's np.linspace(a, b, w + 1) bit for bit, its edges shared
+        rows = e[:-1, None] + (np.diff(e) / w)[:, None] * ramp
+        return np.append(rows.ravel(), e[-1])
+
+    hs = np.asarray(() if hints is None else hints, dtype=float)
+    # the one cell each hint can lie strictly inside
+    owner = np.clip(np.searchsorted(pts, hs, side="right") - 1, 0, n - 1)
+    inside = (pts[owner] < hs) & (hs < pts[owner + 1])
+    hinted = set(owner[inside].tolist())
+    inner = pts[1:-1]
+    negative_zero = (np.flatnonzero((inner == 0) & np.signbit(inner)) + 1).tolist()
+    cuts = sorted({0, n, *hinted, *(c + 1 for c in hinted), *negative_zero})
+
+    lo, hi = np.empty(n), np.empty(n)
+    per_chunk = max(1, (_CHUNK_POINTS - 1) // w)
+    for start, stop in zip(cuts, cuts[1:]):
+        for c0 in range(start, stop, per_chunk):
+            c1 = min(stop, c0 + per_chunk)
+            xs, gaps = grid(pts[c0 : c1 + 1]), w
+            if c0 in hinted:  # a run of one cell
+                xs = np.sort(np.concatenate([xs, hs[inside & (owner == c0)]]))
+                gaps = xs.size - 1
+            lo[c0:c1], hi[c0:c1], _ = _cell_extrema(ev(xs), gaps, cfg.undefined_policy)
+    if isinstance(cells, Interval):
+        return float(lo[0]), float(hi[0])
+    return lo, hi
 
 
 def infimum_on(
     f: Integrand,
-    cell: Interval,
+    cells: Interval | Partition,
     cfg: SamplingConfig = DEFAULT_CONFIG,
     hints: Sequence[float] | None = None,
-) -> float:
-    """Minimum of ``f`` over the cell's sample grid (approximate infimum).
+) -> float | np.ndarray:
+    """Minimum of ``f`` over each cell's sample grid (approximate infimum).
 
+    An Interval gives a float; a Partition gives an array with one value
+    per cell, each the value its cell gives as an Interval, bit for bit.
     With ``hints`` (interior turning points of f) the value is the true
-    infimum for functions monotone between hints.
+    infimum for functions monotone between hints.  A hint's value is one
+    more sample of the cell it lies strictly inside, so an undefined one
+    falls under the undefined-sample policy.
     """
-    return _cell_bounds(f, cell, cfg, hints)[0]
+    return _cell_bounds(f, cells, cfg, hints)[0]
 
 
 def supremum_on(
     f: Integrand,
-    cell: Interval,
+    cells: Interval | Partition,
     cfg: SamplingConfig = DEFAULT_CONFIG,
     hints: Sequence[float] | None = None,
-) -> float:
-    """Maximum of ``f`` over the cell's sample grid (approximate supremum)."""
-    return _cell_bounds(f, cell, cfg, hints)[1]
+) -> float | np.ndarray:
+    """Maximum of ``f`` over each cell's sample grid (approximate supremum).
+
+    Takes and gives what ``infimum_on`` does.
+    """
+    return _cell_bounds(f, cells, cfg, hints)[1]
 
 
 def _scatter_hints(
@@ -279,7 +326,7 @@ def _scatter_hints(
 
 def _hint_values(ev: Evaluator, hints: Sequence[float] | None, a: float, b: float):
     """(sorted hint points inside (a, b), their values), or None without any."""
-    inside = sorted(h for h in hints or () if a < h < b)
+    inside = sorted(h for h in (() if hints is None else hints) if a < h < b)
     if not inside:
         return None
     hint_xs = np.asarray(inside, dtype=float)

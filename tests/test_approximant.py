@@ -181,6 +181,47 @@ class TestMatchesPerBlockRule:
         assert got == want
 
 
+class TestAcrossChunks:
+    """One build over several evaluation chunks keeps the per-block bits."""
+
+    @pytest.mark.parametrize("samples", [2, 8, 64])
+    def test_hints_on_chunk_and_block_edges(self, monkeypatch, samples):
+        # 17 samples a chunk: 16 blocks of one gap, 2 of seven, 1 of 63
+        monkeypatch.setattr(darboux, "_CHUNK_POINTS", 17)
+        iv = Interval(0.1, 1.7)
+        n = 6
+        edges = block_grid(iv, n).boundaries()
+        chunk_edge, block_edge = float(edges[16]), float(edges[5])
+        inner = float(0.5 * (edges[40] + edges[41]))
+        f = parse(f"abs(x-{chunk_edge!r})+abs(x-{block_edge!r})+abs(x-{inner!r})")
+        hints = [chunk_edge, block_edge, inner]
+        cfg = SamplingConfig(samples_per_cell=samples)
+        sizes = []
+
+        def traced(xs):
+            sizes.append(xs.size)
+            return darboux.as_evaluator(f)(xs)
+
+        want = outcome(reference_build, f, iv, n, cfg, hints)
+        assert outcome(build_approximant, traced, iv, n, cfg, hints) == want
+        assert outcome(build_approximant, f, iv, n, cfg, np.array(hints)) == want
+        # a block with a hint inside is evaluated on its own, with that hint
+        assert len(sizes) > 2 and max(sizes) <= max(17, samples + 1)
+
+    def test_evaluation_chunks_stay_within_bound(self, monkeypatch):
+        monkeypatch.setattr(darboux, "_CHUNK_POINTS", 100)
+        sizes = []
+
+        def traced(xs):
+            sizes.append(xs.size)
+            return xs * xs
+
+        cfg = SamplingConfig(samples_per_cell=8)
+        got = darboux.infimum_on(traced, uniform_partition(UNIT, 512), cfg)
+        assert got.size == 512 and max(sizes) <= 100
+        assert sum(sizes) == 512 * 7 + len(sizes)  # edges shared inside each chunk
+
+
 class TestEvalPl:
     def test_segment_midpoint(self):
         g = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 2.0]))

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import sici
 
 from quadratura import darboux as D
+from quadratura.approximant import build_approximant
 from quadratura.changevar import SubstitutionProblem, rhs_integral
 from quadratura.darboux import (
     DarbouxEstimate,
@@ -22,6 +24,7 @@ from quadratura.darboux import (
 )
 from quadratura.expr import parse
 from quadratura.partition import Interval, Partition, uniform_partition
+from test_approximant import REFERENCE_FORMULAS
 
 EDGES = SamplingConfig(samples_per_cell=2)
 
@@ -78,6 +81,161 @@ class TestInfimum:
         f = parse("abs(x-1/2)")
         cell = Interval(0.4999, 0.5002)
         assert infimum_on(f, cell, EDGES, hints=(0.5,)) == 0.0
+
+
+def reference_cell(f, a, b, cfg, hints):
+    """The per-cell rule written out: one cell's grid, its interior hints sorted in."""
+    w = cfg.samples_per_cell - 1
+    xs = a + ((b - a) / w) * np.arange(w + 1)
+    xs[-1] = b
+    inside = [h for h in hints or () if a < h < b]
+    if inside:
+        xs = np.concatenate([xs, np.asarray(inside, dtype=float)])
+        xs.sort()
+    lo, hi, _ = D._cell_extrema(D.as_evaluator(f)(xs), xs.size - 1, cfg.undefined_policy)
+    return float(lo[0]), float(hi[0])
+
+
+def cell_outcome(run, *args):
+    try:
+        lo, hi = run(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return np.asarray(lo, dtype=float).tobytes(), np.asarray(hi, dtype=float).tobytes()
+
+
+@st.composite
+def partition_cases(draw):
+    a = draw(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, -0.0]), st.floats(-3.0, 3.0)))
+    steps = draw(st.lists(st.floats(1e-6, 1.5), min_size=1, max_size=12))
+    pts = np.concatenate([[a], a + np.cumsum(steps)])
+    hints = None
+    if draw(st.booleans()):
+        hints = []
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(st.sampled_from(["inside", "edge", "outside", "negative", "repeat"]))
+            if kind == "inside":
+                hints.append(float(pts[0] + draw(st.floats(0.0, 1.0)) * (pts[-1] - pts[0])))
+            elif kind == "edge":
+                hints.append(float(draw(st.sampled_from(pts.tolist()))))
+            elif kind == "outside":
+                hints.append(draw(st.sampled_from([pts[0] - 1.0, pts[-1] + 0.5])))
+            elif kind == "negative":  # undefined for sqrt(x)
+                hints.append(-draw(st.floats(1e-3, 2.0)))
+            elif hints:
+                hints.append(hints[-1])
+    return pts, hints
+
+
+class TestPartitionForm:
+    """infimum_on/supremum_on over a Partition is the per-cell Interval calls, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=st.sampled_from(REFERENCE_FORMULAS),
+        case=partition_cases(),
+        samples=st.sampled_from([2, 8, 64]),
+        policy=st.sampled_from([D.SKIP_ISOLATED, D.FAIL_ON_UNDEFINED]),
+        chunk_points=st.sampled_from([D._CHUNK_POINTS, 5, 64]),
+    )
+    # an inner edge of -0.0: the cell on its left samples -0.0, the one on its right +0.0
+    @example(text="x", case=(np.array([-1.0, -0.0, 1.0]), None), samples=2,
+             policy=D.SKIP_ISOLATED, chunk_points=D._CHUNK_POINTS)
+    # a hint on an edge, one inside, a repeat, one outside and one undefined for sqrt
+    @example(text="sqrt(x)", case=(np.array([-0.5, 0.25, 0.5, 2.0]), [0.25, 0.3, 0.3, 3.0, -0.2]),
+             samples=8, policy=D.SKIP_ISOLATED, chunk_points=5)
+    def test_matches_per_cell_calls_bitwise(self, text, case, samples, policy, chunk_points):
+        pts, hints = case
+        f = parse(text)
+        cfg = SamplingConfig(samples_per_cell=samples, undefined_policy=policy)
+        cells = list(zip(pts[:-1].tolist(), pts[1:].tolist()))
+
+        def per_cell(bounds):
+            pairs = [bounds(a, b) for a, b in cells]
+            return [lo for lo, _ in pairs], [hi for _, hi in pairs]
+
+        with np.errstate(all="ignore"):
+            written_out = cell_outcome(
+                per_cell, lambda a, b: reference_cell(f, a, b, cfg, hints)
+            )
+            intervals = cell_outcome(per_cell, lambda a, b: (
+                infimum_on(f, Interval(a, b), cfg, hints),
+                supremum_on(f, Interval(a, b), cfg, hints),
+            ))
+            with mock.patch.object(D, "_CHUNK_POINTS", chunk_points):
+                partition = cell_outcome(lambda: (
+                    infimum_on(f, Partition(pts), cfg, hints),
+                    supremum_on(f, Partition(pts), cfg, hints),
+                ))
+        assert intervals == written_out
+        assert partition == intervals
+
+    def test_interval_gives_float_partition_gives_array(self):
+        f = parse("x^2")
+        assert type(infimum_on(f, Interval(1.0, 2.0))) is float
+        got = supremum_on(f, Partition(np.array([0.0, 0.5, 2.0])), EDGES)
+        assert isinstance(got, np.ndarray) and got.tolist() == [0.25, 4.0]
+
+
+class TestNanHints:
+    """Cell extrema sort a hint's value into the cell's samples, NaN or not.
+
+    ``_scatter_hints`` (``lower_sum``, ``upper_sum``, ``integrate``) leaves
+    an undefined hint value out instead.
+    """
+
+    def test_undefined_hint_between_defined_samples_is_skipped(self):
+        f = parse("x+(x-0.3)/(x-0.3)")  # undefined at 0.3 only
+        cell = Interval(0.0, 1.0)
+        assert infimum_on(f, cell, EDGES, hints=[0.3]) == 1.0
+        assert supremum_on(f, cell, EDGES, hints=[0.3]) == 2.0
+        fail = SamplingConfig(samples_per_cell=2, undefined_policy=D.FAIL_ON_UNDEFINED)
+        with pytest.raises(UndefinedSamplesError, match="undefined sample value"):
+            infimum_on(f, cell, fail, hints=[0.3])
+        p = Partition(np.array([0.0, 0.5, 1.0]))
+        assert lower_sum(f, p, fail, hints=[0.3]) == lower_sum(f, p, fail)
+
+    def test_undefined_hint_next_to_undefined_sample_raises(self):
+        f = parse("sqrt(x)")
+        cell = Interval(-1.0, 1.0)
+        assert infimum_on(f, cell, EDGES) == 1.0  # sqrt(-1) alone is skipped
+        with pytest.raises(UndefinedSamplesError, match="adjacent undefined samples"):
+            infimum_on(f, cell, EDGES, hints=[-0.5])
+
+    def test_defined_hint_between_undefined_samples_keeps_the_cell(self):
+        f = parse("sqrt(0.5-abs(x))")  # undefined at both edges of [-1, 1]
+        with pytest.raises(UndefinedSamplesError, match="adjacent undefined samples"):
+            infimum_on(f, Interval(-1.0, 1.0), EDGES)
+        assert infimum_on(f, Interval(-1.0, 1.0), EDGES, hints=[0.0]) == math.sqrt(0.5)
+        g = parse("(x^2-1)/(x^2-1)")  # undefined at -1 and 1 only
+        got = infimum_on(g, Partition(np.array([-3.0, -1.0, 1.0, 3.0])), EDGES, hints=[0.0])
+        assert got.tolist() == [1.0, 1.0, 1.0]
+        with pytest.raises(UndefinedSamplesError, match="adjacent undefined samples"):
+            infimum_on(g, Partition(np.array([-3.0, -1.0, 1.0, 3.0])), EDGES)
+
+
+class TestArrayHints:
+    """Hints given as an ndarray give the bits a list of the same hints gives."""
+
+    @pytest.mark.parametrize("hints", [[0.3, 0.5], [0.5, 0.3, 0.3], []], ids=repr)
+    def test_ndarray_matches_list(self, hints):
+        f = parse("abs(x-0.3)+abs(x-0.5)")
+        iv = Interval(0.0, 1.0)
+        p = Partition(np.array([0.0, 0.3, 0.4, 1.0]))
+        arr = np.array(hints, dtype=float)
+
+        def results(h):
+            est = integrate(f, iv, 1e-6, EDGES, h)
+            g = build_approximant(f, iv, 6, EDGES, h)
+            return (
+                infimum_on(f, Interval(0.0, 0.45), EDGES, h),
+                supremum_on(f, p, EDGES, h).tobytes(),
+                lower_sum(f, p, EDGES, h),
+                (est.lower, est.upper, est.cells),
+                g.knots.tobytes(), g.values.tobytes(),
+            )
+
+        assert results(arr) == results(hints)
 
 
 class TestSums:
