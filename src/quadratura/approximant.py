@@ -144,13 +144,16 @@ def integrate_pl(g: PiecewiseLinear, c: float, d: float) -> float:
         raise ValueError(f"[{c}, {d}] not inside knot range [{iv.a}, {iv.b}]")
     if c == d:
         return 0.0
-    inner = g.knots[(g.knots > c) & (g.knots < d)]
-    xs = np.concatenate([[c], inner, [d]])
-    ys = eval_pl(g, xs)
+    # knots strictly inside (c, d) with their own values, which eval_pl gives there
+    i = np.searchsorted(g.knots, c, side="right")
+    j = np.searchsorted(g.knots, d, side="left")
+    yc, yd = eval_pl(g, np.array([c, d]))
+    xs = np.concatenate([[c], g.knots[i:j], [d]])
+    ys = np.concatenate([[yc], g.values[i:j], [yd]])
     with np.errstate(over="ignore"):  # halving first keeps values near 1e308 finite
         areas = (0.5 * ys[:-1] + 0.5 * ys[1:]) * np.diff(xs)
     try:
-        return math.fsum(areas)
+        return math.fsum(areas.tolist())
     except OverflowError:  # finite nonnegative areas whose sum overflows
         return math.inf
 

@@ -24,7 +24,7 @@ from .darboux import CELL_CAP, DarbouxEstimate, NonConvergenceError, SamplingCon
 from .expr import ParseError
 from .gallery import run_gallery
 from .improper import ImproperReport, ImproperSchedule, improper_verify
-from .partition import Interval, ResourceLimitError
+from .partition import Interval, ResourceLimitError, uniform_partition
 
 __all__ = ["main"]
 
@@ -57,12 +57,7 @@ def _json_text(payload) -> str:
 
 
 def _emit(payload, args) -> None:
-    text = _json_text(payload)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit_text(_json_text(payload) + "\n", args)
 
 
 def _emit_text(text: str, args) -> None:
@@ -230,8 +225,6 @@ def cmd_approx(args) -> int:
         "csv": args.out or None,
     }
     if args.n >= 3:
-        from .partition import uniform_partition
-
         blocks = uniform_partition(iv, 2**args.n)
         s = darboux.lower_sum(f, blocks, cfg)
         dense = SamplingConfig(samples_per_cell=4097)

@@ -2,7 +2,9 @@
 
 Per-cell extrema come from a finite sample grid, so the sums here are
 "sampled Darboux" sums: the lower sum may overestimate a true infimum
-between samples (and the upper sum underestimate a supremum).  For
+between samples (and the upper sum underestimate a supremum).  Over a
+``Partition``, ``lower_sum`` and ``upper_sum`` weight by the cell widths
+the very extrema ``infimum_on`` and ``supremum_on`` give for it.  For
 functions that are piecewise monotone at the sampling scale the bracket
 is exact; callers needing guarantees pass ``hints`` listing the interior
 turning points, which makes every cell extremum exact.
@@ -339,28 +341,14 @@ def _partition_sums(
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
 ) -> tuple[float, float]:
-    """(lower, upper) sampled Darboux sums over an arbitrary partition."""
-    ev = as_evaluator(f)
+    """(lower, upper) sampled Darboux sums: the cell extrema times the widths."""
+    lows, highs = _cell_bounds(f, p, cfg, None)
     pts = p.points
-    widths = p.widths()
-    n = p.cell_count
-    w = cfg.samples_per_cell - 1
-    offsets = np.linspace(0.0, 1.0, w + 1)[:-1]
-
-    lows = np.empty(n)
-    highs = np.empty(n)
-    chunk = max(1, _CHUNK_POINTS // w)
-    for i0 in range(0, n, chunk):
-        i1 = min(n, i0 + chunk)
-        grid = pts[i0:i1, None] + widths[i0:i1, None] * offsets
-        xs = np.append(grid.ravel(), pts[i1])  # exact shared edges
-        lows[i0:i1], highs[i0:i1], _ = _cell_extrema(ev(xs), w, cfg.undefined_policy)
-
-    hinted = _hint_values(ev, hints, pts[0], pts[-1])
+    hinted = _hint_values(as_evaluator(f), hints, pts[0], pts[-1])
     if hinted is not None:
         _scatter_hints(lows, pts, *hinted, want_max=False)
         _scatter_hints(highs, pts, *hinted, want_max=True)
-
+    widths = p.widths()
     with np.errstate(over="ignore"):
         return compensated_sum(lows * widths), compensated_sum(highs * widths)
 

@@ -111,7 +111,7 @@ def run_gallery_entry(
     profile = GALLERY_PROFILES[entry.id]
     expected = expected_value(entry)
     tol = entry.tol if tol_override is None else tol_override
-    samples = profile.get("samples", 2) if samples_override is None else samples_override
+    samples = profile["samples"] if samples_override is None else samples_override
     cfg = SamplingConfig(samples_per_cell=samples)
     problem = _entry_problem(entry)
 
@@ -121,19 +121,19 @@ def run_gallery_entry(
             hi=entry.beta,
             lo_open=True,
             hi_open=True,
-            offset=profile.get("t_offset", (entry.beta - entry.alpha) / 4.0),
-            max_steps=profile.get("max_steps", 40),
+            offset=profile["t_offset"],
+            max_steps=profile["max_steps"],
             tol=profile["rhs_tol"] if tol_override is None else tol_override,
         )
         report = improper_verify(
             problem,
             schedule,
             tol=tol,
-            rhs_inner_tol=profile.get("rhs_inner_tol", tol / 4.0),
-            lhs_inner_tol=profile.get("lhs_inner_tol", tol / 4.0),
-            lhs_cutoff_base=profile.get("lhs_cutoff_base", 1.0),
-            lhs_max_steps=profile.get("lhs_max_steps"),
-            lhs_tol=profile.get("lhs_tol", tol),
+            rhs_inner_tol=profile["rhs_inner_tol"],
+            lhs_inner_tol=profile["lhs_inner_tol"],
+            lhs_cutoff_base=profile["lhs_cutoff_base"],
+            lhs_max_steps=profile["lhs_max_steps"],
+            lhs_tol=profile["lhs_tol"],
             cfg=cfg,
             max_cells=max_cells,
         )
@@ -141,7 +141,7 @@ def run_gallery_entry(
         verdict = report.verdict
         detail = report.to_json()
     else:
-        verify_tol = profile.get("verify_tol", tol) if tol_override is None else tol_override
+        verify_tol = profile["verify_tol"] if tol_override is None else tol_override
         report = changevar.verify(problem, verify_tol, cfg, max_cells=max_cells)
         lhs_value = report.lhs.midpoint if report.lhs else math.nan
         rhs_value = report.rhs.midpoint if report.rhs else math.nan

@@ -290,6 +290,25 @@ class TestIntegratePl:
         g = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
         assert integrate_pl(g, 0.3, 0.3) == 0.0
 
+    @pytest.mark.parametrize("text", ["x", "abs(x-1/3)", "1+sin(20*x)"])
+    def test_sub_ranges_match_trapezoid_over_eval_pl(self, text):
+        g = build_approximant(parse(text), UNIT, 6, SamplingConfig(samples_per_cell=8))
+        kn = g.knots
+        ranges = [
+            (0.0, 1.0),  # the full range
+            (float(kn[3]), float(kn[40])),  # both ends on a knot
+            (float(kn[3]), 0.6180339887),  # one end on a knot, one between knots
+            (0.1234567, float(kn[-2])),
+            (0.1234567, 0.6180339887),  # both ends between knots
+            (float(kn[5]), float(kn[6])),  # adjacent knots: no knot strictly inside
+            (0.3000001, 0.3000002),  # inside one segment
+        ]
+        for c, d in ranges:
+            xs = np.concatenate([[c], kn[(kn > c) & (kn < d)], [d]])
+            ys = eval_pl(g, xs)
+            want = math.fsum(((0.5 * ys[:-1] + 0.5 * ys[1:]) * np.diff(xs)).tolist())
+            assert integrate_pl(g, c, d).hex() == want.hex(), (c, d)
+
 
 class TestL1Distance:
     def test_constant_is_exact_at_level3(self):

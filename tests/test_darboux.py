@@ -238,6 +238,41 @@ class TestArrayHints:
         assert results(arr) == results(hints)
 
 
+class TestSumsOfCellExtrema:
+    """lower_sum/upper_sum sum the Partition-form cell extrema times the cell widths."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=st.sampled_from(REFERENCE_FORMULAS),
+        case=partition_cases(),
+        samples=st.sampled_from([2, 8, 64]),
+        policy=st.sampled_from([D.SKIP_ISOLATED, D.FAIL_ON_UNDEFINED]),
+    )
+    # one cell where a second grid formula rounded a sample differently
+    @example(text="sin(20*x)", case=(np.array([0.73, 0.89]), None), samples=8,
+             policy=D.SKIP_ISOLATED)
+    def test_matches_weighted_extrema(self, text, case, samples, policy):
+        pts, hints = case
+        f = parse(text)
+        cfg = SamplingConfig(samples_per_cell=samples, undefined_policy=policy)
+        p = Partition(pts)
+        if hints is not None:  # the sums leave an undefined hint value out, the extrema do not
+            with np.errstate(all="ignore"):
+                hints = [h for h in hints if not math.isnan(D.as_evaluator(f)(np.array([h]))[0])]
+
+        def weighted(bounds_hints):
+            return (
+                compensated_sum(infimum_on(f, p, cfg, bounds_hints) * p.widths()),
+                compensated_sum(supremum_on(f, p, cfg, bounds_hints) * p.widths()),
+            )
+
+        with np.errstate(all="ignore"):
+            sums = cell_outcome(lambda: (lower_sum(f, p, cfg, hints), upper_sum(f, p, cfg, hints)))
+            # the sums raise from the hintless grid, where a defined hint can keep a cell
+            raised = isinstance(sums[0], type)
+            assert sums == cell_outcome(weighted, None if raised else hints)
+
+
 class TestSums:
     def test_constant_both_sums(self):
         p = uniform_partition(Interval(2.0, 5.0), 7)
