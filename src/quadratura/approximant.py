@@ -32,6 +32,7 @@ __all__ = [
     "PiecewiseLinear",
     "NegativityError",
     "build_approximant",
+    "approximant_with_infima",
     "eval_pl",
     "integrate_pl",
     "l1_distance",
@@ -85,12 +86,28 @@ def build_approximant(
     turning points of f).  A sampled negative value raises
     NegativityError.  Levels 1 and 2 return the zero function.
     """
+    return approximant_with_infima(f, iv, n, cfg, hints)[0]
+
+
+def approximant_with_infima(
+    f: Integrand,
+    iv: Interval,
+    n: int,
+    cfg: SamplingConfig = DEFAULT_CONFIG,
+    hints: Sequence[float] | None = None,
+) -> tuple[PiecewiseLinear, Partition | None, np.ndarray | None]:
+    """``build_approximant``'s function, its 2**n blocks and their infima.
+
+    The blocks and infima are None at levels 1 and 2.  Without hints the
+    infima times the block widths are the terms of ``lower_sum`` over the
+    blocks, bit for bit.
+    """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     if iv.is_degenerate:
         raise ValueError("cannot approximate over a degenerate interval")
     if n <= 2:
-        return PiecewiseLinear(np.array([iv.a, iv.b]), np.zeros(2))
+        return PiecewiseLinear(np.array([iv.a, iv.b]), np.zeros(2)), None, None
 
     grid = block_grid(iv, n)
     e = grid.boundaries()
@@ -99,7 +116,8 @@ def build_approximant(
             f"level {n} is too fine for [{iv.a!r}, {iv.b!r}]:"
             f" some of its 2^{n} blocks round to zero width"
         )
-    m = darboux.infimum_on(f, Partition(e), cfg, hints)
+    blocks = Partition(e)
+    m = darboux.infimum_on(f, blocks, cfg, hints)
     if (m < 0).any():
         k_bad = int(np.argmin(m)) + 1
         raise NegativityError(
@@ -114,7 +132,7 @@ def build_approximant(
     xs = np.concatenate([[e[0], e[1] - eps], xs[:-1], [e[-1]]])
     ys = np.concatenate([m[:1], m[:1], ys])
     keep = np.concatenate([[True], xs[1:] != xs[:-1]])  # rounding can merge knots
-    return PiecewiseLinear(xs[keep], ys[keep])
+    return PiecewiseLinear(xs[keep], ys[keep]), blocks, m
 
 
 def eval_pl(g: PiecewiseLinear, x):

@@ -18,13 +18,15 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import approximant, changevar, darboux, expr
 from .changevar import VERIFIED, SubstitutionProblem
 from .darboux import CELL_CAP, DarbouxEstimate, NonConvergenceError, SamplingConfig
 from .expr import ParseError
 from .gallery import run_gallery
 from .improper import ImproperReport, ImproperSchedule, improper_verify
-from .partition import Interval, ResourceLimitError, uniform_partition
+from .partition import Interval, ResourceLimitError
 
 __all__ = ["main"]
 
@@ -210,7 +212,7 @@ def cmd_approx(args) -> int:
     cfg = _cfg_from(args)
     try:
         iv = Interval(args.a, args.b)
-        g = approximant.build_approximant(f, iv, args.n, cfg)
+        g, blocks, m = approximant.approximant_with_infima(f, iv, args.n, cfg)
     except (ResourceLimitError, approximant.NegativityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -224,9 +226,9 @@ def cmd_approx(args) -> int:
         "integral": approximant.integrate_pl(g, iv.a, iv.b),
         "csv": args.out or None,
     }
-    if args.n >= 3:
-        blocks = uniform_partition(iv, 2**args.n)
-        s = darboux.lower_sum(f, blocks, cfg)
+    if m is not None:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            s = darboux.compensated_sum(m * blocks.widths())  # lower_sum over the blocks
         dense = SamplingConfig(samples_per_cell=4097)
         m_sup = darboux.supremum_on(f, iv, dense)
         deficit = s - summary["integral"]

@@ -37,8 +37,11 @@ and a defined hint can keep a cell whose grid samples are all undefined.
 ``_scatter_hints`` (behind ``lower_sum``, ``upper_sum`` and
 ``integrate``) leaves an undefined hint value out instead.
 Reductions run in fixed ascending cell order with compensated chunk
-summation, so results are bitwise reproducible.  A sum that is not
-finite ends refinement at once with a non-convergence error.
+summation, so results are bitwise reproducible.  Samples are evaluated
+and reduced in blocks of at most 8192 points, which bound the working
+memory; the summation chunks of 2**21 samples, not the blocks, fix the
+order of the sums.  A sum that is not finite ends refinement at once
+with a non-convergence error.
 """
 
 from __future__ import annotations
@@ -81,7 +84,11 @@ FAIL_ON_UNDEFINED = "fail"
 START_CELLS = 2**10
 CELL_CAP = 2**24
 
-_CHUNK_POINTS = 2**21  # bound per-chunk working memory to ~16 MB of samples
+# Samples are evaluated and reduced in blocks of at most this many points,
+# one evaluator block (``expr._EVAL_BLOCK``), so their temporaries stay in cache.
+_CHUNK_POINTS = 8192
+# ``integrate`` sums 2**21 // w cells a chunk: this fixes its summation order.
+_SUM_CHUNK_POINTS = 2**21
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 Integrand = Union[Expr, Evaluator]
@@ -191,13 +198,15 @@ def compensated_sum(values: np.ndarray) -> float:
         return _fsum(np.add.reduceat(values, starts).tolist())
 
 
-def _cell_extrema(ys: np.ndarray, w: int, policy: str):
+def _cell_extrema(ys: np.ndarray, w: int, policy: str, lo=None, hi=None):
     """Per-cell (min, max) of shared-edge samples; cell i owns ys[i*w : i*w + w + 1].
 
     Undefined (NaN) samples raise under FAIL_ON_UNDEFINED; under
     SKIP_ISOLATED they are left out unless two are adjacent, so every
     cell keeps a defined sample.  The third value holds their indices
     (None when there are none).  ``ys`` is masked in place and restored.
+    The extrema are written into ``lo`` and ``hi`` when given (one slot
+    per cell), else into fresh arrays.
     """
     mask = np.isnan(ys)
     undefined = None
@@ -212,11 +221,11 @@ def _cell_extrema(ys: np.ndarray, w: int, policy: str):
         ys[undefined] = np.inf
     body = ys[:-1].reshape(-1, w)
     right = ys[w::w]
-    lo = body.min(axis=1)
+    lo = body.min(axis=1, out=lo)
     np.minimum(lo, right, out=lo)
     if undefined is not None:
         ys[undefined] = -np.inf
-    hi = body.max(axis=1)
+    hi = body.max(axis=1, out=hi)
     np.maximum(hi, right, out=hi)
     if undefined is not None:
         ys[undefined] = np.nan
@@ -273,7 +282,7 @@ def _cell_bounds(
             if c0 in hinted:  # a run of one cell
                 xs = np.sort(np.concatenate([xs, hs[inside & (owner == c0)]]))
                 gaps = xs.size - 1
-            lo[c0:c1], hi[c0:c1], _ = _cell_extrema(ev(xs), gaps, cfg.undefined_policy)
+            _cell_extrema(ev(xs), gaps, cfg.undefined_policy, lo[c0:c1], hi[c0:c1])
     if isinstance(cells, Interval):
         return float(lo[0]), float(hi[0])
     return lo, hi
@@ -385,7 +394,10 @@ def _uniform_sums(
 
     Cell i's samples are the global uniform grid slice [i*w, i*w + w]
     for w = samples_per_cell - 1, so each distinct point is evaluated
-    once.  ``magnitude``, the sum of (|min| + |max|) * width over the
+    once, except the edge sample two evaluation blocks share.  Blocks of
+    at most _CHUNK_POINTS samples fill in the cell extrema of a chunk of
+    _SUM_CHUNK_POINTS samples, which is summed whole, so blocks change
+    no bit.  ``magnitude``, the sum of (|min| + |max|) * width over the
     cells, scales the rounding of the sums; ``holes`` tells whether an
     undefined sample was skipped strictly inside (a, b).
     """
@@ -397,18 +409,24 @@ def _uniform_sums(
     lo_parts: list[float] = []
     hi_parts: list[float] = []
     magnitude, holes = 0.0, False
-    cells_per_chunk = max(1, _CHUNK_POINTS // w)
+    cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
+    cells_per_block = max(1, (_CHUNK_POINTS - 1) // w)
     for c0 in range(0, cells, cells_per_chunk):
         c1 = min(cells, c0 + cells_per_chunk)
-        xs = np.arange(c0 * w, c1 * w + 1, dtype=float)
-        xs *= step
-        xs += a
-        if c1 == cells:
-            xs[-1] = b
-        lo, hi, undefined = _cell_extrema(ev(xs), w, cfg.undefined_policy)
-        if undefined is not None:
-            undefined += c0 * w  # global sample index; 0 is a, cells*w is b
-            holes = holes or bool(((undefined > 0) & (undefined < cells * w)).any())
+        lo, hi = np.empty(c1 - c0), np.empty(c1 - c0)
+        for k0 in range(c0, c1, cells_per_block):
+            k1 = min(c1, k0 + cells_per_block)
+            xs = np.arange(k0 * w, k1 * w + 1, dtype=float)
+            xs *= step
+            xs += a
+            if k1 == cells:
+                xs[-1] = b
+            _, _, undefined = _cell_extrema(
+                ev(xs), w, cfg.undefined_policy, lo[k0 - c0 : k1 - c0], hi[k0 - c0 : k1 - c0]
+            )
+            if undefined is not None:
+                undefined += k0 * w  # global sample index; 0 is a, cells*w is b
+                holes = holes or bool(((undefined > 0) & (undefined < cells * w)).any())
         if hinted is not None:
             edges = a + dx * np.arange(c0, c1 + 1)
             if c1 == cells:

@@ -10,6 +10,7 @@ from quadratura import darboux
 from quadratura.approximant import (
     NegativityError,
     PiecewiseLinear,
+    approximant_with_infima,
     build_approximant,
     eval_pl,
     integrate_pl,
@@ -220,6 +221,27 @@ class TestAcrossChunks:
         got = darboux.infimum_on(traced, uniform_partition(UNIT, 512), cfg)
         assert got.size == 512 and max(sizes) <= 100
         assert sum(sizes) == 512 * 7 + len(sizes)  # edges shared inside each chunk
+
+
+class TestWithInfima:
+    """approximant_with_infima gives build_approximant's function and the terms of lower_sum."""
+
+    @pytest.mark.parametrize("samples", [2, 8, 64])
+    @pytest.mark.parametrize("text", ["x^2", "1+sin(x)", "abs(x-1/3)", "sqrt(x)"])
+    def test_infima_sum_to_lower_sum_bitwise(self, text, samples):
+        f, iv, n = parse(text), Interval(0.0, 1.7), 9
+        cfg = SamplingConfig(samples_per_cell=samples)
+        g, blocks, m = approximant_with_infima(f, iv, n, cfg)
+        assert outcome(lambda: g) == outcome(build_approximant, f, iv, n, cfg)
+        uniform = uniform_partition(iv, 2**n)
+        assert blocks.points.tobytes() == uniform.points.tobytes()
+        got = darboux.compensated_sum(m * blocks.widths())
+        assert got.hex() == darboux.lower_sum(f, uniform, cfg).hex()
+
+    def test_low_levels_have_no_blocks(self):
+        g, blocks, m = approximant_with_infima(parse("x"), UNIT, 2, EDGES)
+        assert blocks is None and m is None
+        assert g.values.tolist() == [0.0, 0.0]
 
 
 class TestEvalPl:

@@ -20,7 +20,7 @@ from quadratura.darboux import SamplingConfig
 from quadratura.expr import evaluate, parse
 from quadratura.gallery import GALLERY
 from quadratura.improper import ImproperSchedule, improper_verify
-from quadratura.partition import Interval
+from quadratura.partition import Interval, uniform_partition
 
 
 # ``reason`` is empty when both sides closed
@@ -240,6 +240,24 @@ class TestApproxCommand:
             rows = list(csv.reader(fh))[1:]
         values = sorted({float(r[1]) for r in rows})
         assert values == [k / 8 for k in range(8)]
+
+    def test_blocks_evaluated_once(self, capsys, monkeypatch):
+        sizes = []
+        real = darboux.evaluate_array
+
+        def counting(e, xs):
+            sizes.append(np.size(xs))
+            return real(e, xs)
+
+        monkeypatch.setattr(darboux, "evaluate_array", counting)
+        code, out = run(capsys, "approx", "--f", "x^2", "--a", "0", "--b", "1",
+                        "--n", "10", "--samples", "2")
+        assert code == EXIT_OK
+        # the 1,025 block edges for g and its lower sum, 4,097 points for the bound
+        assert sorted(sizes) == [1025, 4097]
+        blocks = uniform_partition(Interval(0.0, 1.0), 2**10)
+        want = darboux.lower_sum(parse("x^2"), blocks, SamplingConfig(samples_per_cell=2))
+        assert json.loads(out)["block_lower_sum"] == want
 
     def test_resource_cap(self, capsys):
         code, _ = run(capsys, "approx", "--f", "x", "--a", "0", "--b", "1", "--n", "30")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -651,6 +652,193 @@ class TestLevelSkipping:
             want = integrate_outcome(plain_doubling, *args)
             got = integrate_outcome(integrate, *args)
         assert got == want
+
+
+def whole_chunk_sums(ev, a, b, cells, cfg, hints):
+    """``_uniform_sums`` with each summation chunk sampled and evaluated at once."""
+    w = cfg.samples_per_cell - 1
+    step = (b - a) / (cells * w)
+    dx = (b - a) / cells
+    hinted = D._hint_values(ev, hints, a, b)
+    lo_parts, hi_parts = [], []
+    magnitude, holes = 0.0, False
+    cells_per_chunk = max(1, D._SUM_CHUNK_POINTS // w)
+    for c0 in range(0, cells, cells_per_chunk):
+        c1 = min(cells, c0 + cells_per_chunk)
+        xs = np.arange(c0 * w, c1 * w + 1, dtype=float) * step + a
+        if c1 == cells:
+            xs[-1] = b
+        lo, hi, undefined = D._cell_extrema(ev(xs), w, cfg.undefined_policy)
+        if undefined is not None:
+            undefined += c0 * w
+            holes = holes or bool(((undefined > 0) & (undefined < cells * w)).any())
+        if hinted is not None:
+            edges = a + dx * np.arange(c0, c1 + 1)
+            if c1 == cells:
+                edges[-1] = b
+            D._scatter_hints(lo, edges, *hinted, want_max=False)
+            D._scatter_hints(hi, edges, *hinted, want_max=True)
+        lo_parts.append(compensated_sum(lo))
+        hi_parts.append(compensated_sum(hi))
+        magnitude += float(np.abs(lo).sum() + np.abs(hi).sum())
+    return D._fsum(lo_parts) * dx, D._fsum(hi_parts) * dx, magnitude * dx, holes
+
+
+def sums_outcome(run, *args):
+    try:
+        lower, upper, magnitude, holes = run(*args)
+    except UndefinedSamplesError as exc:
+        return type(exc), str(exc)
+    return lower.hex(), upper.hex(), magnitude.hex(), holes
+
+
+def counted_outcome(run, *args):
+    """``integrate_outcome`` with the work counts of the estimate."""
+    try:
+        est, head = run(*args), ()
+    except NonConvergenceError as exc:
+        est, head = exc.estimate, (type(exc), str(exc))
+    except UndefinedSamplesError as exc:
+        return type(exc), str(exc)
+    return (*head, est.lower.hex(), est.upper.hex(), est.norm.hex(), est.cells,
+            est.levels, est.swept)
+
+
+def sample_at(a, b, cells, w, i):
+    """The grid point ``_uniform_sums`` samples as global index i."""
+    return b if i == cells * w else float(i) * ((b - a) / (cells * w)) + a
+
+
+@st.composite
+def block_cases(draw):
+    """A level whose undefined points and hints sit on evaluation-block and summation-chunk edges."""
+    samples = draw(st.sampled_from([2, 3, 8, 17, 64]))
+    w = samples - 1
+    chunk_points = draw(st.sampled_from([17, 100, D._CHUNK_POINTS]))
+    sum_points = draw(st.sampled_from([D._SUM_CHUNK_POINTS, 64, 333]))
+    policy = draw(st.sampled_from([D.SKIP_ISOLATED, D.FAIL_ON_UNDEFINED]))
+    a = draw(st.sampled_from([0.0, -1.0, 0.1, -0.3]))
+    b = a + draw(st.sampled_from([1.0, 2.5, 0.7]))
+    cells = draw(st.integers(1, 1500))
+    per_block = max(1, (chunk_points - 1) // w)
+    per_sum = max(1, sum_points // w)
+    edges = {0, cells * w}
+    for c0 in range(0, cells, per_sum):
+        edges.update(range(c0 * w, min(cells, c0 + per_sum) * w, per_block * w))
+    edges = sorted(edges)
+    bad, hints = set(), []
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.sampled_from(edges)) if draw(st.booleans()) else draw(
+            st.integers(0, cells * w))
+        kind = draw(st.sampled_from(["isolated", "pair-left", "pair-right", "hint"]))
+        x = sample_at(a, b, cells, w, i)
+        if kind == "hint":
+            hints.append(x)
+            continue
+        span = {"isolated": (i,), "pair-left": (i - 1, i), "pair-right": (i, i + 1)}[kind]
+        bad.update(sample_at(a, b, cells, w, j) for j in span if 0 <= j <= cells * w)
+    return samples, chunk_points, sum_points, policy, a, b, cells, sorted(bad), hints or None
+
+
+def block_integrand(bad, sizes):
+    """abs(sin(7x)) with NaN at the points ``bad``, recording each call's size."""
+    bad = np.asarray(bad, dtype=float)
+
+    def f(xs):
+        sizes.append(xs.size)
+        return np.where(np.isin(xs, bad), np.nan, np.abs(np.sin(7.0 * xs)))
+
+    return f
+
+
+class TestEvaluationBlocks:
+    """integrate samples, evaluates and reduces blocks of at most _CHUNK_POINTS samples.
+
+    Its sums, errors and counts are those of sampling each summation chunk
+    of _SUM_CHUNK_POINTS samples at once, bit for bit.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=block_cases())
+    # an isolated undefined sample on the first block edge (17 points, 16 gaps)
+    @example(case=(2, 17, D._SUM_CHUNK_POINTS, D.SKIP_ISOLATED, 0.0, 1.0, 100,
+                   [sample_at(0.0, 1.0, 100, 1, 16)], None))
+    # adjacent undefined samples on each side of that edge, and under the fail policy
+    @example(case=(3, 17, D._SUM_CHUNK_POINTS, D.SKIP_ISOLATED, 0.0, 1.0, 100,
+                   [sample_at(0.0, 1.0, 100, 2, i) for i in (15, 16)], None))
+    @example(case=(3, 17, D._SUM_CHUNK_POINTS, D.SKIP_ISOLATED, 0.0, 1.0, 100,
+                   [sample_at(0.0, 1.0, 100, 2, i) for i in (16, 17)], None))
+    @example(case=(3, 17, D._SUM_CHUNK_POINTS, D.FAIL_ON_UNDEFINED, 0.0, 1.0, 100,
+                   [sample_at(0.0, 1.0, 100, 2, 16)], None))
+    # an undefined sample at b, in the last of several blocks, is not a hole
+    @example(case=(2, 17, D._SUM_CHUNK_POINTS, D.SKIP_ISOLATED, 0.0, 1.0, 100, [1.0], None))
+    # a hint on a block edge that is also a summation-chunk edge (64 points)
+    @example(case=(8, 17, 64, D.SKIP_ISOLATED, 0.1, 1.1, 40, [],
+                   [sample_at(0.1, 1.1, 40, 7, 63)]))
+    def test_level_matches_whole_chunks(self, case):
+        samples, chunk_points, sum_points, policy, a, b, cells, bad, hints = case
+        cfg = SamplingConfig(samples_per_cell=samples, undefined_policy=policy)
+        sizes = []
+        f = D.as_evaluator(block_integrand(bad, sizes))
+        with mock.patch.object(D, "_CHUNK_POINTS", chunk_points), \
+                mock.patch.object(D, "_SUM_CHUNK_POINTS", sum_points), np.errstate(all="ignore"):
+            want = sums_outcome(whole_chunk_sums, f, a, b, cells, cfg, hints)
+            sizes.clear()
+            got = sums_outcome(D._uniform_sums, f, a, b, cells, cfg, hints)
+        assert got == want
+        assert max(sizes) <= max(chunk_points, samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=block_cases(), start=st.sampled_from([3, 7]),
+           tol=st.floats(-7.0, -2.0).map(lambda e: 10.0**e))
+    def test_integrate_matches_whole_chunks(self, case, start, tol):
+        samples, chunk_points, sum_points, policy, a, b, cells, bad, hints = case
+        cfg = SamplingConfig(samples_per_cell=samples, undefined_policy=policy)
+        f = block_integrand(bad, [])
+        args = (f, Interval(a, b), tol, cfg, hints, 4 * cells, start)
+        with mock.patch.object(D, "_CHUNK_POINTS", chunk_points), \
+                mock.patch.object(D, "_SUM_CHUNK_POINTS", sum_points), np.errstate(all="ignore"):
+            with mock.patch.object(D, "_uniform_sums", whole_chunk_sums):
+                want = counted_outcome(integrate, *args)
+            got = counted_outcome(integrate, *args)
+        assert got == want
+
+    def test_default_sizes_across_chunk_edges(self):
+        # 65,536 cells of 63 gaps: blocks of 130 cells, summation chunks of 33,288
+        a, b, cells, w = 0.0, 1.0, 65536, 63
+        at = [33288 * w, 130 * w, 33280 * w, 65530 * w]  # chunk edge, block edges
+        bad = [sample_at(a, b, cells, w, i) for i in at]
+        sizes = []
+        f = D.as_evaluator(block_integrand(bad, sizes))
+        cfg = SamplingConfig(samples_per_cell=64)
+        hints = [sample_at(a, b, cells, w, i + w) for i in at]
+        with np.errstate(all="ignore"):
+            want = sums_outcome(whole_chunk_sums, f, a, b, cells, cfg, hints)
+            sizes.clear()
+            got = sums_outcome(D._uniform_sums, f, a, b, cells, cfg, hints)
+        assert got == want and got[3] is True
+        assert max(sizes) <= D._CHUNK_POINTS
+        # one more point for each of the 505 block edges inside the level
+        assert sum(sizes) == cells * w + 1 + 505 + len(hints)
+
+    def test_e1_level_memory(self):
+        # E1's rhs integrand at 64 samples: 2**16 cells are 4.1 M samples
+        f = parse("(t*sin(1/t))^3*(sin(1/t)-cos(1/t)/t)")
+        iv = Interval(0.0, 2.0 / math.pi)
+        cfg = SamplingConfig(samples_per_cell=64)
+
+        def level():
+            return integrate(f, iv, 1.0, cfg, start_cells=2**16)
+
+        level()  # compile the tape first
+        tracemalloc.start()
+        try:
+            est = level()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.cells == 2**16 and est.levels == 1
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # float.hex of (lower_sum, upper_sum) on UNIFORM_16, the same on IRREGULAR,
