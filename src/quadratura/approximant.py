@@ -98,9 +98,9 @@ def approximant_with_infima(
 ) -> tuple[PiecewiseLinear, Partition | None, np.ndarray | None]:
     """``build_approximant``'s function, its 2**n blocks and their infima.
 
-    The blocks and infima are None at levels 1 and 2.  Without hints the
-    infima times the block widths are the terms of ``lower_sum`` over the
-    blocks, bit for bit.
+    The blocks and infima are None at levels 1 and 2.  The infima times
+    the block widths are the terms of ``lower_sum`` over the blocks with
+    the same hints, bit for bit.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")

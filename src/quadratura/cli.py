@@ -261,7 +261,7 @@ def cmd_diff(args) -> int:
     if args.json:
         _emit(payload, args)
     else:
-        print(payload["derivative"])
+        _emit_text(payload["derivative"] + "\n", args)
     return EXIT_OK
 
 
@@ -280,16 +280,15 @@ def cmd_gallery(args) -> int:
         _emit([{k: v for k, v in row.items() if k != "detail"} for row in rows], args)
     else:
         header = f"{'id':<4} {'lhs':>14} {'rhs':>14} {'expected':>14} {'verdict':<13} pass"
-        print(header)
-        print("-" * len(header))
+        lines = [header, "-" * len(header)]
         for row in rows:
-            print(
+            lines.append(
                 f"{row['id']:<4} {row['lhs']:>14.9f} {row['rhs']:>14.9f} "
                 f"{row['expected']:>14.9f} {row['verdict']:<13} "
                 f"{'yes' if row['pass'] else 'NO'}"
             )
-        n_ok = sum(r["pass"] for r in rows)
-        print(f"{n_ok}/{len(rows)} pass")
+        lines.append(f"{sum(r['pass'] for r in rows)}/{len(rows)} pass")
+        _emit_text("\n".join(lines) + "\n", args)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_NUMERIC
 
 

@@ -27,15 +27,13 @@ undefined sample inside (a, b) (a shared midpoint may be one), raises
 ``UndefinedSamplesError`` or has a sum that is not finite, refinement
 goes back to the first skipped level and doubles plainly from there.
 
-Isolated undefined sample points (both neighbours defined) are skipped
-under the default policy; this is how endpoint singularities like a
-derivative that only fails to exist at the boundary are tolerated.
-Hints take part in this unequally.  ``infimum_on`` and ``supremum_on``
-sort a hint's value into its cell's samples, so an undefined one is
-skipped between defined samples and raises next to an undefined one,
-and a defined hint can keep a cell whose grid samples are all undefined.
-``_scatter_hints`` (behind ``lower_sum``, ``upper_sum`` and
-``integrate``) leaves an undefined hint value out instead.
+Isolated undefined sample points (both neighbours defined) are left
+out and two adjacent ones raise ``UndefinedSamplesError``; this is how
+endpoint singularities like a derivative that only fails to exist at the
+boundary are tolerated.  Hints follow one rule everywhere: a hint
+strictly inside a cell folds its value into that cell's min and max, a
+tie keeps the grid sample's value, and an undefined hint value is left
+out, so hints never change which grids raise.
 Reductions run in fixed ascending cell order with compensated chunk
 summation, so results are bitwise reproducible.  Samples are evaluated
 and reduced in blocks of at most 8192 points, which bound the working
@@ -63,8 +61,6 @@ __all__ = [
     "DarbouxEstimate",
     "NonConvergenceError",
     "UndefinedSamplesError",
-    "SKIP_ISOLATED",
-    "FAIL_ON_UNDEFINED",
     "DEFAULT_CONFIG",
     "START_CELLS",
     "CELL_CAP",
@@ -77,9 +73,6 @@ __all__ = [
     "integrate",
     "integrate_signed",
 ]
-
-SKIP_ISOLATED = "skip-isolated"
-FAIL_ON_UNDEFINED = "fail"
 
 START_CELLS = 2**10
 CELL_CAP = 2**24
@@ -113,17 +106,15 @@ class SamplingConfig:
     Samples are equally spaced and include both cell edges, which
     neighbouring cells share.  samples_per_cell=2 costs one evaluation
     per cell edge and is exact for cell-monotone integrands; the default
-    64 guards oscillatory ones.
+    64 guards oscillatory ones.  An undefined (NaN) sample is left out
+    when both its neighbours are defined; two adjacent ones raise.
     """
 
     samples_per_cell: int = 64
-    undefined_policy: str = SKIP_ISOLATED
 
     def __post_init__(self):
         if self.samples_per_cell < 2:
             raise ValueError("samples_per_cell must be >= 2")
-        if self.undefined_policy not in (SKIP_ISOLATED, FAIL_ON_UNDEFINED):
-            raise ValueError(f"unknown undefined_policy {self.undefined_policy!r}")
 
 
 DEFAULT_CONFIG = SamplingConfig()
@@ -198,12 +189,11 @@ def compensated_sum(values: np.ndarray) -> float:
         return _fsum(np.add.reduceat(values, starts).tolist())
 
 
-def _cell_extrema(ys: np.ndarray, w: int, policy: str, lo=None, hi=None):
+def _cell_extrema(ys: np.ndarray, w: int, lo=None, hi=None):
     """Per-cell (min, max) of shared-edge samples; cell i owns ys[i*w : i*w + w + 1].
 
-    Undefined (NaN) samples raise under FAIL_ON_UNDEFINED; under
-    SKIP_ISOLATED they are left out unless two are adjacent, so every
-    cell keeps a defined sample.  The third value holds their indices
+    Undefined (NaN) samples are left out; two adjacent ones raise, so
+    every cell keeps a defined sample.  The third value holds their indices
     (None when there are none).  ``ys`` is masked in place and restored.
     The extrema are written into ``lo`` and ``hi`` when given (one slot
     per cell), else into fresh arrays.
@@ -211,8 +201,6 @@ def _cell_extrema(ys: np.ndarray, w: int, policy: str, lo=None, hi=None):
     mask = np.isnan(ys)
     undefined = None
     if mask.any():
-        if policy == FAIL_ON_UNDEFINED:
-            raise UndefinedSamplesError("undefined sample value")
         if (mask[:-1] & mask[1:]).any():
             raise UndefinedSamplesError(
                 "adjacent undefined samples; only isolated undefined points can be skipped"
@@ -232,21 +220,41 @@ def _cell_extrema(ys: np.ndarray, w: int, policy: str, lo=None, hi=None):
     return lo, hi, undefined
 
 
+def _hint_values(ev: Evaluator, hints: Sequence[float] | None, a: float, b: float):
+    """(sorted hint points inside (a, b), their values), both empty without any."""
+    inside = sorted(h for h in (() if hints is None else hints) if a < h < b)
+    hint_xs = np.asarray(inside, dtype=float)
+    return hint_xs, ev(hint_xs) if inside else hint_xs
+
+
+def _fold_hints(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, values: np.ndarray) -> None:
+    """Fold each hint's value into its cell's (min, max), in order.
+
+    A tie keeps the value already there, and an undefined (NaN) value,
+    which compares false, is left out.
+    """
+    for i, y in zip(cell.tolist(), values.tolist()):
+        if y < lo[i]:
+            lo[i] = y
+        if y > hi[i]:
+            hi[i] = y
+
+
 def _cell_bounds(
     f: Integrand,
     cells: Interval | Partition,
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Per-cell (min, max) of ``f`` over each cell's grid plus the hints inside it.
+    """Per-cell (min, max) of ``f`` over each cell's grid, with the hints folded in.
 
     Cell [a, b] samples ``a + (width/w)*arange(w+1)`` with the last point
-    set to b, and the hints strictly inside it sorted in.  Runs of cells
-    without such a hint share their edge samples and are evaluated in
-    chunks of at most _CHUNK_POINTS samples; a cell with one is reduced on
-    its own.  A run also ends at an inner edge of -0.0, which the cell on
-    its left samples as b = -0.0 and the one on its right as a + 0 = +0.0.
-    An Interval gives floats, a Partition arrays.
+    set to b.  Runs of cells share their edge samples and are evaluated
+    in chunks of at most _CHUNK_POINTS samples.  A run ends at an inner
+    edge of -0.0, which the cell on its left samples as b = -0.0 and the
+    one on its right as a + 0 = +0.0.  The hints inside (a, b) are then
+    evaluated in one call and folded in; one on an inner edge belongs to
+    the cell on its right.  An Interval gives floats, a Partition arrays.
     """
     if isinstance(cells, Partition):
         pts = cells.points
@@ -264,25 +272,18 @@ def _cell_bounds(
         rows = e[:-1, None] + (np.diff(e) / w)[:, None] * ramp
         return np.append(rows.ravel(), e[-1])
 
-    hs = np.asarray(() if hints is None else hints, dtype=float)
-    # the one cell each hint can lie strictly inside
-    owner = np.clip(np.searchsorted(pts, hs, side="right") - 1, 0, n - 1)
-    inside = (pts[owner] < hs) & (hs < pts[owner + 1])
-    hinted = set(owner[inside].tolist())
     inner = pts[1:-1]
     negative_zero = (np.flatnonzero((inner == 0) & np.signbit(inner)) + 1).tolist()
-    cuts = sorted({0, n, *hinted, *(c + 1 for c in hinted), *negative_zero})
+    cuts = [0, *negative_zero, n]
 
     lo, hi = np.empty(n), np.empty(n)
     per_chunk = max(1, (_CHUNK_POINTS - 1) // w)
     for start, stop in zip(cuts, cuts[1:]):
         for c0 in range(start, stop, per_chunk):
             c1 = min(stop, c0 + per_chunk)
-            xs, gaps = grid(pts[c0 : c1 + 1]), w
-            if c0 in hinted:  # a run of one cell
-                xs = np.sort(np.concatenate([xs, hs[inside & (owner == c0)]]))
-                gaps = xs.size - 1
-            _cell_extrema(ev(xs), gaps, cfg.undefined_policy, lo[c0:c1], hi[c0:c1])
+            _cell_extrema(ev(grid(pts[c0 : c1 + 1])), w, lo[c0:c1], hi[c0:c1])
+    hint_xs, hint_ys = _hint_values(ev, hints, pts[0], pts[-1])
+    _fold_hints(lo, hi, np.searchsorted(pts, hint_xs, side="right") - 1, hint_ys)
     if isinstance(cells, Interval):
         return float(lo[0]), float(hi[0])
     return lo, hi
@@ -297,11 +298,10 @@ def infimum_on(
     """Minimum of ``f`` over each cell's sample grid (approximate infimum).
 
     An Interval gives a float; a Partition gives an array with one value
-    per cell, each the value its cell gives as an Interval, bit for bit.
-    With ``hints`` (interior turning points of f) the value is the true
-    infimum for functions monotone between hints.  A hint's value is one
-    more sample of the cell it lies strictly inside, so an undefined one
-    falls under the undefined-sample policy.
+    per cell.  With ``hints`` (interior turning points of f) the value is
+    the true infimum for functions monotone between hints.  A hint folds
+    its value into the cell it lies strictly inside; a tie keeps the grid
+    sample's value, and an undefined hint value is left out.
     """
     return _cell_bounds(f, cells, cfg, hints)[0]
 
@@ -319,31 +319,6 @@ def supremum_on(
     return _cell_bounds(f, cells, cfg, hints)[1]
 
 
-def _scatter_hints(
-    extrema: np.ndarray,
-    edges: np.ndarray,
-    hint_xs: np.ndarray,
-    hint_ys: np.ndarray,
-    want_max: bool,
-) -> None:
-    # a hint on an edge belongs to the cell on its right, also across chunks
-    idx = np.searchsorted(edges, hint_xs, side="right") - 1
-    keep = (idx >= 0) & (idx < extrema.size)
-    op = max if want_max else min
-    for i, y in zip(idx[keep], hint_ys[keep]):
-        if not np.isnan(y):
-            extrema[i] = op(extrema[i], y)
-
-
-def _hint_values(ev: Evaluator, hints: Sequence[float] | None, a: float, b: float):
-    """(sorted hint points inside (a, b), their values), or None without any."""
-    inside = sorted(h for h in (() if hints is None else hints) if a < h < b)
-    if not inside:
-        return None
-    hint_xs = np.asarray(inside, dtype=float)
-    return hint_xs, ev(hint_xs)
-
-
 def _partition_sums(
     f: Integrand,
     p: Partition,
@@ -351,12 +326,7 @@ def _partition_sums(
     hints: Sequence[float] | None,
 ) -> tuple[float, float]:
     """(lower, upper) sampled Darboux sums: the cell extrema times the widths."""
-    lows, highs = _cell_bounds(f, p, cfg, None)
-    pts = p.points
-    hinted = _hint_values(as_evaluator(f), hints, pts[0], pts[-1])
-    if hinted is not None:
-        _scatter_hints(lows, pts, *hinted, want_max=False)
-        _scatter_hints(highs, pts, *hinted, want_max=True)
+    lows, highs = _cell_bounds(f, p, cfg, hints)
     widths = p.widths()
     with np.errstate(over="ignore"):
         return compensated_sum(lows * widths), compensated_sum(highs * widths)
@@ -404,16 +374,19 @@ def _uniform_sums(
     w = cfg.samples_per_cell - 1
     step = (b - a) / (cells * w)
     dx = (b - a) / cells
-    hinted = _hint_values(ev, hints, a, b)
+    hint_xs, hint_ys = _hint_values(ev, hints, a, b)
 
     lo_parts: list[float] = []
     hi_parts: list[float] = []
     magnitude, holes = 0.0, False
     cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
     cells_per_block = max(1, (_CHUNK_POINTS - 1) // w)
+    # one pair of chunk arrays for the level, so no two chunks' are alive at once
+    chunk_cells = min(cells, cells_per_chunk)
+    lo_level, hi_level = np.empty(chunk_cells), np.empty(chunk_cells)
     for c0 in range(0, cells, cells_per_chunk):
         c1 = min(cells, c0 + cells_per_chunk)
-        lo, hi = np.empty(c1 - c0), np.empty(c1 - c0)
+        lo, hi = lo_level[: c1 - c0], hi_level[: c1 - c0]
         for k0 in range(c0, c1, cells_per_block):
             k1 = min(c1, k0 + cells_per_block)
             xs = np.arange(k0 * w, k1 * w + 1, dtype=float)
@@ -421,18 +394,18 @@ def _uniform_sums(
             xs += a
             if k1 == cells:
                 xs[-1] = b
-            _, _, undefined = _cell_extrema(
-                ev(xs), w, cfg.undefined_policy, lo[k0 - c0 : k1 - c0], hi[k0 - c0 : k1 - c0]
-            )
+            _, _, undefined = _cell_extrema(ev(xs), w, lo[k0 - c0 : k1 - c0], hi[k0 - c0 : k1 - c0])
             if undefined is not None:
                 undefined += k0 * w  # global sample index; 0 is a, cells*w is b
                 holes = holes or bool(((undefined > 0) & (undefined < cells * w)).any())
-        if hinted is not None:
+        if hint_xs.size:
             edges = a + dx * np.arange(c0, c1 + 1)
             if c1 == cells:
                 edges[-1] = b  # as the last sample is, so no hint below b falls out
-            _scatter_hints(lo, edges, *hinted, want_max=False)
-            _scatter_hints(hi, edges, *hinted, want_max=True)
+            # a hint on an edge belongs to the cell on its right, also across chunks
+            idx = np.searchsorted(edges, hint_xs, side="right") - 1
+            keep = (idx >= 0) & (idx < c1 - c0)
+            _fold_hints(lo, hi, idx[keep], hint_ys[keep])
         lo_parts.append(compensated_sum(lo))
         hi_parts.append(compensated_sum(hi))
         with np.errstate(over="ignore"):

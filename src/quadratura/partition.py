@@ -65,7 +65,7 @@ class Interval:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Partition:
-    """Strictly increasing points x_0 < ... < x_n spanning an interval."""
+    """Strictly increasing finite points x_0 < ... < x_n of finite width x_n - x_0."""
 
     points: np.ndarray
 
@@ -73,8 +73,14 @@ class Partition:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("a partition needs at least two points")
-        if not np.all(np.diff(pts) > 0):
+        finite = np.isfinite(pts)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"partition points must be finite, got {pts[i]} at index {i}")
+        if not np.all(pts[1:] > pts[:-1]):
             raise ValueError("partition points must be strictly increasing")
+        if not math.isfinite(float(pts[-1]) - float(pts[0])):
+            raise ValueError(f"partition width overflows: [{pts[0]}, {pts[-1]}]")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

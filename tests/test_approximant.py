@@ -206,8 +206,8 @@ class TestAcrossChunks:
         want = outcome(reference_build, f, iv, n, cfg, hints)
         assert outcome(build_approximant, traced, iv, n, cfg, hints) == want
         assert outcome(build_approximant, f, iv, n, cfg, np.array(hints)) == want
-        # a block with a hint inside is evaluated on its own, with that hint
-        assert len(sizes) > 2 and max(sizes) <= max(17, samples + 1)
+        # the grid in blocks of at most 17 points (one cell when a cell is more), then the hints
+        assert sizes[-1] == 3 and max(sizes) <= max(17, samples)
 
     def test_evaluation_chunks_stay_within_bound(self, monkeypatch):
         monkeypatch.setattr(darboux, "_CHUNK_POINTS", 100)
@@ -228,15 +228,22 @@ class TestWithInfima:
 
     @pytest.mark.parametrize("samples", [2, 8, 64])
     @pytest.mark.parametrize("text", ["x^2", "1+sin(x)", "abs(x-1/3)", "sqrt(x)"])
-    def test_infima_sum_to_lower_sum_bitwise(self, text, samples):
+    def test_infima_sum_to_lower_sum_bitwise(self, text, samples, hints=None):
         f, iv, n = parse(text), Interval(0.0, 1.7), 9
         cfg = SamplingConfig(samples_per_cell=samples)
-        g, blocks, m = approximant_with_infima(f, iv, n, cfg)
-        assert outcome(lambda: g) == outcome(build_approximant, f, iv, n, cfg)
+        g, blocks, m = approximant_with_infima(f, iv, n, cfg, hints)
+        assert outcome(lambda: g) == outcome(build_approximant, f, iv, n, cfg, hints)
         uniform = uniform_partition(iv, 2**n)
         assert blocks.points.tobytes() == uniform.points.tobytes()
         got = darboux.compensated_sum(m * blocks.widths())
-        assert got.hex() == darboux.lower_sum(f, uniform, cfg).hex()
+        assert got.hex() == darboux.lower_sum(f, uniform, cfg, hints).hex()
+
+    # a turning point, a repeat and one inside a block; one on a block edge
+    @pytest.mark.parametrize("hints", [[1 / 3, 1 / 3, 0.7001], [1.7 * 5 / 512]], ids=repr)
+    @pytest.mark.parametrize("samples", [2, 8, 64])
+    @pytest.mark.parametrize("text", ["x^2", "1+sin(x)", "abs(x-1/3)", "sqrt(x)"])
+    def test_hinted_infima_sum_to_lower_sum_bitwise(self, text, samples, hints):
+        self.test_infima_sum_to_lower_sum_bitwise(text, samples, hints)
 
     def test_low_levels_have_no_blocks(self):
         g, blocks, m = approximant_with_infima(parse("x"), UNIT, 2, EDGES)

@@ -308,6 +308,12 @@ class TestDiffCommand:
         code, _ = run(capsys, "diff", "--f", "abs(x)")
         assert code == EXIT_USAGE
 
+    def test_out_file_without_json(self, capsys, tmp_path):
+        target = tmp_path / "d.txt"
+        code, out = run(capsys, "diff", "--f", "x^3", "--out", str(target))
+        assert code == EXIT_OK and out == ""
+        assert target.read_text() == run(capsys, "diff", "--f", "x^3")[1]
+
 
 class TestGalleryCommand:
     def test_default_run_all_pass(self, capsys):
@@ -320,6 +326,13 @@ class TestGalleryCommand:
         assert code == EXIT_OK
         assert "E2" in out
         assert "1/1 pass" in out
+
+    def test_table_out_file(self, capsys, tmp_path):
+        target = tmp_path / "table.txt"
+        code, out = run(capsys, "gallery", "--only", "E2", "--out", str(target))
+        assert code == EXIT_OK and out == ""
+        assert target.read_text() == run(capsys, "gallery", "--only", "E2")[1]
+        assert target.read_text().endswith("1/1 pass\n")
 
     def test_json_rows(self, capsys):
         code, out = run(capsys, "gallery", "--only", "E2", "--json")

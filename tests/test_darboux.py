@@ -73,11 +73,6 @@ class TestInfimum:
         v = infimum_on(parse("sin(x)/x"), Interval(0.0, 1.0))
         assert abs(v - math.sin(1.0)) < 1e-3
 
-    def test_fail_policy(self):
-        cfg = SamplingConfig(undefined_policy=D.FAIL_ON_UNDEFINED)
-        with pytest.raises(UndefinedSamplesError):
-            infimum_on(parse("sin(x)/x"), Interval(0.0, 1.0), cfg)
-
     def test_hints_give_exact_interior_minimum(self):
         f = parse("abs(x-1/2)")
         cell = Interval(0.4999, 0.5002)
@@ -85,16 +80,25 @@ class TestInfimum:
 
 
 def reference_cell(f, a, b, cfg, hints):
-    """The per-cell rule written out: one cell's grid, its interior hints sorted in."""
+    """The per-cell rule written out: one cell's grid extrema, then its hints folded in.
+
+    The hints strictly inside (a, b) are taken in ascending order.  One
+    replaces the min (max) only when its value is strictly below (above)
+    it, so a tie keeps the grid's value and an undefined value is left out.
+    """
+    ev = D.as_evaluator(f)
     w = cfg.samples_per_cell - 1
     xs = a + ((b - a) / w) * np.arange(w + 1)
     xs[-1] = b
-    inside = [h for h in hints or () if a < h < b]
-    if inside:
-        xs = np.concatenate([xs, np.asarray(inside, dtype=float)])
-        xs.sort()
-    lo, hi, _ = D._cell_extrema(D.as_evaluator(f)(xs), xs.size - 1, cfg.undefined_policy)
-    return float(lo[0]), float(hi[0])
+    lo, hi, _ = D._cell_extrema(ev(xs), w)
+    lo, hi = float(lo[0]), float(hi[0])
+    inside = np.array(sorted(h for h in hints or () if a < h < b), dtype=float)
+    for y in (ev(inside) if inside.size else ()):
+        if y < lo:
+            lo = float(y)
+        if y > hi:
+            hi = float(y)
+    return lo, hi
 
 
 def cell_outcome(run, *args):
@@ -136,19 +140,18 @@ class TestPartitionForm:
         text=st.sampled_from(REFERENCE_FORMULAS),
         case=partition_cases(),
         samples=st.sampled_from([2, 8, 64]),
-        policy=st.sampled_from([D.SKIP_ISOLATED, D.FAIL_ON_UNDEFINED]),
         chunk_points=st.sampled_from([D._CHUNK_POINTS, 5, 64]),
     )
     # an inner edge of -0.0: the cell on its left samples -0.0, the one on its right +0.0
     @example(text="x", case=(np.array([-1.0, -0.0, 1.0]), None), samples=2,
-             policy=D.SKIP_ISOLATED, chunk_points=D._CHUNK_POINTS)
+             chunk_points=D._CHUNK_POINTS)
     # a hint on an edge, one inside, a repeat, one outside and one undefined for sqrt
     @example(text="sqrt(x)", case=(np.array([-0.5, 0.25, 0.5, 2.0]), [0.25, 0.3, 0.3, 3.0, -0.2]),
-             samples=8, policy=D.SKIP_ISOLATED, chunk_points=5)
-    def test_matches_per_cell_calls_bitwise(self, text, case, samples, policy, chunk_points):
+             samples=8, chunk_points=5)
+    def test_matches_per_cell_calls_bitwise(self, text, case, samples, chunk_points):
         pts, hints = case
         f = parse(text)
-        cfg = SamplingConfig(samples_per_cell=samples, undefined_policy=policy)
+        cfg = SamplingConfig(samples_per_cell=samples)
         cells = list(zip(pts[:-1].tolist(), pts[1:].tolist()))
 
         def per_cell(bounds):
@@ -178,41 +181,79 @@ class TestPartitionForm:
         assert isinstance(got, np.ndarray) and got.tolist() == [0.25, 4.0]
 
 
-class TestNanHints:
-    """Cell extrema sort a hint's value into the cell's samples, NaN or not.
+def hint_rule_outcomes(f, iv, hints):
+    """What each entry point that takes hints gives on ``iv``, compared by bits or error."""
+    one_cell = Partition(np.array([iv.a, iv.b]))
+    runs = {
+        "infimum_on": lambda: infimum_on(f, iv, EDGES, hints),
+        "supremum_on": lambda: supremum_on(f, one_cell, EDGES, hints).tobytes(),
+        "lower_sum": lambda: lower_sum(f, one_cell, EDGES, hints),
+        "upper_sum": lambda: upper_sum(f, uniform_partition(iv, 4), EDGES, hints),
+        "integrate": lambda: integrate(f, iv, 1e-3, EDGES, hints).lower.hex(),
+        "build_approximant": lambda: build_approximant(f, iv, 4, EDGES, hints).values.tobytes(),
+    }
+    out = {}
+    for name, run in runs.items():
+        try:
+            out[name] = run()
+        except Exception as exc:  # compared by type and message
+            out[name] = type(exc), str(exc)
+    return out
 
-    ``_scatter_hints`` (``lower_sum``, ``upper_sum``, ``integrate``) leaves
-    an undefined hint value out instead.
+
+class TestOneHintRule:
+    """A hint strictly inside a cell folds its value into that cell's min and max.
+
+    A tie keeps the grid sample's value and an undefined hint value is left
+    out, in every entry point that takes hints.
     """
 
-    def test_undefined_hint_between_defined_samples_is_skipped(self):
+    def test_undefined_hint_is_left_out(self):
         f = parse("x+(x-0.3)/(x-0.3)")  # undefined at 0.3 only
-        cell = Interval(0.0, 1.0)
-        assert infimum_on(f, cell, EDGES, hints=[0.3]) == 1.0
-        assert supremum_on(f, cell, EDGES, hints=[0.3]) == 2.0
-        fail = SamplingConfig(samples_per_cell=2, undefined_policy=D.FAIL_ON_UNDEFINED)
-        with pytest.raises(UndefinedSamplesError, match="undefined sample value"):
-            infimum_on(f, cell, fail, hints=[0.3])
-        p = Partition(np.array([0.0, 0.5, 1.0]))
-        assert lower_sum(f, p, fail, hints=[0.3]) == lower_sum(f, p, fail)
+        iv = Interval(0.0, 1.0)
+        got = hint_rule_outcomes(f, iv, [0.3])
+        assert got == hint_rule_outcomes(f, iv, None)
+        assert not any(isinstance(v, tuple) for v in got.values())
+        assert (got["infimum_on"], supremum_on(f, iv, EDGES, [0.3])) == (1.0, 2.0)
 
-    def test_undefined_hint_next_to_undefined_sample_raises(self):
+    def test_undefined_hint_next_to_undefined_sample_is_left_out(self):
         f = parse("sqrt(x)")
         cell = Interval(-1.0, 1.0)
-        assert infimum_on(f, cell, EDGES) == 1.0  # sqrt(-1) alone is skipped
-        with pytest.raises(UndefinedSamplesError, match="adjacent undefined samples"):
-            infimum_on(f, cell, EDGES, hints=[-0.5])
+        assert infimum_on(f, cell, EDGES, hints=[-0.5]) == infimum_on(f, cell, EDGES) == 1.0
+        p = Partition(np.array([-1.0, 0.5, 1.0]))
+        assert lower_sum(f, p, EDGES, hints=[-0.5]) == lower_sum(f, p, EDGES)
 
-    def test_defined_hint_between_undefined_samples_keeps_the_cell(self):
-        f = parse("sqrt(0.5-abs(x))")  # undefined at both edges of [-1, 1]
-        with pytest.raises(UndefinedSamplesError, match="adjacent undefined samples"):
-            infimum_on(f, Interval(-1.0, 1.0), EDGES)
-        assert infimum_on(f, Interval(-1.0, 1.0), EDGES, hints=[0.0]) == math.sqrt(0.5)
-        g = parse("(x^2-1)/(x^2-1)")  # undefined at -1 and 1 only
-        got = infimum_on(g, Partition(np.array([-3.0, -1.0, 1.0, 3.0])), EDGES, hints=[0.0])
-        assert got.tolist() == [1.0, 1.0, 1.0]
-        with pytest.raises(UndefinedSamplesError, match="adjacent undefined samples"):
-            infimum_on(g, Partition(np.array([-3.0, -1.0, 1.0, 3.0])), EDGES)
+    @pytest.mark.parametrize("text", ["sqrt(0.5-abs(x))", "(x^2-1)/(x^2-1)"])
+    def test_defined_hint_does_not_rescue_adjacent_undefined_samples(self, text):
+        # both edge samples of [-1, 1] are undefined; the hint at 0 is defined
+        f = parse(text)
+        iv = Interval(-1.0, 1.0)
+        got = hint_rule_outcomes(f, iv, [0.0])
+        assert got == hint_rule_outcomes(f, iv, None)
+        for name in ("infimum_on", "supremum_on", "lower_sum"):  # the one-cell grids
+            assert got[name][0] is UndefinedSamplesError, name
+            assert got[name][1].startswith("adjacent undefined samples"), name
+
+    def test_tie_keeps_the_grid_value(self):
+        # +0.0 at both edges of [0.4, 0.8], -0.0 at the hint 0.6
+        f = parse("0*(x-0.5)*(x-0.7)")
+        iv = Interval(0.4, 0.8)
+        assert math.copysign(1.0, D.as_evaluator(f)(np.array([0.6]))[0]) == -1.0
+        for value in (infimum_on(f, iv, EDGES, [0.6]), supremum_on(f, iv, EDGES, [0.6]),
+                      build_approximant(f, iv, 3, EDGES, [0.6]).values[0]):
+            assert math.copysign(1.0, value) == 1.0
+        assert reference_cell(f, iv.a, iv.b, EDGES, [0.6]) == (0.0, 0.0)
+
+    def test_one_evaluation_for_the_hints(self):
+        calls = []
+
+        def traced(xs):
+            calls.append(xs.tolist())
+            return np.abs(xs - 0.3)
+
+        got = infimum_on(traced, Partition(np.linspace(0.0, 1.0, 9)), EDGES, [0.3, 0.6, 0.3])
+        assert calls[-1] == [0.3, 0.3, 0.6] and len(calls) == 2
+        assert got[2] == 0.0
 
 
 class TestArrayHints:
@@ -247,31 +288,26 @@ class TestSumsOfCellExtrema:
         text=st.sampled_from(REFERENCE_FORMULAS),
         case=partition_cases(),
         samples=st.sampled_from([2, 8, 64]),
-        policy=st.sampled_from([D.SKIP_ISOLATED, D.FAIL_ON_UNDEFINED]),
     )
     # one cell where a second grid formula rounded a sample differently
-    @example(text="sin(20*x)", case=(np.array([0.73, 0.89]), None), samples=8,
-             policy=D.SKIP_ISOLATED)
-    def test_matches_weighted_extrema(self, text, case, samples, policy):
+    @example(text="sin(20*x)", case=(np.array([0.73, 0.89]), None), samples=8)
+    # a defined hint between two undefined edge samples: both raise
+    @example(text="sqrt(0.5-abs(x))", case=(np.array([-1.0, 1.0]), [0.0]), samples=2)
+    def test_matches_weighted_extrema(self, text, case, samples):
         pts, hints = case
         f = parse(text)
-        cfg = SamplingConfig(samples_per_cell=samples, undefined_policy=policy)
+        cfg = SamplingConfig(samples_per_cell=samples)
         p = Partition(pts)
-        if hints is not None:  # the sums leave an undefined hint value out, the extrema do not
-            with np.errstate(all="ignore"):
-                hints = [h for h in hints if not math.isnan(D.as_evaluator(f)(np.array([h]))[0])]
 
-        def weighted(bounds_hints):
+        def weighted():
             return (
-                compensated_sum(infimum_on(f, p, cfg, bounds_hints) * p.widths()),
-                compensated_sum(supremum_on(f, p, cfg, bounds_hints) * p.widths()),
+                compensated_sum(infimum_on(f, p, cfg, hints) * p.widths()),
+                compensated_sum(supremum_on(f, p, cfg, hints) * p.widths()),
             )
 
         with np.errstate(all="ignore"):
             sums = cell_outcome(lambda: (lower_sum(f, p, cfg, hints), upper_sum(f, p, cfg, hints)))
-            # the sums raise from the hintless grid, where a defined hint can keep a cell
-            raised = isinstance(sums[0], type)
-            assert sums == cell_outcome(weighted, None if raised else hints)
+            assert sums == cell_outcome(weighted)
 
 
 class TestSums:
@@ -522,8 +558,6 @@ class TestSamplingConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplingConfig(samples_per_cell=1)
-        with pytest.raises(ValueError):
-            SamplingConfig(undefined_policy="whatever")
 
 
 class TestWorkCounts:
@@ -659,7 +693,8 @@ def whole_chunk_sums(ev, a, b, cells, cfg, hints):
     w = cfg.samples_per_cell - 1
     step = (b - a) / (cells * w)
     dx = (b - a) / cells
-    hinted = D._hint_values(ev, hints, a, b)
+    hint_xs = np.array(sorted(h for h in hints or () if a < h < b), dtype=float)
+    hint_ys = ev(hint_xs) if hint_xs.size else hint_xs
     lo_parts, hi_parts = [], []
     magnitude, holes = 0.0, False
     cells_per_chunk = max(1, D._SUM_CHUNK_POINTS // w)
@@ -668,16 +703,19 @@ def whole_chunk_sums(ev, a, b, cells, cfg, hints):
         xs = np.arange(c0 * w, c1 * w + 1, dtype=float) * step + a
         if c1 == cells:
             xs[-1] = b
-        lo, hi, undefined = D._cell_extrema(ev(xs), w, cfg.undefined_policy)
+        lo, hi, undefined = D._cell_extrema(ev(xs), w)
         if undefined is not None:
             undefined += c0 * w
             holes = holes or bool(((undefined > 0) & (undefined < cells * w)).any())
-        if hinted is not None:
+        if hint_xs.size:
             edges = a + dx * np.arange(c0, c1 + 1)
             if c1 == cells:
                 edges[-1] = b
-            D._scatter_hints(lo, edges, *hinted, want_max=False)
-            D._scatter_hints(hi, edges, *hinted, want_max=True)
+            # a hint on an edge goes to the cell on its right; a tie or a NaN changes nothing
+            for i, y in zip(np.searchsorted(edges, hint_xs, side="right") - 1, hint_ys):
+                if 0 <= i < c1 - c0:
+                    lo[i] = y if y < lo[i] else lo[i]
+                    hi[i] = y if y > hi[i] else hi[i]
         lo_parts.append(compensated_sum(lo))
         hi_parts.append(compensated_sum(hi))
         magnitude += float(np.abs(lo).sum() + np.abs(hi).sum())
@@ -716,7 +754,6 @@ def block_cases(draw):
     w = samples - 1
     chunk_points = draw(st.sampled_from([17, 100, D._CHUNK_POINTS]))
     sum_points = draw(st.sampled_from([D._SUM_CHUNK_POINTS, 64, 333]))
-    policy = draw(st.sampled_from([D.SKIP_ISOLATED, D.FAIL_ON_UNDEFINED]))
     a = draw(st.sampled_from([0.0, -1.0, 0.1, -0.3]))
     b = a + draw(st.sampled_from([1.0, 2.5, 0.7]))
     cells = draw(st.integers(1, 1500))
@@ -737,7 +774,7 @@ def block_cases(draw):
             continue
         span = {"isolated": (i,), "pair-left": (i - 1, i), "pair-right": (i, i + 1)}[kind]
         bad.update(sample_at(a, b, cells, w, j) for j in span if 0 <= j <= cells * w)
-    return samples, chunk_points, sum_points, policy, a, b, cells, sorted(bad), hints or None
+    return samples, chunk_points, sum_points, a, b, cells, sorted(bad), hints or None
 
 
 def block_integrand(bad, sizes):
@@ -761,23 +798,21 @@ class TestEvaluationBlocks:
     @settings(max_examples=150, deadline=None)
     @given(case=block_cases())
     # an isolated undefined sample on the first block edge (17 points, 16 gaps)
-    @example(case=(2, 17, D._SUM_CHUNK_POINTS, D.SKIP_ISOLATED, 0.0, 1.0, 100,
+    @example(case=(2, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100,
                    [sample_at(0.0, 1.0, 100, 1, 16)], None))
-    # adjacent undefined samples on each side of that edge, and under the fail policy
-    @example(case=(3, 17, D._SUM_CHUNK_POINTS, D.SKIP_ISOLATED, 0.0, 1.0, 100,
+    # adjacent undefined samples on each side of that edge
+    @example(case=(3, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100,
                    [sample_at(0.0, 1.0, 100, 2, i) for i in (15, 16)], None))
-    @example(case=(3, 17, D._SUM_CHUNK_POINTS, D.SKIP_ISOLATED, 0.0, 1.0, 100,
+    @example(case=(3, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100,
                    [sample_at(0.0, 1.0, 100, 2, i) for i in (16, 17)], None))
-    @example(case=(3, 17, D._SUM_CHUNK_POINTS, D.FAIL_ON_UNDEFINED, 0.0, 1.0, 100,
-                   [sample_at(0.0, 1.0, 100, 2, 16)], None))
     # an undefined sample at b, in the last of several blocks, is not a hole
-    @example(case=(2, 17, D._SUM_CHUNK_POINTS, D.SKIP_ISOLATED, 0.0, 1.0, 100, [1.0], None))
+    @example(case=(2, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100, [1.0], None))
     # a hint on a block edge that is also a summation-chunk edge (64 points)
-    @example(case=(8, 17, 64, D.SKIP_ISOLATED, 0.1, 1.1, 40, [],
+    @example(case=(8, 17, 64, 0.1, 1.1, 40, [],
                    [sample_at(0.1, 1.1, 40, 7, 63)]))
     def test_level_matches_whole_chunks(self, case):
-        samples, chunk_points, sum_points, policy, a, b, cells, bad, hints = case
-        cfg = SamplingConfig(samples_per_cell=samples, undefined_policy=policy)
+        samples, chunk_points, sum_points, a, b, cells, bad, hints = case
+        cfg = SamplingConfig(samples_per_cell=samples)
         sizes = []
         f = D.as_evaluator(block_integrand(bad, sizes))
         with mock.patch.object(D, "_CHUNK_POINTS", chunk_points), \
@@ -792,8 +827,8 @@ class TestEvaluationBlocks:
     @given(case=block_cases(), start=st.sampled_from([3, 7]),
            tol=st.floats(-7.0, -2.0).map(lambda e: 10.0**e))
     def test_integrate_matches_whole_chunks(self, case, start, tol):
-        samples, chunk_points, sum_points, policy, a, b, cells, bad, hints = case
-        cfg = SamplingConfig(samples_per_cell=samples, undefined_policy=policy)
+        samples, chunk_points, sum_points, a, b, cells, bad, hints = case
+        cfg = SamplingConfig(samples_per_cell=samples)
         f = block_integrand(bad, [])
         args = (f, Interval(a, b), tol, cfg, hints, 4 * cells, start)
         with mock.patch.object(D, "_CHUNK_POINTS", chunk_points), \
@@ -839,6 +874,20 @@ class TestEvaluationBlocks:
             tracemalloc.stop()
         assert est.cells == 2**16 and est.levels == 1
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_level_holds_one_chunk_of_extrema(self, monkeypatch):
+        # four summation chunks of 2**17 cells at 2 samples: lo and hi are 1 MB each
+        monkeypatch.setattr(D, "_SUM_CHUNK_POINTS", 2**17)
+        ev = D.as_evaluator(parse("x/(1+x)"))
+        D._uniform_sums(ev, 0.0, 1.0, 2**10, EDGES, None)  # compile the tape first
+        tracemalloc.start()
+        try:
+            D._uniform_sums(ev, 0.0, 1.0, 2**19, EDGES, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two chunks' lo and hi alive at once would be 4 MB
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 # float.hex of (lower_sum, upper_sum) on UNIFORM_16, the same on IRREGULAR,

@@ -144,3 +144,16 @@ class TestPartitionType:
         p = Partition(np.array([0.0, 0.1, 0.7, 1.0]))
         assert p.norm == 0.6
         assert p.cell_count == 3
+
+    @pytest.mark.parametrize("points", [[0.0, 1.0, math.inf], [-math.inf, 0.0], [0.0, math.nan, 1.0]],
+                             ids=repr)
+    def test_finite_points_required(self, points):
+        with pytest.raises(ValueError, match="partition points must be finite"):
+            Partition(np.array(points))
+
+    def test_finite_widths_required(self):
+        with pytest.raises(ValueError, match="partition width overflows"):
+            Partition(np.array([-1e308, 0.0, 1e308]))
+        with pytest.raises(ValueError, match="partition width overflows"):
+            Partition([-1e308, 1e308])
+        assert Partition([-8e307, 8e307]).widths().tolist() == [1.6e308]
