@@ -18,14 +18,13 @@ exact.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from . import darboux
-from .darboux import DEFAULT_CONFIG, Integrand, SamplingConfig, as_evaluator
+from .darboux import DEFAULT_CONFIG, Integrand, SamplingConfig, as_evaluator, fsum_rows
 from .partition import Interval, Partition, block_grid
 
 __all__ = [
@@ -170,10 +169,7 @@ def integrate_pl(g: PiecewiseLinear, c: float, d: float) -> float:
     ys = np.concatenate([[yc], g.values[i:j], [yd]])
     with np.errstate(over="ignore"):  # halving first keeps values near 1e308 finite
         areas = (0.5 * ys[:-1] + 0.5 * ys[1:]) * np.diff(xs)
-    try:
-        return math.fsum(areas.tolist())
-    except OverflowError:  # finite nonnegative areas whose sum overflows
-        return math.inf
+    return fsum_rows(areas[None])[0]  # inf when finite areas overflow
 
 
 def l1_distance(

@@ -34,12 +34,15 @@ boundary are tolerated.  Hints follow one rule everywhere: a hint
 strictly inside a cell folds its value into that cell's min and max, a
 tie keeps the grid sample's value, and an undefined hint value is left
 out, so hints never change which grids raise.
-Reductions run in fixed ascending cell order with compensated chunk
-summation, so results are bitwise reproducible.  Samples are evaluated
-and reduced in blocks of at most 8192 points, which bound the working
-memory; the summation chunks of 2**21 samples, not the blocks, fix the
-order of the sums.  A sum that is not finite ends refinement at once
-with a non-convergence error.
+Results are bitwise reproducible.  A row of at most 4096 terms gets its
+correctly rounded sum, the bits of math.fsum, from the error-free
+extraction of Rump, Ogita & Oishi (SIAM J. Sci. Comput. 31(1), 2008) in
+a few vector passes; a longer one is summed in ascending blocks of 4096
+whose sums are fsum'd.  Samples are evaluated and reduced in blocks of
+at most 8192 points, which bound the working memory; the summation
+chunks of 2**21 samples, not the blocks, fix the order of the sums.  A
+sum that is not finite ends refinement at once with a non-convergence
+error.
 """
 
 from __future__ import annotations
@@ -178,15 +181,64 @@ def _fsum(values) -> float:
         return math.nan
 
 
-def compensated_sum(values: np.ndarray) -> float:
-    """Deterministic compensated reduction in fixed (ascending) order."""
+# A row of at most this many terms is summed exactly (``fsum_rows``); a
+# longer one in blocks of this many, whose sums are then fsum'd.
+_FSUM_BLOCK = 4096
+
+
+def fsum_rows(rows: np.ndarray) -> list[float]:
+    """``_fsum`` of each row of a 2-D array, by error-free extraction.
+
+    Rump, Ogita & Oishi, "Accurate floating-point summation part I:
+    faithful rounding", SIAM J. Sci. Comput. 31(1), 2008.  For rows of n
+    terms with every |x| <= 2**e, take sigma = 2**(e + n.bit_length()):
+    q = (x + sigma) - sigma and r = x - q are exact, every q is a multiple
+    of 2**-53 * sigma with |q| <= 2**e, so a row's partial sums of q stay
+    below n * 2**e < sigma and ``q.sum()`` is exact in any order.  Every
+    |r| <= 2**-53 * sigma, which is the second extraction's 2**e.  That
+    leaves each row's exact sum as two partial sums plus the residuals
+    still nonzero, and their fsum is the correctly rounded sum: math.fsum's
+    bits.  Rows with a term that is inf, NaN or 2**960 or more, and rows
+    whose sum is zero (for fsum's sign of zero), go to ``_fsum``.
+    """
+    m = float(np.abs(rows).max()) if rows.size else 0.0
+    if not 0 < m < 2.0**960:  # no nonzero term, or one that is not finite or huge
+        if len(rows) == 1:
+            return [_fsum(rows[0].tolist())]
+        return [s for row in rows for s in fsum_rows(row[None])]
+    b = rows.shape[1].bit_length()
+    e = math.frexp(m)[1]  # m < 2**e
+    x, parts = rows, []
+    for sigma in (math.ldexp(1.0, e + b), math.ldexp(1.0, e + 2 * b - 53)):
+        q = x + sigma
+        q -= sigma
+        x = x - q
+        parts.append(q.sum(axis=1).tolist())
+    rest = [r[r != 0].tolist() for r in x] if x.any() else [()] * len(x)
+    sums = [_fsum([s1, s2, *r]) for s1, s2, r in zip(*parts, rest)]
+    return [s if s else _fsum(row.tolist()) for s, row in zip(sums, rows)]
+
+
+def compensated_sum(values) -> float | list[float]:
+    """Deterministic compensated sum of a row, or of each row of a 2-D array.
+
+    A row of at most 4096 terms gets its correctly rounded sum, the bits
+    of math.fsum, by error-free extraction (``fsum_rows``).  A longer row
+    is summed in ascending blocks of 4096 terms, and the block sums are
+    fsum'd.  A scalar is a row of one term; a 2-D array gives a list with
+    one sum per row.
+    """
     values = np.asarray(values, dtype=float)
-    # fsum reads a list of floats faster than it iterates an array: same floats, same bits
-    if values.size <= 4096:
-        return _fsum(values.tolist())
-    starts = np.arange(0, values.size, 4096)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf inside a block
-        return _fsum(np.add.reduceat(values, starts).tolist())
+    if values.ndim > 2:
+        raise ValueError(f"compensated_sum takes a scalar, a row or rows, not shape {values.shape}")
+    rows = values if values.ndim == 2 else values.reshape(1, -1)
+    if rows.shape[1] <= _FSUM_BLOCK:
+        sums = fsum_rows(rows)
+    else:
+        starts = np.arange(0, rows.shape[1], _FSUM_BLOCK)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf inside a block
+            sums = [_fsum(np.add.reduceat(row, starts).tolist()) for row in rows]
+    return sums if values.ndim == 2 else sums[0]
 
 
 def _cell_extrema(ys: np.ndarray, w: int, lo=None, hi=None):
@@ -209,12 +261,12 @@ def _cell_extrema(ys: np.ndarray, w: int, lo=None, hi=None):
         ys[undefined] = np.inf
     body = ys[:-1].reshape(-1, w)
     right = ys[w::w]
-    lo = body.min(axis=1, out=lo)
-    np.minimum(lo, right, out=lo)
+    # at w = 1 a cell's body is its left edge, taken as is rather than reduced
+    # over an axis of length 1: the same operands, so the same bits
+    lo = np.minimum(ys[:-1] if w == 1 else body.min(axis=1, out=lo), right, out=lo)
     if undefined is not None:
         ys[undefined] = -np.inf
-    hi = body.max(axis=1, out=hi)
-    np.maximum(hi, right, out=hi)
+    hi = np.maximum(ys[:-1] if w == 1 else body.max(axis=1, out=hi), right, out=hi)
     if undefined is not None:
         ys[undefined] = np.nan
     return lo, hi, undefined
@@ -326,10 +378,9 @@ def _partition_sums(
     hints: Sequence[float] | None,
 ) -> tuple[float, float]:
     """(lower, upper) sampled Darboux sums: the cell extrema times the widths."""
-    lows, highs = _cell_bounds(f, p, cfg, hints)
-    widths = p.widths()
     with np.errstate(over="ignore"):
-        return compensated_sum(lows * widths), compensated_sum(highs * widths)
+        lower, upper = compensated_sum(np.stack(_cell_bounds(f, p, cfg, hints)) * p.widths())
+    return lower, upper
 
 
 def lower_sum(
@@ -376,17 +427,16 @@ def _uniform_sums(
     dx = (b - a) / cells
     hint_xs, hint_ys = _hint_values(ev, hints, a, b)
 
-    lo_parts: list[float] = []
-    hi_parts: list[float] = []
+    chunk_sums: list[list[float]] = []  # each chunk's (lower, upper) sum of extrema
     magnitude, holes = 0.0, False
     cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
     cells_per_block = max(1, (_CHUNK_POINTS - 1) // w)
-    # one pair of chunk arrays for the level, so no two chunks' are alive at once
-    chunk_cells = min(cells, cells_per_chunk)
-    lo_level, hi_level = np.empty(chunk_cells), np.empty(chunk_cells)
+    # one (lo, hi) pair of chunk rows for the level, so no two chunks' are alive at once
+    level = np.empty((2, min(cells, cells_per_chunk)))
     for c0 in range(0, cells, cells_per_chunk):
         c1 = min(cells, c0 + cells_per_chunk)
-        lo, hi = lo_level[: c1 - c0], hi_level[: c1 - c0]
+        pair = level[:, : c1 - c0]
+        lo, hi = pair
         for k0 in range(c0, c1, cells_per_block):
             k1 = min(c1, k0 + cells_per_block)
             xs = np.arange(k0 * w, k1 * w + 1, dtype=float)
@@ -406,12 +456,12 @@ def _uniform_sums(
             idx = np.searchsorted(edges, hint_xs, side="right") - 1
             keep = (idx >= 0) & (idx < c1 - c0)
             _fold_hints(lo, hi, idx[keep], hint_ys[keep])
-        lo_parts.append(compensated_sum(lo))
-        hi_parts.append(compensated_sum(hi))
+        chunk_sums.append(compensated_sum(pair))
         with np.errstate(over="ignore"):
             magnitude += float(np.abs(lo, out=lo).sum() + np.abs(hi, out=hi).sum())
 
-    return _fsum(lo_parts) * dx, _fsum(hi_parts) * dx, magnitude * dx, holes
+    lower, upper = (_fsum(sums) * dx for sums in zip(*chunk_sums))
+    return lower, upper, magnitude * dx, holes
 
 
 def integrate(

@@ -553,6 +553,169 @@ class TestCompensatedSum:
         vals = rng.normal(size=50_000)
         assert compensated_sum(vals) == compensated_sum(vals.copy())
 
+    # Sizes around the kernel's limits (4096 terms, 2**k - 1 of them), and the
+    # 3 * 2**13 + 1 trapezoid areas of integrate_pl at level 13.
+    KERNEL_SIZES = (0, 1, 2, 63, 64, 65, 1024, 4095, 4096, 24577)
+    KINDS = ("spread", "cancel", "ties", "subnormal", "zeros", "special", "overflow",
+             "one-sign", "residual-bound")
+
+    @staticmethod
+    def terms(kind, size, rng):
+        if size == 0:
+            return np.zeros(0)
+        if kind == "spread":  # exponents from 1e-300 to 1e300
+            return rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+        if kind == "cancel":  # v and -v shuffled, plus one 2**-60
+            v = rng.uniform(-1.0, 1.0, (size - 1) // 2) * 10.0 ** rng.uniform(-20.0, 20.0, (size - 1) // 2)
+            x = np.concatenate([v, -v, [2.0**-60], np.zeros(size - 1 - 2 * v.size)])[:size]
+            return rng.permutation(x)
+        if kind == "ties":  # sums halfway between two floats, some pushed off the tie
+            x = rng.choice([2.0**-53, -(2.0**-53), 2.0**-54, 3 * 2.0**-54, 2.0**-106, 0.0], size)
+            x[0] = rng.choice([1.0, 1.0 + 2.0**-52])
+            return x
+        if kind == "subnormal":
+            return rng.integers(-(2**20), 2**20, size) * 5e-324
+        if kind == "zeros":
+            return rng.choice([0.0, -0.0], size)
+        if kind == "special":
+            x = rng.normal(size=size)
+            x[rng.integers(0, size, 3)] = rng.choice([math.inf, -math.inf, math.nan], 3)
+            return x
+        if kind == "overflow":  # terms near 1e308 whose partial sums overflow
+            return rng.uniform(0.9, 1.0, size) * 1e308 * rng.choice([1.0, -1.0], size, p=[0.7, 0.3])
+        if kind == "one-sign":  # partial sums near the bound of the first extraction
+            return rng.uniform(0.5, 1.0, size) * rng.choice([1.0, -1.0, 3e-310, 3e200])
+        # residuals near the bound of the second extraction, 0.75 - 0.75 cancelling
+        x = rng.uniform(0.9, 1.0, size) * 2.0 ** (size.bit_length() - 53)
+        x *= rng.choice([1.0, -0.5], size, p=[0.97, 0.03])
+        x[:2] = [0.75, -0.75][:size]
+        return x
+
+    @staticmethod
+    def assert_fsum_bits(got, values):
+        """``got`` is math.fsum(values) in every bit, sign of zero included.
+
+        Where math.fsum raises, the sum is ``_fsum``'s: +-inf on overflow,
+        NaN for inf - inf.
+        """
+        try:
+            want = math.fsum(values.tolist())
+        except (OverflowError, ValueError):
+            want = D._fsum(values.tolist())
+        assert float.hex(got) == float.hex(want), (got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.sampled_from(KERNEL_SIZES), kind=st.sampled_from(KINDS),
+           other=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+    @example(size=4096, kind="zeros", other="zeros", seed=0)
+    @example(size=64, kind="one-sign", other="residual-bound", seed=1)
+    @example(size=63, kind="residual-bound", other="spread", seed=1)
+    def test_kernel_is_fsum_bitwise(self, size, kind, other, seed):
+        rng = np.random.default_rng(seed)
+        values = self.terms(kind, size, rng)
+        self.assert_fsum_bits(D.fsum_rows(values[None])[0], values)
+        if size > D._FSUM_BLOCK:
+            return
+        self.assert_fsum_bits(compensated_sum(values), values)
+        rows = np.stack([values, rng.permutation(values), self.terms(other, size, rng), -values])
+        for got, row in zip(compensated_sum(rows), rows):
+            self.assert_fsum_bits(got, row)
+
+    def test_all_negative_zeros_keep_fsum_sign(self):
+        for values in (np.full(3, -0.0), np.array([[-0.0, -0.0], [1.0, -1.0]])):
+            got = compensated_sum(values)
+            for g, row in zip(np.atleast_1d(got), np.atleast_2d(values)):
+                self.assert_fsum_bits(float(g), row)
+
+    def test_scalar_is_one_term(self):
+        assert compensated_sum(3.0) == 3.0
+        got = compensated_sum(np.float64(2.0))
+        assert got == 2.0 and type(got) is float
+
+    def test_rows_give_one_sum_each(self):
+        assert compensated_sum([[1.0, 2.0], [3.0, 4.0]]) == [3.0, 7.0]
+        assert compensated_sum(np.zeros((3, 0))) == [0.0, 0.0, 0.0]
+        assert compensated_sum(np.zeros((0, 5))) == []
+        values = np.random.default_rng(6).normal(size=(2, 5000))  # blocks of 4096, per row
+        assert compensated_sum(values) == [compensated_sum(row) for row in values]
+
+    def test_rows_with_a_special_row(self):
+        rows = np.array([[1.0, math.inf, 2.0], [1e16, 1.0, -1e16], [math.nan, 0.0, 1.0]])
+        got = compensated_sum(rows)
+        assert got[:2] == [math.inf, 1.0] and math.isnan(got[2])
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 1, 1)])
+    def test_other_shapes_raise(self, shape):
+        with pytest.raises(ValueError, match="scalar, a row or rows"):
+            compensated_sum(np.zeros(shape))
+
+
+def extrema_by_reduction(ys, w):
+    """_cell_extrema's rule written out: each cell's body reduced, then its right edge."""
+    ys = ys.copy()
+    mask = np.isnan(ys)
+    if (mask[:-1] & mask[1:]).any():
+        raise UndefinedSamplesError("adjacent undefined samples")
+    ys[mask] = np.inf
+    lo = np.minimum(ys[:-1].reshape(-1, w).min(axis=1), ys[w::w])
+    ys[mask] = -np.inf
+    hi = np.maximum(ys[:-1].reshape(-1, w).max(axis=1), ys[w::w])
+    return lo, hi, (np.flatnonzero(mask) if mask.any() else None)
+
+
+class TestCellExtremaAtTwoSamples:
+    """At w = 1, _cell_extrema takes the two edges of each cell without a reduction."""
+
+    CASES = {
+        "isolated NaN": [1.0, math.nan, 3.0, -2.0, math.nan],
+        "adjacent NaNs": [1.0, math.nan, math.nan, 2.0],
+        "signed zero ties": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0],
+        "infinities": [math.inf, -math.inf, 1.0, math.inf, math.nan, -math.inf],
+        "one cell": [2.0, -1.0],
+    }
+
+    @staticmethod
+    def bits(a):
+        return None if a is None else np.asarray(a).tobytes()
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("given_out", [False, True])
+    def test_matches_reduction_bitwise(self, name, given_out):
+        ys = np.array(self.CASES[name])
+        kept = ys.copy()
+        try:
+            want = extrema_by_reduction(ys, 1)
+        except UndefinedSamplesError:
+            with pytest.raises(UndefinedSamplesError):
+                D._cell_extrema(ys, 1)
+            return
+        # views into a caller's (lo, hi) rows, as _uniform_sums passes them
+        pair = np.full((2, ys.size + 1), 7.0)
+        lo, hi = (pair[0, 1:-1], pair[1, 1:-1]) if given_out else (None, None)
+        got = D._cell_extrema(ys, 1, lo, hi)
+        assert [self.bits(g) for g in got] == [self.bits(v) for v in want]
+        assert ys.tobytes() == kept.tobytes()  # masked in place and restored
+        if given_out:
+            assert got[0] is lo and got[1] is hi
+            assert pair[:, [0, -1]].tolist() == [[7.0, 7.0], [7.0, 7.0]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ys=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                       min_size=2, max_size=40),
+           w=st.sampled_from([1, 1, 2, 3]))
+    def test_random_samples(self, ys, w):
+        ys = np.array(ys[: 1 + (len(ys) - 1) // w * w])
+        if ys.size < 2:
+            return
+        try:
+            want = extrema_by_reduction(ys, w)
+        except UndefinedSamplesError:
+            with pytest.raises(UndefinedSamplesError):
+                D._cell_extrema(ys, w)
+            return
+        got = D._cell_extrema(ys, w)
+        assert [self.bits(g) for g in got] == [self.bits(v) for v in want]
+
 
 class TestSamplingConfig:
     def test_validation(self):
