@@ -40,9 +40,11 @@ extraction of Rump, Ogita & Oishi (SIAM J. Sci. Comput. 31(1), 2008) in
 a few vector passes; a longer one is summed in ascending blocks of 4096
 whose sums are fsum'd.  Samples are evaluated and reduced in blocks of
 at most 8192 points, which bound the working memory; the summation
-chunks of 2**21 samples, not the blocks, fix the order of the sums.  A
-sum that is not finite ends refinement at once with a non-convergence
-error.
+chunks of 2**21 samples, not the blocks, fix the order of the sums.
+Intervals of equal cell count can be sampled as the rows of one level,
+a block holding the same cells of each, and every row keeps the bits of
+sampling it alone.  A sum that is not finite ends refinement at once
+with a non-convergence error.
 """
 
 from __future__ import annotations
@@ -170,13 +172,28 @@ def as_evaluator(f: Integrand) -> Evaluator:
 
 
 def _fsum(values) -> float:
-    """``math.fsum``, giving +-inf on overflow and NaN for inf - inf."""
+    """``math.fsum`` of a sequence, also where its partial sums overflow.
+
+    math.fsum raises OverflowError when a partial sum of finite terms
+    overflows, even if the exact sum is finite.  Then the sum is that of
+    the infinite and NaN terms when there are any; else it is the exact
+    sum correctly rounded, +-inf only when it is out of range.  Both
+    infinities among the terms give NaN.
+    """
     try:
         return math.fsum(values)
-    except OverflowError:  # finite terms whose partial sums overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(values))
-        return total if math.isnan(total) else math.copysign(math.inf, total)
+    except OverflowError:
+        special = [v for v in values if not math.isfinite(v)]
+        if special:
+            return _fsum(special)
+        # each term is p/q with q a power of two: put them over the largest q
+        ratios = [float(v).as_integer_ratio() for v in values]
+        q = max(d for _, d in ratios)
+        total = sum(n * (q // d) for n, d in ratios)
+        try:
+            return total / q  # int / int is correctly rounded
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
     except ValueError:  # both infinities among the terms
         return math.nan
 
@@ -186,7 +203,7 @@ def _fsum(values) -> float:
 _FSUM_BLOCK = 4096
 
 
-def fsum_rows(rows: np.ndarray) -> list[float]:
+def fsum_rows(rows: np.ndarray, *, _abs: np.ndarray | None = None) -> list[float]:
     """``_fsum`` of each row of a 2-D array, by error-free extraction.
 
     Rump, Ogita & Oishi, "Accurate floating-point summation part I:
@@ -200,8 +217,9 @@ def fsum_rows(rows: np.ndarray) -> list[float]:
     still nonzero, and their fsum is the correctly rounded sum: math.fsum's
     bits.  Rows with a term that is inf, NaN or 2**960 or more, and rows
     whose sum is zero (for fsum's sign of zero), go to ``_fsum``.
+    ``_abs`` is ``np.abs(rows)`` when the caller already holds it.
     """
-    m = float(np.abs(rows).max()) if rows.size else 0.0
+    m = float((np.abs(rows) if _abs is None else _abs).max()) if rows.size else 0.0
     if not 0 < m < 2.0**960:  # no nonzero term, or one that is not finite or huge
         if len(rows) == 1:
             return [_fsum(rows[0].tolist())]
@@ -219,21 +237,24 @@ def fsum_rows(rows: np.ndarray) -> list[float]:
     return [s if s else _fsum(row.tolist()) for s, row in zip(sums, rows)]
 
 
-def compensated_sum(values) -> float | list[float]:
+def compensated_sum(values, *, _abs: np.ndarray | None = None) -> float | list[float]:
     """Deterministic compensated sum of a row, or of each row of a 2-D array.
 
     A row of at most 4096 terms gets its correctly rounded sum, the bits
     of math.fsum, by error-free extraction (``fsum_rows``).  A longer row
     is summed in ascending blocks of 4096 terms, and the block sums are
-    fsum'd.  A scalar is a row of one term; a 2-D array gives a list with
-    one sum per row.
+    fsum'd, so there a block sum that overflows gives +-inf although the
+    exact sum may be finite.  A scalar is a row of one term; a 2-D array
+    gives a list with one sum per row.  ``_abs`` (internal) is
+    ``np.abs(values)`` when the caller already holds it, which saves the
+    extraction that pass.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim > 2:
         raise ValueError(f"compensated_sum takes a scalar, a row or rows, not shape {values.shape}")
     rows = values if values.ndim == 2 else values.reshape(1, -1)
     if rows.shape[1] <= _FSUM_BLOCK:
-        sums = fsum_rows(rows)
+        sums = fsum_rows(rows, _abs=_abs)
     else:
         starts = np.arange(0, rows.shape[1], _FSUM_BLOCK)
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf inside a block
@@ -403,6 +424,112 @@ def upper_sum(
     return _partition_sums(f, p, cfg, hints)[1]
 
 
+def _uniform_rows(
+    ev: Evaluator,
+    a: Sequence[float],
+    b: Sequence[float],
+    cells: int,
+    cfg: SamplingConfig,
+    hints: Sequence[float] | None,
+) -> list[tuple[float, float, float, bool] | UndefinedSamplesError]:
+    """Each row's (lower, upper, magnitude, holes) over ``cells`` equal cells of [a[r], b[r]].
+
+    A row with adjacent undefined samples gives the UndefinedSamplesError
+    it raised instead.  Cell i of a row samples the row's uniform grid
+    slice [i*w, i*w + w] for w = samples_per_cell - 1, so each distinct
+    point is evaluated once, except the edge sample two evaluation blocks
+    share.  A block holds the same cells of every row, at most
+    _CHUNK_POINTS samples in all, and is evaluated in one call.  Blocks
+    fill in the cell extrema of a chunk of _SUM_CHUNK_POINTS samples a
+    row, and all rows of the chunk are summed in one call, so neither the
+    blocks nor the other rows change a bit of a row's result.
+    ``magnitude``, the sum of (|min| + |max|) * width over the cells,
+    scales the rounding of the sums; ``holes`` tells whether an undefined
+    sample was skipped strictly inside (a, b).  Sampling stops once every
+    row has raised.
+    """
+    rows = len(a)
+    w = cfg.samples_per_cell - 1
+    dx = [(hi - lo) / cells for lo, hi in zip(a, b)]
+    step = [(hi - lo) / (cells * w) for lo, hi in zip(a, b)]
+    pins = None  # each row's hints inside it and their values
+    if hints is not None:
+        pins = [_hint_values(ev, hints, lo, hi) for lo, hi in zip(a, b)]
+
+    errors: list[UndefinedSamplesError | None] = [None] * rows
+    holes = [False] * rows
+    chunk_sums: list[list[float]] = []  # each chunk's lower sums, then its upper sums
+    magnitude = [0.0] * rows
+    cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
+    cells_per_block = max(1, (_CHUNK_POINTS // rows - 1) // w)
+    # room for one chunk's (lo, hi) rows, so no two chunks' are alive at once
+    room = np.empty(2 * rows * min(cells, cells_per_chunk))
+    for c0 in range(0, cells, cells_per_chunk):
+        c1 = min(cells, c0 + cells_per_chunk)
+        pair = room[: 2 * rows * (c1 - c0)].reshape(2 * rows, c1 - c0)
+        lo, hi = pair[:rows], pair[rows:]
+        for k0 in range(c0, c1, cells_per_block):
+            k1 = min(c1, k0 + cells_per_block)
+            grids = []
+            for r in range(rows):  # row by row: numpy's fast path for a scalar
+                grid = np.arange(k0 * w, k1 * w + 1, dtype=float)
+                grid *= step[r]
+                grid += a[r]
+                if k1 == cells:
+                    grid[-1] = b[r]
+                grids.append(grid)
+            ys = ev(grids[0] if rows == 1 else np.concatenate(grids)).reshape(rows, -1)
+            for r in range(rows):
+                try:
+                    _, _, undefined = _cell_extrema(
+                        ys[r], w, lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0]
+                    )
+                except UndefinedSamplesError as exc:
+                    errors[r] = errors[r] or exc
+                    continue
+                if undefined is not None:
+                    undefined += k0 * w  # global sample index; 0 is a, cells*w is b
+                    holes[r] = holes[r] or bool(((undefined > 0) & (undefined < cells * w)).any())
+            if all(errors):
+                return errors
+        for r, (hint_xs, hint_ys) in enumerate(pins or ()):
+            if hint_xs.size:
+                edges = a[r] + dx[r] * np.arange(c0, c1 + 1)
+                if c1 == cells:
+                    edges[-1] = b[r]  # as the last sample is, so no hint below b falls out
+                # a hint on an edge belongs to the cell on its right, also across chunks
+                idx = np.searchsorted(edges, hint_xs, side="right") - 1
+                keep = (idx >= 0) & (idx < c1 - c0)
+                _fold_hints(lo[r], hi[r], idx[keep], hint_ys[keep])
+        if c1 - c0 <= _FSUM_BLOCK:  # one |pair| pass bounds the extraction too
+            size = np.abs(pair)
+            chunk_sums.append(compensated_sum(pair, _abs=size))
+        else:
+            chunk_sums.append(compensated_sum(pair))
+            size = np.abs(pair, out=pair)
+        with np.errstate(over="ignore"):
+            size = size.sum(axis=1).tolist()
+        for r in range(rows):
+            magnitude[r] += size[r] + size[rows + r]
+
+    levels: list[tuple[float, float, float, bool] | UndefinedSamplesError] = []
+    for r in range(rows):
+        if errors[r] is not None:
+            levels.append(errors[r])
+            continue
+        lower = _fsum([sums[r] for sums in chunk_sums]) * dx[r]
+        upper = _fsum([sums[rows + r] for sums in chunk_sums]) * dx[r]
+        levels.append((lower, upper, magnitude[r] * dx[r], holes[r]))
+    return levels
+
+
+def _level_sums(level) -> tuple[float, float, float, bool]:
+    """A row of ``_uniform_rows``: its sums, or its error raised."""
+    if isinstance(level, UndefinedSamplesError):
+        raise level
+    return level
+
+
 def _uniform_sums(
     ev: Evaluator,
     a: float,
@@ -411,57 +538,11 @@ def _uniform_sums(
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
 ) -> tuple[float, float, float, bool]:
-    """(lower, upper, magnitude, holes) over ``cells`` equal cells.
+    """(lower, upper, magnitude, holes) over ``cells`` equal cells of [a, b].
 
-    Cell i's samples are the global uniform grid slice [i*w, i*w + w]
-    for w = samples_per_cell - 1, so each distinct point is evaluated
-    once, except the edge sample two evaluation blocks share.  Blocks of
-    at most _CHUNK_POINTS samples fill in the cell extrema of a chunk of
-    _SUM_CHUNK_POINTS samples, which is summed whole, so blocks change
-    no bit.  ``magnitude``, the sum of (|min| + |max|) * width over the
-    cells, scales the rounding of the sums; ``holes`` tells whether an
-    undefined sample was skipped strictly inside (a, b).
+    The one-row ``_uniform_rows``; adjacent undefined samples raise.
     """
-    w = cfg.samples_per_cell - 1
-    step = (b - a) / (cells * w)
-    dx = (b - a) / cells
-    hint_xs, hint_ys = _hint_values(ev, hints, a, b)
-
-    chunk_sums: list[list[float]] = []  # each chunk's (lower, upper) sum of extrema
-    magnitude, holes = 0.0, False
-    cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
-    cells_per_block = max(1, (_CHUNK_POINTS - 1) // w)
-    # one (lo, hi) pair of chunk rows for the level, so no two chunks' are alive at once
-    level = np.empty((2, min(cells, cells_per_chunk)))
-    for c0 in range(0, cells, cells_per_chunk):
-        c1 = min(cells, c0 + cells_per_chunk)
-        pair = level[:, : c1 - c0]
-        lo, hi = pair
-        for k0 in range(c0, c1, cells_per_block):
-            k1 = min(c1, k0 + cells_per_block)
-            xs = np.arange(k0 * w, k1 * w + 1, dtype=float)
-            xs *= step
-            xs += a
-            if k1 == cells:
-                xs[-1] = b
-            _, _, undefined = _cell_extrema(ev(xs), w, lo[k0 - c0 : k1 - c0], hi[k0 - c0 : k1 - c0])
-            if undefined is not None:
-                undefined += k0 * w  # global sample index; 0 is a, cells*w is b
-                holes = holes or bool(((undefined > 0) & (undefined < cells * w)).any())
-        if hint_xs.size:
-            edges = a + dx * np.arange(c0, c1 + 1)
-            if c1 == cells:
-                edges[-1] = b  # as the last sample is, so no hint below b falls out
-            # a hint on an edge belongs to the cell on its right, also across chunks
-            idx = np.searchsorted(edges, hint_xs, side="right") - 1
-            keep = (idx >= 0) & (idx < c1 - c0)
-            _fold_hints(lo, hi, idx[keep], hint_ys[keep])
-        chunk_sums.append(compensated_sum(pair))
-        with np.errstate(over="ignore"):
-            magnitude += float(np.abs(lo, out=lo).sum() + np.abs(hi, out=hi).sum())
-
-    lower, upper = (_fsum(sums) * dx for sums in zip(*chunk_sums))
-    return lower, upper, magnitude * dx, holes
+    return _level_sums(_uniform_rows(ev, [a], [b], cells, cfg, hints)[0])
 
 
 def integrate(
@@ -472,6 +553,8 @@ def integrate(
     hints: Sequence[float] | None = None,
     max_cells: int = CELL_CAP,
     start_cells: int = START_CELLS,
+    *,
+    _first=None,
 ) -> DarbouxEstimate:
     """Refine uniform cells from 2**10 until upper - lower <= tol.
 
@@ -485,6 +568,12 @@ def integrate(
     it cannot become finite later).  The bracket endpoints are the
     sampled Darboux sums of the final refinement; ``midpoint`` is the
     point estimate.
+
+    ``_first`` (internal) is the first level when the caller has sampled
+    it already: its row of ``_uniform_rows`` over ``iv`` at
+    min(start_cells, max_cells) cells with these ``cfg`` and ``hints``.
+    The improper runner samples the strips of a truncation step as rows
+    of one level this way; the result is that of sampling it here.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -497,8 +586,11 @@ def integrate(
     while True:
         jumped = 0 < 2 * last < cells
         levels, swept = levels + 1, swept + cells
+        level, _first = _first, None
         try:
-            lower, upper, magnitude, holes = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints)
+            if level is None:
+                level = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints)
+            lower, upper, magnitude, holes = _level_sums(level)
             undo = jumped and (holes or not math.isfinite(upper - lower))
         except UndefinedSamplesError:
             if not jumped:

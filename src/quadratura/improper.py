@@ -21,7 +21,10 @@ schedule, inner_tol * 2^-(k+1) split evenly, would give it.  A step
 reports the midpoint and width of the running bracket, and ``cells``
 counts all cells covering [u_k, v_k].  Each strip gets its own uniform
 grid, so a strip near a steep end does not force fine cells onto the
-rest of the truncation.
+rest of the truncation.  Every strip opens at the same cell count
+whatever its budget, so the first levels of a step's strips are sampled
+as rows of one level, in one evaluation, and each strip refines alone
+from its row; the results are those of integrating each strip alone.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import changevar, darboux
 from .changevar import INCONCLUSIVE, MISMATCH, VERIFIED, SubstitutionProblem
-from .darboux import CELL_CAP, NonConvergenceError, SamplingConfig
+from .darboux import CELL_CAP, START_CELLS, NonConvergenceError, SamplingConfig
 from .partition import Interval
 
 __all__ = [
@@ -133,6 +136,29 @@ def _aitken(values: list[float]) -> tuple[float | None, bool]:
     return float(limit), True
 
 
+def _first_levels(
+    ev, strips: list[tuple[float, float]], cfg: SamplingConfig, max_cells: int
+) -> list:
+    """The first refinement level of each strip, all sampled as rows of one level.
+
+    ``darboux.integrate`` opens every strip at min(START_CELLS, max_cells)
+    cells whatever its tolerance, so the strips of a step can share that
+    level's evaluation and give the bits of sampling it alone.  The rows
+    stop before a strip that is not a valid interval: it and the strips
+    after it get None and sample their own, so errors keep strip order.
+    """
+    ivs = []
+    for a, b in strips:
+        try:
+            ivs.append(Interval(a, b))
+        except ValueError:
+            break
+    firsts = darboux._uniform_rows(
+        ev, [iv.a for iv in ivs], [iv.b for iv in ivs], min(START_CELLS, max_cells), cfg, None
+    ) if ivs else []
+    return firsts + [None] * (len(strips) - len(ivs))
+
+
 def _run_side(
     ev,
     schedule: ImproperSchedule,
@@ -159,9 +185,12 @@ def _run_side(
             strips = [(a, b) for a, b in ((u, prev[0]), (prev[1], v)) if a < b]
             budget = (inner_tol - (upper - lower)) / 2.0
         try:
+            firsts = _first_levels(ev, strips, cfg, max_cells)
             for i, (a, b) in enumerate(strips):
                 tol = budget / (len(strips) - i)
-                est = darboux.integrate(ev, Interval(a, b), tol, cfg, max_cells=max_cells)
+                est = darboux.integrate(
+                    ev, Interval(a, b), tol, cfg, max_cells=max_cells, _first=firsts[i]
+                )
                 lower += est.lower
                 upper += est.upper
                 cells += est.cells
@@ -228,8 +257,7 @@ class ImproperReport:
 
 
 def _image_limit(phi_ev, ts: list[float]) -> float:
-    vals = [float(phi_ev(np.array([t]))[0]) for t in ts]
-    vals = [v for v in vals if not math.isnan(v)]
+    vals = [v for v in phi_ev(np.array(ts, dtype=float)).tolist() if not math.isnan(v)]
     if not vals:
         raise ValueError("phi undefined along the probe sequence")
     if len(vals) >= 2 and abs(vals[-1]) > 1e8 and abs(vals[-1]) > 2.0 * abs(vals[0]):
@@ -283,16 +311,16 @@ def improper_verify(
             orientation = 1.0 if image_a < image_b else -1.0
             x_lo, x_hi = min(image_a, image_b), max(image_a, image_b)
             f_ev = changevar.as_evaluator(p.f)
-
-            def endpoint_open(x: float, t_open: bool) -> bool:
-                if math.isinf(x):
-                    return True
-                if t_open:
-                    return True
-                return math.isnan(float(f_ev(np.array([x]))[0]))
-
-            lo_open = endpoint_open(x_lo, t_schedule.lo_open if orientation > 0 else t_schedule.hi_open)
-            hi_open = endpoint_open(x_hi, t_schedule.hi_open if orientation > 0 else t_schedule.lo_open)
+            # an x end is open where its t end is, where it is infinite, and
+            # where f is undefined; f is evaluated at the other ends in one call
+            ends = (x_lo, x_hi)
+            t_open = (t_schedule.lo_open, t_schedule.hi_open)[:: 1 if orientation > 0 else -1]
+            opened = [o or math.isinf(x) for x, o in zip(ends, t_open)]
+            closed = [i for i in (0, 1) if not opened[i]]
+            if closed:
+                for i, y in zip(closed, f_ev(np.array([ends[i] for i in closed])).tolist()):
+                    opened[i] = math.isnan(y)
+            lo_open, hi_open = opened
             width = x_hi - x_lo
             offset = lhs_offset
             if offset is None:

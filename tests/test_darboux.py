@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -504,6 +505,35 @@ class TestCompensatedSum:
         assert compensated_sum(np.array([1e308, 1e308])) == math.inf
         assert compensated_sum(np.array([-1e308, -1e308])) == -math.inf
         assert compensated_sum(np.full(10_000, 1e305)) == math.inf
+
+    def test_intermediate_overflow_gives_the_exact_sum(self):
+        # math.fsum raises when a partial sum overflows, though these sums are finite
+        assert compensated_sum([1e308, 1e308, -1e308]) == 1e308
+        assert compensated_sum([1e308, -1e308, 1e308, 1e308, -1e308, -1e308, -1e308]) == -1e308
+        assert compensated_sum([1e308, 1e308, -math.inf]) == -math.inf
+        assert math.isnan(compensated_sum([1e308, 1e308, math.nan]))
+        assert math.isnan(compensated_sum([1e308, 1e308, math.inf, -math.inf]))
+
+    @staticmethod
+    def exact_sum(values):
+        """The sum of the terms as a Fraction, correctly rounded; +-inf out of range."""
+        total = sum(map(Fraction, values), Fraction(0))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.lists(st.one_of(
+               st.floats(0.5e308, 1.7976931348623157e308).map(lambda x: x * (-1) ** int(x % 2)),
+               st.sampled_from([1e308, -1e308, 8.98846567431158e307, 1.0, -3.5e300, 5e-324]),
+               st.floats(-1e300, 1e300)), min_size=1, max_size=40),
+           copies=st.sampled_from([1, 3, 100]))
+    def test_huge_terms_match_the_exact_sum(self, terms, copies):
+        values = np.array(terms * copies)[: D._FSUM_BLOCK]
+        want = self.exact_sum(values.tolist()).hex()
+        assert D._fsum(values.tolist()).hex() == want
+        assert compensated_sum(values).hex() == want
 
     def test_opposite_infinities_give_nan(self):
         assert math.isnan(compensated_sum(np.array([math.inf, -math.inf])))
@@ -1052,6 +1082,97 @@ class TestEvaluationBlocks:
         # two chunks' lo and hi alive at once would be 4 MB
         assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
+
+
+# Row integrands: values of both signs, signed zeros (0*x is -0.0 for x < 0)
+ROW_BASES = {
+    "abs(sin(7x))": lambda xs: np.abs(np.sin(7.0 * xs)),
+    "0*x": lambda xs: 0.0 * xs,
+    "sin(3x)+0*x": lambda xs: np.sin(3.0 * xs) + 0.0 * xs,
+}
+
+
+@st.composite
+def row_cases(draw):
+    """Rows of one level, each with its own undefined points; hints shared by all rows."""
+    samples = draw(st.sampled_from([2, 3, 8, 17, 64]))
+    w = samples - 1
+    chunk_points = draw(st.sampled_from([17, 100, D._CHUNK_POINTS]))
+    sum_points = draw(st.sampled_from([D._SUM_CHUNK_POINTS, 64, 333]))
+    cells = draw(st.integers(1, 600))
+    ends, bad, hints = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.sampled_from([0.0, -1.0, 0.1, -0.3, 1.0]))
+        b = a + draw(st.sampled_from([1.0, 2.5, 0.7]))
+        ends.append((a, b))
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, cells * w))
+            kind = draw(st.sampled_from(["isolated", "pair", "hint"]))
+            x = sample_at(a, b, cells, w, i)
+            if kind == "hint":
+                hints.append(x)
+            else:
+                span = (i, i + 1) if kind == "pair" else (i,)
+                bad.extend(sample_at(a, b, cells, w, j) for j in span if j <= cells * w)
+    base = draw(st.sampled_from(sorted(ROW_BASES)))
+    return samples, chunk_points, sum_points, cells, ends, bad, hints or None, base
+
+
+class TestRows:
+    """``_uniform_rows`` gives each row the bits of sampling it alone, or that row's error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=row_cases())
+    # the second row raises, the first keeps its sums
+    @example(case=(2, D._CHUNK_POINTS, D._SUM_CHUNK_POINTS, 100, [(0.0, 1.0), (1.0, 2.0)],
+                   [sample_at(1.0, 2.0, 100, 1, i) for i in (40, 41)], None, "abs(sin(7x))"))
+    # signed zeros across 0, the two rows in several blocks and summation chunks
+    @example(case=(8, 100, 64, 50, [(-1.0, 0.0), (-0.3, 0.4)], [], None, "0*x"))
+    def test_rows_match_lone_levels(self, case):
+        samples, chunk_points, sum_points, cells, ends, bad, hints, base = case
+        cfg = SamplingConfig(samples_per_cell=samples)
+        sizes = []
+        bad = np.asarray(bad, dtype=float)
+
+        def f(xs):
+            sizes.append(xs.size)
+            return np.where(np.isin(xs, bad), np.nan, ROW_BASES[base](xs))
+
+        ev = D.as_evaluator(f)
+        with mock.patch.object(D, "_CHUNK_POINTS", chunk_points), \
+                mock.patch.object(D, "_SUM_CHUNK_POINTS", sum_points), np.errstate(all="ignore"):
+            want = [sums_outcome(D._uniform_sums, ev, a, b, cells, cfg, hints) for a, b in ends]
+            sizes.clear()
+            rows = D._uniform_rows(ev, [a for a, _ in ends], [b for _, b in ends], cells, cfg,
+                                   hints)
+        got = [sums_outcome(D._level_sums, row) for row in rows]
+        assert got == want
+        assert max(sizes) <= max(chunk_points, len(ends) * samples)
+
+    def test_one_call_for_the_rows_of_a_block(self):
+        sizes = []
+
+        def f(xs):
+            sizes.append(xs.size)
+            return xs * xs
+
+        rows = D._uniform_rows(D.as_evaluator(f), [0.0, 1.0, -2.0], [1.0, 3.0, -1.0], 1024,
+                               EDGES, None)
+        assert sizes == [3 * 1025]
+        assert [row[:2] for row in rows] == [
+            D._uniform_sums(D.as_evaluator(f), a, b, 1024, EDGES, None)[:2]
+            for a, b in ((0.0, 1.0), (1.0, 3.0), (-2.0, -1.0))]
+
+    def test_sampling_stops_once_every_row_raised(self):
+        sizes = []
+
+        def f(xs):
+            sizes.append(xs.size)
+            return np.full_like(xs, np.nan)
+
+        rows = D._uniform_rows(D.as_evaluator(f), [0.0, 1.0], [1.0, 2.0], 2**14, EDGES, None)
+        assert all(isinstance(row, UndefinedSamplesError) for row in rows)
+        assert len(sizes) == 1
 
 # float.hex of (lower_sum, upper_sum) on UNIFORM_16, the same on IRREGULAR,
 # integrate's (lower, upper) on [0, 1] at tol 2e-4 and (infimum_on,

@@ -1,0 +1,292 @@
+"""The improper runner samples the first level of a truncation step's strips at once.
+
+Every strip of a step opens at min(START_CELLS, max_cells) cells whatever
+its tolerance, so ``improper._run_side`` samples those levels as rows of
+one level and seeds each strip's ``darboux.integrate`` call with its row.
+The step tables, errors and verdicts are those of integrating each strip
+alone, bit for bit.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from quadratura import changevar, darboux, improper
+from quadratura.changevar import SubstitutionProblem
+from quadratura.darboux import CELL_CAP, NonConvergenceError, SamplingConfig
+from quadratura.expr import parse
+from quadratura.improper import ImproperSchedule, improper_verify
+from quadratura.partition import Interval
+
+EDGES = SamplingConfig(samples_per_cell=2)
+
+
+def hexed(value):
+    """``value`` with every float as its hex string, so equality is bitwise."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+def sequential_side(ev, schedule, inner_tol, cfg, max_cells):
+    """The strip loop of ``_run_side``, one plain ``darboux.integrate`` per strip.
+
+    Gives (step table, error); each strip samples its own first level.
+    """
+    steps, values, error = [], [], ""
+    lower = upper = 0.0
+    cells = 0
+    prev = None
+    for k in range(schedule.max_steps):
+        u, v = schedule.truncation(k)
+        if not u < v:
+            error = f"schedule degenerate at step {k}"
+            break
+        if prev is None:
+            strips = [(u, v)]
+            budget = inner_tol / 2.0 if schedule.any_open else inner_tol
+        else:
+            strips = [(a, b) for a, b in ((u, prev[0]), (prev[1], v)) if a < b]
+            budget = (inner_tol - (upper - lower)) / 2.0
+        try:
+            for i, (a, b) in enumerate(strips):
+                tol = budget / (len(strips) - i)
+                est = darboux.integrate(ev, Interval(a, b), tol, cfg, max_cells=max_cells)
+                lower += est.lower
+                upper += est.upper
+                cells += est.cells
+                budget -= est.upper - est.lower
+        except (NonConvergenceError, ValueError) as exc:
+            error = f"step {k} on [{u:.6g}, {v:.6g}]: {exc}"
+            break
+        if not math.isfinite(upper - lower):
+            error = f"step {k} on [{u:.6g}, {v:.6g}]: running bracket is not finite"
+            break
+        prev = (u, v)
+        mid = 0.5 * (lower + upper)
+        if not math.isfinite(mid):
+            mid = 0.5 * lower + 0.5 * upper
+        values.append(mid)
+        steps.append({"step": k, "lo": u, "hi": v, "value": mid,
+                      "bracket_width": upper - lower, "cells": cells})
+        if not schedule.any_open:
+            break
+        if len(values) >= 4 and (np.abs(np.diff(values[-4:])) < schedule.tol).all():
+            break
+    return hexed(steps), error
+
+
+def side_outcome(ev, schedule, inner_tol, cfg, max_cells):
+    side = improper._run_side(ev, schedule, inner_tol, cfg, max_cells)
+    return hexed(side.steps), side.error
+
+
+def plain_integrate():
+    """``darboux.integrate`` with its seed dropped: each strip samples its own first level."""
+    integrate = darboux.integrate
+
+    def plain(*args, _first=None, **kwargs):
+        return integrate(*args, **kwargs)
+
+    return mock.patch.object(darboux, "integrate", plain)
+
+
+def sample_at(a, b, cells, w, i):
+    """The grid point the first level of strip [a, b] samples as index i."""
+    return b if i == cells * w else float(i) * ((b - a) / (cells * w)) + a
+
+
+def holed(base, bad):
+    """``base`` with NaN at the points ``bad``."""
+    bad = np.asarray(bad, dtype=float)
+    return lambda xs: np.where(np.isin(xs, bad), np.nan, base(xs))
+
+
+# (f, phi, t schedule) for the rhs, which truncates t; the lhs truncates x
+MAPS = {
+    "1/(1+t)": ("x", "1/(1+t)", dict(lo=0.0, hi=math.inf, lo_open=True, hi_open=True)),
+    "t/(1+t)": ("x^2", "t/(1+t)", dict(lo=0.0, hi=math.inf, lo_open=True, hi_open=True)),
+    "exp(-t)": ("x^3", "exp(-t)", dict(lo=0.0, hi=math.inf, lo_open=True, hi_open=True)),
+    "tan(t)": ("1/(x^2+1)", "tan(t)", dict(lo=-math.pi / 2, hi=math.pi / 2, lo_open=True,
+                                          hi_open=True, offset=math.pi / 4)),
+}
+SAMPLES = (2, 3, 8, 64)
+MAX_CELLS = (256, 4096, 2**16)
+
+
+class TestSharedFirstLevel:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(MAPS)), samples=st.sampled_from(SAMPLES),
+           max_cells=st.sampled_from(MAX_CELLS), inner=st.sampled_from([1e-3, 1e-5, 1e-7]),
+           steps=st.integers(2, 12))
+    @example(name="1/(1+t)", samples=8, max_cells=CELL_CAP, inner=1e-5, steps=20)
+    @example(name="tan(t)", samples=2, max_cells=CELL_CAP, inner=2.5e-10, steps=12)
+    def test_reports_match_one_integrate_per_strip(self, name, samples, max_cells, inner, steps):
+        f, phi, sched = MAPS[name]
+        schedule = ImproperSchedule(**sched, max_steps=steps, tol=1e-4)
+        cfg = SamplingConfig(samples_per_cell=samples)
+        p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
+        ev = p.product_evaluator()
+        with np.errstate(all="ignore"):
+            assert side_outcome(ev, schedule, inner, cfg, max_cells) == sequential_side(
+                ev, schedule, inner, cfg, max_cells)
+
+            def report():
+                r = improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=inner,
+                                    lhs_inner_tol=inner, cfg=cfg, max_cells=max_cells)
+                return hexed(r.to_json())
+
+            got = report()
+            with plain_integrate():
+                want = report()
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=st.sampled_from(SAMPLES), max_cells=st.sampled_from(MAX_CELLS),
+           step=st.integers(1, 4), strip=st.sampled_from([0, 1]),
+           at=st.floats(0.0, 1.0), kind=st.sampled_from(["isolated", "adjacent"]))
+    # an isolated and an adjacent pair of undefined samples inside the later strip
+    @example(samples=2, max_cells=CELL_CAP, step=2, strip=1, at=0.5, kind="isolated")
+    @example(samples=2, max_cells=CELL_CAP, step=2, strip=1, at=0.5, kind="adjacent")
+    @example(samples=64, max_cells=256, step=1, strip=1, at=0.25, kind="adjacent")
+    def test_undefined_samples_in_a_strip(self, samples, max_cells, step, strip, at, kind):
+        schedule = ImproperSchedule(lo=0.0, hi=math.inf, lo_open=True, max_steps=6, tol=1e-4)
+        u, v = schedule.truncation(step)
+        pu, pv = schedule.truncation(step - 1)
+        a, b = ((u, pu), (pv, v))[strip]
+        cells, w = min(darboux.START_CELLS, max_cells), samples - 1
+        i = round(at * cells * w)
+        span = (i,) if kind == "isolated" else (i, i + 1) if i < cells * w else (i - 1, i)
+        ev = holed(lambda xs: 1.0 / (1.0 + xs) ** 2,
+                   [sample_at(a, b, cells, w, j) for j in span])
+        cfg = SamplingConfig(samples_per_cell=samples)
+        got = side_outcome(ev, schedule, 1e-6, cfg, max_cells)
+        assert got == sequential_side(ev, schedule, 1e-6, cfg, max_cells)
+
+    def test_earlier_failing_strip_is_reported(self):
+        # At step 1, strip [0.125, 0.25] of 1/x cannot close in 256 cells and
+        # the first level of strip [1, 2] has adjacent undefined samples.
+        def f(xs):
+            ys = np.where(xs < 0.2, 1.0 / xs, 0.0)
+            return np.where((xs > 1.5) & (xs < 1.6), np.nan, ys)
+
+        ev = darboux.as_evaluator(f)
+        schedule = ImproperSchedule(lo=0.0, hi=math.inf, lo_open=True, max_steps=4, tol=1e-4)
+        got = side_outcome(ev, schedule, 1e-5, EDGES, 256)
+        assert got == sequential_side(ev, schedule, 1e-5, EDGES, 256)
+        assert got[1].startswith("step 1 on [0.125, 2]: bracket width")
+        # alone, the later strip raises
+        firsts = improper._first_levels(ev, [(0.125, 0.25), (1.0, 2.0)], EDGES, 256)
+        assert isinstance(firsts[1], darboux.UndefinedSamplesError)
+
+    def test_strip_that_is_no_interval_keeps_strip_order(self):
+        # cutoffs 5e307 * 2^k reach inf at step 2, so its strip toward inf is
+        # no interval; its strip toward 0 has adjacent undefined samples
+        def f(xs):
+            return np.where((xs > 0.07) & (xs < 0.08), np.nan, 0.0 * xs)
+
+        ev = darboux.as_evaluator(f)
+        schedule = ImproperSchedule(lo=0.0, hi=math.inf, lo_open=True, cutoff_base=5e307,
+                                    max_steps=4, tol=1e-4)
+        got = side_outcome(ev, schedule, 1e-5, EDGES, CELL_CAP)
+        assert got == sequential_side(ev, schedule, 1e-5, EDGES, CELL_CAP)
+        assert got[1].startswith("step 2 on [0.0625, inf]: adjacent undefined samples")
+        firsts = improper._first_levels(ev, [(0.0625, 0.125), (1e308, math.inf)], EDGES, CELL_CAP)
+        assert isinstance(firsts[0], darboux.UndefinedSamplesError) and firsts[1] is None
+
+
+class TestSharedFirstLevelCounts:
+    def test_two_strips_take_one_evaluation(self):
+        sizes = []
+
+        def f(xs):
+            sizes.append(xs.size)
+            return 1.0 / (1.0 + xs) ** 2
+
+        ev = darboux.as_evaluator(f)
+        strips = [(0.125, 0.25), (1.0, 2.0)]
+        firsts = improper._first_levels(ev, strips, EDGES, CELL_CAP)
+        assert sizes == [2 * (darboux.START_CELLS + 1)]
+        for (a, b), first in zip(strips, firsts):
+            sizes.clear()
+            seeded = darboux.integrate(ev, Interval(a, b), 1e-7, EDGES, _first=first)
+            seeded_calls = len(sizes)
+            sizes.clear()
+            lone = darboux.integrate(ev, Interval(a, b), 1e-7, EDGES)
+            assert seeded.levels > 1 and seeded_calls == len(sizes) - 1
+            assert (seeded.lower.hex(), seeded.upper.hex(), seeded.cells, seeded.levels,
+                    seeded.swept) == (lone.lower.hex(), lone.upper.hex(), lone.cells,
+                                      lone.levels, lone.swept)
+
+    def test_runner_step_makes_one_first_call(self):
+        sizes, estimates = [], []
+
+        def f(xs):
+            sizes.append(xs.size)
+            return 1.0 / (1.0 + xs) ** 2
+
+        ev = darboux.as_evaluator(f)
+        integrate = darboux.integrate
+
+        def recording(ev_, iv, tol, *args, **kwargs):
+            estimates.append((iv, tol, integrate(ev_, iv, tol, *args, **kwargs)))
+            return estimates[-1][2]
+
+        schedule = ImproperSchedule(lo=0.0, hi=math.inf, lo_open=True, max_steps=2, tol=1e-4)
+        with mock.patch.object(darboux, "integrate", recording):
+            side = improper._run_side(ev, schedule, 1e-6, EDGES, CELL_CAP)
+        assert len(side.steps) == 2 and len(estimates) == 3
+        runner_calls = len(sizes)
+        sizes.clear()
+        lone_calls = []
+        for iv, tol, est in estimates:
+            before = len(sizes)
+            lone = darboux.integrate(ev, iv, tol, EDGES)
+            lone_calls.append(len(sizes) - before)
+            assert (est.cells, est.levels, est.swept) == (lone.cells, lone.levels, lone.swept)
+        # step 0 samples its one strip's first level, step 1 both of its strips' at once
+        assert runner_calls == sum(lone_calls) - 1
+
+
+class TestImageProbes:
+    def test_one_phi_call_per_end(self):
+        sizes = []
+        ts = [0.25 * 2.0**-k for k in (0, 6, 12, 18, 24, 30, 36)]
+
+        def phi(xs):
+            sizes.append(xs.size)
+            return 1.0 / (1.0 + xs)
+
+        ev = darboux.as_evaluator(phi)
+        got = improper._image_limit(ev, ts)
+        assert sizes == [len(ts)]
+        assert got.hex() == float(ev(np.array([ts[-1]]))[0]).hex()
+
+    def test_closed_ends_checked_in_one_call(self):
+        # a schedule with both t ends closed: f is probed at both x ends at once
+        calls = []
+        as_evaluator = changevar.as_evaluator
+
+        def counting(f):
+            ev = as_evaluator(f)
+
+            def wrapped(xs):
+                calls.append((f, np.asarray(xs).size))
+                return ev(xs)
+
+            return wrapped
+
+        p = SubstitutionProblem(parse("1/x"), parse("t"), 0.5, 1.0)
+        schedule = ImproperSchedule(lo=0.5, hi=1.0, max_steps=3)
+        with mock.patch.object(changevar, "as_evaluator", counting):
+            report = improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=1e-5,
+                                     lhs_inner_tol=1e-5, cfg=EDGES)
+        assert report.verdict == "verified"
+        assert [n for g, n in calls if g is p.phi] == [7, 7]
+        assert [n for g, n in calls if g is p.f][0] == 2
