@@ -90,6 +90,8 @@ class SubstitutionProblem:
     # (phi' or None, the product expression or None), built on first use so
     # the hypothesis probes and the rhs share one derivative and one tape.
     _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (phi(alpha), phi(beta)) once computed: the probes and the lhs share them.
+    _endpoints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -156,9 +158,20 @@ class SubstitutionProblem:
         return product
 
     def image_endpoints(self) -> tuple[float, float]:
-        u = _endpoint_value(as_evaluator(self.phi), self.alpha, +1.0, self.span)
-        v = _endpoint_value(as_evaluator(self.phi), self.beta, -1.0, self.span)
-        return u, v
+        """(phi(alpha), phi(beta)), each probed just inside where undefined.
+
+        Computed on first use and kept; an ``UndefinedSamplesError`` is
+        raised again on every call.
+        """
+        ends = self._endpoints
+        if ends is None:
+            phi_ev = as_evaluator(self.phi)
+            ends = (
+                _endpoint_value(phi_ev, self.alpha, +1.0, self.span),
+                _endpoint_value(phi_ev, self.beta, -1.0, self.span),
+            )
+            object.__setattr__(self, "_endpoints", ends)
+        return ends
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,6 +412,9 @@ _DECADES = tuple(10.0 ** -j for j in range(10))
 
 def _finite_abs_max(ys: np.ndarray) -> np.ndarray:
     """max |y| over each row's finite entries (last axis); NaN for a row with none."""
+    m = np.abs(ys).max(axis=-1)
+    if np.isfinite(m).all():  # max propagates NaN and inf, so every entry is finite
+        return m
     m = np.where(np.isfinite(ys), np.abs(ys), -np.inf).max(axis=-1)
     return np.where(m == -np.inf, np.nan, m)
 
@@ -418,33 +434,56 @@ def _window_grids(lo: float, hi: float) -> np.ndarray:
     return np.linspace(starts, stops, 64, axis=1)
 
 
-def _bounded_verdict(ev: Evaluator, lo: float, hi: float, grid_size: int) -> HypothesisCheck:
-    ys = ev(np.linspace(lo, hi, grid_size))
-    grid_max, defined = float(_finite_abs_max(ys)), int(np.isfinite(ys).sum())
-    witness: dict = {"grid_max": grid_max, "defined_samples": defined}
-    if defined == 0:
-        return HypothesisCheck("", FAIL, witness)  # name filled by caller
-    diverging = bool(np.isinf(ys).any()) or grid_max >= _OVERFLOW_LIMIT
+def _bounded_verdicts(
+    evs: tuple[Evaluator, ...], lo: float, hi: float, grid: np.ndarray
+) -> list[HypothesisCheck]:
+    """One boundedness check per evaluator on [lo, hi] (names filled by the caller).
+
+    ``grid`` is the ``grid_size`` grid on [lo, hi]; with the 18 endpoint
+    windows it makes one set of points, which each evaluator takes in one
+    call.
+    """
+    n = grid.size
     windows = _window_grids(lo, hi)
-    maxima = _finite_abs_max(ev(windows.ravel()).reshape(windows.shape)).tolist()
-    for side, side_maxima in (("left", maxima[:9]), ("right", maxima[9:])):
-        witness[f"{side}_window_maxima"] = side_maxima
-        clean = [m for m in side_maxima if not math.isnan(m)]
-        if len(clean) >= 2:
-            first, last = clean[0], clean[-1]
-            if last >= _OVERFLOW_LIMIT or last > _GROWTH_LIMIT * max(first, 1e-12):
-                diverging = True
-    return HypothesisCheck("", FAIL if diverging else PASS, witness)
+    points = np.concatenate([grid, windows.ravel()])
+    checks = []
+    for ev in evs:
+        ys = ev(points)
+        grid_ys = ys[:n]
+        top = float(np.abs(grid_ys).max())
+        if math.isfinite(top):  # max propagates NaN and inf, so every value is finite
+            grid_max, defined, diverging = top, n, top >= _OVERFLOW_LIMIT
+        else:
+            grid_max = float(_finite_abs_max(grid_ys))
+            defined = int(np.isfinite(grid_ys).sum())
+            diverging = bool(np.isinf(grid_ys).any()) or grid_max >= _OVERFLOW_LIMIT
+        witness: dict = {"grid_max": grid_max, "defined_samples": defined}
+        if defined == 0:
+            checks.append(HypothesisCheck("", FAIL, witness))
+            continue
+        maxima = _finite_abs_max(ys[n:].reshape(windows.shape)).tolist()
+        for side, side_maxima in (("left", maxima[:9]), ("right", maxima[9:])):
+            witness[f"{side}_window_maxima"] = side_maxima
+            clean = [m for m in side_maxima if not math.isnan(m)]
+            if len(clean) >= 2:
+                first, last = clean[0], clean[-1]
+                if last >= _OVERFLOW_LIMIT or last > _GROWTH_LIMIT * max(first, 1e-12):
+                    diverging = True
+        checks.append(HypothesisCheck("", FAIL if diverging else PASS, witness))
+    return checks
 
 
-def _continuity_verdict(ev: Evaluator, lo: float, hi: float, grid_size: int) -> HypothesisCheck:
-    sizes = [k * grid_size for k in (1, 2, 4)]
-    ys = ev(np.concatenate([np.linspace(lo, hi, n) for n in sizes]))
+def _continuity_verdict(ev: Evaluator, lo: float, hi: float, grid: np.ndarray) -> HypothesisCheck:
+    """Sampled moduli on ``grid`` (the ``grid_size`` grid on [lo, hi]) and on
+    the grids of twice and four times its size, all evaluated in one call.
+    """
+    sizes = [k * grid.size for k in (1, 2, 4)]
+    ys = ev(np.concatenate([grid] + [np.linspace(lo, hi, n) for n in sizes[1:]]))
     mods = []
-    for grid in np.split(ys, np.cumsum(sizes[:-1])):
+    for part in np.split(ys, np.cumsum(sizes[:-1])):
         # inf - inf where phi overflows; finite neighbours near +-1e308 overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            mods.append(float(_finite_abs_max(np.diff(grid))))
+            mods.append(float(_finite_abs_max(np.diff(part))))
     witness = {"sampled_moduli": mods}
     if any(math.isnan(m) for m in mods):
         return HypothesisCheck("", UNDECIDABLE, witness)
@@ -464,16 +503,13 @@ def check_hypotheses(p: SubstitutionProblem, grid_size: int = 1000) -> Hypothesi
     if grid_size < 100:
         raise ValueError(f"grid_size must be >= 100, got {grid_size}")
     lo, hi = p.alpha, p.beta
-    checks: list[HypothesisCheck] = []
+    grid = np.linspace(lo, hi, grid_size)
 
-    c = _continuity_verdict(as_evaluator(p.phi), lo, hi, grid_size)
-    checks.append(HypothesisCheck("phi_continuous", c.verdict, c.witness))
-
-    b = _bounded_verdict(p.phi_prime_evaluator(), lo, hi, grid_size)
-    checks.append(HypothesisCheck("phi_prime_bounded", b.verdict, b.witness))
-
-    b = _bounded_verdict(p.product_evaluator(), lo, hi, grid_size)
-    checks.append(HypothesisCheck("product_bounded", b.verdict, b.witness))
+    c = _continuity_verdict(as_evaluator(p.phi), lo, hi, grid)
+    checks = [HypothesisCheck("phi_continuous", c.verdict, c.witness)]
+    bounded = _bounded_verdicts((p.phi_prime_evaluator(), p.product_evaluator()), lo, hi, grid)
+    for name, b in zip(("phi_prime_bounded", "product_bounded"), bounded):
+        checks.append(HypothesisCheck(name, b.verdict, b.witness))
 
     try:
         u, v = p.image_endpoints()
@@ -489,7 +525,8 @@ def check_hypotheses(p: SubstitutionProblem, grid_size: int = 1000) -> Hypothesi
             checks.append(HypothesisCheck("f_bounded_on_J", UNDECIDABLE, witness))
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # J's width may overflow
-                b = _bounded_verdict(as_evaluator(p.f), j_lo, j_hi, grid_size)
+                j_grid = np.linspace(j_lo, j_hi, grid_size)
+                (b,) = _bounded_verdicts((as_evaluator(p.f),), j_lo, j_hi, j_grid)
             checks.append(HypothesisCheck("f_bounded_on_J", b.verdict, b.witness))
         endpoint_witness = {"phi_alpha": u, "phi_beta": v}
         if p.f_domain is not None:

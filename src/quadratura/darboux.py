@@ -577,6 +577,8 @@ def integrate(
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_cells < 1:
+        raise ValueError(f"max_cells must be >= 1, got {max_cells}")
     if iv.is_degenerate:
         raise ValueError("cannot integrate over a degenerate interval")
     ev = as_evaluator(f)

@@ -640,7 +640,13 @@ def _is_constant(e: Expr) -> bool:
 
 
 def _const_value(e: Expr) -> float:
-    return evaluate(e, 0.0)
+    """The value of a constant-only tree, folded node by node as ``_compile``
+    folds it, so the bits are those of ``evaluate(e, 0.0)`` without a tape.
+    """
+    if e.kind == "const":
+        return e.value
+    values = [np.float64(_const_value(a)) for a in e.args]
+    return float(_fold_constants(_step_fn(e), values))
 
 
 def differentiate(e: Expr, varname: str | None = None) -> Expr:
@@ -712,7 +718,7 @@ def _diff(e: Expr, v: str) -> Expr:
 def _fold(e: Expr) -> Expr | None:
     """Fold a constant subtree to a literal when the result is finite."""
     if all(a.kind == "const" for a in e.args):
-        v = evaluate(e, 0.0)
+        v = _const_value(e)
         if math.isfinite(v):
             return const(v)
     return None

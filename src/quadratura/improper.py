@@ -286,6 +286,8 @@ def improper_verify(
     infinite ones through doubling cutoffs), oriented by the direction
     of phi.
     """
+    if max_cells < 1:
+        raise ValueError(f"max_cells must be >= 1, got {max_cells}")
     rhs = _run_side(p.product_evaluator(), t_schedule, rhs_inner_tol, cfg, max_cells)
 
     phi_ev = changevar.as_evaluator(p.phi)

@@ -194,8 +194,9 @@ class TestAffineOracle:
 
 
 # Reference probes with one np.linspace, one evaluation and one finite-max
-# per endpoint window or continuity grid.  check_hypotheses, which evaluates
-# all windows (or all three grids) in one call, must match them bit for bit.
+# per endpoint window or continuity grid, and each evaluator probed on its
+# own.  check_hypotheses, which evaluates a grid and all windows (or all
+# three grids) in one call per evaluator, must match them bit for bit.
 
 
 def _ref_finite_stats(ys):
@@ -238,6 +239,10 @@ def _ref_bounded_verdict(ev, lo, hi, grid_size):
     return CV.HypothesisCheck("", FAIL if diverging else PASS, witness)
 
 
+def _ref_bounded_verdicts(evs, lo, hi, grid):
+    return [_ref_bounded_verdict(ev, lo, hi, grid.size) for ev in evs]
+
+
 def _ref_modulus(ev, lo, hi, n):
     ys = ev(np.linspace(lo, hi, n))
     with np.errstate(invalid="ignore"):
@@ -246,8 +251,8 @@ def _ref_modulus(ev, lo, hi, n):
     return float(diffs.max()) if diffs.size else math.nan
 
 
-def _ref_continuity_verdict(ev, lo, hi, grid_size):
-    mods = [_ref_modulus(ev, lo, hi, k * grid_size) for k in (1, 2, 4)]
+def _ref_continuity_verdict(ev, lo, hi, grid):
+    mods = [_ref_modulus(ev, lo, hi, k * grid.size) for k in (1, 2, 4)]
     witness = {"sampled_moduli": mods}
     if any(math.isnan(m) for m in mods):
         return CV.HypothesisCheck("", UNDECIDABLE, witness)
@@ -289,12 +294,12 @@ class TestHypotheses:
             return json.dumps(check_hypotheses(p, grid_size).to_json())
 
         got = report()
-        with mock.patch.object(CV, "_bounded_verdict", _ref_bounded_verdict), \
+        with mock.patch.object(CV, "_bounded_verdicts", _ref_bounded_verdicts), \
                 mock.patch.object(CV, "_continuity_verdict", _ref_continuity_verdict):
             want = report()
         assert got == want  # json writes NaN as NaN, so NaN compares as NaN
 
-    def test_formula_problem_probes_in_nine_evaluations(self, monkeypatch):
+    def test_formula_problem_probes_in_six_evaluations(self, monkeypatch):
         sizes = []
         original = darboux.evaluate_array
 
@@ -305,8 +310,41 @@ class TestHypotheses:
         monkeypatch.setattr(darboux, "evaluate_array", counting)
         h = check_hypotheses(problem("x^2+1", "t^3+t", 0.0, 1.0))
         assert h.verdict("product_bounded") == PASS
-        assert len(sizes) <= 9
+        assert len(sizes) <= 6
         assert sum(sizes) == 7000 + 3 * (1000 + 18 * 64) + 2
+
+    def test_verify_evaluates_phi_at_each_endpoint_once(self, monkeypatch):
+        p = problem("x^2", "t^3-t", 0.25, 1.0)
+        at = []
+        original = darboux.evaluate_array
+
+        def counting(e, xs):
+            if e is p.phi and xs.size == 1:
+                at.append(float(xs[0]))
+            return original(e, xs)
+
+        monkeypatch.setattr(darboux, "evaluate_array", counting)
+        report = verify(p, 1e-5, EDGES)
+        assert report.verdict == VERIFIED
+        assert sorted(at) == [0.25, 1.0]
+        verify_zero_extension(p, 1e-5, EDGES)
+        assert sorted(at) == [0.25, 1.0]
+
+    def test_undefined_endpoint_is_not_kept(self, monkeypatch):
+        p = problem("x", "log(t)", -1.0, 1.0)
+        calls = []
+        original = darboux.evaluate_array
+
+        def counting(e, xs):
+            if e is p.phi and xs.size == 1:
+                calls.append(float(xs[0]))
+            return original(e, xs)
+
+        monkeypatch.setattr(darboux, "evaluate_array", counting)
+        for _ in range(2):
+            with pytest.raises(darboux.UndefinedSamplesError):
+                p.image_endpoints()
+        assert len(calls) == 2 * 8  # alpha and its seven inward probes, each time
 
     def test_verify_differentiates_once(self, monkeypatch):
         calls = []
@@ -333,9 +371,9 @@ class TestHypotheses:
             sizes.append(xs.size)
             return xs**2
 
-        check = CV._bounded_verdict(ev, 0.0, 1.0, 1000)
+        (check,) = CV._bounded_verdicts((ev,), 0.0, 1.0, np.linspace(0.0, 1.0, 1000))
         assert check.verdict == PASS
-        assert sizes.count(1000) == 1
+        assert sizes == [1000 + 18 * 64]
 
     def test_unbounded_image_interval_is_undecidable(self):
         h = check_hypotheses(problem("x", "exp(t)", 0.0, 800.0))

@@ -789,3 +789,57 @@ class TestCliFuzz:
         b = a if same else b
         self.check(["approx", *_formula_args("--f", f), "--a", repr(a), "--b", repr(b),
                     "--n", str(n), "--max-cells", "4096"])
+
+
+# One valid call per command, for the count options checked below.
+_COMMAND_ARGS = {
+    "integrate": ["--f", "x", "--a", "0", "--b", "1"],
+    "substitute": ["--f", "x", "--phi", "t", "--alpha", "0", "--beta", "1"],
+    "improper": ["--f", "x", "--phi", "t", "--alpha", "0", "--beta", "1", "--open-alpha"],
+    "approx": ["--f", "x", "--a", "0", "--b", "1", "--n", "3"],
+    "gallery": ["--only", "E1"],
+}
+
+_OUT_OF_RANGE = [
+    (command, option, value)
+    for command in _COMMAND_ARGS
+    for option, value in (("--max-cells", "0"), ("--max-cells", "-5"), ("--samples", "1"),
+                          ("--samples", "0"))
+] + [
+    ("substitute", "--grid-size", "50"),
+    ("substitute", "--grid-size", "-1"),
+    ("improper", "--steps", "0"),
+    ("improper", "--lhs-steps", "0"),
+]
+
+
+class TestCountOptions:
+    """An out-of-range count is one ``error:`` line and exit 1, before any work."""
+
+    @pytest.mark.parametrize("command, option, value", _OUT_OF_RANGE)
+    def test_out_of_range_is_a_usage_error(self, command, option, value):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *_COMMAND_ARGS[command], option, value])
+        assert code == EXIT_USAGE
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: argument {option}:"), lines
+
+    def test_lowest_valid_counts_run(self, capsys):
+        code, out = run(capsys, "integrate", "--f", "x", "--a", "0", "--b", "1",
+                        "--samples", "2", "--max-cells", "1", "--tol", "1")
+        assert code == EXIT_OK and json.loads(out)["cells"] == 1
+        code, out = run(capsys, "substitute", "--f", "x", "--phi", "t", "--alpha", "0",
+                        "--beta", "1", "--grid-size", "100", "--tol", "1e-3")
+        assert code == EXIT_OK and json.loads(out)["verdict"] == "verified"
+
+    def test_library_rejects_a_cap_below_one_cell(self):
+        with pytest.raises(ValueError, match="max_cells"):
+            darboux.integrate(parse("x"), Interval(0.0, 1.0), 1e-3, max_cells=0)
+        p = SubstitutionProblem(parse("x"), parse("t"), 0.0, 1.0)
+        schedule = ImproperSchedule(lo=0.0, hi=1.0, lo_open=True, hi_open=False,
+                                    offset=0.25, cutoff_base=1.0, max_steps=3, tol=1e-3)
+        with pytest.raises(ValueError, match="max_cells"):
+            improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=1e-4, lhs_inner_tol=1e-4,
+                            max_cells=0)

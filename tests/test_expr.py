@@ -403,6 +403,95 @@ class TestSubstitute:
         assert fused[~undefined].tobytes() == separate[~undefined].tobytes()
 
 
+def _hex(v: float) -> str:
+    return "nan" if math.isnan(v) else v.hex()  # NaN compares as NaN, its sign unread
+
+
+# Literals for constant-only trees: signed zeros, the domain edges of
+# division, log and sqrt, and negative, fractional and above-64 exponents.
+_FOLD_LEAVES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5, 3.0, -3.0, 1.5, 64.0, 65.0, 70.0, -65.0,
+                1e-300, 1e300, math.inf, -math.inf, math.nan)
+
+
+def _constant_tree():
+    leaves = st.builds(E.const, st.sampled_from(_FOLD_LEAVES))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(E.neg, children),
+            st.builds(E.call, st.sampled_from(E.FUNCTIONS), children),
+            st.builds(
+                lambda k, a, b: E.Expr(k, args=(a, b)),
+                st.sampled_from(["add", "sub", "mul", "div", "pow"]),
+                children,
+                children,
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+# Every formula differentiated or pinned elsewhere in the suite, plus
+# constant exponents built from calls, divisions and negations.
+_DIFF_CORPUS = (
+    "x", "-x", "x+0.1", "0.1-x", "x*0.1", "x/3", "3/x", "x-x", "x^0", "x^1", "x^2", "x^3",
+    "x^7", "x^64", "x^65", "x^-1", "x^-2", "x^-3", "x^0.5", "x^-0.5", "x^2.5", "x^(1/3)",
+    "x^(1/2)", "x^(4/2)", "x^(0-2)", "2^x", "(-2)^x", "0^x", "sin(x)", "cos(x)", "tan(x)",
+    "sqrt(x)", "atan(x)", "exp(x)", "log(x)", "log(x)^0", "(0/x)^0", "(x-x)^(0-1)",
+    "log(0*x)", "sqrt(x)^2", "1/0", "2^3", "pi", "e", "sin(2)", "log(0)", "0^(0-1)",
+    "(1/0)^0", "-0", "0/0*x", "t*sin(1/t)", "x/(x^4+1)", "1/(x^2+1)", "exp(-x^2)*cos(3*x)",
+    "tan(x)^2+1", "sin(1/x)+x*(cos(1/x)*(-1/x^2))", "x^1.5", "atan(x)*exp(-x^2)",
+    "log(x+2)", "1/(1+t)", "t/(1+t)", "t^3-t", "x^(2*pi)", "x^(1/0)", "x^log(-1)",
+    "x^sqrt(-1)", "x^(-7/2)", "x^(130/2)", "x^-(2^7)", "(x+1)^(sin(1)/cos(1))",
+    "x^(2^0.5)", "(2^0.5)*x^(1/3)", "exp(x^(3/4))/sqrt(1-x^2)", "x^(0^(0-1))",
+)
+
+
+class TestConstantFolding:
+    @given(e=_constant_tree())
+    @settings(max_examples=400, deadline=None)
+    @example(e=E.div(E.const(1.0), E.const(0.0)))
+    @example(e=E.call("log", E.const(-1.0)))
+    @example(e=E.call("sqrt", E.const(-1.0)))
+    @example(e=E.pow_(E.const(-2.0), E.const(-3.0)))
+    @example(e=E.pow_(E.const(-2.0), E.const(0.5)))
+    @example(e=E.pow_(E.const(1.5), E.const(65.0)))
+    @example(e=E.pow_(E.const(0.0), E.const(-65.0)))
+    @example(e=E.pow_(E.const(2.0), E.add(E.const(1.0), E.const(0.5))))
+    def test_folding_matches_the_tape(self, e):
+        want = evaluate(e, 0.0)
+        assert _hex(E._const_value(e)) == _hex(want)
+        if e.args and all(a.kind == "const" for a in e.args):
+            folded = E._fold(e)
+            if math.isfinite(want):
+                assert folded.kind == "const" and folded.value.hex() == want.hex()
+            else:
+                assert folded is None
+
+    @pytest.mark.parametrize("text", _DIFF_CORPUS)
+    def test_derivative_keeps_its_text_and_bits(self, text, monkeypatch):
+        e = parse(text)
+
+        def derivative():
+            try:
+                return differentiate(e)
+            except NonDifferentiableError:
+                return None
+
+        got = derivative()
+        with monkeypatch.context() as m:  # fold through a compiled tape, as evaluate does
+            m.setattr(E, "_const_value", lambda c: evaluate(c, 0.0))
+            want = derivative()
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        assert to_text(got) == to_text(want)
+        xs = np.array([-2.0, -0.5, -0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, 3.0, 1e300])
+        a, b = evaluate_array(got, xs), evaluate_array(want, xs)
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
 class TestRoundTrip:
     @given(e=_expr_strategy(), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=120, deadline=None)
