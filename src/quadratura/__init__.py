@@ -25,7 +25,6 @@ from .changevar import (
     SubstitutionProblem,
     SubstitutionReport,
     check_hypotheses,
-    verify_zero_extension,
     verify,
 )
 

@@ -36,7 +36,7 @@ from .darboux import (
     as_evaluator,
     integrate_signed,
 )
-from .expr import Expr, NonDifferentiableError, differentiate, mul, substitute
+from .expr import Expr, NonDifferentiableError, compile_tape, differentiate, mul, substitute
 from .partition import Interval
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "rhs_integral",
     "verify",
     "check_hypotheses",
-    "verify_zero_extension",
     "report_to_json",
 ]
 
@@ -88,7 +87,7 @@ class SubstitutionProblem:
     phi_prime: Expr | None = None
     f_domain: tuple[float, float] | None = None
     # (phi' or None, the product expression or None), built on first use so
-    # the hypothesis probes and the rhs share one derivative and one tape.
+    # the hypothesis probes and the rhs share one derivative and one t-tape.
     _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (phi(alpha), phi(beta)) once computed: the probes and the lhs share them.
     _endpoints: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -106,6 +105,10 @@ class SubstitutionProblem:
     def _derived_exprs(self) -> tuple[Expr | None, Expr | None]:
         """phi' (the override, else the symbolic derivative, else None) and
         (f o phi) * phi' as one expression (None unless all three are formulas).
+
+        A built product is compiled with phi and phi' to one t-tape whose
+        outputs are phi, phi' and the product, in that order: evaluating
+        phi runs phi's steps, phi' a longer prefix, the product all of them.
         """
         derived = self._derived
         if derived is None:
@@ -118,9 +121,15 @@ class SubstitutionProblem:
             product = None
             if all(isinstance(g, Expr) for g in (self.f, self.phi, dphi)):
                 product = mul(substitute(self.f, self.phi), dphi)
+                compile_tape(self.phi, dphi, product)
             derived = (dphi, product)
             object.__setattr__(self, "_derived", derived)
         return derived
+
+    def phi_evaluator(self) -> Evaluator:
+        """phi, as the first output of the t-tape when f, phi and phi' are formulas."""
+        self._derived_exprs()
+        return as_evaluator(self.phi)
 
     def phi_prime_evaluator(self) -> Evaluator:
         dphi = self._derived_exprs()[0]
@@ -157,19 +166,31 @@ class SubstitutionProblem:
 
         return product
 
+    def _phi_prime_and_product_evaluator(self) -> Evaluator:
+        """phi' and the product as the two rows of one array, from one run of
+        the t-tape when f, phi and phi' are formulas.
+        """
+        dphi, fused = self._derived_exprs()
+        if fused is not None:
+            return as_evaluator((dphi, fused))
+        dphi_ev, product_ev = self.phi_prime_evaluator(), self.product_evaluator()
+        return lambda ts: np.stack([dphi_ev(ts), product_ev(ts)])
+
     def image_endpoints(self) -> tuple[float, float]:
-        """(phi(alpha), phi(beta)), each probed just inside where undefined.
+        """(phi(alpha), phi(beta)) from one call, probed just inside an end
+        where phi is undefined.
 
         Computed on first use and kept; an ``UndefinedSamplesError`` is
         raised again on every call.
         """
         ends = self._endpoints
         if ends is None:
-            phi_ev = as_evaluator(self.phi)
-            ends = (
-                _endpoint_value(phi_ev, self.alpha, +1.0, self.span),
-                _endpoint_value(phi_ev, self.beta, -1.0, self.span),
-            )
+            phi_ev = self.phi_evaluator()
+            ends = phi_ev(np.array([self.alpha, self.beta])).tolist()
+            for i, (t, inward) in enumerate(((self.alpha, 1.0), (self.beta, -1.0))):
+                if math.isnan(ends[i]):
+                    ends[i] = _inward_value(phi_ev, t, inward, self.span)
+            ends = tuple(ends)
             object.__setattr__(self, "_endpoints", ends)
         return ends
 
@@ -210,7 +231,6 @@ class SubstitutionReport:
     hypotheses: HypothesisReport
     verdict: str
     reason: str = ""
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return report_to_json(self)
@@ -233,13 +253,10 @@ def report_to_json(report: SubstitutionReport) -> dict:
     }
 
 
-def _endpoint_value(phi_ev: Evaluator, t: float, inward: float, span: float) -> float:
-    """phi(t), probing just inside the interval when t itself is undefined."""
-    v = float(phi_ev(np.array([t]))[0])
-    if not math.isnan(v):
-        return v
-    for scale in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-        v = float(phi_ev(np.array([t + inward * scale * span]))[0])
+def _inward_value(phi_ev: Evaluator, t: float, inward: float, span: float) -> float:
+    """The first defined value of phi just inside the interval from t, in one call."""
+    scales = np.array([1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+    for v in phi_ev(t + inward * scales * span).tolist():
         if not math.isnan(v):
             return v
     raise UndefinedSamplesError(f"phi is undefined at and near t = {t}")
@@ -331,83 +348,13 @@ def verify(
     )
 
 
-def verify_zero_extension(
-    p: SubstitutionProblem,
-    tol: float = 1e-6,
-    cfg: SamplingConfig = DEFAULT_CONFIG,
-    grid_size: int = 1000,
-    max_cells: int = CELL_CAP,
-) -> SubstitutionReport:
-    """Four-way identity with f zeroed outside the image interval J.
-
-    g = f * (indicator of J).  Checks that the J-integrals of f and g
-    and the [alpha, beta]-integrals of the two products all agree within
-    tol.  Assumes the preimage of the J endpoints has measure zero; that
-    condition is not checkable numerically and is not checked.
-    """
-    hypotheses = check_hypotheses(p, grid_size)
-    u, v = p.image_endpoints()
-    j_lo, j_hi = min(u, v), max(u, v)
-    f_ev = as_evaluator(p.f)
-    phi_ev = as_evaluator(p.phi)
-    dphi_ev = p.phi_prime_evaluator()
-
-    def g_ev(xs: np.ndarray) -> np.ndarray:
-        inside = (xs >= j_lo) & (xs <= j_hi)
-        return np.where(inside, f_ev(xs), 0.0)
-
-    def g_product(ts: np.ndarray) -> np.ndarray:
-        return g_ev(phi_ev(ts)) * dphi_ev(ts)
-
-    side_tol = tol / 2.0
-    try:
-        if u == v:
-            zero = DarbouxEstimate(0.0, 0.0, 0.0, 0)
-            g_lhs = f_lhs = zero
-        else:
-            g_lhs = integrate_signed(g_ev, u, v, side_tol, cfg, max_cells=max_cells)
-            f_lhs = integrate_signed(p.f, u, v, side_tol, cfg, max_cells=max_cells)
-        t_iv = Interval(p.alpha, p.beta)
-        f_rhs = darboux.integrate(
-            p.product_evaluator(), t_iv, side_tol, cfg, max_cells=max_cells
-        )
-        g_rhs = darboux.integrate(g_product, t_iv, side_tol, cfg, max_cells=max_cells)
-    except (NonConvergenceError, ValueError) as exc:
-        return SubstitutionReport(
-            lhs=None,
-            rhs=None,
-            abs_diff=math.nan,
-            tol=tol,
-            hypotheses=hypotheses,
-            verdict=INCONCLUSIVE,
-            reason=str(exc),
-        )
-
-    mids = [g_lhs.midpoint, f_lhs.midpoint, f_rhs.midpoint, g_rhs.midpoint]
-    abs_diff = max(mids) - min(mids)
-    verdict = VERIFIED if abs_diff <= tol else MISMATCH
-    return SubstitutionReport(
-        lhs=g_lhs,
-        rhs=g_rhs,
-        abs_diff=abs_diff,
-        tol=tol,
-        hypotheses=hypotheses,
-        verdict=verdict,
-        extra={
-            "g_over_J": g_lhs.midpoint,
-            "f_over_J": f_lhs.midpoint,
-            "f_product": f_rhs.midpoint,
-            "g_product": g_rhs.midpoint,
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis heuristics
 
 
 # 10^-j, j = 0..9, as Python's pow gives them: the endpoint windows' decades
-_DECADES = tuple(10.0 ** -j for j in range(10))
+_DECADES = np.array([10.0 ** -j for j in range(10)])
+_RAMP = np.arange(64.0)
 
 
 def _finite_abs_max(ys: np.ndarray) -> np.ndarray:
@@ -421,34 +368,36 @@ def _finite_abs_max(ys: np.ndarray) -> np.ndarray:
 
 def _window_grids(lo: float, hi: float) -> np.ndarray:
     """Rows 0-8: 64 points on [lo + w/10^(j+1), lo + w/10^j], w = hi - lo; rows
-    9-17: the mirrors at hi.  Each row equals that window's own ``np.linspace``.
+    9-17: the mirrors at hi.  Each row is built as that window's own
+    ``np.linspace`` builds it: ``arange(64) * step + start``, then the stop.
     """
-    width = hi - lo
-    far = width * np.array(_DECADES[:-1])
-    near = width * np.array(_DECADES[1:])
+    spans = (hi - lo) * _DECADES
+    far, near = spans[:-1], spans[1:]
     starts = np.concatenate([lo + near, hi - far])
     stops = np.concatenate([lo + far, hi - near])
-    if ((stops - starts) / 63 == 0).any():
+    steps = (stops - starts) / 63
+    if not steps.all():
         # linspace scales every row by delta/div once any row's step underflows
         return np.array([np.linspace(s, e, 64) for s, e in zip(starts, stops)])
-    return np.linspace(starts, stops, 64, axis=1)
+    rows = _RAMP * steps[:, None] + starts[:, None]
+    rows[:, -1] = stops
+    return rows
 
 
 def _bounded_verdicts(
-    evs: tuple[Evaluator, ...], lo: float, hi: float, grid: np.ndarray
+    ev: Evaluator, lo: float, hi: float, grid: np.ndarray
 ) -> list[HypothesisCheck]:
-    """One boundedness check per evaluator on [lo, hi] (names filled by the caller).
+    """One boundedness check on [lo, hi] per row of ``ev``'s values (names
+    filled by the caller): ``ev`` gives one array, or several as rows.
 
     ``grid`` is the ``grid_size`` grid on [lo, hi]; with the 18 endpoint
-    windows it makes one set of points, which each evaluator takes in one
-    call.
+    windows it makes one set of points, which ``ev`` takes in one call.
     """
     n = grid.size
     windows = _window_grids(lo, hi)
     points = np.concatenate([grid, windows.ravel()])
     checks = []
-    for ev in evs:
-        ys = ev(points)
+    for ys in ev(points).reshape(-1, points.size):
         grid_ys = ys[:n]
         top = float(np.abs(grid_ys).max())
         if math.isfinite(top):  # max propagates NaN and inf, so every value is finite
@@ -477,13 +426,15 @@ def _continuity_verdict(ev: Evaluator, lo: float, hi: float, grid: np.ndarray) -
     """Sampled moduli on ``grid`` (the ``grid_size`` grid on [lo, hi]) and on
     the grids of twice and four times its size, all evaluated in one call.
     """
-    sizes = [k * grid.size for k in (1, 2, 4)]
-    ys = ev(np.concatenate([grid] + [np.linspace(lo, hi, n) for n in sizes[1:]]))
-    mods = []
-    for part in np.split(ys, np.cumsum(sizes[:-1])):
-        # inf - inf where phi overflows; finite neighbours near +-1e308 overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            mods.append(float(_finite_abs_max(np.diff(part))))
+    n = grid.size
+    ys = ev(np.concatenate([grid, np.linspace(lo, hi, 2 * n), np.linspace(lo, hi, 4 * n)]))
+    # One difference pass over the three grids; each grid's moduli skip the
+    # seam after it.  inf - inf where phi overflows; finite neighbours near
+    # +-1e308 overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.diff(ys)
+        grids = ((0, n), (n, 3 * n), (3 * n, 7 * n))
+        mods = [float(_finite_abs_max(d[a : b - 1])) for a, b in grids]
     witness = {"sampled_moduli": mods}
     if any(math.isnan(m) for m in mods):
         return HypothesisCheck("", UNDECIDABLE, witness)
@@ -505,9 +456,9 @@ def check_hypotheses(p: SubstitutionProblem, grid_size: int = 1000) -> Hypothesi
     lo, hi = p.alpha, p.beta
     grid = np.linspace(lo, hi, grid_size)
 
-    c = _continuity_verdict(as_evaluator(p.phi), lo, hi, grid)
+    c = _continuity_verdict(p.phi_evaluator(), lo, hi, grid)
     checks = [HypothesisCheck("phi_continuous", c.verdict, c.witness)]
-    bounded = _bounded_verdicts((p.phi_prime_evaluator(), p.product_evaluator()), lo, hi, grid)
+    bounded = _bounded_verdicts(p._phi_prime_and_product_evaluator(), lo, hi, grid)
     for name, b in zip(("phi_prime_bounded", "product_bounded"), bounded):
         checks.append(HypothesisCheck(name, b.verdict, b.witness))
 
@@ -526,7 +477,7 @@ def check_hypotheses(p: SubstitutionProblem, grid_size: int = 1000) -> Hypothesi
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # J's width may overflow
                 j_grid = np.linspace(j_lo, j_hi, grid_size)
-                (b,) = _bounded_verdicts((as_evaluator(p.f),), j_lo, j_hi, j_grid)
+                (b,) = _bounded_verdicts(as_evaluator(p.f), j_lo, j_hi, j_grid)
             checks.append(HypothesisCheck("f_bounded_on_J", b.verdict, b.witness))
         endpoint_witness = {"phi_alpha": u, "phi_beta": v}
         if p.f_domain is not None:

@@ -296,29 +296,35 @@ def cmd_gallery(args) -> int:
 # Argument parsing
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no less than ``minimum``, else a usage error."""
+def _count(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer in [minimum, maximum], else a usage error."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     count.__name__ = "int"  # argparse names the type in "invalid int value"
     return count
 
 
+# One cell's samples fit one evaluation block: no allocation that cannot succeed
+_SAMPLES = _count(2, darboux._CHUNK_POINTS)
+
+
 def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-6) -> None:
     p.add_argument("--tol", type=float, default=tol_default, help="target tolerance")
     p.add_argument(
         "--samples",
-        type=_at_least(2),
+        type=_SAMPLES,
         default=2,
         help="samples per cell, >= 2 (2 = cell edges; raise for oscillatory integrands)",
     )
     p.add_argument(
-        "--max-cells", type=_at_least(1), default=CELL_CAP, help="uniform cell cap, >= 1"
+        "--max-cells", type=_count(1), default=CELL_CAP, help="uniform cell cap, >= 1"
     )
     p.add_argument("--json", action="store_true", help="emit JSON (default for most commands)")
     p.add_argument("--csv", action="store_true", help="emit CSV where the command supports it")
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--phi-prime", default=None, help="override the symbolic derivative")
     p.add_argument(
-        "--grid-size", type=_at_least(100), default=1000, help="hypothesis-check grid, >= 100"
+        "--grid-size", type=_count(100), default=1000, help="hypothesis-check grid, >= 100"
     )
     _add_common(p)
     p.set_defaults(func=cmd_substitute)
@@ -387,14 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--open-alpha", action="store_true", help="approach alpha as an open endpoint")
     p.add_argument("--open-beta", action="store_true")
-    p.add_argument("--steps", type=_at_least(1), default=40, help="maximum truncation steps")
+    p.add_argument("--steps", type=_count(1), default=40, help="maximum truncation steps")
     p.add_argument("--offset", type=float, default=None, help="initial offset for finite open endpoints")
     p.add_argument("--cutoff-base", type=float, default=1.0, help="initial cutoff for infinite endpoints")
     p.add_argument("--inner-tol", type=float, default=None, help="per-truncation bracket tolerance")
     p.add_argument("--lhs-inner-tol", type=float, default=None)
     p.add_argument("--lhs-offset", type=float, default=None)
     p.add_argument("--lhs-cutoff-base", type=float, default=1.0)
-    p.add_argument("--lhs-steps", type=_at_least(1), default=None)
+    p.add_argument("--lhs-steps", type=_count(1), default=None)
     p.add_argument("--lhs-tol", type=float, default=None)
     _add_common(p, tol_default=1e-6)
     p.set_defaults(func=cmd_improper)
@@ -417,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gallery", help="run the built-in examples end to end")
     p.add_argument("--only", default=None, help="run a single entry (E1, E2 or E3)")
     p.add_argument("--tol", type=float, default=None, help="override every entry's tolerance")
-    p.add_argument("--samples", type=_at_least(2), default=None)
-    p.add_argument("--max-cells", type=_at_least(1), default=CELL_CAP)
+    p.add_argument("--samples", type=_SAMPLES, default=None)
+    p.add_argument("--max-cells", type=_count(1), default=CELL_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", type=str, default=None)

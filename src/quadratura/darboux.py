@@ -162,9 +162,9 @@ class DarbouxEstimate:
         )
 
 
-def as_evaluator(f: Integrand) -> Evaluator:
-    """Adapt an expression or vectorized callable to ndarray -> ndarray."""
-    if isinstance(f, Expr):
+def as_evaluator(f: Integrand | tuple[Expr, ...]) -> Evaluator:
+    """Adapt an expression, a tuple of them (a row each) or a callable to ndarray -> ndarray."""
+    if isinstance(f, (Expr, tuple)):
         return lambda xs: evaluate_array(f, xs)
     if callable(f):
         return lambda xs: np.asarray(f(xs), dtype=float)

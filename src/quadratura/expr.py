@@ -27,9 +27,15 @@ pattern of its constant and its operands' steps, so ``0.0`` and
 ``-0.0`` stay apart.  Sharing only skips recomputing a value, so the
 tape gives the bits a node-by-node evaluation gives, bit for bit where
 defined; an undefined point is NaN either way, its sign unspecified.
-``substitute`` builds ``f(phi(t))`` as one tree; ``changevar``
-evaluates the substitution product ``f(phi(t))*phi'(t)`` that way, so
-f, phi and phi' share their common subterms.  Compiling and evaluating are iterative,
+Several trees compile to one tape with one output each
+(``compile_tape``): the steps follow the roots' postorders in the order
+given, so each output is computed by a prefix of the steps, and no
+output's register is reused.  A root evaluated alone runs only its
+prefix; ``evaluate_array`` on a tuple of roots runs the longest prefix
+once and gives the outputs as the rows of one array.  ``substitute``
+builds ``f(phi(t))`` as one tree; ``changevar`` compiles phi, phi' and
+the substitution product ``f(phi(t))*phi'(t)`` as one tape, so f, phi
+and phi' share their common subterms.  Compiling and evaluating are iterative,
 so any height evaluates.  Differentiating and printing recurse once per
 level; ``parse(text, max_height=MAX_TREE_HEIGHT)`` keeps a formula
 within their reach.
@@ -55,6 +61,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_array",
+    "compile_tape",
     "differentiate",
     "substitute",
     "to_text",
@@ -183,9 +190,10 @@ def variables(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
-def _postorder(root: Expr):
-    """Each distinct node object of ``root`` once, operands first, without recursion."""
-    seen: set[int] = set()
+def _postorder(root: Expr, seen: set[int] | None = None):
+    """Each node object of ``root`` not in ``seen`` once, operands first, without
+    recursion; ``seen`` collects their ids."""
+    seen = set() if seen is None else seen
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -523,44 +531,51 @@ def _fold_constants(fn, values: list[np.float64]) -> np.float64:
         return fn(*args)[0]
 
 
-def _compile(root: Expr) -> tuple:
-    """Compile ``root`` to ``(registers, steps, result)`` for ``_run``.
+def _compile(*roots: Expr) -> tuple:
+    """Compile ``roots`` to one tape, ``(registers, steps, outputs)`` for ``_run``.
 
-    Values are numbered in postorder.  A node's key is its step function
-    (which tells the kinds and pow variants apart) with its operands'
-    numbers, or the bit pattern of a constant, so identical subtrees get
-    one number and equal but differently signed zeros do not.  Register
-    0 holds the input and constants their own registers; a computed
-    value's register is reused after its last read.
+    Values are numbered in postorder of the roots in the order given, each
+    node once.  A node's key is its step function (which tells the kinds
+    and pow variants apart) with its operands' numbers, or the bit pattern
+    of a constant, so identical subtrees get one number and equal but
+    differently signed zeros do not.  Register 0 holds the input and
+    constants their own registers; a computed value's register is reused
+    after its last read, unless it holds a root's value.  ``outputs`` holds
+    each root's register and the length of the prefix of ``steps`` that
+    computes it: the steps up to the last value its postorder added.
     """
     number: dict[int, int] = {}  # id(node) -> value number
     by_key: dict[tuple, int] = {("var",): 0}
     constant: dict[int, np.float64] = {}
     computed: dict[int, tuple] = {}  # value number -> (fn, operand numbers)
-    for node in _postorder(root):
-        if node.kind == "var":
-            key, c = ("var",), None
-        elif node.kind == "const":
-            c = np.float64(node.value)
-            key = ("const", c.tobytes())
-        else:
-            fn = _step_fn(node)
-            operands = tuple(number[id(a)] for a in node.args)
-            if all(k in constant for k in operands):
-                c = _fold_constants(fn, [constant[k] for k in operands])
+    seen: set[int] = set()
+    ends = []
+    for root in roots:
+        for node in _postorder(root, seen):
+            if node.kind == "var":
+                key, c = ("var",), None
+            elif node.kind == "const":
+                c = np.float64(node.value)
                 key = ("const", c.tobytes())
             else:
-                key, c = (fn, *operands), None
-        k = by_key.get(key)
-        if k is None:
-            k = by_key[key] = len(by_key)
-            if c is None:
-                computed[k] = key
-            else:
-                constant[k] = c
-        number[id(node)] = k
+                fn = _step_fn(node)
+                operands = tuple(number[id(a)] for a in node.args)
+                if all(k in constant for k in operands):
+                    c = _fold_constants(fn, [constant[k] for k in operands])
+                    key = ("const", c.tobytes())
+                else:
+                    key, c = (fn, *operands), None
+            k = by_key.get(key)
+            if k is None:
+                k = by_key[key] = len(by_key)
+                if c is None:
+                    computed[k] = key
+                else:
+                    constant[k] = c
+            number[id(node)] = k
+        ends.append(len(computed))
 
-    result = number[id(root)]
+    results = [number[id(root)] for root in roots]
     last_read = {k: at for at, (_, *operands) in computed.items() for k in operands}
     registers: list = [None]
     reg = {0: 0}
@@ -572,7 +587,7 @@ def _compile(root: Expr) -> tuple:
     for at, (fn, *operands) in computed.items():  # in postorder
         srcs = [reg[k] for k in operands]
         for k in set(operands):
-            if k in computed and last_read[k] == at:
+            if k in computed and last_read[k] == at and k not in results:
                 free.append(reg[k])
         if free:
             reg[at] = free.pop()
@@ -580,17 +595,25 @@ def _compile(root: Expr) -> tuple:
             reg[at] = len(registers)
             registers.append(None)
         steps.append((fn, reg[at], srcs[0], srcs[1] if len(srcs) > 1 else -1))
-    return registers, tuple(steps), reg[result]
+    return registers, tuple(steps), tuple((reg[k], end) for k, end in zip(results, ends))
 
 
-def _run(tape: tuple, x: np.ndarray):
-    """The result array, ``x`` itself for a bare variable, or a scalar constant."""
-    registers, steps, result = tape
+def compile_tape(*roots: Expr) -> None:
+    """Compile ``roots`` to one tape with one output each, kept on every root:
+    alone, a root runs its prefix; ``evaluate_array(roots, xs)`` runs it once.
+    """
+    registers, steps, outputs = _compile(*roots)
+    for root, (result, end) in zip(roots, outputs):
+        object.__setattr__(root, "_tape", (registers, steps[:end], result))
+
+
+def _run(registers: list, steps: tuple, x: np.ndarray) -> list:
+    """The registers after ``steps``: arrays, ``x`` itself, or scalar constants."""
     regs = registers.copy()
     regs[0] = x
     for fn, dst, i, j in steps:
         regs[dst] = fn(regs[i]) if j < 0 else fn(regs[i], regs[j])
-    return regs[result]
+    return regs
 
 
 # Long inputs are evaluated in blocks of this many points: each step's
@@ -599,31 +622,51 @@ def _run(tape: tuple, x: np.ndarray):
 _EVAL_BLOCK = 8192
 
 
-def evaluate_array(e: Expr, xs: np.ndarray) -> np.ndarray:
+def evaluate_array(e: Expr | tuple[Expr, ...], xs: np.ndarray) -> np.ndarray:
     """Evaluate ``e`` elementwise over ``xs``; NaN marks undefined points.
 
     The tape is compiled on the first call and kept on ``e``.  A 0-d
     input is evaluated as a one-point array (numpy ufuncs return scalars
     for 0-d arrays, which a domain rule cannot write NaN into) and gives
-    a 0-d result.
+    a 0-d result.  A tuple of expressions gives their values as the rows of
+    one array, from one run of their tape (``compile_tape`` where not shared).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 0:
-        return evaluate_array(e, xs.reshape(1)).reshape(())
-    tape = e._tape
-    if tape is None:
-        tape = _compile(e)
-        object.__setattr__(e, "_tape", tape)
+        out = evaluate_array(e, xs.reshape(1))
+        return out.reshape(out.shape[:-1])
+    if not isinstance(e, Expr):
+        return _evaluate_rows(e, xs)
+    if e._tape is None:
+        compile_tape(e)
+    registers, steps, result = e._tape
     with np.errstate(all="ignore"):
         if xs.ndim == 1 and xs.size > _EVAL_BLOCK:
             out = np.empty_like(xs)
             for i in range(0, xs.size, _EVAL_BLOCK):
-                out[i : i + _EVAL_BLOCK] = _run(tape, xs[i : i + _EVAL_BLOCK])
+                out[i : i + _EVAL_BLOCK] = _run(registers, steps, xs[i : i + _EVAL_BLOCK])[result]
             return out
-        out = _run(tape, xs)
+        out = _run(registers, steps, xs)[result]
     if out is xs or not isinstance(out, np.ndarray):  # x itself, or a constant
         out = np.array(np.broadcast_to(out, xs.shape))
     return out
+
+
+def _evaluate_rows(roots: tuple[Expr, ...], xs: np.ndarray) -> np.ndarray:
+    """The roots' values as rows: the longest root's steps, run once a block."""
+    tapes = [root._tape for root in roots]
+    if any(t is None or t[0] is not tapes[0][0] for t in tapes):
+        compile_tape(*roots)
+        tapes = [root._tape for root in roots]
+    registers, steps, _ = max(tapes, key=lambda t: len(t[1]))
+    flat = xs.ravel()
+    out = np.empty((len(tapes), flat.size))
+    with np.errstate(all="ignore"):
+        for i in range(0, flat.size, _EVAL_BLOCK):
+            regs = _run(registers, steps, flat[i : i + _EVAL_BLOCK])
+            for row, (_, _, result) in zip(out, tapes):
+                row[i : i + _EVAL_BLOCK] = regs[result]
+    return out.reshape(len(tapes), *xs.shape)
 
 
 def evaluate(e: Expr, x: float) -> EvalOutcome:

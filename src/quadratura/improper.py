@@ -290,7 +290,7 @@ def improper_verify(
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
     rhs = _run_side(p.product_evaluator(), t_schedule, rhs_inner_tol, cfg, max_cells)
 
-    phi_ev = changevar.as_evaluator(p.phi)
+    phi_ev = p.phi_evaluator()
     probe_ks = (0, 6, 12, 18, 24, 30, 36)
     lo_probes = [t_schedule.truncation(k)[0] for k in probe_ks]
     hi_probes = [t_schedule.truncation(k)[1] for k in probe_ks]

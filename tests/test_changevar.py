@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from quadratura import changevar as CV
 from quadratura import darboux
+from quadratura import expr as E
 from quadratura.changevar import (
     FAIL,
     INCONCLUSIVE,
@@ -17,7 +18,6 @@ from quadratura.changevar import (
     VERIFIED,
     SubstitutionProblem,
     check_hypotheses,
-    verify_zero_extension,
     lhs_integral,
     report_to_json,
     rhs_integral,
@@ -239,8 +239,13 @@ def _ref_bounded_verdict(ev, lo, hi, grid_size):
     return CV.HypothesisCheck("", FAIL if diverging else PASS, witness)
 
 
-def _ref_bounded_verdicts(evs, lo, hi, grid):
-    return [_ref_bounded_verdict(ev, lo, hi, grid.size) for ev in evs]
+def _ref_bounded_verdicts(ev, lo, hi, grid):
+    # ev gives one array, or several as rows: one reference check per row
+    rows = ev(grid).reshape(-1, grid.size).shape[0]
+    return [
+        _ref_bounded_verdict(lambda xs, j=j: ev(xs).reshape(rows, -1)[j], lo, hi, grid.size)
+        for j in range(rows)
+    ]
 
 
 def _ref_modulus(ev, lo, hi, n):
@@ -299,7 +304,7 @@ class TestHypotheses:
             want = report()
         assert got == want  # json writes NaN as NaN, so NaN compares as NaN
 
-    def test_formula_problem_probes_in_six_evaluations(self, monkeypatch):
+    def test_formula_problem_probes_in_four_evaluations(self, monkeypatch):
         sizes = []
         original = darboux.evaluate_array
 
@@ -310,8 +315,9 @@ class TestHypotheses:
         monkeypatch.setattr(darboux, "evaluate_array", counting)
         h = check_hypotheses(problem("x^2+1", "t^3+t", 0.0, 1.0))
         assert h.verdict("product_bounded") == PASS
-        assert len(sizes) <= 6
-        assert sum(sizes) == 7000 + 3 * (1000 + 18 * 64) + 2
+        # phi's continuity grids, phi' and the product in one run, f on J, both ends
+        assert len(sizes) <= 4
+        assert sum(sizes) == 7000 + 2 * (1000 + 18 * 64) + 2
 
     def test_verify_evaluates_phi_at_each_endpoint_once(self, monkeypatch):
         p = problem("x^2", "t^3-t", 0.25, 1.0)
@@ -319,16 +325,14 @@ class TestHypotheses:
         original = darboux.evaluate_array
 
         def counting(e, xs):
-            if e is p.phi and xs.size == 1:
-                at.append(float(xs[0]))
+            if e is p.phi and xs.size <= 2:
+                at.append(xs.tolist())
             return original(e, xs)
 
         monkeypatch.setattr(darboux, "evaluate_array", counting)
         report = verify(p, 1e-5, EDGES)
         assert report.verdict == VERIFIED
-        assert sorted(at) == [0.25, 1.0]
-        verify_zero_extension(p, 1e-5, EDGES)
-        assert sorted(at) == [0.25, 1.0]
+        assert at == [[0.25, 1.0]]  # both ends in one call
 
     def test_undefined_endpoint_is_not_kept(self, monkeypatch):
         p = problem("x", "log(t)", -1.0, 1.0)
@@ -336,15 +340,29 @@ class TestHypotheses:
         original = darboux.evaluate_array
 
         def counting(e, xs):
-            if e is p.phi and xs.size == 1:
-                calls.append(float(xs[0]))
+            if e is p.phi:
+                calls.append(xs.size)
             return original(e, xs)
 
         monkeypatch.setattr(darboux, "evaluate_array", counting)
         for _ in range(2):
-            with pytest.raises(darboux.UndefinedSamplesError):
+            with pytest.raises(darboux.UndefinedSamplesError, match="near t = -1.0"):
                 p.image_endpoints()
-        assert len(calls) == 2 * 8  # alpha and its seven inward probes, each time
+        assert calls == 2 * [2, 7]  # both ends, then alpha's seven inward probes, each time
+
+    def test_verify_compiles_two_tapes(self, monkeypatch):
+        # one t-tape for phi, phi' and the product, one x-tape for f
+        compiled = []
+        original = E._compile
+
+        def counting(*roots):
+            compiled.append(len(roots))
+            return original(*roots)
+
+        monkeypatch.setattr(E, "_compile", counting)
+        report = verify(problem("x^2+1", "t^3+t", 0.0, 1.0), 1e-5, EDGES)
+        assert report.verdict == VERIFIED
+        assert compiled == [3, 1]
 
     def test_verify_differentiates_once(self, monkeypatch):
         calls = []
@@ -371,7 +389,7 @@ class TestHypotheses:
             sizes.append(xs.size)
             return xs**2
 
-        (check,) = CV._bounded_verdicts((ev,), 0.0, 1.0, np.linspace(0.0, 1.0, 1000))
+        (check,) = CV._bounded_verdicts(ev, 0.0, 1.0, np.linspace(0.0, 1.0, 1000))
         assert check.verdict == PASS
         assert sizes == [1000 + 18 * 64]
 
@@ -431,31 +449,6 @@ class TestHypotheses:
         for check in check_hypotheses(p):
             assert isinstance(check.witness, dict)
             assert check.witness
-
-
-class TestZeroExtension:
-    def test_smooth_case_all_four_agree(self):
-        p = problem("x/(x^4+1)", "sqrt(t)", 0.0, 1.0)
-        report = verify_zero_extension(p, 1e-4, EDGES)
-        assert report.verdict == VERIFIED
-        for key, v in report.extra.items():
-            assert abs(v - math.pi / 8.0) < 1e-4, key
-
-    def test_phi_wandering_outside_image_interval(self):
-        # phi = sin(t) on [0, 3pi/4] overshoots J = [0, sin(3pi/4)]
-        p = problem("x^2", "sin(t)", 0.0, 3.0 * math.pi / 4.0)
-        report = verify_zero_extension(p, 1e-4, EDGES)
-        want = math.sin(3.0 * math.pi / 4.0) ** 3 / 3.0
-        assert report.verdict == VERIFIED
-        for v in report.extra.values():
-            assert abs(v - want) < 1e-4
-
-    def test_constant_phi_all_zero(self):
-        p = problem("x^2", "0*t+2", 0.0, 1.0)
-        report = verify_zero_extension(p, 1e-6, EDGES)
-        assert report.verdict == VERIFIED
-        for v in report.extra.values():
-            assert abs(v) < 1e-9
 
 
 class TestReportJson:

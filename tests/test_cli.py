@@ -804,7 +804,8 @@ _OUT_OF_RANGE = [
     (command, option, value)
     for command in _COMMAND_ARGS
     for option, value in (("--max-cells", "0"), ("--max-cells", "-5"), ("--samples", "1"),
-                          ("--samples", "0"))
+                          ("--samples", "0"), ("--samples", "8193"),
+                          ("--samples", "100000000000"))
 ] + [
     ("substitute", "--grid-size", "50"),
     ("substitute", "--grid-size", "-1"),
@@ -833,6 +834,12 @@ class TestCountOptions:
         code, out = run(capsys, "substitute", "--f", "x", "--phi", "t", "--alpha", "0",
                         "--beta", "1", "--grid-size", "100", "--tol", "1e-3")
         assert code == EXIT_OK and json.loads(out)["verdict"] == "verified"
+
+    def test_highest_valid_samples_run(self, capsys):
+        # one cell's 8,192 samples fill one evaluation block
+        code, out = run(capsys, "integrate", "--f", "x", "--a", "0", "--b", "1",
+                        "--samples", "8192", "--max-cells", "1", "--tol", "1")
+        assert code == EXIT_OK and json.loads(out)["cells"] == 1
 
     def test_library_rejects_a_cap_below_one_cell(self):
         with pytest.raises(ValueError, match="max_cells"):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -368,6 +369,77 @@ class TestTape:
         e = parse("+".join(["x"] * 20000))
         xs = np.array([0.0, 0.5, 2.0])
         assert evaluate_array(e, xs).tolist() == [0.0, 10000.0, 40000.0]
+
+
+@st.composite
+def _shared_roots(draw):
+    """1-4 roots drawn from one pool of nodes, each built on earlier ones, so
+    roots share subtrees and may read each other; the pool holds signed zeros, constant-only nodes
+    that fold, and the bare variable and constants, which may be roots.
+    """
+    pool = [E.var("x"), E.const(0.0), E.const(-0.0),
+            E.const(draw(st.sampled_from([2.0, -1.5, 0.5, 3.0, 1e308])))]
+    pick = lambda: pool[draw(st.integers(0, len(pool) - 1))]  # noqa: E731
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["neg", "call", "add", "sub", "mul", "div", "pow"]))
+        if kind == "neg":
+            pool.append(E.neg(pick()))
+        elif kind == "call":
+            pool.append(E.call(draw(st.sampled_from(E.FUNCTIONS)), pick()))
+        else:
+            pool.append(E.Expr(kind, args=(pick(), pick())))
+    roots = [pick() for _ in range(draw(st.integers(0, 3)))]
+    # the newest node reads earlier ones, which may be roots too
+    roots.insert(draw(st.integers(0, len(roots))), pool[-1])
+    return roots
+
+
+_MULTI_INPUTS = (
+    np.array(0.7),
+    np.array([np.nan, -0.0, 0.0, 1e-310, 0.5, 1.0, -2.5, 3.0, np.inf, -np.inf]),
+    np.where(np.arange(2 * E._EVAL_BLOCK + 3) % 997 == 5, np.nan,
+             np.linspace(-3.0, 3.0, 2 * E._EVAL_BLOCK + 3)),
+)
+
+
+class TestMultiOutputTape:
+    @given(roots=_shared_roots())
+    @settings(max_examples=150, deadline=None)
+    @example(roots=[E.var("x"), E.const(-0.0)])
+    @example(roots=[E.mul(E.var("x"), E.const(-0.0)), E.var("x"), E.neg(E.const(0.0))])
+    def test_each_output_is_its_own_tape(self, roots):
+        want = []
+        for root in roots:
+            E.compile_tape(root)
+            want.append([evaluate_array(root, xs) for xs in _MULTI_INPUTS])
+        for j, xs in enumerate(_MULTI_INPUTS):
+            rows = evaluate_array(tuple(roots), xs)  # compiles the roots together
+            assert rows.shape == (len(roots), *xs.shape)
+            for row, single in zip(rows, want):
+                assert row.tobytes() == single[j].tobytes()
+        registers = roots[0]._tape[0]
+        for root, single in zip(roots, want):  # each root alone runs its prefix
+            assert root._tape[0] is registers
+            for xs, ys in zip(_MULTI_INPUTS, single):
+                assert evaluate_array(root, xs).tobytes() == ys.tobytes()
+
+    def test_outputs_run_prefixes_in_root_order(self):
+        phi = parse("t*sin(1/t)")
+        dphi = differentiate(phi)
+        product = E.mul(E.substitute(parse("x^3"), phi), dphi)
+        E.compile_tape(phi, dphi, product)
+        lengths = [len(e._tape[1]) for e in (phi, dphi, product)]
+        _, steps, _ = E._compile(product)
+        # the product runs the steps of its own tape, phi's first
+        assert lengths[0] < lengths[1] < lengths[2] == len(steps)
+        assert Counter(s[0] for s in product._tape[1]) == Counter(s[0] for s in steps)
+
+    def test_a_root_register_is_never_reused(self):
+        # x^2 is read by the second root and then dead, but it is an output
+        square = parse("x^2")
+        roots = (square, E.add(square, E.const(1.0)), parse("sin(x)*cos(x)"))
+        rows = evaluate_array(roots, np.array([0.5, 2.0]))
+        assert rows[0].tolist() == [0.25, 4.0] and rows[1].tolist() == [1.25, 5.0]
 
 
 class TestSubstitute:
