@@ -30,6 +30,7 @@ from .darboux import (
     DEFAULT_CONFIG,
     DarbouxEstimate,
     Evaluator,
+    Integrand,
     NonConvergenceError,
     SamplingConfig,
     UndefinedSamplesError,
@@ -166,6 +167,14 @@ class SubstitutionProblem:
 
         return product
 
+    def product_integrand(self) -> Integrand:
+        """(f o phi) * phi' as one expression when all are formulas, so
+        ``darboux.integrate`` can test its cells for monotonicity; else
+        ``product_evaluator()``.  Both evaluate to the same bits.
+        """
+        fused = self._derived_exprs()[1]
+        return self.product_evaluator() if fused is None else fused
+
     def _phi_prime_and_product_evaluator(self) -> Evaluator:
         """phi' and the product as the two rows of one array, from one run of
         the t-tape when f, phi and phi' are formulas.
@@ -285,7 +294,7 @@ def rhs_integral(
 ) -> DarbouxEstimate:
     """Bracket for the integral of (f o phi) * phi' over [alpha, beta]."""
     return darboux.integrate(
-        p.product_evaluator(),
+        p.product_integrand(),
         Interval(p.alpha, p.beta),
         tol,
         cfg,

@@ -9,6 +9,24 @@ functions that are piecewise monotone at the sampling scale the bracket
 is exact; callers needing guarantees pass ``hints`` listing the interior
 turning points, which makes every cell extremum exact.
 
+At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression whose
+derivative ``expr.derivative`` gives is tested for monotone cells first:
+f and f' are enclosed by interval evaluation of their tape
+(``interval.enclose``) on the cells between the evaluated edge samples, and a
+cell is *certified* when f's enclosure is finite, the enclosure of f'
+keeps one sign (lo >= 0 or hi <= 0) and both edge values are defined and
+nonzero.  f is then monotone on the cell, so its extrema are its edge
+values, the exact Darboux terms; only the other cells are sampled in
+full.  This is the monotonicity test of interval global optimization
+(Hansen & Walster, "Global Optimization Using Interval Analysis", 2004).
+Where the evaluated f is monotone on a certified cell, as it is on every
+formula of the bitwise battery in ``tests/test_monotone.py``, its
+samples' extrema are its edge values bit for bit, so the sums are those
+of sampling every cell; only rounding that makes the evaluated f locally
+non-monotone could move a bit.  Callables,
+formulas ``differentiate`` rejects, and fewer samples a cell take every
+sample as before.
+
 ``integrate`` refines a uniform cell count N, 2N, 4N, ... until the
 bracket closes to the requested tolerance; the midpoint of the final
 bracket is the point estimate.  For smooth integrands the midpoint
@@ -19,7 +37,12 @@ already give tight values.
 Levels that cannot close are skipped, keeping every bit of plain
 doubling.  The grids nest exactly (``2j * (s/2) == j * s``), and the two
 halves of a cell share its midpoint sample and hold all its samples and
-hints, so width(2M) >= width(M)/2 in exact arithmetic: a gap g at N
+hints, so width(2M) >= width(M)/2 in exact arithmetic.  Certified cells
+keep the bound: a certified cell's range is that of its two edges, which
+are edge samples of its halves, and a certified half's range holds every
+sample inside it, f being monotone there.  (The halves of a certified
+cell lie inside its enclosures, so they stay certified unless the
+midpoint value is zero.)  A gap g at N
 cells rules out each level N*2**i where g/2**i, less a margin for the
 rounding of the sums, exceeds the tolerance.  Every point of a skipped
 level is a point of the level jumped to, so when that level has an
@@ -55,7 +78,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .expr import Expr, evaluate_array
+from .expr import Expr, derivative, evaluate_array
+from .interval import enclose
 from .partition import Interval, Partition
 
 # Unused here, but perfbench/tracer.py wraps ``darboux.uniform_partition``.
@@ -87,6 +111,10 @@ CELL_CAP = 2**24
 _CHUNK_POINTS = 8192
 # ``integrate`` sums 2**21 // w cells a chunk: this fixes its summation order.
 _SUM_CHUNK_POINTS = 2**21
+# At this many samples a cell or more, an expression's cells are tested for
+# monotonicity first, in blocks of _MONOTONE_CELLS cells (``_monotone_cells``).
+_MONOTONE_SAMPLES = 16
+_MONOTONE_CELLS = 2048
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 Integrand = Union[Expr, Evaluator]
@@ -112,7 +140,10 @@ class SamplingConfig:
     neighbouring cells share.  samples_per_cell=2 costs one evaluation
     per cell edge and is exact for cell-monotone integrands; the default
     64 guards oscillatory ones.  An undefined (NaN) sample is left out
-    when both its neighbours are defined; two adjacent ones raise.
+    when both its neighbours are defined; two adjacent ones raise.  From
+    16 samples on, ``integrate`` evaluates only the edges of the cells of
+    an expression that its derivative's enclosure certifies monotone
+    (see the module docstring), and samples the rest.
     """
 
     samples_per_cell: int = 64
@@ -132,7 +163,8 @@ class DarbouxEstimate:
     ``norm`` is the partition norm (0 only for the degenerate-interval
     estimate).  The point estimate is ``midpoint``.  ``levels`` and
     ``swept`` count the work behind it: refinement levels evaluated and
-    the cells summed over all of them.
+    the cells summed over all of them.  ``certified`` counts the cells of
+    the final level whose extrema came from their edge values alone.
     """
 
     lower: float
@@ -141,6 +173,7 @@ class DarbouxEstimate:
     cells: int
     levels: int = 0
     swept: int = 0
+    certified: int = 0
 
     def __post_init__(self):
         if self.lower > self.upper:  # NaN-safe: comparison is False for NaN
@@ -158,7 +191,7 @@ class DarbouxEstimate:
 
     def __neg__(self) -> "DarbouxEstimate":
         return DarbouxEstimate(
-            -self.upper, -self.lower, self.norm, self.cells, self.levels, self.swept
+            -self.upper, -self.lower, self.norm, self.cells, self.levels, self.swept, self.certified
         )
 
 
@@ -424,15 +457,86 @@ def upper_sum(
     return _partition_sums(f, p, cfg, hints)[1]
 
 
+def _row_points(a: float, b: float, step: float, last: int, i0: int, i1: int, stride: int = 1):
+    """Samples i0, i0 + stride, ..., i1 of a row: ``i*step + a``, and b at index ``last``."""
+    xs = np.arange(i0, i1 + 1, stride, dtype=float)
+    xs *= step
+    xs += a
+    if i1 == last:
+        xs[-1] = b
+    return xs
+
+
+def _monotone_roots(f: Integrand, cfg: SamplingConfig) -> tuple[Expr, Expr] | None:
+    """(f, f') when f's cells are tested for monotonicity first, else None."""
+    if isinstance(f, Expr) and cfg.samples_per_cell >= _MONOTONE_SAMPLES:
+        slope = derivative(f)
+        if slope is not None:
+            return f, slope
+    return None
+
+
+def _monotone_cells(ev, roots, a, b, step, w, cells, k0, k1, lo, hi) -> tuple[int, bool]:
+    """Cells k0..k1-1 of a row of ``cells``, their extrema written into ``lo``
+    and ``hi``: (cells certified, whether an undefined sample inside (a, b) was
+    skipped).
+
+    The cell edges are evaluated and (f, f') enclosed between them.  A cell
+    is certified when f's enclosure is finite, f' keeps one sign on it and
+    both edge values are defined and nonzero: f is monotone there, so its
+    extrema are its edge values, taken in ``_cell_extrema``'s operand order.
+    (A zero edge value could tie a zero of the other sign among the
+    samples.)  Runs of the other cells are sampled in full, in evaluations
+    of at most _CHUNK_POINTS samples, under ``_cell_extrema``'s NaN rule.
+    """
+    last = cells * w
+    edges = _row_points(a, b, step, last, k0 * w, k1 * w, w)
+    ys = ev(edges)
+    f_range, slope = enclose(roots, edges[:-1], edges[1:])
+    nonzero = np.abs(ys) > 0  # False where NaN
+    sure = np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+    sure &= nonzero[:-1] & nonzero[1:]
+    del f_range, slope  # free before the samples are evaluated
+    np.minimum(ys[:-1], ys[1:], out=lo)
+    np.maximum(ys[:-1], ys[1:], out=hi)
+    flips = np.flatnonzero(np.diff(sure, prepend=True, append=True)).tolist()
+    per_piece = max(1, (_CHUNK_POINTS - 1) // w)
+    pieces = [
+        (s, min(s + per_piece, stop))
+        for start, stop in zip(flips[::2], flips[1::2])
+        for s in range(start, stop, per_piece)
+    ]
+    holes = False
+    while pieces:  # as many pieces as one evaluation holds, at least one
+        take, size = 1, (pieces[0][1] - pieces[0][0]) * w + 1
+        for s, e in pieces[1:]:
+            if size + (e - s) * w + 1 > _CHUNK_POINTS:
+                break
+            take, size = take + 1, size + (e - s) * w + 1
+        batch, pieces = pieces[:take], pieces[take:]
+        values = ev(np.concatenate(
+            [_row_points(a, b, step, last, (k0 + s) * w, (k0 + e) * w) for s, e in batch]
+        ))
+        at = 0
+        for s, e in batch:
+            _, _, undefined = _cell_extrema(values[at : at + (e - s) * w + 1], w, lo[s:e], hi[s:e])
+            at += (e - s) * w + 1
+            if undefined is not None:
+                undefined += (k0 + s) * w
+                holes = holes or bool(((undefined > 0) & (undefined < last)).any())
+    return int(np.count_nonzero(sure)), holes
+
+
 def _uniform_rows(
-    ev: Evaluator,
+    f: Integrand,
     a: Sequence[float],
     b: Sequence[float],
     cells: int,
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
-) -> list[tuple[float, float, float, bool] | UndefinedSamplesError]:
-    """Each row's (lower, upper, magnitude, holes) over ``cells`` equal cells of [a[r], b[r]].
+) -> list[tuple[float, float, float, bool, int] | UndefinedSamplesError]:
+    """Each row's (lower, upper, magnitude, holes, certified) over ``cells``
+    equal cells of [a[r], b[r]].
 
     A row with adjacent undefined samples gives the UndefinedSamplesError
     it raised instead.  Cell i of a row samples the row's uniform grid
@@ -447,9 +551,16 @@ def _uniform_rows(
     scales the rounding of the sums; ``holes`` tells whether an undefined
     sample was skipped strictly inside (a, b).  Sampling stops once every
     row has raised.
+
+    An expression with a derivative, at _MONOTONE_SAMPLES samples a cell
+    or more, is sampled row by row in blocks of _MONOTONE_CELLS cells
+    instead (``_monotone_cells``); ``certified`` counts the cells whose
+    extrema came from their edges, 0 on every other path.
     """
     rows = len(a)
     w = cfg.samples_per_cell - 1
+    ev = as_evaluator(f)
+    roots = _monotone_roots(f, cfg)
     dx = [(hi - lo) / cells for lo, hi in zip(a, b)]
     step = [(hi - lo) / (cells * w) for lo, hi in zip(a, b)]
     pins = None  # each row's hints inside it and their values
@@ -458,10 +569,11 @@ def _uniform_rows(
 
     errors: list[UndefinedSamplesError | None] = [None] * rows
     holes = [False] * rows
+    certified = [0] * rows
     chunk_sums: list[list[float]] = []  # each chunk's lower sums, then its upper sums
     magnitude = [0.0] * rows
     cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
-    cells_per_block = max(1, (_CHUNK_POINTS // rows - 1) // w)
+    cells_per_block = max(1, (_CHUNK_POINTS // rows - 1) // w) if roots is None else _MONOTONE_CELLS
     # room for one chunk's (lo, hi) rows, so no two chunks' are alive at once
     room = np.empty(2 * rows * min(cells, cells_per_chunk))
     for c0 in range(0, cells, cells_per_chunk):
@@ -470,26 +582,37 @@ def _uniform_rows(
         lo, hi = pair[:rows], pair[rows:]
         for k0 in range(c0, c1, cells_per_block):
             k1 = min(c1, k0 + cells_per_block)
-            grids = []
-            for r in range(rows):  # row by row: numpy's fast path for a scalar
-                grid = np.arange(k0 * w, k1 * w + 1, dtype=float)
-                grid *= step[r]
-                grid += a[r]
-                if k1 == cells:
-                    grid[-1] = b[r]
-                grids.append(grid)
-            ys = ev(grids[0] if rows == 1 else np.concatenate(grids)).reshape(rows, -1)
-            for r in range(rows):
-                try:
-                    _, _, undefined = _cell_extrema(
-                        ys[r], w, lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0]
-                    )
-                except UndefinedSamplesError as exc:
-                    errors[r] = errors[r] or exc
-                    continue
-                if undefined is not None:
-                    undefined += k0 * w  # global sample index; 0 is a, cells*w is b
-                    holes[r] = holes[r] or bool(((undefined > 0) & (undefined < cells * w)).any())
+            if roots is not None:
+                for r in range(rows):
+                    if errors[r] is not None:
+                        continue
+                    try:
+                        sure, hole = _monotone_cells(
+                            ev, roots, a[r], b[r], step[r], w, cells, k0, k1,
+                            lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0],
+                        )
+                    except UndefinedSamplesError as exc:
+                        errors[r] = exc
+                        continue
+                    certified[r] += sure
+                    holes[r] = holes[r] or hole
+            else:
+                grids = [_row_points(a[r], b[r], step[r], cells * w, k0 * w, k1 * w)
+                         for r in range(rows)]  # row by row: numpy's fast path for a scalar
+                ys = ev(grids[0] if rows == 1 else np.concatenate(grids)).reshape(rows, -1)
+                for r in range(rows):
+                    try:
+                        _, _, undefined = _cell_extrema(
+                            ys[r], w, lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0]
+                        )
+                    except UndefinedSamplesError as exc:
+                        errors[r] = errors[r] or exc
+                        continue
+                    if undefined is not None:
+                        undefined += k0 * w  # global sample index; 0 is a, cells*w is b
+                        holes[r] = holes[r] or bool(
+                            ((undefined > 0) & (undefined < cells * w)).any()
+                        )
             if all(errors):
                 return errors
         for r, (hint_xs, hint_ys) in enumerate(pins or ()):
@@ -512,18 +635,18 @@ def _uniform_rows(
         for r in range(rows):
             magnitude[r] += size[r] + size[rows + r]
 
-    levels: list[tuple[float, float, float, bool] | UndefinedSamplesError] = []
+    levels: list[tuple[float, float, float, bool, int] | UndefinedSamplesError] = []
     for r in range(rows):
         if errors[r] is not None:
             levels.append(errors[r])
             continue
         lower = _fsum([sums[r] for sums in chunk_sums]) * dx[r]
         upper = _fsum([sums[rows + r] for sums in chunk_sums]) * dx[r]
-        levels.append((lower, upper, magnitude[r] * dx[r], holes[r]))
+        levels.append((lower, upper, magnitude[r] * dx[r], holes[r], certified[r]))
     return levels
 
 
-def _level_sums(level) -> tuple[float, float, float, bool]:
+def _level_sums(level) -> tuple[float, float, float, bool, int]:
     """A row of ``_uniform_rows``: its sums, or its error raised."""
     if isinstance(level, UndefinedSamplesError):
         raise level
@@ -531,18 +654,18 @@ def _level_sums(level) -> tuple[float, float, float, bool]:
 
 
 def _uniform_sums(
-    ev: Evaluator,
+    f: Integrand,
     a: float,
     b: float,
     cells: int,
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
-) -> tuple[float, float, float, bool]:
-    """(lower, upper, magnitude, holes) over ``cells`` equal cells of [a, b].
+) -> tuple[float, float, float, bool, int]:
+    """(lower, upper, magnitude, holes, certified) over ``cells`` equal cells of [a, b].
 
     The one-row ``_uniform_rows``; adjacent undefined samples raise.
     """
-    return _level_sums(_uniform_rows(ev, [a], [b], cells, cfg, hints)[0])
+    return _level_sums(_uniform_rows(f, [a], [b], cells, cfg, hints)[0])
 
 
 def integrate(
@@ -581,7 +704,6 @@ def integrate(
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
     if iv.is_degenerate:
         raise ValueError("cannot integrate over a degenerate interval")
-    ev = as_evaluator(f)
     cells = min(start_cells, max_cells)
     levels = swept = last = 0  # ``last``: cells of the previous level
     jumps = True
@@ -591,8 +713,8 @@ def integrate(
         level, _first = _first, None
         try:
             if level is None:
-                level = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints)
-            lower, upper, magnitude, holes = _level_sums(level)
+                level = _uniform_sums(f, iv.a, iv.b, cells, cfg, hints)
+            lower, upper, magnitude, holes, certified = _level_sums(level)
             undo = jumped and (holes or not math.isfinite(upper - lower))
         except UndefinedSamplesError:
             if not jumped:
@@ -601,7 +723,7 @@ def integrate(
         if undo:  # a skipped level may have failed first or broken the bound
             cells, jumps = 2 * last, False
             continue
-        est = DarbouxEstimate(lower, upper, iv.width / cells, cells, levels, swept)
+        est = DarbouxEstimate(lower, upper, iv.width / cells, cells, levels, swept, certified)
         gap = upper - lower
         if not math.isfinite(gap):
             raise NonConvergenceError(

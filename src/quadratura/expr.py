@@ -35,7 +35,10 @@ prefix; ``evaluate_array`` on a tuple of roots runs the longest prefix
 once and gives the outputs as the rows of one array.  ``substitute``
 builds ``f(phi(t))`` as one tree; ``changevar`` compiles phi, phi' and
 the substitution product ``f(phi(t))*phi'(t)`` as one tape, so f, phi
-and phi' share their common subterms.  Compiling and evaluating are iterative,
+and phi' share their common subterms.  ``interval.enclose`` runs the steps
+of such a tape on intervals; ``darboux`` encloses an integrand and its
+``derivative`` to find the cells on which the integrand is monotone.
+Compiling and evaluating are iterative,
 so any height evaluates.  Differentiating and printing recurse once per
 level; ``parse(text, max_height=MAX_TREE_HEIGHT)`` keeps a formula
 within their reach.
@@ -63,6 +66,7 @@ __all__ = [
     "evaluate_array",
     "compile_tape",
     "differentiate",
+    "derivative",
     "substitute",
     "to_text",
     "variables",
@@ -124,6 +128,10 @@ class Expr:
     args: tuple["Expr", ...] = field(default=())
     # The compiled tape, set on first evaluation (see ``evaluate_array``).
     _tape: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
+    # ``(other roots, interval tape)`` of the last ``interval.enclose`` whose
+    # first root this is, and ``(derivative or None,)`` once ``derivative`` has run.
+    _interval: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
+    _derivative: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in _ARITY:
@@ -706,6 +714,24 @@ def differentiate(e: Expr, varname: str | None = None) -> Expr:
             raise ValueError(f"ambiguous variable: {sorted(names)}")
         varname = next(iter(names), "x")
     return _simplify(_diff(e, varname))
+
+
+def derivative(e: Expr) -> Expr | None:
+    """``differentiate(e)``, kept on ``e``.  None where it rejects ``e``, and
+    for a tree taller than MAX_TREE_HEIGHT, which it may not reach through.
+    """
+    if e._derivative is None:
+        height: dict[int, int] = {}
+        for node in _postorder(e):
+            height[id(node)] = 1 + max((height[id(a)] for a in node.args), default=0)
+        d = None
+        if height[id(e)] <= MAX_TREE_HEIGHT:
+            try:
+                d = differentiate(e)
+            except (NonDifferentiableError, ValueError):  # ValueError: two variables
+                pass
+        object.__setattr__(e, "_derivative", (d,))
+    return e._derivative[0]
 
 
 def _diff(e: Expr, v: str) -> Expr:

@@ -137,7 +137,7 @@ def _aitken(values: list[float]) -> tuple[float | None, bool]:
 
 
 def _first_levels(
-    ev, strips: list[tuple[float, float]], cfg: SamplingConfig, max_cells: int
+    f, strips: list[tuple[float, float]], cfg: SamplingConfig, max_cells: int
 ) -> list:
     """The first refinement level of each strip, all sampled as rows of one level.
 
@@ -154,13 +154,13 @@ def _first_levels(
         except ValueError:
             break
     firsts = darboux._uniform_rows(
-        ev, [iv.a for iv in ivs], [iv.b for iv in ivs], min(START_CELLS, max_cells), cfg, None
+        f, [iv.a for iv in ivs], [iv.b for iv in ivs], min(START_CELLS, max_cells), cfg, None
     ) if ivs else []
     return firsts + [None] * (len(strips) - len(ivs))
 
 
 def _run_side(
-    ev,
+    f,
     schedule: ImproperSchedule,
     inner_tol: float,
     cfg: SamplingConfig,
@@ -185,11 +185,11 @@ def _run_side(
             strips = [(a, b) for a, b in ((u, prev[0]), (prev[1], v)) if a < b]
             budget = (inner_tol - (upper - lower)) / 2.0
         try:
-            firsts = _first_levels(ev, strips, cfg, max_cells)
+            firsts = _first_levels(f, strips, cfg, max_cells)
             for i, (a, b) in enumerate(strips):
                 tol = budget / (len(strips) - i)
                 est = darboux.integrate(
-                    ev, Interval(a, b), tol, cfg, max_cells=max_cells, _first=firsts[i]
+                    f, Interval(a, b), tol, cfg, max_cells=max_cells, _first=firsts[i]
                 )
                 lower += est.lower
                 upper += est.upper
@@ -288,7 +288,7 @@ def improper_verify(
     """
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
-    rhs = _run_side(p.product_evaluator(), t_schedule, rhs_inner_tol, cfg, max_cells)
+    rhs = _run_side(p.product_integrand(), t_schedule, rhs_inner_tol, cfg, max_cells)
 
     phi_ev = p.phi_evaluator()
     probe_ks = (0, 6, 12, 18, 24, 30, 36)
@@ -337,7 +337,7 @@ def improper_verify(
                 max_steps=lhs_max_steps if lhs_max_steps is not None else t_schedule.max_steps,
                 tol=lhs_tol if lhs_tol is not None else t_schedule.tol,
             )
-            lhs = _run_side(f_ev, x_schedule, lhs_inner_tol, cfg, max_cells, sign=orientation)
+            lhs = _run_side(p.f, x_schedule, lhs_inner_tol, cfg, max_cells, sign=orientation)
 
     if rhs.steps and lhs.steps:
         abs_diff = abs(rhs.value - lhs.value)

@@ -912,15 +912,15 @@ def whole_chunk_sums(ev, a, b, cells, cfg, hints):
         lo_parts.append(compensated_sum(lo))
         hi_parts.append(compensated_sum(hi))
         magnitude += float(np.abs(lo).sum() + np.abs(hi).sum())
-    return D._fsum(lo_parts) * dx, D._fsum(hi_parts) * dx, magnitude * dx, holes
+    return D._fsum(lo_parts) * dx, D._fsum(hi_parts) * dx, magnitude * dx, holes, 0
 
 
 def sums_outcome(run, *args):
     try:
-        lower, upper, magnitude, holes = run(*args)
+        lower, upper, magnitude, holes, certified = run(*args)
     except UndefinedSamplesError as exc:
         return type(exc), str(exc)
-    return lower.hex(), upper.hex(), magnitude.hex(), holes
+    return lower.hex(), upper.hex(), magnitude.hex(), holes, certified
 
 
 def counted_outcome(run, *args):
