@@ -9,16 +9,20 @@ functions that are piecewise monotone at the sampling scale the bracket
 is exact; callers needing guarantees pass ``hints`` listing the interior
 turning points, which makes every cell extremum exact.
 
-At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression whose
-derivative ``expr.derivative`` gives is tested for monotone cells first:
-f and f' are enclosed by interval evaluation of their tape
-(``interval.enclose``) on the cells between the evaluated edge samples, and a
-cell is *certified* when f's enclosure is finite, the enclosure of f'
-keeps one sign (lo >= 0 or hi <= 0) and both edge values are defined and
-nonzero.  f is then monotone on the cell, so its extrema are its edge
-values, the exact Darboux terms; only the other cells are sampled in
-full.  This is the monotonicity test of interval global optimization
-(Hansen & Walster, "Global Optimization Using Interval Analysis", 2004).
+At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression that
+``differentiate`` accepts is tested for monotone cells first, in blocks
+of 2,048 cells: f and f' are enclosed by interval evaluation of their
+tape (``interval.slope_tape``, ``interval.enclose``) on the cells
+between the evaluated edge samples, and a cell is *certified* when f's
+enclosure is finite, the enclosure of f' keeps one sign (lo >= 0 or
+hi <= 0) and both edge values are defined and nonzero.  f is then
+monotone on the cell, so its extrema are its edge values, the exact
+Darboux terms; only the other cells are sampled in full.  This is the
+monotonicity test of interval global optimization (Hansen & Walster,
+"Global Optimization Using Interval Analysis", 2004).  The test costs
+about as much as evaluating 5 to 8 samples a cell, so a block whose
+certified cells would save fewer than 8 samples a cell is sampled in
+full instead, and so are the later blocks of its row at that level.
 Where the evaluated f is monotone on a certified cell, as it is on every
 formula of the bitwise battery in ``tests/test_monotone.py``, its
 samples' extrema are its edge values bit for bit, so the sums are those
@@ -78,8 +82,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .expr import Expr, derivative, evaluate_array
-from .interval import enclose
+from .expr import Expr, evaluate_array
+from .interval import enclose, slope_tape
 from .partition import Interval, Partition
 
 # Unused here, but perfbench/tracer.py wraps ``darboux.uniform_partition``.
@@ -115,6 +119,11 @@ _SUM_CHUNK_POINTS = 2**21
 # monotonicity first, in blocks of _MONOTONE_CELLS cells (``_monotone_cells``).
 _MONOTONE_SAMPLES = 16
 _MONOTONE_CELLS = 2048
+# Evaluating the edges and enclosing a block costs about 5 to 8 samples a
+# cell (E1's product and simpler formulas on a 2-vCPU Xeon), so a block whose
+# certified cells save fewer than _TEST_SAMPLES samples a cell is sampled in
+# full, and its row's later blocks of the level are not tested.
+_TEST_SAMPLES = 8
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 Integrand = Union[Expr, Evaluator]
@@ -467,16 +476,81 @@ def _row_points(a: float, b: float, step: float, last: int, i0: int, i1: int, st
     return xs
 
 
-def _monotone_roots(f: Integrand, cfg: SamplingConfig) -> tuple[Expr, Expr] | None:
-    """(f, f') when f's cells are tested for monotonicity first, else None."""
+def _monotone_tape(f: Integrand, cfg: SamplingConfig) -> tuple | None:
+    """The interval tape of (f, f') when f's cells are tested for monotonicity, else None."""
     if isinstance(f, Expr) and cfg.samples_per_cell >= _MONOTONE_SAMPLES:
-        slope = derivative(f)
-        if slope is not None:
-            return f, slope
+        return slope_tape(f)
     return None
 
 
-def _monotone_cells(ev, roots, a, b, step, w, cells, k0, k1, lo, hi) -> tuple[int, bool]:
+def _sampled_run(ev, a, b, step, w, last, k0, k1, lo, hi) -> bool:
+    """Sample cells k0..k1-1 of a row in full, in evaluations of at most
+    _CHUNK_POINTS samples: their extrema written into ``lo`` and ``hi``, and
+    whether an undefined sample inside (a, b) was skipped.
+    """
+    holes = False
+    per_evaluation = max(1, (_CHUNK_POINTS - 1) // w)
+    for s in range(k0, k1, per_evaluation):
+        e = min(k1, s + per_evaluation)
+        ys = ev(_row_points(a, b, step, last, s * w, e * w))
+        _, _, undefined = _cell_extrema(ys, w, lo[s - k0 : e - k0], hi[s - k0 : e - k0])
+        if undefined is not None:
+            undefined += s * w
+            holes = holes or bool(((undefined > 0) & (undefined < last)).any())
+    return holes
+
+
+def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
+    """Sample cells k0 + todo of a row in full, under ``_cell_extrema``'s
+    rules: their extrema written into lo[todo] and hi[todo], and whether an
+    undefined sample inside (a, b) was skipped.
+
+    ``todo`` holds ascending indices.  Each evaluation holds at most
+    _CHUNK_POINTS samples: the w body samples of each cell, in a row of a
+    (cells, w) array as ``_cell_extrema`` reduces them, then the right
+    edges no cell of the evaluation starts at.
+    """
+    holes = False
+    per_evaluation = max(1, _CHUNK_POINTS // (w + 1))
+    body_offsets = np.arange(w, dtype=float)
+    for i in range(0, todo.size, per_evaluation):
+        part = todo[i : i + per_evaluation]
+        m = part.size
+        first = (part + k0) * w  # each cell's left edge sample
+        ends = np.append(np.flatnonzero(part[1:] - part[:-1] != 1), m - 1)
+        xs = np.empty(m * w + ends.size)
+        np.add(first[:, None], body_offsets, out=xs[: m * w].reshape(m, w))
+        xs[m * w :] = first[ends] + w
+        xs *= step
+        xs += a
+        if first[-1] + w == last:
+            xs[-1] = b
+        ys = ev(xs)
+        body = ys[: m * w].reshape(m, w)
+        right_at = np.arange(w, (m + 1) * w, w)
+        right_at[ends] = np.arange(m * w, ys.size)
+        mask = np.isnan(ys)
+        undefined = None
+        if mask.any():
+            inner = mask[: m * w].reshape(m, w)
+            if (inner[:, :-1] & inner[:, 1:]).any() or (inner[:, -1] & mask[right_at]).any():
+                raise UndefinedSamplesError(
+                    "adjacent undefined samples; only isolated undefined points can be skipped"
+                )
+            undefined = np.flatnonzero(mask)
+            index = np.append(first[:, None] + np.arange(w), first[ends] + w)[undefined]
+            holes = holes or bool(((index > 0) & (index < last)).any())
+            ys[undefined] = np.inf
+        extreme = body.min(axis=1)
+        lo[part] = np.minimum(extreme, ys[right_at], out=extreme)
+        if undefined is not None:
+            ys[undefined] = -np.inf
+        extreme = body.max(axis=1)
+        hi[part] = np.maximum(extreme, ys[right_at], out=extreme)
+    return holes
+
+
+def _monotone_cells(ev, tape, a, b, step, w, cells, k0, k1, lo, hi) -> tuple[int, bool]:
     """Cells k0..k1-1 of a row of ``cells``, their extrema written into ``lo``
     and ``hi``: (cells certified, whether an undefined sample inside (a, b) was
     skipped).
@@ -486,54 +560,34 @@ def _monotone_cells(ev, roots, a, b, step, w, cells, k0, k1, lo, hi) -> tuple[in
     both edge values are defined and nonzero: f is monotone there, so its
     extrema are its edge values, taken in ``_cell_extrema``'s operand order.
     (A zero edge value could tie a zero of the other sign among the
-    samples.)  Runs of the other cells are sampled in full, in evaluations
-    of at most _CHUNK_POINTS samples, under ``_cell_extrema``'s NaN rule.
+    samples.)  The other cells are sampled in full (``_sampled_cells``).
+    A block whose certified cells save fewer than _TEST_SAMPLES samples a
+    cell is sampled in full instead (``_sampled_run``) and counts none.
     """
-    last = cells * w
-    edges = _row_points(a, b, step, last, k0 * w, k1 * w, w)
+    edges = _row_points(a, b, step, cells * w, k0 * w, k1 * w, w)
     ys = ev(edges)
-    f_range, slope = enclose(roots, edges[:-1], edges[1:])
     nonzero = np.abs(ys) > 0  # False where NaN
-    sure = np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
-    sure &= nonzero[:-1] & nonzero[1:]
+    f_range, slope = enclose(tape, edges[:-1], edges[1:])
+    certified = np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+    certified &= nonzero[:-1] & nonzero[1:]
     del f_range, slope  # free before the samples are evaluated
+    sure = int(np.count_nonzero(certified))
+    if sure * w < _TEST_SAMPLES * (k1 - k0):
+        return 0, _sampled_run(ev, a, b, step, w, cells * w, k0, k1, lo, hi)
     np.minimum(ys[:-1], ys[1:], out=lo)
     np.maximum(ys[:-1], ys[1:], out=hi)
-    flips = np.flatnonzero(np.diff(sure, prepend=True, append=True)).tolist()
-    per_piece = max(1, (_CHUNK_POINTS - 1) // w)
-    pieces = [
-        (s, min(s + per_piece, stop))
-        for start, stop in zip(flips[::2], flips[1::2])
-        for s in range(start, stop, per_piece)
-    ]
-    holes = False
-    while pieces:  # as many pieces as one evaluation holds, at least one
-        take, size = 1, (pieces[0][1] - pieces[0][0]) * w + 1
-        for s, e in pieces[1:]:
-            if size + (e - s) * w + 1 > _CHUNK_POINTS:
-                break
-            take, size = take + 1, size + (e - s) * w + 1
-        batch, pieces = pieces[:take], pieces[take:]
-        values = ev(np.concatenate(
-            [_row_points(a, b, step, last, (k0 + s) * w, (k0 + e) * w) for s, e in batch]
-        ))
-        at = 0
-        for s, e in batch:
-            _, _, undefined = _cell_extrema(values[at : at + (e - s) * w + 1], w, lo[s:e], hi[s:e])
-            at += (e - s) * w + 1
-            if undefined is not None:
-                undefined += (k0 + s) * w
-                holes = holes or bool(((undefined > 0) & (undefined < last)).any())
-    return int(np.count_nonzero(sure)), holes
+    holes = _sampled_cells(ev, a, b, step, w, cells * w, k0, np.flatnonzero(~certified), lo, hi)
+    return sure, holes
 
 
 def _uniform_rows(
-    f: Integrand,
+    ev: Evaluator,
     a: Sequence[float],
     b: Sequence[float],
     cells: int,
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
+    tape: tuple | None = None,
 ) -> list[tuple[float, float, float, bool, int] | UndefinedSamplesError]:
     """Each row's (lower, upper, magnitude, holes, certified) over ``cells``
     equal cells of [a[r], b[r]].
@@ -552,15 +606,14 @@ def _uniform_rows(
     sample was skipped strictly inside (a, b).  Sampling stops once every
     row has raised.
 
-    An expression with a derivative, at _MONOTONE_SAMPLES samples a cell
-    or more, is sampled row by row in blocks of _MONOTONE_CELLS cells
-    instead (``_monotone_cells``); ``certified`` counts the cells whose
-    extrema came from their edges, 0 on every other path.
+    With ``tape`` (``_monotone_tape``), rows are sampled one by one in
+    blocks of _MONOTONE_CELLS cells instead, each tested for monotone
+    cells (``_monotone_cells``) until one certifies none; ``certified``
+    counts the cells whose extrema came from their edges, 0 without a
+    tape.
     """
     rows = len(a)
     w = cfg.samples_per_cell - 1
-    ev = as_evaluator(f)
-    roots = _monotone_roots(f, cfg)
     dx = [(hi - lo) / cells for lo, hi in zip(a, b)]
     step = [(hi - lo) / (cells * w) for lo, hi in zip(a, b)]
     pins = None  # each row's hints inside it and their values
@@ -570,10 +623,11 @@ def _uniform_rows(
     errors: list[UndefinedSamplesError | None] = [None] * rows
     holes = [False] * rows
     certified = [0] * rows
+    testing = [True] * rows  # whether a row's blocks are still tested (``_monotone_cells``)
     chunk_sums: list[list[float]] = []  # each chunk's lower sums, then its upper sums
     magnitude = [0.0] * rows
     cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
-    cells_per_block = max(1, (_CHUNK_POINTS // rows - 1) // w) if roots is None else _MONOTONE_CELLS
+    cells_per_block = max(1, (_CHUNK_POINTS // rows - 1) // w) if tape is None else _MONOTONE_CELLS
     # room for one chunk's (lo, hi) rows, so no two chunks' are alive at once
     room = np.empty(2 * rows * min(cells, cells_per_chunk))
     for c0 in range(0, cells, cells_per_chunk):
@@ -582,23 +636,35 @@ def _uniform_rows(
         lo, hi = pair[:rows], pair[rows:]
         for k0 in range(c0, c1, cells_per_block):
             k1 = min(c1, k0 + cells_per_block)
-            if roots is not None:
+            if tape is not None:
                 for r in range(rows):
                     if errors[r] is not None:
                         continue
+                    block = lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0]
                     try:
-                        sure, hole = _monotone_cells(
-                            ev, roots, a[r], b[r], step[r], w, cells, k0, k1,
-                            lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0],
-                        )
+                        if testing[r]:
+                            sure, hole = _monotone_cells(
+                                ev, tape, a[r], b[r], step[r], w, cells, k0, k1, *block
+                            )
+                            certified[r] += sure
+                            testing[r] = sure > 0
+                        else:
+                            hole = _sampled_run(
+                                ev, a[r], b[r], step[r], w, cells * w, k0, k1, *block
+                            )
                     except UndefinedSamplesError as exc:
                         errors[r] = exc
                         continue
-                    certified[r] += sure
                     holes[r] = holes[r] or hole
             else:
-                grids = [_row_points(a[r], b[r], step[r], cells * w, k0 * w, k1 * w)
-                         for r in range(rows)]  # row by row: numpy's fast path for a scalar
+                grids = []
+                for r in range(rows):  # row by row: numpy's fast path for a scalar
+                    grid = np.arange(k0 * w, k1 * w + 1, dtype=float)
+                    grid *= step[r]
+                    grid += a[r]
+                    if k1 == cells:
+                        grid[-1] = b[r]
+                    grids.append(grid)
                 ys = ev(grids[0] if rows == 1 else np.concatenate(grids)).reshape(rows, -1)
                 for r in range(rows):
                     try:
@@ -654,18 +720,19 @@ def _level_sums(level) -> tuple[float, float, float, bool, int]:
 
 
 def _uniform_sums(
-    f: Integrand,
+    ev: Evaluator,
     a: float,
     b: float,
     cells: int,
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
+    tape: tuple | None = None,
 ) -> tuple[float, float, float, bool, int]:
     """(lower, upper, magnitude, holes, certified) over ``cells`` equal cells of [a, b].
 
     The one-row ``_uniform_rows``; adjacent undefined samples raise.
     """
-    return _level_sums(_uniform_rows(f, [a], [b], cells, cfg, hints)[0])
+    return _level_sums(_uniform_rows(ev, [a], [b], cells, cfg, hints, tape)[0])
 
 
 def integrate(
@@ -704,6 +771,8 @@ def integrate(
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
     if iv.is_degenerate:
         raise ValueError("cannot integrate over a degenerate interval")
+    ev = as_evaluator(f)
+    tape = _monotone_tape(f, cfg)
     cells = min(start_cells, max_cells)
     levels = swept = last = 0  # ``last``: cells of the previous level
     jumps = True
@@ -713,7 +782,7 @@ def integrate(
         level, _first = _first, None
         try:
             if level is None:
-                level = _uniform_sums(f, iv.a, iv.b, cells, cfg, hints)
+                level = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints, tape)
             lower, upper, magnitude, holes, certified = _level_sums(level)
             undo = jumped and (holes or not math.isfinite(upper - lower))
         except UndefinedSamplesError:

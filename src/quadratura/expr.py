@@ -37,7 +37,7 @@ builds ``f(phi(t))`` as one tree; ``changevar`` compiles phi, phi' and
 the substitution product ``f(phi(t))*phi'(t)`` as one tape, so f, phi
 and phi' share their common subterms.  ``interval.enclose`` runs the steps
 of such a tape on intervals; ``darboux`` encloses an integrand and its
-``derivative`` to find the cells on which the integrand is monotone.
+derivative to find the cells on which the integrand is monotone.
 Compiling and evaluating are iterative,
 so any height evaluates.  Differentiating and printing recurse once per
 level; ``parse(text, max_height=MAX_TREE_HEIGHT)`` keeps a formula
@@ -66,7 +66,6 @@ __all__ = [
     "evaluate_array",
     "compile_tape",
     "differentiate",
-    "derivative",
     "substitute",
     "to_text",
     "variables",
@@ -128,10 +127,9 @@ class Expr:
     args: tuple["Expr", ...] = field(default=())
     # The compiled tape, set on first evaluation (see ``evaluate_array``).
     _tape: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
-    # ``(other roots, interval tape)`` of the last ``interval.enclose`` whose
-    # first root this is, and ``(derivative or None,)`` once ``derivative`` has run.
-    _interval: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
-    _derivative: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
+    # ``(interval tape of this and its derivative, or None,)``, set by
+    # ``interval.slope_tape``.
+    _slope: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in _ARITY:
@@ -714,24 +712,6 @@ def differentiate(e: Expr, varname: str | None = None) -> Expr:
             raise ValueError(f"ambiguous variable: {sorted(names)}")
         varname = next(iter(names), "x")
     return _simplify(_diff(e, varname))
-
-
-def derivative(e: Expr) -> Expr | None:
-    """``differentiate(e)``, kept on ``e``.  None where it rejects ``e``, and
-    for a tree taller than MAX_TREE_HEIGHT, which it may not reach through.
-    """
-    if e._derivative is None:
-        height: dict[int, int] = {}
-        for node in _postorder(e):
-            height[id(node)] = 1 + max((height[id(a)] for a in node.args), default=0)
-        d = None
-        if height[id(e)] <= MAX_TREE_HEIGHT:
-            try:
-                d = differentiate(e)
-            except (NonDifferentiableError, ValueError):  # ValueError: two variables
-                pass
-        object.__setattr__(e, "_derivative", (d,))
-    return e._derivative[0]
 
 
 def _diff(e: Expr, v: str) -> Expr:

@@ -154,7 +154,8 @@ def _first_levels(
         except ValueError:
             break
     firsts = darboux._uniform_rows(
-        f, [iv.a for iv in ivs], [iv.b for iv in ivs], min(START_CELLS, max_cells), cfg, None
+        darboux.as_evaluator(f), [iv.a for iv in ivs], [iv.b for iv in ivs],
+        min(START_CELLS, max_cells), cfg, None, darboux._monotone_tape(f, cfg),
     ) if ivs else []
     return firsts + [None] * (len(strips) - len(ivs))
 

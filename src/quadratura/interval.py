@@ -12,9 +12,10 @@ edge.  A rule whose value at an infinite end could be finite (a divisor,
 a negative power, exp, atan, sin, cos, tan) gives none for one, so an
 enclosure that is finite holds only defined point values.
 
-``enclose`` compiles its roots to one tape with ``expr._compile``, as
-evaluation does, and runs each step's rule in place of the step.  The
-tape is kept on the first root, apart from its point tape.  This module
+``interval_tape`` compiles its roots to one tape with ``expr._compile``,
+as evaluation does, with each step's rule in place of the step;
+``enclose`` runs it.  ``slope_tape`` keeps the tape of an expression and
+its derivative on the expression, apart from its point tape.  This module
 stands apart from ``expr`` so that the larger source is not compiled in
 one piece: that raised the peak memory of a process importing the package.
 """
@@ -25,9 +26,21 @@ import math
 
 import numpy as np
 
-from .expr import Expr, _compile, _div, _log, _pow, _pow_literal, _run
+from .expr import (
+    MAX_TREE_HEIGHT,
+    Expr,
+    NonDifferentiableError,
+    _compile,
+    _div,
+    _log,
+    _postorder,
+    _pow,
+    _pow_literal,
+    _run,
+    differentiate,
+)
 
-__all__ = ["enclose"]
+__all__ = ["enclose", "interval_tape", "slope_tape"]
 
 
 def _none_where(out: np.ndarray, mask) -> np.ndarray:
@@ -83,16 +96,6 @@ def _idiv(a, b):
     return _none_where(out, ~(((b[0] > 0) | (b[1] < 0)) & _finite(b)))
 
 
-def _iabs(a):
-    # [max(lo, -hi, 0), max(-lo, hi)]
-    neg = -a
-    out = np.empty_like(a)
-    np.maximum(a[0], neg[1], out=out[0])
-    np.maximum(out[0], 0.0, out=out[0])
-    np.maximum(neg[0], a[1], out=out[1])
-    return out
-
-
 def _no_rule(*operands):
     return np.full(np.broadcast_shapes(*(np.shape(v) for v in operands)), np.nan)
 
@@ -107,7 +110,9 @@ def _power(point):
         out = _ordered(point(a, c))
         if c < 0:  # none across the pole at 0, or with an infinite end
             return _none_where(out, ~(((a[0] > 0) | (a[1] < 0)) & _finite(a)))
-        if c > 0 and c.is_integer() and c % 2 == 0:  # falls to 0 and rises again
+        if c > 0 and not c.is_integer():  # undefined below 0, though (-inf)^c is inf
+            return _none_where(out, a[0] < 0)
+        if c > 0 and c % 2 == 0:  # falls to 0 and rises again
             np.copyto(out[0], 0.0, where=(a[0] < 0) & (a[1] > 0))
         return out
 
@@ -149,7 +154,8 @@ def _bounded_increasing(fn):
 
 
 # Each step function's interval rule.  np.sqrt and _log are their own: they
-# are increasing and give NaN below their domain.
+# are increasing and give NaN below their domain.  abs has none:
+# ``differentiate`` rejects it, so no tape ``slope_tape`` gives holds it.
 _ENCLOSE = {
     np.negative: lambda a: -a[::-1],
     np.add: np.add,
@@ -164,33 +170,50 @@ _ENCLOSE = {
     np.sqrt: np.sqrt,
     np.arctan: _bounded_increasing(np.arctan),
     np.exp: _bounded_increasing(np.exp),
-    np.abs: _iabs,
+    np.abs: _no_rule,
     _log: _log,
 }
 
 
-def enclose(roots: tuple[Expr, ...], lo, hi) -> np.ndarray:
-    """Enclosures of each root over the intervals [lo[i], hi[i]], shape (roots, 2, n).
+def interval_tape(*roots: Expr) -> tuple:
+    """The tape of ``roots`` compiled as for evaluation, each step's rule in
+    place of the step: the first argument of ``enclose``."""
+    registers, steps, outputs = _compile(*roots)
+    return registers, tuple((_ENCLOSE[fn], *rest) for fn, *rest in steps), outputs
+
+
+def slope_tape(f: Expr) -> tuple | None:
+    """The interval tape of f and its derivative, kept on f.
+
+    None where ``differentiate`` rejects f, and for a tree taller than
+    MAX_TREE_HEIGHT, which it may not reach through.
+    """
+    if f._slope is None:
+        height: dict[int, int] = {}
+        for node in _postorder(f):
+            height[id(node)] = 1 + max((height[id(a)] for a in node.args), default=0)
+        tape = None
+        if height[id(f)] <= MAX_TREE_HEIGHT:
+            try:
+                tape = interval_tape(f, differentiate(f))
+            except (NonDifferentiableError, ValueError):  # ValueError: two variables
+                pass
+        object.__setattr__(f, "_slope", (tape,))
+    return f._slope[0]
+
+
+def enclose(tape: tuple, lo, hi) -> np.ndarray:
+    """Enclosures of each root of ``tape`` over the intervals [lo[i], hi[i]],
+    shape (roots, 2, n).
 
     ``out[k, 0]`` and ``out[k, 1]`` bound root k below and above; NaN in
-    both marks a cell without an enclosure (see the module docstring).  The
-    roots compile to one tape, kept on ``roots[0]`` apart from its point
-    tape, which stays as it is.
+    both marks a cell without an enclosure (see the module docstring).
     """
-    cached = roots[0]._interval
-    others = roots[1:]  # not the first root itself, which would make a cycle
-    if cached is None or len(cached[0]) != len(others) or any(
-        p is not q for p, q in zip(cached[0], others)
-    ):
-        registers, steps, outputs = _compile(*roots)
-        steps = tuple((_ENCLOSE[fn], *rest) for fn, *rest in steps)
-        cached = (others, registers, steps, outputs)
-        object.__setattr__(roots[0], "_interval", cached)
-    _, registers, steps, outputs = cached
+    registers, steps, outputs = tape
     x = np.stack((np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
     with np.errstate(all="ignore"):
         regs = _run(registers, steps, x)
-    out = np.empty((len(roots), *x.shape))
+    out = np.empty((len(outputs), *x.shape))
     for row, (result, _) in zip(out, outputs):
         row[...] = regs[result]
     np.copyto(out, np.nan, where=np.isnan(out).any(axis=1, keepdims=True))

@@ -80,6 +80,8 @@ class TestIntervalRules:
     def test_every_step_has_a_rule_or_none(self):
         steps = {*E._STEP.values(), *E._CALL.values(), E._pow_literal, E._pow}
         assert steps == set(I._ENCLOSE)
+        # differentiate rejects abs, so no tape of a derivative holds it
+        assert I._ENCLOSE[np.abs] is I._no_rule
 
     @settings(max_examples=400, deadline=None)
     @given(fn=st.sampled_from(ONE_OPERAND), case=intervals())
@@ -134,6 +136,8 @@ class TestIntervalRules:
     @example(fn=E._pow_literal, c=-3.0, a=(-1.0, 1.0, [-1.0, 0.5, 1.0]))
     @example(fn=E._pow, c=2.0, a=(-3.0, 1.0, [-3.0, -0.0, 1.0]))
     @example(fn=E._pow, c=0.5, a=(-1.0, 4.0, [-1.0, 4.0]))
+    # (-inf)^2.5 is inf, not NaN, while 0^2.5 is 0
+    @example(fn=E._pow_literal, c=2.5, a=(-math.inf, 1.0, [-math.inf, 1.0, 0.0]))
     # np.power(x, -2.0) and np.power(-x, -2.0) differ in the last bit
     @example(fn=E._pow, c=-2.0, a=(-812338653412601.0, -812338653412601.0,
                                    [-812338653412601.0]))
@@ -151,7 +155,7 @@ class TestEnclose:
         f = parse("t*sin(1/t)^2 - exp(-t)/(1+t^2) + sqrt(t)*log(t)")
         lo = np.linspace(0.01, 3.0, 200)
         hi = lo + 0.013
-        (f_lo, f_hi), = enclose((f,), lo, hi)
+        (f_lo, f_hi), = enclose(I.interval_tape(f), lo, hi)
         assert np.isfinite(f_lo).all() and np.isfinite(f_hi).all()
         ts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 33)
         ts[:, -1] = hi
@@ -168,12 +172,12 @@ class TestEnclose:
                         (parse("x^-2"), [1, 1, 0, 0]),
                         # an exponent that varies has no rule
                         (parse("x^x"), [1, 1, 1, 1])):
-            out = enclose((f,), lo, hi)[0]
+            out = enclose(I.interval_tape(f), lo, hi)[0]
             assert np.isnan(out).tolist() == [[bool(n) for n in none]] * 2, str(f)
 
     def test_constant_and_variable_roots(self):
         x = parse("x")
-        out = enclose((x, parse("2"), E.const(-0.0)), [1.0, 2.0], [1.5, 3.0])
+        out = enclose(I.interval_tape(x, parse("2"), E.const(-0.0)), [1.0, 2.0], [1.5, 3.0])
         assert out.tolist() == [[[1.0, 2.0], [1.5, 3.0]], [[2.0, 2.0]] * 2, [[-0.0, -0.0]] * 2]
 
     def test_point_tape_is_left_alone(self):
@@ -181,21 +185,19 @@ class TestEnclose:
         product = p.product_integrand()
         roots = (p.phi, p._derived_exprs()[0], product)
         tapes = [g._tape for g in roots]
-        slope = E.derivative(product)
-        enclose((product, slope), [0.5], [0.6])
+        slope = I.slope_tape(product)
+        enclose(slope, [0.5], [0.6])
         assert all(g._tape is tape for g, tape in zip(roots, tapes))
-        kept = product._interval
-        assert len(kept[0]) == 1 and kept[0][0] is slope
-        enclose((product, slope), [0.1], [0.2])
-        assert product._interval is kept
+        assert I.slope_tape(product) is slope
 
-    def test_derivative_is_kept_and_none_where_rejected(self):
+    def test_slope_tape_is_kept_and_none_where_rejected(self):
         f = parse("x^3")
-        assert E.derivative(f) is E.derivative(f)
-        assert E.derivative(parse("abs(x)")) is None
-        assert E.derivative(parse("2^x")) is None
+        assert I.slope_tape(f) is I.slope_tape(f)
+        assert enclose(I.slope_tape(f), [1.0], [2.0]).tolist() == [[[1.0], [8.0]], [[3.0], [12.0]]]
+        assert I.slope_tape(parse("abs(x)")) is None
+        assert I.slope_tape(parse("2^x")) is None
         tall = parse("+".join(["x"] * (E.MAX_TREE_HEIGHT + 1)))
-        assert E.derivative(tall) is None
+        assert I.slope_tape(tall) is None
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,8 @@ class TestCertifiedCells:
         # the E1 rhs integrand at 64 samples: all but the cells near 0 and at
         # the turning points are monotone
         f = product("x^3", "t*sin(1/t)", 0.0, 2 / math.pi)
-        *_, certified = D._uniform_sums(f, 0.0, 2 / math.pi, 2**16, CFG64, None)
+        *_, certified = D._uniform_sums(D.as_evaluator(f), 0.0, 2 / math.pi, 2**16, CFG64, None,
+                                        D._monotone_tape(f, CFG64))
         assert certified >= 0.98 * 2**16
 
     def test_e1_rhs_closes_with_the_bits_of_sampling_in_full(self):
@@ -281,10 +284,12 @@ class TestCertifiedCells:
     def test_rows_of_a_level(self):
         f = product("x^2", "t*sin(1/t)", 0.0, 1.0)
         ends = [(0.0, 0.1), (0.1, 0.5), (0.5, 1.0)]
-        rows = D._uniform_rows(f, [a for a, _ in ends], [b for _, b in ends], 3000, CFG16, None)
+        ev, tape = D.as_evaluator(f), D._monotone_tape(f, CFG16)
+        rows = D._uniform_rows(ev, [a for a, _ in ends], [b for _, b in ends], 3000, CFG16, None,
+                               tape)
         for (a, b), row in zip(ends, rows):
-            assert row == D._uniform_sums(f, a, b, 3000, CFG16, None)
-            assert row[:4] == D._uniform_sums(sampled_in_full(f), a, b, 3000, CFG16, None)[:4]
+            assert row == D._uniform_sums(ev, a, b, 3000, CFG16, None, tape)
+            assert row[:4] == D._uniform_sums(ev, a, b, 3000, CFG16, None)[:4]
             assert row[4] > 0
 
     def test_below_the_cutoff_or_without_a_derivative_nothing_is_enclosed(self):
@@ -300,16 +305,92 @@ class TestCertifiedCells:
         f = parse("1/(x-0.3)")
         ev = D.as_evaluator(f)
 
-        def recording(g):
-            def run(xs):
-                sizes.append(xs.size)
-                return ev(xs)
-            return run
+        def recording(xs):
+            sizes.append(xs.size)
+            return ev(xs)
 
-        with mock.patch.object(D, "as_evaluator", recording):
-            D._uniform_sums(f, 0.0, 1.0, 2**13, SamplingConfig(samples_per_cell=1000), None)
+        cfg = SamplingConfig(samples_per_cell=1000)
+        D._uniform_sums(recording, 0.0, 1.0, 2**13, cfg, None, D._monotone_tape(f, cfg))
         assert max(sizes) <= D._CHUNK_POINTS
         assert sum(sizes) < 2**13 * 20
+
+
+class TestSampledCells:
+    """The cells left to sample take ``_cell_extrema``'s bits, NaN rule and holes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.sampled_from([15, 63]), k0=st.integers(0, 3), n=st.integers(1, 300),
+           data=st.data())
+    @example(w=15, k0=0, n=3, data=None)
+    def test_matches_cell_extrema(self, w, k0, n, data):
+        cells, last = k0 + n, (k0 + n) * w
+        a, b = -1.0, 2.0
+        step = (b - a) / last
+        grid = D._row_points(a, b, step, last, 0, last)
+        values = np.sin(7.0 * grid)
+        if data is None:  # an undefined edge between two cells sampled apart
+            todo, planted = np.array([0, 2]), {15: math.nan, 16: math.nan, 44: -0.0}
+        else:
+            todo = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+            planted = data.draw(st.dictionaries(
+                st.integers(0, last), st.sampled_from([math.nan, 0.0, -0.0]), max_size=5))
+        for i, v in planted.items():
+            values[i] = v
+
+        def ev(xs):
+            at = np.searchsorted(grid, xs)
+            assert (grid[at] == xs).all()  # every point is a grid point, bit for bit
+            assert xs.size <= D._CHUNK_POINTS
+            return values[at]
+
+        samples = {i for c in todo for i in range((k0 + c) * w, (k0 + c + 1) * w + 1)}
+        nans = {i for i in samples if math.isnan(values[i])}
+        lo, hi = np.full(n, 7.0), np.full(n, 7.0)
+        # adjacent undefined samples of one cell raise, as in _cell_extrema
+        if any(i + 1 in nans and i // w - k0 in todo for i in nans):
+            with pytest.raises(UndefinedSamplesError):
+                D._sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi)
+            return
+        holes = D._sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi)
+        assert holes == any(0 < i < last for i in nans)
+        # one cell at a time through _cell_extrema gives the same bits
+        for c in todo:
+            ys = values[(k0 + c) * w : (k0 + c + 1) * w + 1].copy()
+            want_lo, want_hi, _ = D._cell_extrema(ys, w)
+            assert (lo[c].hex(), hi[c].hex()) == (want_lo[0].hex(), want_hi[0].hex())
+        untouched = np.setdiff1d(np.arange(n), todo)
+        assert (lo[untouched] == 7.0).all() and (hi[untouched] == 7.0).all()
+
+    def test_a_run_takes_the_bits_of_the_cells(self):
+        w, k0, n = 15, 2, 1000
+        last = (k0 + n) * w
+        step = 3.0 / last
+        x0 = float(D._row_points(-1.0, 2.0, step, last, 0, last)[5000])
+        f = parse(f"sin(7*x) + (x - {x0!r})/(x - {x0!r})")  # undefined at a sample inside
+        ev = D.as_evaluator(f)
+        lo, hi = np.empty(n), np.empty(n)
+        with np.errstate(all="ignore"):
+            holes = D._sampled_run(ev, -1.0, 2.0, step, w, last, k0, k0 + n, lo, hi)
+            lo2, hi2 = np.empty(n), np.empty(n)
+            holes2 = D._sampled_cells(ev, -1.0, 2.0, step, w, last, k0, np.arange(n), lo2, hi2)
+        assert holes and holes2
+        assert lo.tobytes() == lo2.tobytes() and hi.tobytes() == hi2.tobytes()
+
+    def test_a_block_certifying_none_ends_the_test_of_its_row(self):
+        # x*x - x^2: the enclosure of its derivative always holds 0
+        f, calls = parse("x*x-x^2"), []
+
+        def counting(tape, lo, hi):
+            calls.append(len(lo))
+            return enclose(tape, lo, hi)
+
+        with mock.patch.object(D, "enclose", counting):
+            lower, upper, _, _, certified = D._uniform_sums(
+                D.as_evaluator(f), 0.0, 1.0, 3 * D._MONOTONE_CELLS, CFG64, None,
+                D._monotone_tape(f, CFG64))
+        assert calls == [D._MONOTONE_CELLS] and certified == 0
+        want = D._uniform_sums(D.as_evaluator(f), 0.0, 1.0, 3 * D._MONOTONE_CELLS, CFG64, None)
+        assert (lower, upper) == want[:2]
 
 
 class TestEstimateCount:
