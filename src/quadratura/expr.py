@@ -127,9 +127,6 @@ class Expr:
     args: tuple["Expr", ...] = field(default=())
     # The compiled tape, set on first evaluation (see ``evaluate_array``).
     _tape: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
-    # ``(interval tape of this and its derivative, or None,)``, set by
-    # ``interval.slope_tape``.
-    _slope: tuple | None = field(default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in _ARITY:

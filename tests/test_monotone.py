@@ -199,6 +199,15 @@ class TestEnclose:
         tall = parse("+".join(["x"] * (E.MAX_TREE_HEIGHT + 1)))
         assert I.slope_tape(tall) is None
 
+    def test_only_the_last_slope_tapes_are_kept(self):
+        f = parse("x^3")
+        first = I.slope_tape(f)
+        assert I.slope_tape(parse("x^3")) is not first  # kept by identity, not by value
+        for k in range(I._SLOPES_KEPT):
+            I.slope_tape(parse(f"x^{k + 4}"))
+        assert len(I._SLOPES) == I._SLOPES_KEPT
+        assert I.slope_tape(f) is not first
+
 
 # ---------------------------------------------------------------------------
 # Certified cells in integrate
