@@ -184,7 +184,7 @@ def interval_tape(*roots: Expr) -> tuple:
 
 # The slope tapes of the last _SLOPES_KEPT expressions, by identity: every
 # level of an integral and every strip of an improper one reuses its tape.
-# (A field on Expr for it slowed the improper-truncation benchmark by 2%.)
+# (With a field on Expr for it, improper-truncation read 2% slower.)
 _SLOPES: dict[int, tuple[Expr, tuple | None]] = {}
 _SLOPES_KEPT = 8
 
