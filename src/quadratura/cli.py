@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import approximant, changevar, darboux, expr
 from .changevar import VERIFIED, SubstitutionProblem
 from .darboux import CELL_CAP, DarbouxEstimate, NonConvergenceError, SamplingConfig
@@ -209,36 +207,29 @@ def cmd_improper(args) -> int:
 
 def cmd_approx(args) -> int:
     f = _parse_formula(args.f, "--f")
-    cfg = _cfg_from(args)
     try:
-        iv = Interval(args.a, args.b)
-        g, blocks, m = approximant.approximant_with_infima(f, iv, args.n, cfg)
+        check = approximant.check_deficit(f, Interval(args.a, args.b), args.n, _cfg_from(args))
     except (ResourceLimitError, approximant.NegativityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         return _usage_error(str(exc))
+    g = check.g
     summary = {
         "level": args.n,
         "knots": int(g.knots.size),
         "value_min": float(g.values.min()),
         "value_max": float(g.values.max()),
-        "integral": approximant.integrate_pl(g, iv.a, iv.b),
+        "integral": check.integral,
         "csv": args.out or None,
     }
-    if m is not None:
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            s = darboux.compensated_sum(m * blocks.widths())  # lower_sum over the blocks
-        dense = SamplingConfig(samples_per_cell=4097)
-        m_sup = darboux.supremum_on(f, iv, dense)
-        deficit = s - summary["integral"]
-        bound = m_sup * iv.width / args.n
+    if check.block_lower_sum is not None:
         summary.update(
             {
-                "block_lower_sum": s,
-                "deficit": deficit,
-                "deficit_bound": bound,
-                "deficit_within_bound": bool(-1e-9 <= deficit <= bound + 1e-9),
+                "block_lower_sum": check.block_lower_sum,
+                "deficit": check.deficit,
+                "deficit_bound": check.bound,
+                "deficit_within_bound": check.within_bound,
             }
         )
     for key in ("integral", "block_lower_sum"):

@@ -23,6 +23,13 @@ monotonicity test of interval global optimization (Hansen & Walster,
 about as much as evaluating 5 to 8 samples a cell, so a block whose
 certified cells would save fewer than 8 samples a cell is sampled in
 full instead, and so are the later blocks of its row at that level.
+``integrate`` keeps which cells of the last level it accepted the test
+certified, a bit a cell.  The grids nest, so a cell of the next level
+lies inside one of them, and inside its enclosures too (inclusion
+monotonicity: Moore, Kearfott & Cloud, "Introduction to Interval
+Analysis", 2009): it is certified without an enclosure of its own once
+its two edge values are defined and nonzero.  Only the cells of the
+first level and those inside an uncertified cell are enclosed.
 Where the evaluated f is monotone on a certified cell, as it is on every
 formula of the bitwise battery in ``tests/test_monotone.py``, its
 samples' extrema are its edge values bit for bit, so the sums are those
@@ -550,34 +557,92 @@ def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
     return holes
 
 
-def _monotone_cells(ev, tape, a, b, step, w, cells, k0, k1, lo, hi) -> tuple[int, bool]:
+class _Certified:
+    """The cells of one row's level of ``cells`` that the monotone test
+    certified (in a block sampled in full too), a bit a cell in ``bits``
+    (``np.packbits`` order), and those of the level it refines.
+
+    ``parent`` holds the bits of the last level accepted before this one
+    when this level's cells nest in it, cell k in parent cell k // ratio,
+    and is None otherwise.  An accepted level lets go of its parent
+    (``done``), so at most two levels' bits are alive at once.
+    """
+
+    __slots__ = ("cells", "bits", "parent", "ratio")
+
+    def __init__(self, cells: int, parent: "_Certified | None" = None):
+        self.cells = cells
+        self.bits = np.zeros(-(-cells // 8), np.uint8)
+        nests = parent is not None and cells % parent.cells == 0
+        self.parent = parent.bits if nests else None
+        self.ratio = cells // parent.cells if nests else 0
+
+    def inherited(self, k0: int, k1: int) -> np.ndarray:
+        """Whether each of cells k0..k1-1 lies in a certified parent cell."""
+        if self.parent is None:
+            return np.zeros(k1 - k0, dtype=bool)
+        p0, p1 = k0 // self.ratio, (k1 - 1) // self.ratio + 1
+        parents = _get_bits(self.parent, p0, p1).repeat(self.ratio)
+        return parents[k0 - p0 * self.ratio : k1 - p0 * self.ratio]
+
+    def put(self, k0: int, certified: np.ndarray) -> None:
+        """Set the bits of cells k0, k0 + 1, ...; cells are put in ascending order."""
+        s = k0 - k0 % 8
+        head = _get_bits(self.bits, s, k0)
+        packed = np.packbits(np.concatenate((head, certified)))
+        self.bits[s // 8 : s // 8 + packed.size] = packed
+
+    def done(self) -> "_Certified":
+        self.parent = None
+        return self
+
+
+def _get_bits(bits: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Bits i0..i1-1 of a packed bit array, as bools."""
+    at = i0 - i0 % 8
+    return np.unpackbits(bits[at // 8 : (i1 + 7) // 8]).view(bool)[i0 - at : i1 - at]
+
+
+def _monotone_cells(
+    ev, tape, a, b, step, w, cells, k0, k1, lo, hi, inherited
+) -> tuple[int, bool, np.ndarray]:
     """Cells k0..k1-1 of a row of ``cells``, their extrema written into ``lo``
     and ``hi``: (cells certified, whether an undefined sample inside (a, b) was
-    skipped).
+    skipped, which cells the test certified).
 
     The cell edges are evaluated and (f, f') enclosed between them.  A cell
     is certified when f's enclosure is finite, f' keeps one sign on it and
     both edge values are defined and nonzero: f is monotone there, so its
     extrema are its edge values, taken in ``_cell_extrema``'s operand order.
     (A zero edge value could tie a zero of the other sign among the
-    samples.)  The other cells are sampled in full (``_sampled_cells``).
-    A block whose certified cells save fewer than _TEST_SAMPLES samples a
-    cell is sampled in full instead (``_sampled_run``) and counts none.
+    samples.)  A cell that ``inherited`` marks lies inside a cell the
+    level before certified, so inside that cell's enclosures: it is not
+    enclosed again, and only its edge values are checked.  The other cells
+    are sampled in full (``_sampled_cells``).  A block whose certified
+    cells save fewer than _TEST_SAMPLES samples a cell is sampled in full
+    instead (``_sampled_run``) and counts none; the cells its test
+    certified are given back all the same.
     """
     edges = _row_points(a, b, step, cells * w, k0 * w, k1 * w, w)
     ys = ev(edges)
     nonzero = np.abs(ys) > 0  # False where NaN
-    f_range, slope = enclose(tape, edges[:-1], edges[1:])
-    certified = np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+    certified = inherited.copy()
+    fresh = np.flatnonzero(~inherited)
+    if fresh.size:
+        if fresh.size == k1 - k0:
+            fresh = slice(None)  # nothing inherited: views of the edges, not gathered copies
+        f_range, slope = enclose(tape, edges[:-1][fresh], edges[1:][fresh])
+        certified[fresh] = np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+        del f_range, slope  # free before the samples are evaluated
+    del fresh
     certified &= nonzero[:-1] & nonzero[1:]
-    del f_range, slope  # free before the samples are evaluated
     sure = int(np.count_nonzero(certified))
     if sure * w < _TEST_SAMPLES * (k1 - k0):
-        return 0, _sampled_run(ev, a, b, step, w, cells * w, k0, k1, lo, hi)
+        return 0, _sampled_run(ev, a, b, step, w, cells * w, k0, k1, lo, hi), certified
     np.minimum(ys[:-1], ys[1:], out=lo)
     np.maximum(ys[:-1], ys[1:], out=hi)
     holes = _sampled_cells(ev, a, b, step, w, cells * w, k0, np.flatnonzero(~certified), lo, hi)
-    return sure, holes
+    return sure, holes, certified
 
 
 def _uniform_rows(
@@ -588,6 +653,7 @@ def _uniform_rows(
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
     tape: tuple | None = None,
+    masks: Sequence[_Certified] | None = None,
 ) -> list[tuple[float, float, float, bool, int] | UndefinedSamplesError]:
     """Each row's (lower, upper, magnitude, holes, certified) over ``cells``
     equal cells of [a[r], b[r]].
@@ -610,7 +676,9 @@ def _uniform_rows(
     blocks of _MONOTONE_CELLS cells instead, each tested for monotone
     cells (``_monotone_cells``) until one certifies none; ``certified``
     counts the cells whose extrema came from their edges, 0 without a
-    tape.
+    tape.  ``masks``, one ``_Certified`` a row, pass each block the cells
+    that inherit a certified parent and take the cells its test
+    certified; without them nothing is inherited.
     """
     rows = len(a)
     w = cfg.samples_per_cell - 1
@@ -624,6 +692,8 @@ def _uniform_rows(
     holes = [False] * rows
     certified = [0] * rows
     testing = [True] * rows  # whether a row's blocks are still tested (``_monotone_cells``)
+    if tape is not None and masks is None:
+        masks = [_Certified(cells) for _ in range(rows)]
     chunk_sums: list[list[float]] = []  # each chunk's lower sums, then its upper sums
     magnitude = [0.0] * rows
     cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
@@ -643,9 +713,11 @@ def _uniform_rows(
                     block = lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0]
                     try:
                         if testing[r]:
-                            sure, hole = _monotone_cells(
-                                ev, tape, a[r], b[r], step[r], w, cells, k0, k1, *block
+                            sure, hole, mask = _monotone_cells(
+                                ev, tape, a[r], b[r], step[r], w, cells, k0, k1, *block,
+                                masks[r].inherited(k0, k1),
                             )
+                            masks[r].put(k0, mask)
                             certified[r] += sure
                             testing[r] = sure > 0
                         else:
@@ -727,12 +799,15 @@ def _uniform_sums(
     cfg: SamplingConfig,
     hints: Sequence[float] | None,
     tape: tuple | None = None,
+    mask: _Certified | None = None,
 ) -> tuple[float, float, float, bool, int]:
     """(lower, upper, magnitude, holes, certified) over ``cells`` equal cells of [a, b].
 
-    The one-row ``_uniform_rows``; adjacent undefined samples raise.
+    The one-row ``_uniform_rows``, ``mask`` its row's; adjacent undefined
+    samples raise.
     """
-    return _level_sums(_uniform_rows(ev, [a], [b], cells, cfg, hints, tape)[0])
+    masks = None if mask is None else [mask]
+    return _level_sums(_uniform_rows(ev, [a], [b], cells, cfg, hints, tape, masks)[0])
 
 
 def integrate(
@@ -759,11 +834,16 @@ def integrate(
     sampled Darboux sums of the final refinement; ``midpoint`` is the
     point estimate.
 
+    From 16 samples a cell, each level after the first encloses only the
+    cells inside the last accepted level's uncertified cells (see the
+    module docstring); the rest inherit their parent's certification.
+
     ``_first`` (internal) is the first level when the caller has sampled
     it already: its row of ``_uniform_rows`` over ``iv`` at
     min(start_cells, max_cells) cells with these ``cfg`` and ``hints``.
     The improper runner samples the strips of a truncation step as rows
-    of one level this way; the result is that of sampling it here.
+    of one level this way; the result is that of sampling it here, and
+    the level after it, inheriting nothing, tests every cell afresh.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -775,14 +855,17 @@ def integrate(
     tape = _monotone_tape(f, cfg)
     cells = min(start_cells, max_cells)
     levels = swept = last = 0  # ``last``: cells of the previous level
+    kept = None  # the certified cells of the last level accepted
     jumps = True
     while True:
         jumped = 0 < 2 * last < cells
         levels, swept = levels + 1, swept + cells
         level, _first = _first, None
+        mask = None
         try:
             if level is None:
-                level = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints, tape)
+                mask = None if tape is None else _Certified(cells, kept)
+                level = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints, tape, mask)
             lower, upper, magnitude, holes, certified = _level_sums(level)
             undo = jumped and (holes or not math.isfinite(upper - lower))
         except UndefinedSamplesError:
@@ -792,6 +875,7 @@ def integrate(
         if undo:  # a skipped level may have failed first or broken the bound
             cells, jumps = 2 * last, False
             continue
+        kept = None if mask is None else mask.done()
         est = DarbouxEstimate(lower, upper, iv.width / cells, cells, levels, swept, certified)
         gap = upper - lower
         if not math.isfinite(gap):

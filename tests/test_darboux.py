@@ -881,10 +881,11 @@ class TestLevelSkipping:
         assert got == want
 
 
-def whole_chunk_sums(ev, a, b, cells, cfg, hints, tape=None):
+def whole_chunk_sums(ev, a, b, cells, cfg, hints, tape=None, mask=None):
     """``_uniform_sums`` with each summation chunk sampled and evaluated at once.
 
-    Every cell is sampled, so ``tape`` goes unused and nothing is certified.
+    Every cell is sampled, so ``tape`` and ``mask`` go unused and nothing is
+    certified.
     """
     w = cfg.samples_per_cell - 1
     step = (b - a) / (cells * w)

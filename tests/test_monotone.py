@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from quadratura import darboux as D
 from quadratura import expr as E
 from quadratura import interval as I
-from quadratura.changevar import SubstitutionProblem
+from quadratura.changevar import SubstitutionProblem, verify
 from quadratura.darboux import (
     DarbouxEstimate,
     NonConvergenceError,
@@ -441,3 +441,141 @@ class TestEstimateCount:
     def test_signed_integral(self):
         est = D.integrate_signed(parse("x^3"), 1.0, 0.25, 1e-3, CFG64)
         assert est.certified == est.cells
+
+
+# ---------------------------------------------------------------------------
+# Certification inherited from the level before
+
+SUMS = D._uniform_sums
+
+
+def sums_afresh(ev, a, b, cells, cfg, hints, tape=None, mask=None):
+    """``_uniform_sums`` inheriting nothing: every cell of every level is tested."""
+    return SUMS(ev, a, b, cells, cfg, hints, tape)
+
+
+def inheriting(f, iv, tol, cfg, max_cells=2**14, afresh=False):
+    """integrate's bits and counts, the cells it enclosed and each level's
+    (cells, cells a parent cell held), with or without inheriting."""
+    enclosed, levels = [], []
+
+    def counting(tape, lo, hi):
+        enclosed.append(len(lo))
+        return enclose(tape, lo, hi)
+
+    def recording(ev, a, b, cells, cfg, hints, tape=None, mask=None):
+        levels.append((cells, None if mask is None else mask.ratio))
+        return (sums_afresh if afresh else SUMS)(ev, a, b, cells, cfg, hints, tape, mask)
+
+    with mock.patch.object(D, "enclose", counting), \
+            mock.patch.object(D, "_uniform_sums", recording), np.errstate(all="ignore"):
+        try:
+            est, head = integrate(f, iv, tol, cfg, max_cells=max_cells), ()
+        except NonConvergenceError as exc:
+            est, head = exc.estimate, (str(exc),)
+    bits = (*head, est.lower.hex(), est.upper.hex(), est.norm.hex(), est.cells, est.levels,
+            est.swept, est.certified)
+    return bits, sum(enclosed), levels
+
+
+INHERIT_CASES = {
+    "E1 rhs": (product("x^3", "t*sin(1/t)", 0.0, 2 / math.pi), Interval(0.0, 2 / math.pi)),
+    "E1 lhs": (parse("x^3"), Interval(0.0, 2 / math.pi)),
+    "x^3": (parse("x^3"), Interval(-1.0, 2.0)),
+    # 0 is inside a certified cell of the first level and an edge of the next
+    "x^3 across 0": (parse("x^3"), Interval(-2.0**-11, 1 - 2.0**-11)),
+    "sin(3000*x)": (parse("sin(3000*x)"), Interval(0.0, 1.0)),
+    "sin(x)*cos(x)-sin(2*x)/2+x": (parse("sin(x)*cos(x)-sin(2*x)/2+x"), Interval(0.0, 1.0)),
+    "x*x-x^2": (parse("x*x-x^2"), Interval(0.0, 1.0)),  # certifies nothing
+    "exp(x)*exp(-x)": (parse("exp(x)*exp(-x)"), Interval(0.0, 1.0)),  # nor this, to the cap
+}
+
+
+class TestInheritedCertification:
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6, 1e-20])
+    @pytest.mark.parametrize("cfg", [CFG16, CFG64], ids=lambda c: str(c.samples_per_cell))
+    @pytest.mark.parametrize("name", sorted(INHERIT_CASES))
+    def test_bits_of_testing_every_level_afresh(self, name, cfg, tol):
+        f, iv = INHERIT_CASES[name]
+        got, enclosed, levels = inheriting(f, iv, tol, cfg)
+        want, enclosed_afresh, levels_afresh = inheriting(f, iv, tol, cfg, afresh=True)
+        assert got == want
+        assert levels == levels_afresh
+        if name in ("x*x-x^2", "exp(x)*exp(-x)"):
+            assert got[-1] == 0 and enclosed == enclosed_afresh
+        elif len(levels) > 1:  # each first level certifies some cells
+            assert enclosed < enclosed_afresh
+
+    @pytest.mark.parametrize("tol, ratios", [
+        (1e-4, [None, 4]),  # x^3 on -1..2: 1,024 cells, then 4,096 (a jump)
+        (1.5e-2, [None, 2]),  # then 2,048 (plain doubling)
+    ])
+    def test_jumped_and_doubled_levels(self, tol, ratios):
+        f, iv = parse("x^3"), Interval(-1.0, 2.0)
+        got, enclosed, levels = inheriting(f, iv, tol, CFG64, max_cells=2**12)
+        assert got == inheriting(f, iv, tol, CFG64, max_cells=2**12, afresh=True)[0]
+        assert [ratio or None for _, ratio in levels] == ratios
+        assert enclosed == 1024  # the first level certified every cell
+
+    def test_a_level_that_does_not_nest_inherits_nothing(self):
+        # a cap of 1,536 cells: the second level's cells straddle the first's
+        f, iv = INHERIT_CASES["E1 rhs"]
+        got, enclosed, levels = inheriting(f, iv, 1e-6, CFG64, max_cells=1536)
+        want, enclosed_afresh, _ = inheriting(f, iv, 1e-6, CFG64, max_cells=1536, afresh=True)
+        assert got == want
+        assert levels == [(1024, 0), (1536, 0)] and enclosed == enclosed_afresh == 1024 + 1536
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cells=st.integers(1, 300), ratio=st.sampled_from([1, 2, 4, 64]))
+    def test_bits_put_in_pieces_are_inherited_by_the_children(self, data, cells, ratio):
+        certified = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, cells - 1))) if cells > 1 else ())
+        parent = D._Certified(cells)
+        for k0, k1 in zip([0, *cuts], [*cuts, cells]):
+            parent.put(k0, certified[k0:k1])
+        child = D._Certified(cells * ratio, parent.done())
+        k0 = data.draw(st.integers(0, cells * ratio - 1))
+        k1 = data.draw(st.integers(k0 + 1, cells * ratio))
+        assert (child.inherited(k0, k1) == certified.repeat(ratio)[k0:k1]).all()
+
+    def test_a_jumped_level_that_undoes_inherits_from_the_last_accepted(self):
+        # x0 is the midpoint of a 1,024-cell level's cell: an edge at 2,048
+        # cells and a sample of the jumped 4,096-cell level, where it is a
+        # hole, so refinement goes back to 2,048 cells and doubles from there
+        a, b, w = -1.0, 2.0, 63
+        x0 = float(D._row_points(a, b, (b - a) / (2048 * w), 2048 * w, 1001 * w, 1001 * w)[0])
+        f = parse(f"x^3 + (x - {x0!r})/(x - {x0!r})")
+        got, enclosed, levels = inheriting(f, Interval(a, b), 1e-4, CFG64, max_cells=2**12)
+        want, enclosed_afresh, _ = inheriting(f, Interval(a, b), 1e-4, CFG64, max_cells=2**12,
+                                              afresh=True)
+        assert got == want
+        # the undone level inherits from 1,024 cells; 2,048 and 4,096 then double
+        assert levels == [(1024, 0), (4096, 4), (2048, 2), (4096, 2)]
+        assert enclosed < enclosed_afresh
+
+
+class TestEnclosedCount:
+    def test_e1_rhs_encloses_the_children_of_uncertified_cells(self):
+        # E1 x^3 at tol 1e-5: the rhs goes from 1,024 cells to 65,536, and
+        # there only the 64 children of each of the 104 cells the first level
+        # left uncertified are enclosed; afresh, all 65,536 would be
+        p = SubstitutionProblem(parse("x^3"), parse("t*sin(1/t)"), 0.0, 0.6366197723675814)
+        rhs = p.product_integrand()
+        enclosed, level = {}, [None]
+
+        def counting(tape, lo, hi):
+            enclosed[level[0]] = enclosed.get(level[0], 0) + len(lo)
+            return enclose(tape, lo, hi)
+
+        def recording(ev, a, b, cells, cfg, hints, tape=None, mask=None):
+            level[0] = (tape is D._monotone_tape(rhs, cfg), cells)
+            return SUMS(ev, a, b, cells, cfg, hints, tape, mask)
+
+        with mock.patch.object(D, "enclose", counting), \
+                mock.patch.object(D, "_uniform_sums", recording):
+            report = verify(p, 1e-5, CFG64)
+        first = D._uniform_sums(D.as_evaluator(rhs), 0.0, 0.6366197723675814, 1024, CFG64, None,
+                                D._monotone_tape(rhs, CFG64))
+        assert report.rhs.cells == 65536 and first[4] == 920
+        assert enclosed[True, 65536] == 64 * (1024 - 920) == 6656
+        assert sum(enclosed.values()) == 8704  # was 133,120 (both sides, both levels)
