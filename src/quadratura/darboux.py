@@ -20,9 +20,9 @@ monotone on the cell, so its extrema are its edge values, the exact
 Darboux terms; only the other cells are sampled in full.  This is the
 monotonicity test of interval global optimization (Hansen & Walster,
 "Global Optimization Using Interval Analysis", 2004).  The test costs
-about as much as evaluating 5 to 8 samples a cell, so a block whose
-certified cells would save fewer than 8 samples a cell is sampled in
-full instead, and so are the later blocks of its row at that level.
+about as much as evaluating 5 to 8 samples a cell: a block whose
+certified cells save fewer than 8 samples a cell keeps them but ends
+the test of its row, whose later blocks at that level are sampled in full.
 ``integrate`` keeps which cells of the last level it accepted the test
 certified, a bit a cell.  The grids nest, so a cell of the next level
 lies inside one of them, and inside its enclosures too (inclusion
@@ -127,9 +127,9 @@ _SUM_CHUNK_POINTS = 2**21
 _MONOTONE_SAMPLES = 16
 _MONOTONE_CELLS = 2048
 # Evaluating the edges and enclosing a block costs about 5 to 8 samples a
-# cell (E1's product and simpler formulas on a 2-vCPU Xeon), so a block whose
-# certified cells save fewer than _TEST_SAMPLES samples a cell is sampled in
-# full, and its row's later blocks of the level are not tested.
+# cell (E1's product and simpler formulas on a 2-vCPU Xeon), so after a block
+# whose certified cells save fewer than _TEST_SAMPLES samples a cell, its
+# row's later blocks of the level are sampled in full without a test.
 _TEST_SAMPLES = 8
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -311,7 +311,7 @@ def compensated_sum(values, *, _abs: np.ndarray | None = None) -> float | list[f
     return sums if values.ndim == 2 else sums[0]
 
 
-def _cell_extrema(ys: np.ndarray, w: int, lo=None, hi=None):
+def _cell_extrema(ys: np.ndarray, w: int, lo=None, hi=None, ends=None):
     """Per-cell (min, max) of shared-edge samples; cell i owns ys[i*w : i*w + w + 1].
 
     Undefined (NaN) samples are left out; two adjacent ones raise, so
@@ -319,24 +319,33 @@ def _cell_extrema(ys: np.ndarray, w: int, lo=None, hi=None):
     (None when there are none).  ``ys`` is masked in place and restored.
     The extrema are written into ``lo`` and ``hi`` when given (one slot
     per cell), else into fresh arrays.
+
+    ``ends`` (internal) gives gathered cells instead: m cells' w body
+    samples each, then the right edges of the cells ``ends`` lists, those
+    that end a run (ascending, the last cell among them).
     """
+    m = (ys.size - (1 if ends is None else ends.size)) // w
+    right_at = slice(w, None, w)
+    if ends is not None:
+        right_at = np.arange(w, (m + 1) * w, w)
+        right_at[ends] = np.arange(m * w, ys.size)
     mask = np.isnan(ys)
     undefined = None
     if mask.any():
-        if (mask[:-1] & mask[1:]).any():
+        inner = mask[: m * w].reshape(m, w)
+        if (inner[:, :-1] & inner[:, 1:]).any() or (inner[:, -1] & mask[right_at]).any():
             raise UndefinedSamplesError(
                 "adjacent undefined samples; only isolated undefined points can be skipped"
             )
         undefined = np.flatnonzero(mask)
         ys[undefined] = np.inf
-    body = ys[:-1].reshape(-1, w)
-    right = ys[w::w]
     # at w = 1 a cell's body is its left edge, taken as is rather than reduced
     # over an axis of length 1: the same operands, so the same bits
-    lo = np.minimum(ys[:-1] if w == 1 else body.min(axis=1, out=lo), right, out=lo)
+    body = ys[: m * w] if w == 1 else ys[: m * w].reshape(m, w)
+    lo = np.minimum(body if w == 1 else body.min(axis=1, out=lo), ys[right_at], out=lo)
     if undefined is not None:
         ys[undefined] = -np.inf
-    hi = np.maximum(ys[:-1] if w == 1 else body.max(axis=1, out=hi), right, out=hi)
+    hi = np.maximum(body if w == 1 else body.max(axis=1, out=hi), ys[right_at], out=hi)
     if undefined is not None:
         ys[undefined] = np.nan
     return lo, hi, undefined
@@ -490,77 +499,49 @@ def _monotone_tape(f: Integrand, cfg: SamplingConfig) -> tuple | None:
     return None
 
 
-def _sampled_run(ev, a, b, step, w, last, k0, k1, lo, hi) -> bool:
-    """Sample cells k0..k1-1 of a row in full, in evaluations of at most
-    _CHUNK_POINTS samples: their extrema written into ``lo`` and ``hi``, and
-    whether an undefined sample inside (a, b) was skipped.
-    """
-    holes = False
-    per_evaluation = max(1, (_CHUNK_POINTS - 1) // w)
-    for s in range(k0, k1, per_evaluation):
-        e = min(k1, s + per_evaluation)
-        ys = ev(_row_points(a, b, step, last, s * w, e * w))
-        _, _, undefined = _cell_extrema(ys, w, lo[s - k0 : e - k0], hi[s - k0 : e - k0])
-        if undefined is not None:
-            undefined += s * w
-            holes = holes or bool(((undefined > 0) & (undefined < last)).any())
-    return holes
-
-
 def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
-    """Sample cells k0 + todo of a row in full, under ``_cell_extrema``'s
-    rules: their extrema written into lo[todo] and hi[todo], and whether an
-    undefined sample inside (a, b) was skipped.
+    """Sample cells k0 + todo of a row in full: their extrema written into
+    lo[todo] and hi[todo] by ``_cell_extrema``, and whether an undefined
+    sample inside (a, b) was skipped.
 
     ``todo`` holds ascending indices.  Each evaluation holds at most
-    _CHUNK_POINTS samples: the w body samples of each cell, in a row of a
-    (cells, w) array as ``_cell_extrema`` reduces them, then the right
-    edges no cell of the evaluation starts at.
+    _CHUNK_POINTS samples: a run of cells in the shared-edge layout, their
+    extrema written straight into views, or else ``_cell_extrema``'s
+    gathered layout.
     """
     holes = False
     per_evaluation = max(1, _CHUNK_POINTS // (w + 1))
     body_offsets = np.arange(w, dtype=float)
     for i in range(0, todo.size, per_evaluation):
         part = todo[i : i + per_evaluation]
-        m = part.size
-        first = (part + k0) * w  # each cell's left edge sample
-        ends = np.append(np.flatnonzero(part[1:] - part[:-1] != 1), m - 1)
-        xs = np.empty(m * w + ends.size)
-        np.add(first[:, None], body_offsets, out=xs[: m * w].reshape(m, w))
-        xs[m * w :] = first[ends] + w
-        xs *= step
-        xs += a
-        if first[-1] + w == last:
-            xs[-1] = b
-        ys = ev(xs)
-        body = ys[: m * w].reshape(m, w)
-        right_at = np.arange(w, (m + 1) * w, w)
-        right_at[ends] = np.arange(m * w, ys.size)
-        mask = np.isnan(ys)
-        undefined = None
-        if mask.any():
-            inner = mask[: m * w].reshape(m, w)
-            if (inner[:, :-1] & inner[:, 1:]).any() or (inner[:, -1] & mask[right_at]).any():
-                raise UndefinedSamplesError(
-                    "adjacent undefined samples; only isolated undefined points can be skipped"
-                )
-            undefined = np.flatnonzero(mask)
-            index = np.append(first[:, None] + np.arange(w), first[ends] + w)[undefined]
-            holes = holes or bool(((index > 0) & (index < last)).any())
-            ys[undefined] = np.inf
-        extreme = body.min(axis=1)
-        lo[part] = np.minimum(extreme, ys[right_at], out=extreme)
-        if undefined is not None:
-            ys[undefined] = -np.inf
-        extreme = body.max(axis=1)
-        hi[part] = np.maximum(extreme, ys[right_at], out=extreme)
+        m, c0 = part.size, int(part[0])
+        i0, i1 = (c0 + k0) * w, (int(part[-1]) + k0 + 1) * w  # the first and last sample
+        if i1 - i0 == m * w:
+            ys = ev(_row_points(a, b, step, last, i0, i1))
+            _, _, undefined = _cell_extrema(ys, w, lo[c0 : c0 + m], hi[c0 : c0 + m])
+        else:
+            first = (part + k0) * w  # each cell's left edge sample
+            ends = np.append(np.flatnonzero(part[1:] - part[:-1] != 1), m - 1)
+            xs = np.empty(m * w + ends.size)
+            np.add(first[:, None], body_offsets, out=xs[: m * w].reshape(m, w))
+            xs[m * w :] = first[ends] + w
+            xs *= step
+            xs += a
+            if i1 == last:
+                xs[-1] = b
+            ys = ev(xs)
+            lo[part], hi[part], undefined = _cell_extrema(ys, w, ends=ends)
+        if undefined is not None:  # a hole unless it is the row's sample a or b
+            a_at = 0 if i0 == 0 else -1
+            b_at = ys.size - 1 if i1 == last else -1
+            holes = holes or bool(((undefined != a_at) & (undefined != b_at)).any())
     return holes
 
 
 class _Certified:
     """The cells of one row's level of ``cells`` that the monotone test
-    certified (in a block sampled in full too), a bit a cell in ``bits``
-    (``np.packbits`` order), and those of the level it refines.
+    certified, a bit a cell in ``bits`` (``np.packbits`` order), and those
+    of the level it refines.
 
     ``parent`` holds the bits of the last level accepted before this one
     when this level's cells nest in it, cell k in parent cell k // ratio,
@@ -618,10 +599,7 @@ def _monotone_cells(
     samples.)  A cell that ``inherited`` marks lies inside a cell the
     level before certified, so inside that cell's enclosures: it is not
     enclosed again, and only its edge values are checked.  The other cells
-    are sampled in full (``_sampled_cells``).  A block whose certified
-    cells save fewer than _TEST_SAMPLES samples a cell is sampled in full
-    instead (``_sampled_run``) and counts none; the cells its test
-    certified are given back all the same.
+    are sampled in full (``_sampled_cells``).
     """
     edges = _row_points(a, b, step, cells * w, k0 * w, k1 * w, w)
     ys = ev(edges)
@@ -637,8 +615,6 @@ def _monotone_cells(
     del fresh
     certified &= nonzero[:-1] & nonzero[1:]
     sure = int(np.count_nonzero(certified))
-    if sure * w < _TEST_SAMPLES * (k1 - k0):
-        return 0, _sampled_run(ev, a, b, step, w, cells * w, k0, k1, lo, hi), certified
     np.minimum(ys[:-1], ys[1:], out=lo)
     np.maximum(ys[:-1], ys[1:], out=hi)
     holes = _sampled_cells(ev, a, b, step, w, cells * w, k0, np.flatnonzero(~certified), lo, hi)
@@ -674,7 +650,8 @@ def _uniform_rows(
 
     With ``tape`` (``_monotone_tape``), rows are sampled one by one in
     blocks of _MONOTONE_CELLS cells instead, each tested for monotone
-    cells (``_monotone_cells``) until one certifies none; ``certified``
+    cells (``_monotone_cells``) until one certifies too few to pay for
+    its test; the row's later blocks are sampled in full.  ``certified``
     counts the cells whose extrema came from their edges, 0 without a
     tape.  ``masks``, one ``_Certified`` a row, pass each block the cells
     that inherit a certified parent and take the cells its test
@@ -719,10 +696,11 @@ def _uniform_rows(
                             )
                             masks[r].put(k0, mask)
                             certified[r] += sure
-                            testing[r] = sure > 0
+                            testing[r] = sure * w >= _TEST_SAMPLES * (k1 - k0)
                         else:
-                            hole = _sampled_run(
-                                ev, a[r], b[r], step[r], w, cells * w, k0, k1, *block
+                            hole = _sampled_cells(
+                                ev, a[r], b[r], step[r], w, cells * w, k0, np.arange(k1 - k0),
+                                *block,
                             )
                     except UndefinedSamplesError as exc:
                         errors[r] = exc

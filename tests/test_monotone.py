@@ -348,6 +348,12 @@ class TestSampledCells:
         ([1], {15: math.nan, 16: math.nan}),
         ([0, 2], {15: math.nan, 16: math.nan, 44: -0.0}),  # a hole: 16 is in cell 1
         ([0, 1], {15: math.nan, 0: -0.0, 30: 0.0}),
+        # a hole: 14 and 30 sit next to each other in the gathered samples only
+        ([0, 2], {14: math.nan, 30: math.nan}),
+        ([1, 2], {45: math.nan}),  # no hole: b, in a run
+        ([0, 2], {0: math.nan, 45: math.nan}),  # no hole: a and b, gathered
+        ([1, 2], {15: math.nan}),  # holes: the first and the last sample, but not a or b
+        ([0, 1], {30: math.nan}),
     ])
     def test_undefined_samples_at_cell_edges(self, todo, planted):
         self.check(15, 0, 3, todo, planted)
@@ -386,20 +392,20 @@ class TestSampledCells:
         untouched = np.setdiff1d(np.arange(n), todo)
         assert (lo[untouched] == 7.0).all() and (hi[untouched] == 7.0).all()
 
-    def test_a_run_takes_the_bits_of_the_cells(self):
+    def test_a_run_takes_the_bits_of_one_cell_extrema_call(self):
         w, k0, n = 15, 2, 1000
         last = (k0 + n) * w
         step = 3.0 / last
-        x0 = float(D._row_points(-1.0, 2.0, step, last, 0, last)[5000])
+        grid = D._row_points(-1.0, 2.0, step, last, 0, last)
+        x0 = float(grid[5000])
         f = parse(f"sin(7*x) + (x - {x0!r})/(x - {x0!r})")  # undefined at a sample inside
         ev = D.as_evaluator(f)
         lo, hi = np.empty(n), np.empty(n)
         with np.errstate(all="ignore"):
-            holes = D._sampled_run(ev, -1.0, 2.0, step, w, last, k0, k0 + n, lo, hi)
-            lo2, hi2 = np.empty(n), np.empty(n)
-            holes2 = D._sampled_cells(ev, -1.0, 2.0, step, w, last, k0, np.arange(n), lo2, hi2)
-        assert holes and holes2
-        assert lo.tobytes() == lo2.tobytes() and hi.tobytes() == hi2.tobytes()
+            holes = D._sampled_cells(ev, -1.0, 2.0, step, w, last, k0, np.arange(n), lo, hi)
+            want_lo, want_hi, undefined = D._cell_extrema(ev(grid[k0 * w :]), w)
+        assert holes and (undefined + k0 * w).tolist() == [5000]
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
 
     def test_a_block_certifying_none_ends_the_test_of_its_row(self):
         # x*x - x^2: the enclosure of its derivative always holds 0
@@ -417,13 +423,29 @@ class TestSampledCells:
         want = D._uniform_sums(D.as_evaluator(f), 0.0, 1.0, 3 * D._MONOTONE_CELLS, CFG64, None)
         assert (lower, upper) == want[:2]
 
-    def test_a_block_certifying_too_few_to_pay_is_sampled_in_full(self):
+    def test_a_block_certifying_too_few_to_pay_ends_the_test_of_its_row(self):
         # sin(3000x): 69 of 1,024 cells certify, saving 4.2 samples a cell at
-        # 64 samples, under the 8 the test costs; finer, nearly all do
-        f = parse("sin(3000*x)")
+        # 64 samples, under the 8 the test costs; they keep their edge
+        # extrema all the same.  Finer, nearly all certify.
+        f, calls = parse("sin(3000*x)"), []
         ev, tape = D.as_evaluator(f), D._monotone_tape(f, CFG64)
-        assert D._uniform_sums(ev, 0.0, 1.0, 1024, CFG64, None, tape)[4] == 0
+        lower, upper, _, _, certified = D._uniform_sums(ev, 0.0, 1.0, 1024, CFG64, None, tape)
+        assert certified == 69
+        assert (lower, upper) == D._uniform_sums(ev, 0.0, 1.0, 1024, CFG64, None)[:2]
         assert D._uniform_sums(ev, 0.0, 1.0, 16384, CFG64, None, tape)[4] > 0.9 * 16384
+
+        def counting(tape, lo, hi):
+            calls.append(len(lo))
+            return enclose(tape, lo, hi)
+
+        # the same cell width over [0, 6]: the first of three blocks pays too
+        # little, so the other two are not tested
+        cells = 3 * D._MONOTONE_CELLS
+        with mock.patch.object(D, "enclose", counting):
+            lower, upper, _, _, certified = D._uniform_sums(ev, 0.0, 6.0, cells, CFG64, None, tape)
+        assert calls == [D._MONOTONE_CELLS]
+        assert certified == 138  # under the 260 that would pay
+        assert (lower, upper) == D._uniform_sums(ev, 0.0, 6.0, cells, CFG64, None)[:2]
 
 
 class TestEstimateCount:
