@@ -22,7 +22,7 @@ monotonicity test of interval global optimization (Hansen & Walster,
 "Global Optimization Using Interval Analysis", 2004).  The test costs
 about as much as evaluating 5 to 8 samples a cell: a block whose
 certified cells save fewer than 8 samples a cell keeps them but ends
-the test of its row, whose later blocks at that level are sampled in full.
+the test: the level's later blocks are sampled in full.
 ``integrate`` keeps which cells of the last level it accepted the test
 certified, a bit a cell.  The grids nest, so a cell of the next level
 lies inside one of them, and inside its enclosures too (inclusion
@@ -74,11 +74,9 @@ extraction of Rump, Ogita & Oishi (SIAM J. Sci. Comput. 31(1), 2008) in
 a few vector passes; a longer one is summed in ascending blocks of 4096
 whose sums are fsum'd.  Samples are evaluated and reduced in blocks of
 at most 8192 points, which bound the working memory; the summation
-chunks of 2**21 samples, not the blocks, fix the order of the sums.
-Intervals of equal cell count can be sampled as the rows of one level,
-a block holding the same cells of each, and every row keeps the bits of
-sampling it alone.  A sum that is not finite ends refinement at once
-with a non-convergence error.
+chunks of 2**21 samples, not the blocks, fix the order of the sums.  A
+sum that is not finite ends refinement at once with a non-convergence
+error.
 """
 
 from __future__ import annotations
@@ -128,8 +126,8 @@ _MONOTONE_SAMPLES = 16
 _MONOTONE_CELLS = 2048
 # Evaluating the edges and enclosing a block costs about 5 to 8 samples a
 # cell (E1's product and simpler formulas on a 2-vCPU Xeon), so after a block
-# whose certified cells save fewer than _TEST_SAMPLES samples a cell, its
-# row's later blocks of the level are sampled in full without a test.
+# whose certified cells save fewer than _TEST_SAMPLES samples a cell, the
+# level's later blocks are sampled in full without a test.
 _TEST_SAMPLES = 8
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -483,7 +481,7 @@ def upper_sum(
 
 
 def _row_points(a: float, b: float, step: float, last: int, i0: int, i1: int, stride: int = 1):
-    """Samples i0, i0 + stride, ..., i1 of a row: ``i*step + a``, and b at index ``last``."""
+    """Samples i0, i0 + stride, ..., i1 of a level: ``i*step + a``, and b at index ``last``."""
     xs = np.arange(i0, i1 + 1, stride, dtype=float)
     xs *= step
     xs += a
@@ -500,7 +498,7 @@ def _monotone_tape(f: Integrand, cfg: SamplingConfig) -> tuple | None:
 
 
 def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
-    """Sample cells k0 + todo of a row in full: their extrema written into
+    """Sample cells k0 + todo of a level in full: their extrema written into
     lo[todo] and hi[todo] by ``_cell_extrema``, and whether an undefined
     sample inside (a, b) was skipped.
 
@@ -531,7 +529,7 @@ def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
                 xs[-1] = b
             ys = ev(xs)
             lo[part], hi[part], undefined = _cell_extrema(ys, w, ends=ends)
-        if undefined is not None:  # a hole unless it is the row's sample a or b
+        if undefined is not None:  # a hole unless it is the level's sample a or b
             a_at = 0 if i0 == 0 else -1
             b_at = ys.size - 1 if i1 == last else -1
             holes = holes or bool(((undefined != a_at) & (undefined != b_at)).any())
@@ -539,7 +537,7 @@ def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
 
 
 class _Certified:
-    """The cells of one row's level of ``cells`` that the monotone test
+    """The cells of a level of ``cells`` that the monotone test
     certified, a bit a cell in ``bits`` (``np.packbits`` order), and those
     of the level it refines.
 
@@ -587,7 +585,7 @@ def _get_bits(bits: np.ndarray, i0: int, i1: int) -> np.ndarray:
 def _monotone_cells(
     ev, tape, a, b, step, w, cells, k0, k1, lo, hi, inherited
 ) -> tuple[int, bool, np.ndarray]:
-    """Cells k0..k1-1 of a row of ``cells``, their extrema written into ``lo``
+    """Cells k0..k1-1 of a level of ``cells``, their extrema written into ``lo``
     and ``hi``: (cells certified, whether an undefined sample inside (a, b) was
     skipped, which cells the test certified).
 
@@ -621,154 +619,6 @@ def _monotone_cells(
     return sure, holes, certified
 
 
-def _uniform_rows(
-    ev: Evaluator,
-    a: Sequence[float],
-    b: Sequence[float],
-    cells: int,
-    cfg: SamplingConfig,
-    hints: Sequence[float] | None,
-    tape: tuple | None = None,
-    masks: Sequence[_Certified] | None = None,
-) -> list[tuple[float, float, float, bool, int] | UndefinedSamplesError]:
-    """Each row's (lower, upper, magnitude, holes, certified) over ``cells``
-    equal cells of [a[r], b[r]].
-
-    A row with adjacent undefined samples gives the UndefinedSamplesError
-    it raised instead.  Cell i of a row samples the row's uniform grid
-    slice [i*w, i*w + w] for w = samples_per_cell - 1, so each distinct
-    point is evaluated once, except the edge sample two evaluation blocks
-    share.  A block holds the same cells of every row, at most
-    _CHUNK_POINTS samples in all, and is evaluated in one call.  Blocks
-    fill in the cell extrema of a chunk of _SUM_CHUNK_POINTS samples a
-    row, and all rows of the chunk are summed in one call, so neither the
-    blocks nor the other rows change a bit of a row's result.
-    ``magnitude``, the sum of (|min| + |max|) * width over the cells,
-    scales the rounding of the sums; ``holes`` tells whether an undefined
-    sample was skipped strictly inside (a, b).  Sampling stops once every
-    row has raised.
-
-    With ``tape`` (``_monotone_tape``), rows are sampled one by one in
-    blocks of _MONOTONE_CELLS cells instead, each tested for monotone
-    cells (``_monotone_cells``) until one certifies too few to pay for
-    its test; the row's later blocks are sampled in full.  ``certified``
-    counts the cells whose extrema came from their edges, 0 without a
-    tape.  ``masks``, one ``_Certified`` a row, pass each block the cells
-    that inherit a certified parent and take the cells its test
-    certified; without them nothing is inherited.
-    """
-    rows = len(a)
-    w = cfg.samples_per_cell - 1
-    dx = [(hi - lo) / cells for lo, hi in zip(a, b)]
-    step = [(hi - lo) / (cells * w) for lo, hi in zip(a, b)]
-    pins = None  # each row's hints inside it and their values
-    if hints is not None:
-        pins = [_hint_values(ev, hints, lo, hi) for lo, hi in zip(a, b)]
-
-    errors: list[UndefinedSamplesError | None] = [None] * rows
-    holes = [False] * rows
-    certified = [0] * rows
-    testing = [True] * rows  # whether a row's blocks are still tested (``_monotone_cells``)
-    if tape is not None and masks is None:
-        masks = [_Certified(cells) for _ in range(rows)]
-    chunk_sums: list[list[float]] = []  # each chunk's lower sums, then its upper sums
-    magnitude = [0.0] * rows
-    cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
-    cells_per_block = max(1, (_CHUNK_POINTS // rows - 1) // w) if tape is None else _MONOTONE_CELLS
-    # room for one chunk's (lo, hi) rows, so no two chunks' are alive at once
-    room = np.empty(2 * rows * min(cells, cells_per_chunk))
-    for c0 in range(0, cells, cells_per_chunk):
-        c1 = min(cells, c0 + cells_per_chunk)
-        pair = room[: 2 * rows * (c1 - c0)].reshape(2 * rows, c1 - c0)
-        lo, hi = pair[:rows], pair[rows:]
-        for k0 in range(c0, c1, cells_per_block):
-            k1 = min(c1, k0 + cells_per_block)
-            if tape is not None:
-                for r in range(rows):
-                    if errors[r] is not None:
-                        continue
-                    block = lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0]
-                    try:
-                        if testing[r]:
-                            sure, hole, mask = _monotone_cells(
-                                ev, tape, a[r], b[r], step[r], w, cells, k0, k1, *block,
-                                masks[r].inherited(k0, k1),
-                            )
-                            masks[r].put(k0, mask)
-                            certified[r] += sure
-                            testing[r] = sure * w >= _TEST_SAMPLES * (k1 - k0)
-                        else:
-                            hole = _sampled_cells(
-                                ev, a[r], b[r], step[r], w, cells * w, k0, np.arange(k1 - k0),
-                                *block,
-                            )
-                    except UndefinedSamplesError as exc:
-                        errors[r] = exc
-                        continue
-                    holes[r] = holes[r] or hole
-            else:
-                grids = []
-                for r in range(rows):  # row by row: numpy's fast path for a scalar
-                    grid = np.arange(k0 * w, k1 * w + 1, dtype=float)
-                    grid *= step[r]
-                    grid += a[r]
-                    if k1 == cells:
-                        grid[-1] = b[r]
-                    grids.append(grid)
-                ys = ev(grids[0] if rows == 1 else np.concatenate(grids)).reshape(rows, -1)
-                for r in range(rows):
-                    try:
-                        _, _, undefined = _cell_extrema(
-                            ys[r], w, lo[r, k0 - c0 : k1 - c0], hi[r, k0 - c0 : k1 - c0]
-                        )
-                    except UndefinedSamplesError as exc:
-                        errors[r] = errors[r] or exc
-                        continue
-                    if undefined is not None:
-                        undefined += k0 * w  # global sample index; 0 is a, cells*w is b
-                        holes[r] = holes[r] or bool(
-                            ((undefined > 0) & (undefined < cells * w)).any()
-                        )
-            if all(errors):
-                return errors
-        for r, (hint_xs, hint_ys) in enumerate(pins or ()):
-            if hint_xs.size:
-                edges = a[r] + dx[r] * np.arange(c0, c1 + 1)
-                if c1 == cells:
-                    edges[-1] = b[r]  # as the last sample is, so no hint below b falls out
-                # a hint on an edge belongs to the cell on its right, also across chunks
-                idx = np.searchsorted(edges, hint_xs, side="right") - 1
-                keep = (idx >= 0) & (idx < c1 - c0)
-                _fold_hints(lo[r], hi[r], idx[keep], hint_ys[keep])
-        if c1 - c0 <= _FSUM_BLOCK:  # one |pair| pass bounds the extraction too
-            size = np.abs(pair)
-            chunk_sums.append(compensated_sum(pair, _abs=size))
-        else:
-            chunk_sums.append(compensated_sum(pair))
-            size = np.abs(pair, out=pair)
-        with np.errstate(over="ignore"):
-            size = size.sum(axis=1).tolist()
-        for r in range(rows):
-            magnitude[r] += size[r] + size[rows + r]
-
-    levels: list[tuple[float, float, float, bool, int] | UndefinedSamplesError] = []
-    for r in range(rows):
-        if errors[r] is not None:
-            levels.append(errors[r])
-            continue
-        lower = _fsum([sums[r] for sums in chunk_sums]) * dx[r]
-        upper = _fsum([sums[rows + r] for sums in chunk_sums]) * dx[r]
-        levels.append((lower, upper, magnitude[r] * dx[r], holes[r], certified[r]))
-    return levels
-
-
-def _level_sums(level) -> tuple[float, float, float, bool, int]:
-    """A row of ``_uniform_rows``: its sums, or its error raised."""
-    if isinstance(level, UndefinedSamplesError):
-        raise level
-    return level
-
-
 def _uniform_sums(
     ev: Evaluator,
     a: float,
@@ -781,11 +631,85 @@ def _uniform_sums(
 ) -> tuple[float, float, float, bool, int]:
     """(lower, upper, magnitude, holes, certified) over ``cells`` equal cells of [a, b].
 
-    The one-row ``_uniform_rows``, ``mask`` its row's; adjacent undefined
-    samples raise.
+    Cell i samples the uniform grid slice [i*w, i*w + w] for w =
+    samples_per_cell - 1, so each distinct point is evaluated once, except
+    the edge sample two evaluation blocks share.  A block of at most
+    _CHUNK_POINTS samples is evaluated in one call.  Blocks fill in the
+    cell extrema of a chunk of _SUM_CHUNK_POINTS samples, which is summed
+    in one call, so the blocks do not change a bit of the result.
+    ``magnitude``, the sum of (|min| + |max|) * width over the cells,
+    scales the rounding of the sums; ``holes`` tells whether an undefined
+    sample was skipped strictly inside (a, b).  Adjacent undefined samples
+    raise.
+
+    With ``tape`` (``_monotone_tape``), blocks of _MONOTONE_CELLS cells are
+    tested for monotone cells (``_monotone_cells``) until one certifies too
+    few to pay for its test; the level's later cells are sampled in full.
+    ``certified`` counts the cells whose extrema came from their edges, 0
+    without a tape.  ``mask`` (a ``_Certified``) passes each tested block
+    the cells that inherit a certified parent and takes the cells its test
+    certified; without it nothing is inherited.
     """
-    masks = None if mask is None else [mask]
-    return _level_sums(_uniform_rows(ev, [a], [b], cells, cfg, hints, tape, masks)[0])
+    w = cfg.samples_per_cell - 1
+    dx = (b - a) / cells
+    step = (b - a) / (cells * w)
+    last = cells * w  # the index of sample b
+    pins = None if hints is None else _hint_values(ev, hints, a, b)
+    if tape is not None and mask is None:
+        mask = _Certified(cells)
+
+    holes, certified, testing = False, 0, tape is not None
+    lowers, uppers, magnitude = [], [], 0.0  # each summation chunk's sums
+    cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
+    cells_per_block = max(1, (_CHUNK_POINTS - 1) // w)
+    # room for one chunk's (lo, hi), so no two chunks' are alive at once
+    room = np.empty(2 * min(cells, cells_per_chunk))
+    for c0 in range(0, cells, cells_per_chunk):
+        c1 = min(cells, c0 + cells_per_chunk)
+        pair = room[: 2 * (c1 - c0)].reshape(2, c1 - c0)
+        lo, hi = pair
+        k0 = c0
+        while k0 < c1:
+            k1 = min(c1, k0 + (_MONOTONE_CELLS if testing else cells_per_block))
+            block = slice(k0 - c0, k1 - c0)
+            if testing:
+                sure, hole, bits = _monotone_cells(
+                    ev, tape, a, b, step, w, cells, k0, k1, lo[block], hi[block],
+                    mask.inherited(k0, k1),
+                )
+                mask.put(k0, bits)
+                certified += sure
+                testing = sure * w >= _TEST_SAMPLES * (k1 - k0)
+            else:
+                ys = ev(_row_points(a, b, step, last, k0 * w, k1 * w))
+                _, _, undefined = _cell_extrema(ys, w, lo[block], hi[block])
+                hole = False
+                if undefined is not None:
+                    undefined += k0 * w  # the sample's index in the level; 0 is a, last is b
+                    hole = bool(((undefined > 0) & (undefined < last)).any())
+            holes = holes or hole
+            k0 = k1
+        if pins is not None and pins[0].size:
+            hint_xs, hint_ys = pins
+            edges = a + dx * np.arange(c0, c1 + 1)
+            if c1 == cells:
+                edges[-1] = b  # as the last sample is, so no hint below b falls out
+            # a hint on an edge belongs to the cell on its right, also across chunks
+            idx = np.searchsorted(edges, hint_xs, side="right") - 1
+            keep = (idx >= 0) & (idx < c1 - c0)
+            _fold_hints(lo, hi, idx[keep], hint_ys[keep])
+        if c1 - c0 <= _FSUM_BLOCK:  # one |pair| pass bounds the extraction too
+            size = np.abs(pair)
+            lower, upper = compensated_sum(pair, _abs=size)
+        else:
+            lower, upper = compensated_sum(pair)
+            size = np.abs(pair, out=pair)
+        lowers.append(lower)
+        uppers.append(upper)
+        with np.errstate(over="ignore"):
+            size_lo, size_hi = size.sum(axis=1).tolist()
+        magnitude += size_lo + size_hi
+    return _fsum(lowers) * dx, _fsum(uppers) * dx, magnitude * dx, holes, certified
 
 
 def integrate(
@@ -796,8 +720,6 @@ def integrate(
     hints: Sequence[float] | None = None,
     max_cells: int = CELL_CAP,
     start_cells: int = START_CELLS,
-    *,
-    _first=None,
 ) -> DarbouxEstimate:
     """Refine uniform cells from 2**10 until upper - lower <= tol.
 
@@ -815,13 +737,6 @@ def integrate(
     From 16 samples a cell, each level after the first encloses only the
     cells inside the last accepted level's uncertified cells (see the
     module docstring); the rest inherit their parent's certification.
-
-    ``_first`` (internal) is the first level when the caller has sampled
-    it already: its row of ``_uniform_rows`` over ``iv`` at
-    min(start_cells, max_cells) cells with these ``cfg`` and ``hints``.
-    The improper runner samples the strips of a truncation step as rows
-    of one level this way; the result is that of sampling it here, and
-    the level after it, inheriting nothing, tests every cell afresh.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -838,13 +753,11 @@ def integrate(
     while True:
         jumped = 0 < 2 * last < cells
         levels, swept = levels + 1, swept + cells
-        level, _first = _first, None
-        mask = None
+        mask = None if tape is None else _Certified(cells, kept)
         try:
-            if level is None:
-                mask = None if tape is None else _Certified(cells, kept)
-                level = _uniform_sums(ev, iv.a, iv.b, cells, cfg, hints, tape, mask)
-            lower, upper, magnitude, holes, certified = _level_sums(level)
+            lower, upper, magnitude, holes, certified = _uniform_sums(
+                ev, iv.a, iv.b, cells, cfg, hints, tape, mask
+            )
             undo = jumped and (holes or not math.isfinite(upper - lower))
         except UndefinedSamplesError:
             if not jumped:

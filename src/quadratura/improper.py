@@ -21,10 +21,7 @@ schedule, inner_tol * 2^-(k+1) split evenly, would give it.  A step
 reports the midpoint and width of the running bracket, and ``cells``
 counts all cells covering [u_k, v_k].  Each strip gets its own uniform
 grid, so a strip near a steep end does not force fine cells onto the
-rest of the truncation.  Every strip opens at the same cell count
-whatever its budget, so the first levels of a step's strips are sampled
-as rows of one level, in one evaluation, and each strip refines alone
-from its row; the results are those of integrating each strip alone.
+rest of the truncation.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from . import changevar, darboux
 from .changevar import INCONCLUSIVE, MISMATCH, VERIFIED, SubstitutionProblem
-from .darboux import CELL_CAP, START_CELLS, NonConvergenceError, SamplingConfig
+from .darboux import CELL_CAP, NonConvergenceError, SamplingConfig
 from .partition import Interval
 
 __all__ = [
@@ -136,30 +133,6 @@ def _aitken(values: list[float]) -> tuple[float | None, bool]:
     return float(limit), True
 
 
-def _first_levels(
-    f, strips: list[tuple[float, float]], cfg: SamplingConfig, max_cells: int
-) -> list:
-    """The first refinement level of each strip, all sampled as rows of one level.
-
-    ``darboux.integrate`` opens every strip at min(START_CELLS, max_cells)
-    cells whatever its tolerance, so the strips of a step can share that
-    level's evaluation and give the bits of sampling it alone.  The rows
-    stop before a strip that is not a valid interval: it and the strips
-    after it get None and sample their own, so errors keep strip order.
-    """
-    ivs = []
-    for a, b in strips:
-        try:
-            ivs.append(Interval(a, b))
-        except ValueError:
-            break
-    firsts = darboux._uniform_rows(
-        darboux.as_evaluator(f), [iv.a for iv in ivs], [iv.b for iv in ivs],
-        min(START_CELLS, max_cells), cfg, None, darboux._monotone_tape(f, cfg),
-    ) if ivs else []
-    return firsts + [None] * (len(strips) - len(ivs))
-
-
 def _run_side(
     f,
     schedule: ImproperSchedule,
@@ -186,12 +159,9 @@ def _run_side(
             strips = [(a, b) for a, b in ((u, prev[0]), (prev[1], v)) if a < b]
             budget = (inner_tol - (upper - lower)) / 2.0
         try:
-            firsts = _first_levels(f, strips, cfg, max_cells)
             for i, (a, b) in enumerate(strips):
                 tol = budget / (len(strips) - i)
-                est = darboux.integrate(
-                    f, Interval(a, b), tol, cfg, max_cells=max_cells, _first=firsts[i]
-                )
+                est = darboux.integrate(f, Interval(a, b), tol, cfg, max_cells=max_cells)
                 lower += est.lower
                 upper += est.upper
                 cells += est.cells

@@ -1053,6 +1053,27 @@ class TestEvaluationBlocks:
         # one more point for each of the 505 block edges inside the level
         assert sum(sizes) == cells * w + 1 + 505 + len(hints)
 
+    def test_sampling_stops_at_the_block_that_raised(self):
+        # 2**14 + 1 samples span three blocks; the first one raises
+        sizes = []
+
+        def f(xs):
+            sizes.append(xs.size)
+            return np.full_like(xs, np.nan)
+
+        with pytest.raises(UndefinedSamplesError):
+            D._uniform_sums(D.as_evaluator(f), 0.0, 1.0, 2**14, EDGES, None)
+        assert sizes == [D._CHUNK_POINTS]
+
+    def test_no_hints_evaluate_no_hint_values(self):
+        ev = D.as_evaluator(parse("x/(1+x)"))
+        with mock.patch.object(D, "_hint_values", side_effect=AssertionError("hint values")):
+            D._uniform_sums(ev, 0.0, 1.0, 2**10, EDGES, None)
+            integrate(ev, Interval(0.0, 1.0), 1e-6, EDGES)
+        with mock.patch.object(D, "_hint_values", wraps=D._hint_values) as hinted:
+            D._uniform_sums(ev, 0.0, 1.0, 2**10, EDGES, [0.5])
+        assert hinted.call_count == 1
+
     def test_e1_level_memory(self):
         # E1's rhs integrand at 64 samples: 2**16 cells are 4.1 M samples
         f = parse("(t*sin(1/t))^3*(sin(1/t)-cos(1/t)/t)")
@@ -1086,97 +1107,6 @@ class TestEvaluationBlocks:
         # two chunks' lo and hi alive at once would be 4 MB
         assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
-
-
-# Row integrands: values of both signs, signed zeros (0*x is -0.0 for x < 0)
-ROW_BASES = {
-    "abs(sin(7x))": lambda xs: np.abs(np.sin(7.0 * xs)),
-    "0*x": lambda xs: 0.0 * xs,
-    "sin(3x)+0*x": lambda xs: np.sin(3.0 * xs) + 0.0 * xs,
-}
-
-
-@st.composite
-def row_cases(draw):
-    """Rows of one level, each with its own undefined points; hints shared by all rows."""
-    samples = draw(st.sampled_from([2, 3, 8, 17, 64]))
-    w = samples - 1
-    chunk_points = draw(st.sampled_from([17, 100, D._CHUNK_POINTS]))
-    sum_points = draw(st.sampled_from([D._SUM_CHUNK_POINTS, 64, 333]))
-    cells = draw(st.integers(1, 600))
-    ends, bad, hints = [], [], []
-    for _ in range(draw(st.integers(1, 3))):
-        a = draw(st.sampled_from([0.0, -1.0, 0.1, -0.3, 1.0]))
-        b = a + draw(st.sampled_from([1.0, 2.5, 0.7]))
-        ends.append((a, b))
-        for _ in range(draw(st.integers(0, 2))):
-            i = draw(st.integers(0, cells * w))
-            kind = draw(st.sampled_from(["isolated", "pair", "hint"]))
-            x = sample_at(a, b, cells, w, i)
-            if kind == "hint":
-                hints.append(x)
-            else:
-                span = (i, i + 1) if kind == "pair" else (i,)
-                bad.extend(sample_at(a, b, cells, w, j) for j in span if j <= cells * w)
-    base = draw(st.sampled_from(sorted(ROW_BASES)))
-    return samples, chunk_points, sum_points, cells, ends, bad, hints or None, base
-
-
-class TestRows:
-    """``_uniform_rows`` gives each row the bits of sampling it alone, or that row's error."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=row_cases())
-    # the second row raises, the first keeps its sums
-    @example(case=(2, D._CHUNK_POINTS, D._SUM_CHUNK_POINTS, 100, [(0.0, 1.0), (1.0, 2.0)],
-                   [sample_at(1.0, 2.0, 100, 1, i) for i in (40, 41)], None, "abs(sin(7x))"))
-    # signed zeros across 0, the two rows in several blocks and summation chunks
-    @example(case=(8, 100, 64, 50, [(-1.0, 0.0), (-0.3, 0.4)], [], None, "0*x"))
-    def test_rows_match_lone_levels(self, case):
-        samples, chunk_points, sum_points, cells, ends, bad, hints, base = case
-        cfg = SamplingConfig(samples_per_cell=samples)
-        sizes = []
-        bad = np.asarray(bad, dtype=float)
-
-        def f(xs):
-            sizes.append(xs.size)
-            return np.where(np.isin(xs, bad), np.nan, ROW_BASES[base](xs))
-
-        ev = D.as_evaluator(f)
-        with mock.patch.object(D, "_CHUNK_POINTS", chunk_points), \
-                mock.patch.object(D, "_SUM_CHUNK_POINTS", sum_points), np.errstate(all="ignore"):
-            want = [sums_outcome(D._uniform_sums, ev, a, b, cells, cfg, hints) for a, b in ends]
-            sizes.clear()
-            rows = D._uniform_rows(ev, [a for a, _ in ends], [b for _, b in ends], cells, cfg,
-                                   hints)
-        got = [sums_outcome(D._level_sums, row) for row in rows]
-        assert got == want
-        assert max(sizes) <= max(chunk_points, len(ends) * samples)
-
-    def test_one_call_for_the_rows_of_a_block(self):
-        sizes = []
-
-        def f(xs):
-            sizes.append(xs.size)
-            return xs * xs
-
-        rows = D._uniform_rows(D.as_evaluator(f), [0.0, 1.0, -2.0], [1.0, 3.0, -1.0], 1024,
-                               EDGES, None)
-        assert sizes == [3 * 1025]
-        assert [row[:2] for row in rows] == [
-            D._uniform_sums(D.as_evaluator(f), a, b, 1024, EDGES, None)[:2]
-            for a, b in ((0.0, 1.0), (1.0, 3.0), (-2.0, -1.0))]
-
-    def test_sampling_stops_once_every_row_raised(self):
-        sizes = []
-
-        def f(xs):
-            sizes.append(xs.size)
-            return np.full_like(xs, np.nan)
-
-        rows = D._uniform_rows(D.as_evaluator(f), [0.0, 1.0], [1.0, 2.0], 2**14, EDGES, None)
-        assert all(isinstance(row, UndefinedSamplesError) for row in rows)
-        assert len(sizes) == 1
 
 # float.hex of (lower_sum, upper_sum) on UNIFORM_16, the same on IRREGULAR,
 # integrate's (lower, upper) on [0, 1] at tol 2e-4 and (infimum_on,

@@ -1,16 +1,17 @@
-"""The improper runner samples the first level of a truncation step's strips at once.
+"""The improper runner integrates each strip of a truncation step alone.
 
-Every strip of a step opens at min(START_CELLS, max_cells) cells whatever
-its tolerance, so ``improper._run_side`` samples those levels as rows of
-one level and seeds each strip's ``darboux.integrate`` call with its row.
-The step tables, errors and verdicts are those of integrating each strip
-alone, bit for bit.
+``improper._run_side`` gives every strip one plain ``darboux.integrate``
+call, so a strip refines like any other integral: its levels after the
+first inherit their parent cells' monotone certification.  The step
+tables and errors are those of ``sequential_side``, a copy of the strip
+loop, bit for bit, and those of testing every level afresh.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadratura import changevar, darboux, improper
@@ -18,7 +19,9 @@ from quadratura.changevar import SubstitutionProblem
 from quadratura.darboux import CELL_CAP, NonConvergenceError, SamplingConfig
 from quadratura.expr import parse
 from quadratura.improper import ImproperSchedule, improper_verify
+from quadratura.interval import enclose
 from quadratura.partition import Interval
+from test_monotone import sums_afresh
 
 EDGES = SamplingConfig(samples_per_cell=2)
 
@@ -37,7 +40,7 @@ def hexed(value):
 def sequential_side(ev, schedule, inner_tol, cfg, max_cells):
     """The strip loop of ``_run_side``, one plain ``darboux.integrate`` per strip.
 
-    Gives (step table, error); each strip samples its own first level.
+    Gives (step table, error).
     """
     steps, values, error = [], [], ""
     lower = upper = 0.0
@@ -87,16 +90,6 @@ def side_outcome(ev, schedule, inner_tol, cfg, max_cells):
     return hexed(side.steps), side.error
 
 
-def plain_integrate():
-    """``darboux.integrate`` with its seed dropped: each strip samples its own first level."""
-    integrate = darboux.integrate
-
-    def plain(*args, _first=None, **kwargs):
-        return integrate(*args, **kwargs)
-
-    return mock.patch.object(darboux, "integrate", plain)
-
-
 def sample_at(a, b, cells, w, i):
     """The grid point the first level of strip [a, b] samples as index i."""
     return b if i == cells * w else float(i) * ((b - a) / (cells * w)) + a
@@ -120,7 +113,7 @@ SAMPLES = (2, 3, 8, 64)
 MAX_CELLS = (256, 4096, 2**16)
 
 
-class TestSharedFirstLevel:
+class TestStripsIntegrateAlone:
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(MAPS)), samples=st.sampled_from(SAMPLES),
            max_cells=st.sampled_from(MAX_CELLS), inner=st.sampled_from([1e-3, 1e-5, 1e-7]),
@@ -136,16 +129,6 @@ class TestSharedFirstLevel:
         with np.errstate(all="ignore"):
             assert side_outcome(ev, schedule, inner, cfg, max_cells) == sequential_side(
                 ev, schedule, inner, cfg, max_cells)
-
-            def report():
-                r = improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=inner,
-                                    lhs_inner_tol=inner, cfg=cfg, max_cells=max_cells)
-                return hexed(r.to_json())
-
-            got = report()
-            with plain_integrate():
-                want = report()
-        assert got == want
 
     @settings(max_examples=60, deadline=None)
     @given(samples=st.sampled_from(SAMPLES), max_cells=st.sampled_from(MAX_CELLS),
@@ -181,9 +164,6 @@ class TestSharedFirstLevel:
         got = side_outcome(ev, schedule, 1e-5, EDGES, 256)
         assert got == sequential_side(ev, schedule, 1e-5, EDGES, 256)
         assert got[1].startswith("step 1 on [0.125, 2]: bracket width")
-        # alone, the later strip raises
-        firsts = improper._first_levels(ev, [(0.125, 0.25), (1.0, 2.0)], EDGES, 256)
-        assert isinstance(firsts[1], darboux.UndefinedSamplesError)
 
     def test_strip_that_is_no_interval_keeps_strip_order(self):
         # cutoffs 5e307 * 2^k reach inf at step 2, so its strip toward inf is
@@ -197,34 +177,8 @@ class TestSharedFirstLevel:
         got = side_outcome(ev, schedule, 1e-5, EDGES, CELL_CAP)
         assert got == sequential_side(ev, schedule, 1e-5, EDGES, CELL_CAP)
         assert got[1].startswith("step 2 on [0.0625, inf]: adjacent undefined samples")
-        firsts = improper._first_levels(ev, [(0.0625, 0.125), (1e308, math.inf)], EDGES, CELL_CAP)
-        assert isinstance(firsts[0], darboux.UndefinedSamplesError) and firsts[1] is None
 
-
-class TestSharedFirstLevelCounts:
-    def test_two_strips_take_one_evaluation(self):
-        sizes = []
-
-        def f(xs):
-            sizes.append(xs.size)
-            return 1.0 / (1.0 + xs) ** 2
-
-        ev = darboux.as_evaluator(f)
-        strips = [(0.125, 0.25), (1.0, 2.0)]
-        firsts = improper._first_levels(ev, strips, EDGES, CELL_CAP)
-        assert sizes == [2 * (darboux.START_CELLS + 1)]
-        for (a, b), first in zip(strips, firsts):
-            sizes.clear()
-            seeded = darboux.integrate(ev, Interval(a, b), 1e-7, EDGES, _first=first)
-            seeded_calls = len(sizes)
-            sizes.clear()
-            lone = darboux.integrate(ev, Interval(a, b), 1e-7, EDGES)
-            assert seeded.levels > 1 and seeded_calls == len(sizes) - 1
-            assert (seeded.lower.hex(), seeded.upper.hex(), seeded.cells, seeded.levels,
-                    seeded.swept) == (lone.lower.hex(), lone.upper.hex(), lone.cells,
-                                      lone.levels, lone.swept)
-
-    def test_runner_step_makes_one_first_call(self):
+    def test_runner_evaluates_what_each_strip_does_alone(self):
         sizes, estimates = [], []
 
         def f(xs):
@@ -242,16 +196,40 @@ class TestSharedFirstLevelCounts:
         with mock.patch.object(darboux, "integrate", recording):
             side = improper._run_side(ev, schedule, 1e-6, EDGES, CELL_CAP)
         assert len(side.steps) == 2 and len(estimates) == 3
-        runner_calls = len(sizes)
+        runner_sizes = list(sizes)
         sizes.clear()
-        lone_calls = []
         for iv, tol, est in estimates:
-            before = len(sizes)
             lone = darboux.integrate(ev, iv, tol, EDGES)
-            lone_calls.append(len(sizes) - before)
-            assert (est.cells, est.levels, est.swept) == (lone.cells, lone.levels, lone.swept)
-        # step 0 samples its one strip's first level, step 1 both of its strips' at once
-        assert runner_calls == sum(lone_calls) - 1
+            assert (est.lower.hex(), est.upper.hex(), est.cells, est.levels, est.swept) == (
+                lone.lower.hex(), lone.upper.hex(), lone.cells, lone.levels, lone.swept)
+        # step 1's two strips each open with their own first-level evaluation
+        assert runner_sizes == sizes
+
+
+class TestStripsInherit:
+    @pytest.mark.parametrize("samples", [16, 64])
+    def test_later_levels_inherit_with_the_bits_of_testing_afresh(self, samples):
+        # x^2 over t/(1+t): each strip's levels after its first enclose only
+        # the children of the cells the level before left uncertified
+        f, phi, sched = MAPS["t/(1+t)"]
+        schedule = ImproperSchedule(**sched, max_steps=20, tol=1e-4)
+        cfg = SamplingConfig(samples_per_cell=samples)
+        p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
+        fused = p.product_integrand()
+        enclosed = []
+
+        def counting(tape, lo, hi):
+            enclosed.append(len(lo))
+            return enclose(tape, lo, hi)
+
+        with mock.patch.object(darboux, "enclose", counting):
+            got = side_outcome(fused, schedule, 1e-5, cfg, CELL_CAP)
+            inherited = sum(enclosed)
+            enclosed.clear()
+            with mock.patch.object(darboux, "_uniform_sums", sums_afresh):
+                want = sequential_side(fused, schedule, 1e-5, cfg, CELL_CAP)
+        assert got == want and not got[1]
+        assert 0 < inherited < sum(enclosed)
 
 
 class TestImageProbes:

@@ -290,16 +290,15 @@ class TestCertifiedCells:
         assert got == counted(sampled_in_full(f), iv, 5e-6, CFG64, D.CELL_CAP)[0]
         assert got[2] == 65536 and certified > 0.98 * 65536
 
-    def test_rows_of_a_level(self):
+    def test_levels_of_adjacent_intervals(self):
+        # the pieces of [0, 1] an improper runner's strips could be, at a cell
+        # count that is no multiple of the 2,048-cell test blocks
         f = product("x^2", "t*sin(1/t)", 0.0, 1.0)
-        ends = [(0.0, 0.1), (0.1, 0.5), (0.5, 1.0)]
         ev, tape = D.as_evaluator(f), D._monotone_tape(f, CFG16)
-        rows = D._uniform_rows(ev, [a for a, _ in ends], [b for _, b in ends], 3000, CFG16, None,
-                               tape)
-        for (a, b), row in zip(ends, rows):
-            assert row == D._uniform_sums(ev, a, b, 3000, CFG16, None, tape)
-            assert row[:4] == D._uniform_sums(ev, a, b, 3000, CFG16, None)[:4]
-            assert row[4] > 0
+        for a, b in ((0.0, 0.1), (0.1, 0.5), (0.5, 1.0)):
+            got = D._uniform_sums(ev, a, b, 3000, CFG16, None, tape)
+            assert got[:4] == D._uniform_sums(ev, a, b, 3000, CFG16, None)[:4]
+            assert got[4] > 0
 
     def test_below_the_cutoff_or_without_a_derivative_nothing_is_enclosed(self):
         with mock.patch.object(D, "enclose", side_effect=AssertionError("enclosed")):
