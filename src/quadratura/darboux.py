@@ -10,19 +10,23 @@ is exact; callers needing guarantees pass ``hints`` listing the interior
 turning points, which makes every cell extremum exact.
 
 At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression that
-``differentiate`` accepts is tested for monotone cells first, in blocks
-of 2,048 cells: f and f' are enclosed by interval evaluation of their
-tape (``interval.slope_tape``, ``interval.enclose``) on the cells
-between the evaluated edge samples, and a cell is *certified* when f's
-enclosure is finite, the enclosure of f' keeps one sign (lo >= 0 or
-hi <= 0) and both edge values are defined and nonzero.  f is then
-monotone on the cell, so its extrema are its edge values, the exact
-Darboux terms; only the other cells are sampled in full.  This is the
-monotonicity test of interval global optimization (Hansen & Walster,
-"Global Optimization Using Interval Analysis", 2004).  The test costs
-about as much as evaluating 5 to 8 samples a cell: a block whose
-certified cells save fewer than 8 samples a cell keeps them but ends
-the test: the level's later blocks are sampled in full.
+``differentiate`` accepts is tested for monotone cells first: f and f'
+are enclosed by interval evaluation of their tape
+(``interval.slope_tape``, ``interval.enclose``) on the cells between the
+evaluated edge samples, and a cell is *certified* when f's enclosure is
+finite, the enclosure of f' keeps one sign (lo >= 0 or hi <= 0) and both
+edge values are defined and nonzero.  f is then monotone on the cell, so
+its extrema are its edge values, the exact Darboux terms; only the other
+cells are sampled in full.  This is the monotonicity test of interval
+global optimization (Hansen & Walster, "Global Optimization Using
+Interval Analysis", 2004).  The test costs about as much as evaluating 5
+to 8 samples a cell, so it is judged in blocks of 2,048 cells: a block
+whose certified cells save fewer than 8 samples a cell keeps them but
+ends the test, and the level's later blocks are sampled in full.  A
+summation chunk takes one pass: groups of blocks with 2,048 or more cells
+to enclose have their edges evaluated and those cells enclosed in a call
+each, and its uncertified cells are sampled together.  Evaluation and
+enclosure go cell by cell, so this moves neither the rule nor a cell.
 ``integrate`` keeps which cells of the last level it accepted the test
 certified, a bit a cell.  The grids nest, so a cell of the next level
 lies inside one of them, and inside its enclosures too (inclusion
@@ -121,13 +125,13 @@ _CHUNK_POINTS = 8192
 # ``integrate`` sums 2**21 // w cells a chunk: this fixes its summation order.
 _SUM_CHUNK_POINTS = 2**21
 # At this many samples a cell or more, an expression's cells are tested for
-# monotonicity first, in blocks of _MONOTONE_CELLS cells (``_monotone_cells``).
+# monotonicity first (``_monotone_pass``), judged in blocks of _MONOTONE_CELLS.
 _MONOTONE_SAMPLES = 16
 _MONOTONE_CELLS = 2048
-# Evaluating the edges and enclosing a block costs about 5 to 8 samples a
-# cell (E1's product and simpler formulas on a 2-vCPU Xeon), so after a block
-# whose certified cells save fewer than _TEST_SAMPLES samples a cell, the
-# level's later blocks are sampled in full without a test.
+# Evaluating the edges and enclosing a block that inherits nothing costs
+# about 5 to 8 samples a cell (E1's product and simpler formulas on a 2-vCPU
+# Xeon), so after a block whose certified cells save fewer than _TEST_SAMPLES
+# samples a cell, the level's later blocks are sampled in full without a test.
 _TEST_SAMPLES = 8
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -582,41 +586,74 @@ def _get_bits(bits: np.ndarray, i0: int, i1: int) -> np.ndarray:
     return np.unpackbits(bits[at // 8 : (i1 + 7) // 8]).view(bool)[i0 - at : i1 - at]
 
 
-def _monotone_cells(
-    ev, tape, a, b, step, w, cells, k0, k1, lo, hi, inherited
-) -> tuple[int, bool, np.ndarray]:
-    """Cells k0..k1-1 of a level of ``cells``, their extrema written into ``lo``
-    and ``hi``: (cells certified, whether an undefined sample inside (a, b) was
-    skipped, which cells the test certified).
+def _monotone_pass(
+    ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask
+) -> tuple[int, int, bool, bool]:
+    """Cells c0..c1-1 of a level of ``cells`` tested for monotone cells, their
+    extrema written into ``lo`` and ``hi`` (a slot a cell from c0): (the cell
+    the test stopped before, cells certified, whether an undefined sample
+    inside (a, b) was skipped, whether the test goes on).
 
-    The cell edges are evaluated and (f, f') enclosed between them.  A cell
-    is certified when f's enclosure is finite, f' keeps one sign on it and
-    both edge values are defined and nonzero: f is monotone there, so its
-    extrema are its edge values, taken in ``_cell_extrema``'s operand order.
-    (A zero edge value could tie a zero of the other sign among the
-    samples.)  A cell that ``inherited`` marks lies inside a cell the
-    level before certified, so inside that cell's enclosures: it is not
-    enclosed again, and only its edge values are checked.  The other cells
-    are sampled in full (``_sampled_cells``).
+    A cell is certified when f's enclosure is finite, f' keeps one sign on
+    it and both edge values are defined and nonzero: f is monotone there, so
+    its extrema are its edge values, taken in ``_cell_extrema``'s operand
+    order.  (A zero edge value could tie a zero of the other sign among the
+    samples.)  A cell that ``mask`` marks inherited lies inside a cell the
+    level before certified, so inside that cell's enclosures: only its edge
+    values are checked.  The test stops after a block of _MONOTONE_CELLS
+    cells whose certified cells save fewer than _TEST_SAMPLES samples a cell.
+    A group of blocks has its edges evaluated in one call and its fresh (not
+    inherited) cells enclosed in one call.  Blocks join until the fresh cells
+    reach _MONOTONE_CELLS, and a block that could fail ends its group, so no
+    cell past the block that stops the test is enclosed.  The uncertified
+    cells are sampled in full in one ``_sampled_cells`` call.
     """
-    edges = _row_points(a, b, step, cells * w, k0 * w, k1 * w, w)
-    ys = ev(edges)
-    nonzero = np.abs(ys) > 0  # False where NaN
-    certified = inherited.copy()
-    fresh = np.flatnonzero(~inherited)
-    if fresh.size:
-        if fresh.size == k1 - k0:
-            fresh = slice(None)  # nothing inherited: views of the edges, not gathered copies
-        f_range, slope = enclose(tape, edges[:-1][fresh], edges[1:][fresh])
-        certified[fresh] = np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
-        del f_range, slope  # free before the samples are evaluated
-    del fresh
-    certified &= nonzero[:-1] & nonzero[1:]
-    sure = int(np.count_nonzero(certified))
-    np.minimum(ys[:-1], ys[1:], out=lo)
-    np.maximum(ys[:-1], ys[1:], out=hi)
-    holes = _sampled_cells(ev, a, b, step, w, cells * w, k0, np.flatnonzero(~certified), lo, hi)
-    return sure, holes, certified
+    bounds = [*range(0, c1 - c0, _MONOTONE_CELLS), c1 - c0]
+    starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
+    inherited = mask.inherited(c0, c1)
+    held = np.add.reduceat(inherited, starts, dtype=np.intp)
+    fresh_before = np.cumsum(np.append(0, sizes - held)).tolist()
+    could_fail = (held * w < _TEST_SAMPLES * sizes).tolist()  # with every fresh cell uncertified
+    certified = np.zeros(c1 - c0, dtype=bool)
+    sure, testing, g = 0, True, 0
+    while testing and g < len(sizes):
+        h = g + 1  # the group: blocks g..h-1
+        while h < len(sizes) and not could_fail[h - 1] and (
+            fresh_before[h] - fresh_before[g] < _MONOTONE_CELLS
+        ):
+            h += 1
+        k0 = bounds[g]
+        edges = _row_points(a, b, step, cells * w, (c0 + k0) * w, (c0 + bounds[h]) * w, w)
+        ys = ev(edges)
+        nonzero = np.abs(ys) > 0  # False where NaN
+        both = nonzero[:-1] & nonzero[1:]
+        # zero edge values uncertify inherited cells: a block they leave short ends the group
+        kept = np.add.reduceat(both & inherited[k0 : bounds[h]], starts[g:h] - k0, dtype=np.intp)
+        short = (kept * w < _TEST_SAMPLES * sizes[g:h])[:-1]
+        if short.any():
+            h = g + 1 + int(np.argmax(short))
+            m = bounds[h] - k0
+            edges, ys, both = edges[: m + 1], ys[: m + 1], both[:m]
+        k1 = bounds[h]
+        part = certified[k0:k1]
+        part[:] = both
+        fresh = np.flatnonzero(~inherited[k0:k1])
+        if fresh.size:
+            if fresh.size == k1 - k0:
+                fresh = slice(None)  # nothing inherited: views of the edges, not gathered copies
+            f_range, slope = enclose(tape, edges[:-1][fresh], edges[1:][fresh])
+            part[fresh] &= np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+            del f_range, slope  # free before the samples are evaluated
+        np.minimum(ys[:-1], ys[1:], out=lo[k0:k1])
+        np.maximum(ys[:-1], ys[1:], out=hi[k0:k1])
+        counts = np.add.reduceat(part, starts[g:h] - k0, dtype=np.intp).tolist()
+        sure += sum(counts)
+        testing = counts[-1] * w >= _TEST_SAMPLES * int(sizes[h - 1])  # the others pass
+        g = h
+    tested = certified[: bounds[g]]
+    mask.put(c0, tested)
+    holes = _sampled_cells(ev, a, b, step, w, cells * w, c0, np.flatnonzero(~tested), lo, hi)
+    return c0 + bounds[g], sure, holes, testing
 
 
 def _uniform_sums(
@@ -642,13 +679,13 @@ def _uniform_sums(
     sample was skipped strictly inside (a, b).  Adjacent undefined samples
     raise.
 
-    With ``tape`` (``_monotone_tape``), blocks of _MONOTONE_CELLS cells are
-    tested for monotone cells (``_monotone_cells``) until one certifies too
-    few to pay for its test; the level's later cells are sampled in full.
-    ``certified`` counts the cells whose extrema came from their edges, 0
-    without a tape.  ``mask`` (a ``_Certified``) passes each tested block
-    the cells that inherit a certified parent and takes the cells its test
-    certified; without it nothing is inherited.
+    With ``tape`` (``_monotone_tape``), each chunk is tested for monotone
+    cells in one pass (``_monotone_pass``), block by block until a block
+    certifies too few to pay for its test; the level's later cells are
+    sampled in full.  ``certified`` counts the cells whose extrema came from
+    their edges, 0 without a tape.  ``mask`` (a ``_Certified``) gives each
+    pass the cells that inherit a certified parent and takes the cells its
+    test certified; without it nothing is inherited.
     """
     w = cfg.samples_per_cell - 1
     dx = (b - a) / cells
@@ -668,27 +705,20 @@ def _uniform_sums(
         c1 = min(cells, c0 + cells_per_chunk)
         pair = room[: 2 * (c1 - c0)].reshape(2, c1 - c0)
         lo, hi = pair
-        k0 = c0
-        while k0 < c1:
-            k1 = min(c1, k0 + (_MONOTONE_CELLS if testing else cells_per_block))
-            block = slice(k0 - c0, k1 - c0)
-            if testing:
-                sure, hole, bits = _monotone_cells(
-                    ev, tape, a, b, step, w, cells, k0, k1, lo[block], hi[block],
-                    mask.inherited(k0, k1),
-                )
-                mask.put(k0, bits)
-                certified += sure
-                testing = sure * w >= _TEST_SAMPLES * (k1 - k0)
-            else:
-                ys = ev(_row_points(a, b, step, last, k0 * w, k1 * w))
-                _, _, undefined = _cell_extrema(ys, w, lo[block], hi[block])
-                hole = False
-                if undefined is not None:
-                    undefined += k0 * w  # the sample's index in the level; 0 is a, last is b
-                    hole = bool(((undefined > 0) & (undefined < last)).any())
+        untested = c0
+        if testing:
+            untested, sure, hole, testing = _monotone_pass(
+                ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask
+            )
+            certified += sure
             holes = holes or hole
-            k0 = k1
+        for k0 in range(untested, c1, cells_per_block):
+            k1 = min(c1, k0 + cells_per_block)
+            ys = ev(_row_points(a, b, step, last, k0 * w, k1 * w))
+            _, _, undefined = _cell_extrema(ys, w, lo[k0 - c0 : k1 - c0], hi[k0 - c0 : k1 - c0])
+            if undefined is not None:
+                undefined += k0 * w  # the sample's index in the level; 0 is a, last is b
+                holes = holes or bool(((undefined > 0) & (undefined < last)).any())
         if pins is not None and pins[0].size:
             hint_xs, hint_ys = pins
             edges = a + dx * np.arange(c0, c1 + 1)

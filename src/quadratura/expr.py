@@ -8,7 +8,10 @@ Grammar (whitespace-insensitive)::
     base   := NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
 
 ``^`` is right-associative and binds tighter than unary minus, so
-``-x^2`` reads as ``-(x^2)`` while ``2^-3`` is fine.  Known functions:
+``-x^2`` reads as ``-(x^2)`` while ``2^-3`` is fine.  A ``-NUMBER`` right
+after ``^`` and not itself raised to a power is one negative literal:
+``x^-2`` is pow(x, -2), as ``to_text`` prints it, and ``x^(-2)`` is
+pow(x, neg(2)).  Known functions:
 sin, cos, tan, sqrt, atan, exp, log, abs.  ``pi`` and ``e`` parse as
 constants.  Exactly one other identifier may appear; it names the free
 variable.
@@ -367,9 +370,17 @@ class _Parser:
             e = self.base()
             if self.peek()[0] == "^":
                 pos = self.advance()[2]
-                e = self.node(pow_(e, self.factor()), pos)
+                e = self.node(pow_(e, self.exponent()), pos)
         self.depth -= 1
         return e
+
+    def exponent(self) -> Expr:
+        """A factor, or one negative literal for ``-NUMBER`` not raised to a power."""
+        tokens, i = self.tokens, self.i  # the last token is "end", so none runs past it
+        if tokens[i][0] == "-" and tokens[i + 1][0] == "num" and tokens[i + 2][0] != "^":
+            self.i += 2
+            return const(-float(tokens[i + 1][1]))
+        return self.factor()
 
     def base(self) -> Expr:
         tok = self.advance()
@@ -864,6 +875,7 @@ def to_text(e: Expr) -> str:
         return "-" + _wrap(e.args[0], _PREC["neg"])
     a, b = e.args
     p = _PREC[kind]
-    if kind == "pow":  # right-associative
-        return f"{_wrap(a, p + 1)}^{_wrap(b, p)}"
+    if kind == "pow":  # right-associative; a negative literal exponent reads back as one
+        exponent = to_text(b) if b.kind == "const" else _wrap(b, p)
+        return f"{_wrap(a, p + 1)}^{exponent}"
     return f"{_wrap(a, p)}{_OP_TEXT[kind]}{_wrap(b, p + 1)}"

@@ -575,6 +575,32 @@ class TestRoundTrip:
         b = evaluate_array(reparsed, xs)
         assert np.array_equal(a, b, equal_nan=True)
 
+    def test_negative_literal_exponent(self):
+        # x^(-2) used to print for the literal -2 and parse back as neg(2),
+        # a power that np.power rounds otherwise: 11.111111111111112 at 0.3
+        x = E.var("x")
+        literal, negated = E.pow_(x, E.const(-2.0)), E.pow_(x, E.neg(E.const(2.0)))
+        assert (to_text(literal), to_text(negated)) == ("x^-2", "x^(-2)")
+        assert parse(to_text(literal)) == literal and parse(to_text(negated)) == negated
+        xs = np.array([0.3])
+        assert evaluate_array(parse(to_text(literal)), xs).tolist() == [11.11111111111111]
+        assert evaluate_array(literal, xs).tolist() == [11.11111111111111]
+
+    def test_minus_number_after_caret_is_one_literal(self):
+        x, two = E.var("x"), E.const(2.0)
+        assert parse("x^-2") == E.pow_(x, E.const(-2.0))
+        assert parse("x ^ - 2.5e-1 * x") == E.mul(E.pow_(x, E.const(-0.25)), x)
+        assert parse("x^-0.0").args[1].value.hex() == "-0x0.0p+0"
+        # raised to a power itself, or not a number, the minus stays a negation
+        assert parse("x^-2^x") == E.pow_(x, E.neg(E.pow_(two, x)))
+        assert parse("x^-x") == E.pow_(x, E.neg(x))
+        assert parse("-x^2") == E.neg(E.pow_(x, two))
+        xs = np.random.default_rng(3).uniform(-3.0, 3.0, 2000)
+        for k in (1, 2, 3, 4):  # odd or even bit for bit, as np.power was not
+            f = parse(f"x^-{k}")
+            sign = (-1.0) ** k
+            assert evaluate_array(f, xs).tobytes() == (sign * evaluate_array(f, -xs)).tobytes()
+
     def test_specific_round_trips(self):
         for text in ("x^3", "t*sin(1/t)", "-x^2", "(1+x)/(1-x)", "2^-x", "abs(x-1/2)"):
             e = parse(text)

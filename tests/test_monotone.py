@@ -600,3 +600,141 @@ class TestEnclosedCount:
         assert report.rhs.cells == 65536 and first[4] == 920
         assert enclosed[True, 65536] == 64 * (1024 - 920) == 6656
         assert sum(enclosed.values()) == 8704  # was 133,120 (both sides, both levels)
+
+
+# ---------------------------------------------------------------------------
+# One monotone pass a summation chunk, against the per-block loop it replaced
+
+
+def reference_block(ev, tape, a, b, step, w, cells, k0, k1, lo, hi, inherited):
+    """One block tested on its own: (cells certified, holes, which cells)."""
+    edges = D._row_points(a, b, step, cells * w, k0 * w, k1 * w, w)
+    ys = ev(edges)
+    nonzero = np.abs(ys) > 0
+    certified = inherited.copy()
+    fresh = np.flatnonzero(~inherited)
+    if fresh.size:
+        if fresh.size == k1 - k0:
+            fresh = slice(None)
+        f_range, slope = D.enclose(tape, edges[:-1][fresh], edges[1:][fresh])
+        certified[fresh] = np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+    certified &= nonzero[:-1] & nonzero[1:]
+    np.minimum(ys[:-1], ys[1:], out=lo)
+    np.maximum(ys[:-1], ys[1:], out=hi)
+    holes = D._sampled_cells(ev, a, b, step, w, cells * w, k0, np.flatnonzero(~certified), lo, hi)
+    return int(np.count_nonzero(certified)), holes, certified
+
+
+def reference_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask):
+    """``_monotone_pass`` as a loop over blocks: each block's edges evaluated,
+    its fresh cells enclosed and its uncertified cells sampled on their own."""
+    k0, sure, holes, testing = c0, 0, False, True
+    while testing and k0 < c1:
+        k1 = min(c1, k0 + D._MONOTONE_CELLS)
+        block = slice(k0 - c0, k1 - c0)
+        got, hole, bits = reference_block(ev, tape, a, b, step, w, cells, k0, k1, lo[block],
+                                          hi[block], mask.inherited(k0, k1))
+        mask.put(k0, bits)
+        sure, holes = sure + got, holes or hole
+        testing = got * w >= D._TEST_SAMPLES * (k1 - k0)
+        k0 = k1
+    return k0, sure, holes, testing
+
+
+def chunk_passes(run, f, a, b, cells, w, parent_bits, chunk):
+    """A level's chunks of ``chunk`` cells through ``run`` while the test goes
+    on: the lo/hi bytes, each pass's result, the certified bits and the sorted
+    cells handed to ``enclose``.  ``parent_bits`` (None: nothing nests) are
+    the bits of the level before, whose cells hold cells // len(parent_bits)."""
+    cfg = SamplingConfig(samples_per_cell=w + 1)
+    ev, tape = D.as_evaluator(f), D._monotone_tape(f, cfg)
+    parent = None
+    if parent_bits is not None:
+        parent = D._Certified(len(parent_bits))
+        parent.put(0, np.asarray(parent_bits, dtype=bool))
+    mask = D._Certified(cells, parent)
+    enclosed = []
+
+    def recording(tape, lo, hi):
+        enclosed.extend(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()))
+        return enclose(tape, lo, hi)
+
+    lo, hi = np.full(cells, 7.0), np.full(cells, 7.0)
+    results, testing = [], True
+    with mock.patch.object(D, "enclose", recording), np.errstate(all="ignore"):
+        for c0 in range(0, cells, chunk):
+            if not testing:
+                break
+            c1 = min(cells, c0 + chunk)
+            try:
+                results.append(run(ev, tape, a, b, (b - a) / (cells * w), w, cells, c0, c1,
+                                   lo[c0:c1], hi[c0:c1], mask))
+            except UndefinedSamplesError:  # both raise; what came before may differ
+                return "raised", c0
+            testing = results[-1][-1]
+    return lo.tobytes(), hi.tobytes(), results, mask.bits.tobytes(), sorted(enclosed)
+
+
+def edge_point(a, b, cells, w, k):
+    """The left edge of cell k of a level, as its samples place it."""
+    return float(D._row_points(a, b, (b - a) / (cells * w), cells * w, k * w, k * w)[0])
+
+
+# the derivative's enclosure of x*x-x^2 always holds 0: a cell is certified
+# exactly when it inherits and its edge values are nonzero
+PASS_FORMULAS = ["x*x-x^2+1", "x*x-x^2", "sin(30*x)", "x^3", "exp(x)*x", "1/(x-0.3)",
+                 "sqrt(x)"]
+
+
+class TestOnePassAChunk:
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.sampled_from(PASS_FORMULAS), w=st.sampled_from([15, 63]),
+           parents=st.integers(1, 60) | st.integers(300, 600),
+           ratio=st.sampled_from([1, 4, 16, 64, None]),
+           share=st.sampled_from([0.0, 0.5, 0.95, 0.995, 1.0]), data=st.data())
+    def test_random_inheritance(self, text, w, parents, ratio, share, data):
+        cells = parents * (ratio or 48)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = None if ratio is None else rng.random(parents) < share
+        chunk = data.draw(st.integers(max(1, cells // 3), cells))
+        args = (parse(text), -1.0, 2.0, cells, w, bits, chunk)
+        assert chunk_passes(D._monotone_pass, *args) == chunk_passes(reference_pass, *args)
+
+    @pytest.mark.parametrize("text", ["x*x-x^2+1", "x*x-x^2", "sin(30*x)"])
+    def test_a_block_fails_in_the_middle_after_inherited_blocks(self, text):
+        # 64 cells a parent, 32 parents a block: blocks 0-2 inherit all but two
+        # parents' cells each, block 3 nothing, the blocks after it most
+        bits = np.ones(8 * 32, dtype=bool)
+        bits[[5, 40, 70, 101]] = False
+        bits[96:128] = False
+        args = (parse(text), 0.0, 1.0, 8 * 2048, 63, bits, 8 * 2048)
+        got = chunk_passes(D._monotone_pass, *args)
+        assert got == chunk_passes(reference_pass, *args)
+        if text == "x*x-x^2+1":
+            assert got[2] == [(4 * 2048, 3 * 2048 - 3 * 64, False, False)]
+
+    def test_an_undefined_edge_sample(self):
+        cells, w = 4 * 2048, 63
+        x0 = edge_point(0.0, 1.0, cells, w, 5000)
+        bits = np.ones(cells // 4, dtype=bool)
+        args = (parse(f"x*x-x^2+1 + (x - {x0!r})/(x - {x0!r})"), 0.0, 1.0, cells, w, bits, cells)
+        got = chunk_passes(D._monotone_pass, *args)
+        assert got == chunk_passes(reference_pass, *args)
+        assert got[2] == [(cells, cells - 2, True, True)]
+
+    def test_sixteen_samples_a_chunk_that_splits_a_byte(self):
+        # 2**21 // 15 = 139,810 cells a chunk, 2 more than a multiple of 8: the
+        # second chunk's bits start inside a byte
+        w, cells = 15, 2**18
+        chunk = D._SUM_CHUNK_POINTS // w
+        assert chunk == 139810
+        bits = np.ones(cells // 16, dtype=bool)
+        # the second chunk starts in parent 8738; its first block passes with
+        # 880 fresh cells, its third fails with 1,954
+        bits[8745:8800] = False
+        bits[9000:9200] = False
+        args = (parse("x*x-x^2+1"), 0.0, 1.0, cells, w, bits, chunk)
+        got = chunk_passes(D._monotone_pass, *args)
+        assert got == chunk_passes(reference_pass, *args)
+        assert [r[0] for r in got[2]] == [chunk, chunk + 3 * 2048]
+        assert got[2][1][-1] is False
