@@ -23,10 +23,10 @@ Interval Analysis", 2004).  The test costs about as much as evaluating 5
 to 8 samples a cell, so it is judged in blocks of 2,048 cells: a block
 whose certified cells save fewer than 8 samples a cell keeps them but
 ends the test, and the level's later blocks are sampled in full.  A
-summation chunk takes one pass: groups of blocks with 2,048 or more cells
-to enclose have their edges evaluated and those cells enclosed in a call
-each, and its uncertified cells are sampled together.  Evaluation and
-enclosure go cell by cell, so this moves neither the rule nor a cell.
+summation chunk takes one pass that only certifies: groups of blocks
+with 2,048 or more cells to enclose have their edges evaluated and those
+cells enclosed in a call each; one call then samples the rest.  Evaluation
+and enclosure go cell by cell, so this moves neither the rule nor a cell.
 ``integrate`` keeps which cells of the last level it accepted the test
 certified, a bit a cell.  The grids nest, so a cell of the next level
 lies inside one of them, and inside its enclosures too (inclusion
@@ -506,26 +506,29 @@ def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
     lo[todo] and hi[todo] by ``_cell_extrema``, and whether an undefined
     sample inside (a, b) was skipped.
 
-    ``todo`` holds ascending indices.  Each evaluation holds at most
-    _CHUNK_POINTS samples: a run of cells in the shared-edge layout, their
-    extrema written straight into views, or else ``_cell_extrema``'s
-    gathered layout.
+    ``todo`` is a range or ascending indices.  A run of cells takes the
+    shared-edge layout, (_CHUNK_POINTS - 1) // w cells a call, its extrema
+    written straight into views; other cells take ``_cell_extrema``'s
+    gathered layout, _CHUNK_POINTS // (w + 1) cells a call at most.
     """
-    holes = False
-    per_evaluation = max(1, _CHUNK_POINTS // (w + 1))
-    body_offsets = np.arange(w, dtype=float)
-    for i in range(0, todo.size, per_evaluation):
-        part = todo[i : i + per_evaluation]
-        m, c0 = part.size, int(part[0])
-        i0, i1 = (c0 + k0) * w, (int(part[-1]) + k0 + 1) * w  # the first and last sample
-        if i1 - i0 == m * w:
+    holes, i, n = False, 0, len(todo)
+    per_run = max(1, (_CHUNK_POINTS - 1) // w)
+    while i < n:
+        j = min(n, i + per_run)
+        c0, c1 = todo[i], todo[j - 1] + 1
+        if c1 - c0 != j - i:  # not one run: gather fewer cells
+            j = min(n, i + max(1, _CHUNK_POINTS // (w + 1)))
+            c1 = todo[j - 1] + 1
+        i0, i1 = (c0 + k0) * w, (c1 + k0) * w  # the first and last sample
+        if c1 - c0 == j - i:
             ys = ev(_row_points(a, b, step, last, i0, i1))
-            _, _, undefined = _cell_extrema(ys, w, lo[c0 : c0 + m], hi[c0 : c0 + m])
+            _, _, undefined = _cell_extrema(ys, w, lo[c0:c1], hi[c0:c1])
         else:
+            part, m = todo[i:j], j - i
             first = (part + k0) * w  # each cell's left edge sample
             ends = np.append(np.flatnonzero(part[1:] - part[:-1] != 1), m - 1)
             xs = np.empty(m * w + ends.size)
-            np.add(first[:, None], body_offsets, out=xs[: m * w].reshape(m, w))
+            np.add(first[:, None], np.arange(w, dtype=float), out=xs[: m * w].reshape(m, w))
             xs[m * w :] = first[ends] + w
             xs *= step
             xs += a
@@ -533,6 +536,7 @@ def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
                 xs[-1] = b
             ys = ev(xs)
             lo[part], hi[part], undefined = _cell_extrema(ys, w, ends=ends)
+        i = j
         if undefined is not None:  # a hole unless it is the level's sample a or b
             a_at = 0 if i0 == 0 else -1
             b_at = ys.size - 1 if i1 == last else -1
@@ -588,11 +592,11 @@ def _get_bits(bits: np.ndarray, i0: int, i1: int) -> np.ndarray:
 
 def _monotone_pass(
     ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask
-) -> tuple[int, int, bool, bool]:
-    """Cells c0..c1-1 of a level of ``cells`` tested for monotone cells, their
-    extrema written into ``lo`` and ``hi`` (a slot a cell from c0): (the cell
-    the test stopped before, cells certified, whether an undefined sample
-    inside (a, b) was skipped, whether the test goes on).
+) -> tuple[np.ndarray, bool]:
+    """Cells c0..c1-1 of a level of ``cells`` tested for monotone cells:
+    (which of them are certified, whether the test goes on).  The tested
+    cells' edge extrema are written into ``lo`` and ``hi`` (a slot a cell
+    from c0), and the chunk's bits are put into ``mask``.
 
     A cell is certified when f's enclosure is finite, f' keeps one sign on
     it and both edge values are defined and nonzero: f is monotone there, so
@@ -605,8 +609,8 @@ def _monotone_pass(
     A group of blocks has its edges evaluated in one call and its fresh (not
     inherited) cells enclosed in one call.  Blocks join until the fresh cells
     reach _MONOTONE_CELLS, and a block that could fail ends its group, so no
-    cell past the block that stops the test is enclosed.  The uncertified
-    cells are sampled in full in one ``_sampled_cells`` call.
+    cell past the block that stops the test is enclosed, and none is
+    certified.  The pass samples nothing: the caller samples the rest.
     """
     bounds = [*range(0, c1 - c0, _MONOTONE_CELLS), c1 - c0]
     starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
@@ -615,7 +619,7 @@ def _monotone_pass(
     fresh_before = np.cumsum(np.append(0, sizes - held)).tolist()
     could_fail = (held * w < _TEST_SAMPLES * sizes).tolist()  # with every fresh cell uncertified
     certified = np.zeros(c1 - c0, dtype=bool)
-    sure, testing, g = 0, True, 0
+    testing, g = True, 0
     while testing and g < len(sizes):
         h = g + 1  # the group: blocks g..h-1
         while h < len(sizes) and not could_fail[h - 1] and (
@@ -646,14 +650,11 @@ def _monotone_pass(
             del f_range, slope  # free before the samples are evaluated
         np.minimum(ys[:-1], ys[1:], out=lo[k0:k1])
         np.maximum(ys[:-1], ys[1:], out=hi[k0:k1])
-        counts = np.add.reduceat(part, starts[g:h] - k0, dtype=np.intp).tolist()
-        sure += sum(counts)
-        testing = counts[-1] * w >= _TEST_SAMPLES * int(sizes[h - 1])  # the others pass
+        last_block = int(np.count_nonzero(part[bounds[h - 1] - k0 :]))  # the others pass
+        testing = last_block * w >= _TEST_SAMPLES * int(sizes[h - 1])
         g = h
-    tested = certified[: bounds[g]]
-    mask.put(c0, tested)
-    holes = _sampled_cells(ev, a, b, step, w, cells * w, c0, np.flatnonzero(~tested), lo, hi)
-    return c0 + bounds[g], sure, holes, testing
+    mask.put(c0, certified)
+    return certified, testing
 
 
 def _uniform_sums(
@@ -681,11 +682,11 @@ def _uniform_sums(
 
     With ``tape`` (``_monotone_tape``), each chunk is tested for monotone
     cells in one pass (``_monotone_pass``), block by block until a block
-    certifies too few to pay for its test; the level's later cells are
-    sampled in full.  ``certified`` counts the cells whose extrema came from
-    their edges, 0 without a tape.  ``mask`` (a ``_Certified``) gives each
-    pass the cells that inherit a certified parent and takes the cells its
-    test certified; without it nothing is inherited.
+    certifies too few to pay for its test; one ``_sampled_cells`` call a
+    chunk samples every other cell.  ``certified`` counts the cells whose
+    extrema came from their edges, 0 without a tape.  ``mask`` (a
+    ``_Certified``) gives each pass the cells that inherit a certified
+    parent and takes those it certified; without it nothing is inherited.
     """
     w = cfg.samples_per_cell - 1
     dx = (b - a) / cells
@@ -698,27 +699,18 @@ def _uniform_sums(
     holes, certified, testing = False, 0, tape is not None
     lowers, uppers, magnitude = [], [], 0.0  # each summation chunk's sums
     cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
-    cells_per_block = max(1, (_CHUNK_POINTS - 1) // w)
     # room for one chunk's (lo, hi), so no two chunks' are alive at once
     room = np.empty(2 * min(cells, cells_per_chunk))
     for c0 in range(0, cells, cells_per_chunk):
         c1 = min(cells, c0 + cells_per_chunk)
         pair = room[: 2 * (c1 - c0)].reshape(2, c1 - c0)
-        lo, hi = pair
-        untested = c0
+        lo, hi = pair[0], pair[1]
+        todo = range(c1 - c0)
         if testing:
-            untested, sure, hole, testing = _monotone_pass(
-                ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask
-            )
-            certified += sure
-            holes = holes or hole
-        for k0 in range(untested, c1, cells_per_block):
-            k1 = min(c1, k0 + cells_per_block)
-            ys = ev(_row_points(a, b, step, last, k0 * w, k1 * w))
-            _, _, undefined = _cell_extrema(ys, w, lo[k0 - c0 : k1 - c0], hi[k0 - c0 : k1 - c0])
-            if undefined is not None:
-                undefined += k0 * w  # the sample's index in the level; 0 is a, last is b
-                holes = holes or bool(((undefined > 0) & (undefined < last)).any())
+            sure, testing = _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask)
+            certified += int(np.count_nonzero(sure))
+            todo = np.flatnonzero(~sure)
+        holes = _sampled_cells(ev, a, b, step, w, last, c0, todo, lo, hi) or holes
         if pins is not None and pins[0].size:
             hint_xs, hint_ys = pins
             edges = a + dx * np.arange(c0, c1 + 1)
@@ -768,7 +760,7 @@ def integrate(
     cells inside the last accepted level's uncertified cells (see the
     module docstring); the rest inherit their parent's certification.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN as well
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")

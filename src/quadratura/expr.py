@@ -842,7 +842,7 @@ _OP_TEXT = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 
 def _prec(e: Expr) -> int:
-    if e.kind == "const" and (e.value < 0 or math.copysign(1.0, e.value) < 0):
+    if e.kind == "const" and _const_text(e.value).startswith("-"):  # parses as a negation
         return _PREC["neg"]
     return _PREC.get(e.kind, _ATOM)
 
@@ -853,6 +853,8 @@ def _wrap(e: Expr, minimum: int) -> str:
 
 
 def _const_text(v: float) -> str:
+    if not math.isfinite(v):  # repr's inf and nan would parse as names
+        return "(1e999-1e999)" if math.isnan(v) else ("1e999" if v > 0 else "-1e999")
     if v.is_integer() and abs(v) < 1e16 and not (v == 0 and math.copysign(1.0, v) < 0):
         return str(int(v))
     return repr(v)
@@ -863,6 +865,8 @@ def to_text(e: Expr) -> str:
 
     Right operands of the left-associative operators are parenthesized at
     equal precedence, so the reassembled tree reassociates nothing.
+    Infinities print as ``1e999`` and ``-1e999``; NaN prints as
+    ``(1e999-1e999)``, NaN everywhere, so ``x^nan`` reads back NaN at x = 1 too.
     """
     kind = e.kind
     if kind == "const":

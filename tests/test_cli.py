@@ -74,6 +74,21 @@ class TestIntegrateCommand:
         assert code == EXIT_OK
         assert json.loads(out)["midpoint"] == 999.5
 
+    def test_nan_tolerance_is_usage_error(self, capsys):
+        code = main(["integrate", "--f", "x", "--a", "0", "--b", "1", "--tol", "nan"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.splitlines() == ["error: tolerance must be positive, got nan"]
+        # substitute reports both sides inconclusive, as it does for --tol -1
+        argv = ["substitute", "--f", "x", "--phi", "t", "--alpha", "0", "--beta", "1", "--tol"]
+        code, out = run(capsys, *argv, "nan")
+        payload = json.loads(out)
+        assert code == EXIT_NUMERIC and payload["verdict"] == "inconclusive"
+        assert payload["lhs"] is payload["rhs"] is None
+        assert payload["reason"] == ("lhs: tolerance must be positive, got nan; "
+                                     "rhs: tolerance must be positive, got nan")
+        assert run(capsys, *argv, "-1")[0] == code
+
     def test_overflowing_width_is_usage_error(self, capsys):
         code = main(["integrate", "--f", "x", "--a", "-1e308", "--b", "1e308"])
         captured = capsys.readouterr()

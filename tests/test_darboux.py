@@ -442,6 +442,9 @@ class TestIntegrate:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             integrate(parse("x"), Interval(0.0, 1.0), 0.0)
+        # NaN as well, for which tol <= 0 is False
+        with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+            integrate(parse("x"), Interval(0.0, 1.0), math.nan)
 
     def test_deterministic(self):
         a = integrate(parse("exp(-x^2)"), Interval(0.0, 2.0), 1e-6, EDGES)

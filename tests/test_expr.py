@@ -602,13 +602,37 @@ class TestRoundTrip:
             assert evaluate_array(f, xs).tobytes() == (sign * evaluate_array(f, -xs)).tobytes()
 
     def test_specific_round_trips(self):
-        for text in ("x^3", "t*sin(1/t)", "-x^2", "(1+x)/(1-x)", "2^-x", "abs(x-1/2)"):
+        for text in ("x^3", "t*sin(1/t)", "-x^2", "(1+x)/(1-x)", "2^-x", "abs(x-1/2)",
+                     "x^2*1e400", "x^(1e400-1e400)", "x^-1e400", "-1e400*x"):
             e = parse(text)
             again = parse(to_text(e))
             xs = np.linspace(-2.0, 2.0, 41)
             assert np.array_equal(
                 evaluate_array(e, xs), evaluate_array(again, xs), equal_nan=True
             )
+
+    def test_non_finite_constants(self):
+        # repr's inf and nan would read back as unknown names
+        x, inf, nan = E.var("x"), E.const(math.inf), E.const(math.nan)
+        minus_inf = E.const(-math.inf)
+        cases = [
+            (inf, "1e999"), (minus_inf, "-1e999"), (nan, "(1e999-1e999)"),
+            (E.mul(x, minus_inf), "x*-1e999"), (E.pow_(x, minus_inf), "x^-1e999"),
+            (E.pow_(minus_inf, x), "(-1e999)^x"),
+            (E.sub(nan, E.neg(inf)), "(1e999-1e999)--1e999"),
+            (differentiate(parse("x^2*1e400")), "2*x*1e999"),
+            (differentiate(parse("x^(1e400-1e400)")), "(1e999-1e999)*x^(1e999-1e999)"),
+        ]
+        xs = np.linspace(-2.0, 2.0, 41)
+        with np.errstate(all="ignore"):
+            for e, text in cases:
+                assert to_text(e) == text
+                assert np.array_equal(evaluate_array(parse(text), xs), evaluate_array(e, xs),
+                                      equal_nan=True), text
+        assert parse("2*x*1e999") == cases[-2][0]
+        # NaN at every point, whatever the sign bit of the constant
+        assert to_text(E.const(-math.nan)) == "(1e999-1e999)"
+        assert np.isnan(evaluate_array(parse("(1e999-1e999)"), xs)).all()
 
 
 class TestExprType:

@@ -322,6 +322,25 @@ class TestCertifiedCells:
         assert max(sizes) <= D._CHUNK_POINTS
         assert sum(sizes) < 2**13 * 20
 
+    def test_runs_take_as_many_cells_a_call_as_fit(self):
+        # a run takes (8192 - 1) // w cells a call: at 2 samples, 2**16 cells
+        # take 9 calls (16 in gathered parts of 4,096); x*x-x^2 certifies
+        # nothing, so its 6,144 cells take 48 calls after its first block's edges
+        def sizes(f, cells, cfg):
+            ev, got = D.as_evaluator(f), []
+
+            def recording(xs):
+                got.append(xs.size)
+                return ev(xs)
+
+            D._uniform_sums(recording, 0.0, 1.0, cells, cfg, None, D._monotone_tape(f, cfg))
+            return got
+
+        got = sizes(parse("x/(1+x)"), 2**16, SamplingConfig(samples_per_cell=2))
+        assert len(got) == 9 and max(got) <= D._CHUNK_POINTS
+        got = sizes(parse("x*x-x^2"), 3 * D._MONOTONE_CELLS, CFG64)
+        assert len(got) <= 49 and max(got) <= D._CHUNK_POINTS
+
 
 class TestSampledCells:
     """The cells left to sample take ``_cell_extrema``'s bits, NaN rule and holes."""
@@ -626,8 +645,10 @@ def reference_block(ev, tape, a, b, step, w, cells, k0, k1, lo, hi, inherited):
 
 
 def reference_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask):
-    """``_monotone_pass`` as a loop over blocks: each block's edges evaluated,
-    its fresh cells enclosed and its uncertified cells sampled on their own."""
+    """A chunk as a loop over blocks: each block's edges evaluated, its fresh
+    cells enclosed and its uncertified cells sampled on their own, then the
+    cells past the block that stopped the test sampled in runs of 8,191 // w
+    cells: (cells certified, holes, whether the test goes on)."""
     k0, sure, holes, testing = c0, 0, False, True
     while testing and k0 < c1:
         k1 = min(c1, k0 + D._MONOTONE_CELLS)
@@ -638,14 +659,31 @@ def reference_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask):
         sure, holes = sure + got, holes or hole
         testing = got * w >= D._TEST_SAMPLES * (k1 - k0)
         k0 = k1
-    return k0, sure, holes, testing
+    last, per_run = cells * w, (D._CHUNK_POINTS - 1) // w
+    for j0 in range(k0, c1, per_run):
+        j1 = min(c1, j0 + per_run)
+        ys = ev(D._row_points(a, b, step, last, j0 * w, j1 * w))
+        _, _, undefined = D._cell_extrema(ys, w, lo[j0 - c0 : j1 - c0], hi[j0 - c0 : j1 - c0])
+        if undefined is not None:  # the sample's index in the level: 0 is a, last is b
+            holes = holes or bool(((undefined + j0 * w > 0) & (undefined + j0 * w < last)).any())
+    return sure, holes, testing
+
+
+def one_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask):
+    """A chunk as ``_uniform_sums`` takes it: ``_monotone_pass``, then every
+    cell it left uncertified in one ``_sampled_cells`` call."""
+    certified, testing = D._monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask)
+    assert certified.dtype == bool and certified.size == c1 - c0
+    holes = D._sampled_cells(ev, a, b, step, w, cells * w, c0, np.flatnonzero(~certified), lo, hi)
+    return int(np.count_nonzero(certified)), holes, testing
 
 
 def chunk_passes(run, f, a, b, cells, w, parent_bits, chunk):
     """A level's chunks of ``chunk`` cells through ``run`` while the test goes
-    on: the lo/hi bytes, each pass's result, the certified bits and the sorted
-    cells handed to ``enclose``.  ``parent_bits`` (None: nothing nests) are
-    the bits of the level before, whose cells hold cells // len(parent_bits)."""
+    on: the lo/hi bytes, each chunk's (cells certified, holes, whether the
+    test goes on), the certified bits and the sorted cells handed to
+    ``enclose``.  ``parent_bits`` (None: nothing nests) are the bits of the
+    level before, whose cells hold cells // len(parent_bits)."""
     cfg = SamplingConfig(samples_per_cell=w + 1)
     ev, tape = D.as_evaluator(f), D._monotone_tape(f, cfg)
     parent = None
@@ -698,7 +736,7 @@ class TestOnePassAChunk:
         bits = None if ratio is None else rng.random(parents) < share
         chunk = data.draw(st.integers(max(1, cells // 3), cells))
         args = (parse(text), -1.0, 2.0, cells, w, bits, chunk)
-        assert chunk_passes(D._monotone_pass, *args) == chunk_passes(reference_pass, *args)
+        assert chunk_passes(one_pass, *args) == chunk_passes(reference_pass, *args)
 
     @pytest.mark.parametrize("text", ["x*x-x^2+1", "x*x-x^2", "sin(30*x)"])
     def test_a_block_fails_in_the_middle_after_inherited_blocks(self, text):
@@ -708,19 +746,19 @@ class TestOnePassAChunk:
         bits[[5, 40, 70, 101]] = False
         bits[96:128] = False
         args = (parse(text), 0.0, 1.0, 8 * 2048, 63, bits, 8 * 2048)
-        got = chunk_passes(D._monotone_pass, *args)
+        got = chunk_passes(one_pass, *args)
         assert got == chunk_passes(reference_pass, *args)
         if text == "x*x-x^2+1":
-            assert got[2] == [(4 * 2048, 3 * 2048 - 3 * 64, False, False)]
+            assert got[2] == [(3 * 2048 - 3 * 64, False, False)]
 
     def test_an_undefined_edge_sample(self):
         cells, w = 4 * 2048, 63
         x0 = edge_point(0.0, 1.0, cells, w, 5000)
         bits = np.ones(cells // 4, dtype=bool)
         args = (parse(f"x*x-x^2+1 + (x - {x0!r})/(x - {x0!r})"), 0.0, 1.0, cells, w, bits, cells)
-        got = chunk_passes(D._monotone_pass, *args)
+        got = chunk_passes(one_pass, *args)
         assert got == chunk_passes(reference_pass, *args)
-        assert got[2] == [(cells, cells - 2, True, True)]
+        assert got[2] == [(cells - 2, True, True)]
 
     def test_sixteen_samples_a_chunk_that_splits_a_byte(self):
         # 2**21 // 15 = 139,810 cells a chunk, 2 more than a multiple of 8: the
@@ -734,7 +772,10 @@ class TestOnePassAChunk:
         bits[8745:8800] = False
         bits[9000:9200] = False
         args = (parse("x*x-x^2+1"), 0.0, 1.0, cells, w, bits, chunk)
-        got = chunk_passes(D._monotone_pass, *args)
+        got = chunk_passes(one_pass, *args)
         assert got == chunk_passes(reference_pass, *args)
-        assert [r[0] for r in got[2]] == [chunk, chunk + 3 * 2048]
+        # the second chunk certifies 3 * 2048 - 880 - 1954 cells, and no cell
+        # past its third block is enclosed
+        assert [r[0] for r in got[2]] == [chunk, 3310]
         assert got[2][1][-1] is False
+        assert max(hi for _, hi in got[4]) == edge_point(0.0, 1.0, cells, w, chunk + 3 * 2048)
