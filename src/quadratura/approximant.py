@@ -24,7 +24,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import darboux
-from .darboux import DEFAULT_CONFIG, Integrand, SamplingConfig, as_evaluator, fsum_rows
+from .darboux import _FSUM_BLOCK, DEFAULT_CONFIG, Integrand, SamplingConfig, as_evaluator
 from .partition import Interval, Partition, block_grid
 
 __all__ = [
@@ -47,19 +47,30 @@ class NegativityError(ValueError):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class PiecewiseLinear:
-    """Continuous piecewise-linear function given by knots and values >= 0."""
+    """Continuous piecewise-linear function given by knots and values >= 0.
+
+    The constructor copies the arrays it is given; ``_adopt`` takes float
+    arrays that nothing else holds as they are.
+    """
 
     knots: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        kn = np.asarray(self.knots, dtype=float).copy()
-        va = np.asarray(self.values, dtype=float).copy()
+        self._own(np.array(self.knots, dtype=float), np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, knots: np.ndarray, values: np.ndarray) -> PiecewiseLinear:
+        g = object.__new__(cls)
+        g._own(knots, values)
+        return g
+
+    def _own(self, kn: np.ndarray, va: np.ndarray) -> None:
         if kn.ndim != 1 or kn.size < 2 or va.shape != kn.shape:
             raise ValueError("need matching knot/value sequences of length >= 2")
-        if not np.all(np.diff(kn) > 0):
+        if not (kn[1:] > kn[:-1]).all():  # as np.diff(kn) > 0, NaN and inf - inf included
             raise ValueError("knots must be strictly increasing")
-        if not np.all(va >= 0):
+        if not (va >= 0).all():
             raise ValueError("values must be nonnegative")
         kn.setflags(write=False)
         va.setflags(write=False)
@@ -108,7 +119,7 @@ def approximant_with_infima(
     if iv.is_degenerate:
         raise ValueError("cannot approximate over a degenerate interval")
     if n <= 2:
-        return PiecewiseLinear(np.array([iv.a, iv.b]), np.zeros(2)), None, None
+        return PiecewiseLinear._adopt(np.array([iv.a, iv.b]), np.zeros(2)), None, None
 
     grid = block_grid(iv, n)
     e = grid.boundaries()
@@ -125,15 +136,22 @@ def approximant_with_infima(
             f"f is negative on block {k_bad} (sampled infimum {m[k_bad - 1]:.3g})"
         )
 
+    # the knots in place: two, then three for each inner edge
     eps = grid.epsilon
-    # np.where, not np.minimum: a tie between -0.0 and 0.0 keeps m_k
-    ramp_lo = np.where(m[:-1] <= m[1:], m[:-1], m[1:])
-    xs = np.column_stack([e[1:-1], e[1:-1] + eps, e[2:] - eps]).ravel()
-    ys = np.column_stack([ramp_lo, m[1:], m[1:]]).ravel()
-    xs = np.concatenate([[e[0], e[1] - eps], xs[:-1], [e[-1]]])
-    ys = np.concatenate([m[:1], m[:1], ys])
-    keep = np.concatenate([[True], xs[1:] != xs[:-1]])  # rounding can merge knots
-    return PiecewiseLinear(xs[keep], ys[keep]), blocks, m
+    xs, ys = np.empty(3 * m.size - 1), np.empty(3 * m.size - 1)
+    xs[0], xs[1], xs[-1] = e[0], e[1] - eps, e[-1]
+    xs[2::3] = e[1:-1]
+    np.add(e[1:-1], eps, out=xs[3::3])
+    np.subtract(e[2:-1], eps, out=xs[4:-1:3])
+    ys[:2] = m[0]
+    ys[2::3] = ys[3::3] = ys[4::3] = m[1:]
+    # min(m_k, m_{k+1}) where a tie between -0.0 and 0.0 keeps m_k
+    np.copyto(ys[2::3], m[:-1], where=m[:-1] <= m[1:])
+    merged = xs[1:] == xs[:-1]  # rounding can merge knots
+    if merged.any():
+        keep = np.concatenate([[True], ~merged])
+        xs, ys = xs[keep], ys[keep]
+    return PiecewiseLinear._adopt(xs, ys), blocks, m
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -187,8 +205,11 @@ def eval_pl(g: PiecewiseLinear, x):
     kn, va = g.knots, g.values
     if (arr < kn[0]).any() or (arr > kn[-1]).any():
         raise ValueError(f"point outside knot range [{kn[0]}, {kn[-1]}]")
-    idx = np.clip(np.searchsorted(kn, arr, side="right") - 1, 0, kn.size - 2)
-    y = np.interp(arr, kn, va)
+    idx = np.minimum(np.searchsorted(kn, arr, side="right") - 1, kn.size - 2)  # arr >= kn[0]
+    # np.interp copies a read-only array whole, so it gets only the segments
+    # that hold a point; a point's value depends only on its segment
+    window = slice(idx.min(), idx.max() + 2) if idx.size else slice(None)
+    y = np.interp(arr, kn[window], va[window])
     lo = np.minimum(va[idx], va[idx + 1])
     hi = np.maximum(va[idx], va[idx + 1])
     y = np.clip(y, lo, hi)
@@ -196,7 +217,12 @@ def eval_pl(g: PiecewiseLinear, x):
 
 
 def integrate_pl(g: PiecewiseLinear, c: float, d: float) -> float:
-    """Exact integral of ``g`` over [c, d] (trapezoid rule is exact here)."""
+    """Exact integral of ``g`` over [c, d] (trapezoid rule is exact here).
+
+    The trapezoids' areas are computed and summed exactly in blocks of
+    ``_FSUM_BLOCK`` (``darboux.fsum_blocks``); +-inf when finite areas
+    overflow.
+    """
     iv = g.interval
     if not (iv.a <= c <= d <= iv.b):
         raise ValueError(f"[{c}, {d}] not inside knot range [{iv.a}, {iv.b}]")
@@ -205,12 +231,31 @@ def integrate_pl(g: PiecewiseLinear, c: float, d: float) -> float:
     # knots strictly inside (c, d) with their own values, which eval_pl gives there
     i = np.searchsorted(g.knots, c, side="right")
     j = np.searchsorted(g.knots, d, side="left")
-    yc, yd = eval_pl(g, np.array([c, d]))
-    xs = np.concatenate([[c], g.knots[i:j], [d]])
-    ys = np.concatenate([[yc], g.values[i:j], [yd]])
-    with np.errstate(over="ignore"):  # halving first keeps values near 1e308 finite
-        areas = (0.5 * ys[:-1] + 0.5 * ys[1:]) * np.diff(xs)
-    return fsum_rows(areas[None])[0]  # inf when finite areas overflow
+    yc, yd = eval_pl(g, c), eval_pl(g, d)  # two windows of np.interp (see eval_pl)
+    # points c, knots i..j-1, d: knots i-1 and j hold the places of c and d
+    xs, ys = g.knots[i - 1 : j + 1], g.values[i - 1 : j + 1]
+    last = xs.size - 1  # trapezoids
+
+    def areas():
+        dx, half, out = np.empty(_FSUM_BLOCK), np.empty(_FSUM_BLOCK + 1), np.empty(_FSUM_BLOCK)
+        for s in range(0, last, _FSUM_BLOCK):
+            t = min(s + _FSUM_BLOCK, last)
+            w, h = dx[: t - s], half[: t - s + 1]
+            np.subtract(xs[s + 1 : t + 1], xs[s:t], out=w)
+            np.multiply(ys[s : t + 1], 0.5, out=h)
+            if s == 0:
+                w[0] = (d if last == 1 else xs[1]) - c
+                h[0] = 0.5 * yc
+            if t == last:
+                w[-1] = d - (c if last == 1 else xs[-2])
+                h[-1] = 0.5 * yd
+            # halving first keeps values near 1e308 finite
+            area = np.add(h[:-1], h[1:], out=out[: t - s])
+            area *= w
+            yield area
+
+    with np.errstate(over="ignore"):
+        return darboux.fsum_blocks(areas)
 
 
 def l1_distance(

@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -251,41 +251,90 @@ def _fsum(values) -> float:
 
 # A row of at most this many terms is summed exactly (``fsum_rows``); a
 # longer one in blocks of this many, whose sums are then fsum'd.
+# ``fsum_blocks`` takes its blocks this long.
 _FSUM_BLOCK = 4096
+
+
+def _extract(x: np.ndarray, q: np.ndarray, e: int, b: int) -> tuple[list, bool]:
+    """Error-free extraction from the rows of ``x``, in place.
+
+    Rump, Ogita & Oishi, "Accurate floating-point summation part I:
+    faithful rounding", SIAM J. Sci. Comput. 31(1), 2008.  For rows of
+    fewer than 2**b terms with every |x| <= 2**e, take sigma = 2**(e + b):
+    q = (x + sigma) - sigma and r = x - q are exact, every q is a multiple
+    of 2**-53 * sigma with |q| <= 2**e, so a row's partial sums of q stay
+    below 2**b * 2**e = sigma and ``q.sum()`` is exact in any order.  Every
+    |r| <= 2**-53 * sigma, which is the next round's 2**e.  Two rounds are
+    made, then more while residuals remain and sigma / 2 is normal.
+    ``x`` is left holding the residuals; ``q`` is scratch of its shape.
+    Returns each round's sums of q along the last axis, and whether a
+    residual is nonzero.
+    """
+    sums = []
+    while True:
+        sigma = math.ldexp(1.0, e + b)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        sums.append(q.sum(axis=-1))
+        e += b - 53
+        if len(sums) >= 2:
+            left = bool(x.any())
+            if not left or e + b <= -1022:
+                return sums, left
 
 
 def fsum_rows(rows: np.ndarray, *, _abs: np.ndarray | None = None) -> list[float]:
     """``_fsum`` of each row of a 2-D array, by error-free extraction.
 
-    Rump, Ogita & Oishi, "Accurate floating-point summation part I:
-    faithful rounding", SIAM J. Sci. Comput. 31(1), 2008.  For rows of n
-    terms with every |x| <= 2**e, take sigma = 2**(e + n.bit_length()):
-    q = (x + sigma) - sigma and r = x - q are exact, every q is a multiple
-    of 2**-53 * sigma with |q| <= 2**e, so a row's partial sums of q stay
-    below n * 2**e < sigma and ``q.sum()`` is exact in any order.  Every
-    |r| <= 2**-53 * sigma, which is the second extraction's 2**e.  That
-    leaves each row's exact sum as two partial sums plus the residuals
-    still nonzero, and their fsum is the correctly rounded sum: math.fsum's
-    bits.  Rows with a term that is inf, NaN or 2**960 or more, and rows
-    whose sum is zero (for fsum's sign of zero), go to ``_fsum``.
-    ``_abs`` is ``np.abs(rows)`` when the caller already holds it.
+    Each row's exact sum is its rounds' sums of q (``_extract``, one sigma
+    for all rows) plus the residuals still nonzero, and their fsum is the
+    correctly rounded sum: math.fsum's bits.  Rows with a term that is
+    inf, NaN or 2**960 or more, and rows whose sum is zero (for fsum's
+    sign of zero), go to ``_fsum``.  ``_abs`` is ``np.abs(rows)`` when the
+    caller already holds it.
     """
     m = float((np.abs(rows) if _abs is None else _abs).max()) if rows.size else 0.0
     if not 0 < m < 2.0**960:  # no nonzero term, or one that is not finite or huge
         if len(rows) == 1:
             return [_fsum(rows[0].tolist())]
         return [s for row in rows for s in fsum_rows(row[None])]
-    b = rows.shape[1].bit_length()
-    e = math.frexp(m)[1]  # m < 2**e
-    x, parts = rows, []
-    for sigma in (math.ldexp(1.0, e + b), math.ldexp(1.0, e + 2 * b - 53)):
-        q = x + sigma
-        q -= sigma
-        x = x - q
-        parts.append(q.sum(axis=1).tolist())
-    rest = [r[r != 0].tolist() for r in x] if x.any() else [()] * len(x)
-    sums = [_fsum([s1, s2, *r]) for s1, s2, r in zip(*parts, rest)]
+    x = rows.copy()
+    parts, left = _extract(x, np.empty_like(x), math.frexp(m)[1], rows.shape[1].bit_length())
+    rest = [r[r != 0].tolist() for r in x] if left else [()] * len(x)
+    sums = [_fsum([*p, *r]) for p, r in zip(zip(*[s.tolist() for s in parts]), rest)]
     return [s if s else _fsum(row.tolist()) for s, row in zip(sums, rows)]
+
+
+def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
+    """``_fsum`` of a row that ``blocks()`` yields in 1-D blocks of at most
+    ``_FSUM_BLOCK`` terms, with no array of the row's length.
+
+    Each block is extracted on its own (``_extract``, sigma from its own
+    largest term and length), in place, so a yielded block may be a
+    buffer that the next one reuses.  The row's exact sum is every block's
+    round sums plus their nonzero residuals, and their fsum is math.fsum's
+    bits.  A row with a term that is inf, NaN or 2**960 or more, or whose
+    sum is zero, is taken again from ``blocks()`` and goes to ``_fsum``.
+    """
+    scratch = np.empty(_FSUM_BLOCK)
+    parts: list = []
+    for x in blocks():
+        q = scratch[: x.size]
+        m = float(np.abs(x, out=q).max()) if x.size else 0.0
+        if m == 0:
+            continue
+        if not m < 2.0**960:  # inf, NaN or huge
+            break
+        sums, left = _extract(x, q, math.frexp(m)[1], x.size.bit_length())
+        parts += sums
+        if left:
+            parts += x[x != 0].tolist()
+    else:
+        total = _fsum(parts)
+        if total:
+            return total
+    return _fsum([t for x in blocks() for t in x.tolist()])
 
 
 def compensated_sum(values, *, _abs: np.ndarray | None = None) -> float | list[float]:

@@ -493,6 +493,8 @@ def _log(u):
 
 def _pow_literal(a, c):
     """a^c for a literal exponent c: binary powering for an integer up to 64."""
+    if c != c:  # np.power(1, nan) is 1, but undefinedness propagates
+        return np.full_like(a, np.nan)
     if c.is_integer() and abs(c) <= 64:
         k = int(c)
         if k >= 0:

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -339,6 +341,128 @@ class TestIntegratePl:
             assert integrate_pl(g, c, d).hex() == want.hex(), (c, d)
 
 
+def reference_knots(iv, n, m):
+    """The knots for block infima ``m`` as they were built before being
+    written in place: three columns stacked, raveled, concatenated with the
+    first two and the last knot, and compressed where knots merged."""
+    grid = block_grid(iv, n)
+    e, eps = grid.boundaries(), grid.epsilon
+    if (e[1:] == e[:-1]).any():
+        raise ValueError(
+            f"level {n} is too fine for [{iv.a!r}, {iv.b!r}]:"
+            f" some of its 2^{n} blocks round to zero width"
+        )
+    ramp_lo = np.where(m[:-1] <= m[1:], m[:-1], m[1:])
+    xs = np.column_stack([e[1:-1], e[1:-1] + eps, e[2:] - eps]).ravel()
+    ys = np.column_stack([ramp_lo, m[1:], m[1:]]).ravel()
+    xs = np.concatenate([[e[0], e[1] - eps], xs[:-1], [e[-1]]])
+    ys = np.concatenate([m[:1], m[:1], ys])
+    keep = np.concatenate([[True], xs[1:] != xs[:-1]])
+    return PiecewiseLinear(xs[keep], ys[keep])
+
+
+def reference_eval(g, xs):
+    """eval_pl as it was: np.interp over every knot, clamped into the segment."""
+    kn, va = g.knots, g.values
+    idx = np.clip(np.searchsorted(kn, xs, side="right") - 1, 0, kn.size - 2)
+    y = np.interp(xs, kn, va)
+    return np.clip(y, np.minimum(va[idx], va[idx + 1]), np.maximum(va[idx], va[idx + 1]))
+
+
+def reference_integrate(g, c, d):
+    """integrate_pl as it was: c, the knots strictly inside and d concatenated,
+    every trapezoid's area in one row, fsum'd whole."""
+    if c == d:
+        return 0.0
+    i = np.searchsorted(g.knots, c, side="right")
+    j = np.searchsorted(g.knots, d, side="left")
+    yc, yd = reference_eval(g, np.array([c, d]))
+    xs = np.concatenate([[c], g.knots[i:j], [d]])
+    ys = np.concatenate([[yc], g.values[i:j], [yd]])
+    with np.errstate(over="ignore"):
+        areas = (0.5 * ys[:-1] + 0.5 * ys[1:]) * np.diff(xs)
+    return darboux._fsum(areas.tolist())
+
+
+# infima with ties, signed zeros, subnormals and values near overflow
+INFIMA = (0.0, -0.0, 0.0, 1.0, 1.0, 0.5, 2.0, 5e-324, 1e-300, 1e300, 1.7e308)
+# the float spacing at 2**52 is 1, so eps = 1/3 (n = 3) or less merges knots
+INTERVALS = ((0.0, 1.0), (-3.0, 7.5), (2.0**52, 2.0**52 + 8.0), (2.0**52, 2.0**52 + 4096.0),
+             (1e6, 1e6 + 1e-3), (-1e-300, 1e-300))
+
+
+class TestInPlaceKnots:
+    """The knots written in place, and integrate_pl in blocks, against the
+    constructions they replaced, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        ends=st.one_of(
+            st.sampled_from(INTERVALS),
+            st.tuples(st.floats(-10.0, 10.0), st.floats(-6.0, 3.0)).map(
+                lambda t: (t[0], t[0] + 10.0 ** t[1])),
+        ),
+        palette=st.lists(st.one_of(st.sampled_from(INFIMA), st.floats(0.0, 1e10)),
+                         min_size=1, max_size=6),
+        smooth=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+        knot_cuts=st.lists(st.integers(0, 3 * 2**12), max_size=4),
+    )
+    @example(n=3, ends=(2.0**52, 2.0**52 + 8.0), palette=[1.0], smooth=False, seed=0,
+             cuts=[0.0, 1.0], knot_cuts=[3, 4])
+    @example(n=12, ends=(0.0, 1.0), palette=[0.0, -0.0], smooth=False, seed=1,
+             cuts=[0.25, 0.75], knot_cuts=[])
+    def test_knots_values_and_integrals_bitwise(
+        self, n, ends, palette, smooth, seed, cuts, knot_cuts
+    ):
+        iv = Interval(*ends)
+        rng = np.random.default_rng(seed)
+        m = rng.choice(np.array(palette), 2**n)
+        if smooth:  # distinct infima with ties to the palette here and there
+            m = np.where(rng.random(2**n) < 0.9, np.sort(rng.uniform(0.0, 3.0, 2**n)), m)
+
+        with mock.patch.object(darboux, "infimum_on", lambda *args: m.copy()):
+            got = outcome(lambda: approximant_with_infima(parse("x"), iv, n, EDGES)[0])
+        want = outcome(reference_knots, iv, n, m)
+        assert got == want
+        if isinstance(got[0], type):  # both raised alike
+            return
+        g = PiecewiseLinear(np.frombuffer(got[0]), np.frombuffer(got[1]))
+        kn = g.knots
+        points = sorted(
+            [iv.a + t * iv.width for t in cuts]
+            + [float(kn[k % kn.size]) for k in knot_cuts]
+            + [iv.a, iv.b]
+        )
+        points = [min(max(x, iv.a), iv.b) for x in points]
+        assert eval_pl(g, np.array(points)).tobytes() == reference_eval(g, np.array(points)).tobytes()
+        for c, d in zip(points[:-1], points[1:]):
+            for lo, hi in ((c, d), (iv.a, d), (c, iv.b), (c, c)):
+                assert integrate_pl(g, lo, hi).hex() == reference_integrate(g, lo, hi).hex(), (lo, hi)
+
+    def test_merged_knots_are_dropped(self):
+        iv = Interval(2.0**52, 2.0**52 + 8.0)
+        g = build_approximant(parse("1"), iv, 3, EDGES)
+        # e_k + eps rounds onto e_k and e_k - eps onto e_k or e_k - 1
+        assert g.knots.size < 3 * 8 - 1
+        assert outcome(lambda: g) == outcome(reference_knots, iv, 3, np.ones(8))
+        assert integrate_pl(g, iv.a, iv.b) == 8.0
+
+    def test_integral_takes_no_row_long_temporary(self):
+        # 3 * 2**14 - 1 knots, 384 KB a row; the blocks need 4 buffers of 32 KB
+        g = build_approximant(parse("x^2"), UNIT, 14, EDGES)
+        tracemalloc.start()
+        try:
+            integral = integrate_pl(g, 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert integral.hex() == reference_integrate(g, 0.0, 1.0).hex()
+        assert peak < 200_000, peak
+
+
 class TestL1Distance:
     def test_constant_is_exact_at_level3(self):
         f = parse("1")
@@ -452,3 +576,25 @@ class TestPiecewiseLinearType:
     def test_callable(self):
         g = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
         assert g(0.25) == 0.5
+
+    def test_constructor_copies(self):
+        kn, va = np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 1.0])
+        g = PiecewiseLinear(kn, va)
+        kn[1], va[1] = 0.75, 7.0
+        assert g.knots.tolist() == [0.0, 0.5, 1.0] and g.values.tolist() == [1.0, 2.0, 1.0]
+        assert not g.knots.flags.writeable and not g.values.flags.writeable
+        assert kn.flags.writeable  # the caller's arrays stay theirs
+        assert PiecewiseLinear([0, 1], [2, 3]).knots.dtype == np.float64
+
+    def test_validation_without_float_temporaries_matches_diff(self):
+        # NaN, infinite and equal knots, compared without np.diff
+        for knots in ([0.0, math.nan], [-math.inf, 0.0], [0.0, math.inf], [math.inf, math.inf],
+                      [1.0, 1.0], [-0.0, 0.0], [0.0, 5e-324]):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                ok = bool(np.all(np.diff(knots) > 0))
+            try:
+                PiecewiseLinear(np.array(knots), np.zeros(2))
+            except ValueError:
+                assert not ok, knots
+            else:
+                assert ok, knots

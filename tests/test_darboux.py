@@ -590,7 +590,7 @@ class TestCompensatedSum:
     # 3 * 2**13 + 1 trapezoid areas of integrate_pl at level 13.
     KERNEL_SIZES = (0, 1, 2, 63, 64, 65, 1024, 4095, 4096, 24577)
     KINDS = ("spread", "cancel", "ties", "subnormal", "zeros", "special", "overflow",
-             "one-sign", "residual-bound")
+             "one-sign", "residual-bound", "wide", "to-zero")
 
     @staticmethod
     def terms(kind, size, rng):
@@ -618,6 +618,12 @@ class TestCompensatedSum:
             return rng.uniform(0.9, 1.0, size) * 1e308 * rng.choice([1.0, -1.0], size, p=[0.7, 0.3])
         if kind == "one-sign":  # partial sums near the bound of the first extraction
             return rng.uniform(0.5, 1.0, size) * rng.choice([1.0, -1.0, 3e-310, 3e200])
+        if kind == "wide":  # terms spanning 2**40 to 2**120: more than two extractions
+            span = rng.choice([40, 60, 120])
+            return rng.uniform(-1.0, 1.0, size) * 2.0 ** rng.integers(-span, 1, size)
+        if kind == "to-zero":  # v and -v shuffled: the exact sum is zero
+            v = rng.uniform(-1.0, 1.0, size // 2) * 2.0 ** rng.integers(-60, 60, size // 2)
+            return rng.permutation(np.concatenate([v, -v, np.zeros(size % 2)]))
         # residuals near the bound of the second extraction, 0.75 - 0.75 cancelling
         x = rng.uniform(0.9, 1.0, size) * 2.0 ** (size.bit_length() - 53)
         x *= rng.choice([1.0, -0.5], size, p=[0.97, 0.03])
@@ -647,12 +653,65 @@ class TestCompensatedSum:
         rng = np.random.default_rng(seed)
         values = self.terms(kind, size, rng)
         self.assert_fsum_bits(D.fsum_rows(values[None])[0], values)
+        # the blocked sum, in blocks of 4096, and with more cuts at random
+        grid = [*range(0, size, D._FSUM_BLOCK), size]
+        for ends in (grid, sorted({*grid, *rng.integers(0, size + 1, 3).tolist()})):
+            def blocks():
+                for s, t in zip(ends[:-1], ends[1:]):
+                    yield values[s:t].copy()  # overwritten in place
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.assert_fsum_bits(D.fsum_blocks(blocks), values)
         if size > D._FSUM_BLOCK:
             return
         self.assert_fsum_bits(compensated_sum(values), values)
         rows = np.stack([values, rng.permutation(values), self.terms(other, size, rng), -values])
         for got, row in zip(compensated_sum(rows), rows):
             self.assert_fsum_bits(got, row)
+
+    @example(size=24577, kind="wide", other="zeros", seed=3)
+    @example(size=4096, kind="to-zero", other="zeros", seed=4)
+    @example(size=8192, kind="overflow", other="zeros", seed=5)
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from(KERNEL_SIZES), kind=st.sampled_from(KINDS),
+           other=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_are_extracted_in_place(self, size, kind, other, seed):
+        values = self.terms(kind, size, np.random.default_rng(seed))
+        buffer = np.empty(D._FSUM_BLOCK)
+
+        def blocks():  # one buffer for every block
+            for s in range(0, size, D._FSUM_BLOCK):
+                block = buffer[: min(D._FSUM_BLOCK, size - s)]
+                block[...] = values[s : s + D._FSUM_BLOCK]
+                yield block
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_fsum_bits(D.fsum_blocks(blocks), values)
+
+    def test_wide_rows_leave_no_residual_to_fsum(self, monkeypatch):
+        # terms spanning 2**60: after two extractions most were left as
+        # residuals for fsum; a third leaves none
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0.5, 1.0, (2, 1024)) * 2.0 ** rng.integers(-60, 1, (2, 1024))
+        fsum, seen = D._fsum, []
+        monkeypatch.setattr(D, "_fsum", lambda values: seen.append(len(values)) or fsum(values))
+        got = D.fsum_rows(rows)
+        assert seen == [3, 3]
+        for g, row in zip(got, rows):
+            self.assert_fsum_bits(g, row)
+        seen.clear()
+        got = D.fsum_blocks(lambda: (row.copy() for row in rows))
+        assert seen == [6]
+        self.assert_fsum_bits(got, rows.ravel())
+
+    def test_extraction_stops_where_sigma_leaves_the_normal_range(self):
+        # terms from 2**-930 down to 2**-1074: a third extraction's sigma / 2
+        # would be subnormal, so the residuals left after two go to fsum, and
+        # the subnormal sum keeps their last bit
+        for values in ([2.0**-930, -(2.0**-1000), 3 * 2.0**-1070, 2.0**-1074],
+                       [2.0**-930, -(2.0**-930), 2.0**-1028, 2.0**-1074]):
+            values = np.array(values)
+            self.assert_fsum_bits(D.fsum_rows(values[None])[0], values)
+            self.assert_fsum_bits(D.fsum_blocks(lambda: [values.copy()]), values)
 
     def test_all_negative_zeros_keep_fsum_sign(self):
         for values in (np.full(3, -0.0), np.array([[-0.0, -0.0], [1.0, -1.0]])):

@@ -634,6 +634,17 @@ class TestRoundTrip:
         assert to_text(E.const(-math.nan)) == "(1e999-1e999)"
         assert np.isnan(evaluate_array(parse("(1e999-1e999)"), xs)).all()
 
+    def test_nan_literal_exponent_round_trip_at_one(self):
+        # np.power(1, nan) is 1; the literal and its printed form are NaN there
+        literal = E.pow_(E.var("x"), E.const(math.nan))
+        again = parse(to_text(literal))
+        assert again != literal  # (1e999-1e999) reads back as no literal
+        xs = np.array([-1.0, 0.0, 1.0, 2.0])
+        for e in (literal, again):
+            assert np.isnan(evaluate_array(e, xs)).all()
+        folded = E.add(E.var("x"), E.pow_(E.const(1.0), E.const(math.nan)))
+        assert np.isnan(evaluate_array(folded, xs)).all()
+
 
 class TestExprType:
     def test_immutable(self):

@@ -170,8 +170,9 @@ class TestEnclose:
                         (E.pow_(x, E.const(-2.0)), [1, 1, 0, 0]),
                         (E.pow_(x, E.const(-0.5)), [1, 1, 0, 1]),
                         (parse("x^-2"), [1, 1, 0, 0]),
-                        # an exponent that varies has no rule
-                        (parse("x^x"), [1, 1, 1, 1])):
+                        # an exponent that varies, or a NaN one, has no rule
+                        (parse("x^x"), [1, 1, 1, 1]),
+                        (E.pow_(x, E.const(math.nan)), [1, 1, 1, 1])):
             out = enclose(I.interval_tape(f), lo, hi)[0]
             assert np.isnan(out).tolist() == [[bool(n) for n in none]] * 2, str(f)
 

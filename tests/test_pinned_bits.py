@@ -12,7 +12,9 @@ Three bits moved since, by design: ``x^-1`` at 1e300, ``x^-2`` at 0.3 and
 ``x^-3`` at 3.7, once the parser read ``-k`` after ``^`` as one negative
 literal, whose power ``_pow_literal`` takes as ``1/x^k``.  The tree walker's
 bits for ``x^(-k)``, whose exponent is no literal, stay pinned as
-``pow(x, neg(k))``.
+``pow(x, neg(k))``.  A fourth moved with them: ``pow(x, nan)`` at x = 1 is
+NaN, as it is everywhere else and as its printed form ``x^(1e999-1e999)``
+is, where np.power(1, nan) had given 1.
 """
 
 import math
@@ -290,7 +292,7 @@ EVAL_PINNED = {'x': ('-0x1.0000000000000p+1', '-0x1.0000000000000p+0', '-0x1.000
  'pow(x, 1e300)': ('inf', '0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
                    '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0', 'inf', 'inf', 'inf', 'inf',
                    'inf', 'inf', 'nan'),
- 'pow(x, nan)': ('nan', 'nan', 'nan', 'nan', 'nan', 'nan', 'nan', 'nan', '0x1.0000000000000p+0',
+ 'pow(x, nan)': ('nan', 'nan', 'nan', 'nan', 'nan', 'nan', 'nan', 'nan', 'nan',
                  'nan', 'nan', 'nan', 'nan', 'nan', 'nan', 'nan'),
  'pow(x, neg(1))': ('-0x1.0000000000000p-1', '-0x1.0000000000000p+0', '-0x1.0000000000000p+1', 'nan', 'nan',
                     '0x1.7e43c8800759bp+996', '0x1.aaaaaaaaaaaabp+1', '0x1.0000000000000p+1',
