@@ -306,8 +306,19 @@ def _count(minimum: int, maximum: int | None = None):
 _SAMPLES = _count(2, darboux._CHUNK_POINTS)
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a positive float (not NaN), else a usage error."""
+    value = float(text)
+    if not value > 0:  # NaN as well
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value}")
+    return value
+
+
+_tolerance.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-6) -> None:
-    p.add_argument("--tol", type=float, default=tol_default, help="target tolerance")
+    p.add_argument("--tol", type=_tolerance, default=tol_default, help="target tolerance")
     p.add_argument(
         "--samples",
         type=_SAMPLES,
@@ -387,12 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count(1), default=40, help="maximum truncation steps")
     p.add_argument("--offset", type=float, default=None, help="initial offset for finite open endpoints")
     p.add_argument("--cutoff-base", type=float, default=1.0, help="initial cutoff for infinite endpoints")
-    p.add_argument("--inner-tol", type=float, default=None, help="per-truncation bracket tolerance")
-    p.add_argument("--lhs-inner-tol", type=float, default=None)
+    p.add_argument(
+        "--inner-tol", type=_tolerance, default=None, help="per-truncation bracket tolerance"
+    )
+    p.add_argument("--lhs-inner-tol", type=_tolerance, default=None)
     p.add_argument("--lhs-offset", type=float, default=None)
     p.add_argument("--lhs-cutoff-base", type=float, default=1.0)
     p.add_argument("--lhs-steps", type=_count(1), default=None)
-    p.add_argument("--lhs-tol", type=float, default=None)
+    p.add_argument("--lhs-tol", type=_tolerance, default=None)
     _add_common(p, tol_default=1e-6)
     p.set_defaults(func=cmd_improper)
 
@@ -413,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="run the built-in examples end to end")
     p.add_argument("--only", default=None, help="run a single entry (E1, E2 or E3)")
-    p.add_argument("--tol", type=float, default=None, help="override every entry's tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override every entry's tolerance")
     p.add_argument("--samples", type=_SAMPLES, default=None)
     p.add_argument("--max-cells", type=_count(1), default=CELL_CAP)
     p.add_argument("--json", action="store_true")

@@ -6,8 +6,9 @@ between samples (and the upper sum underestimate a supremum).  Over a
 ``Partition``, ``lower_sum`` and ``upper_sum`` weight by the cell widths
 the very extrema ``infimum_on`` and ``supremum_on`` give for it.  For
 functions that are piecewise monotone at the sampling scale the bracket
-is exact; callers needing guarantees pass ``hints`` listing the interior
-turning points, which makes every cell extremum exact.
+is exact; callers of these four partition functions that need guarantees
+pass ``hints`` listing the interior turning points, which makes every
+cell extremum exact.
 
 At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression that
 ``differentiate`` accepts is tested for monotone cells first: f and f'
@@ -28,7 +29,7 @@ with 2,048 or more cells to enclose have their edges evaluated and those
 cells enclosed in a call each; one call then samples the rest.  Evaluation
 and enclosure go cell by cell, so this moves neither the rule nor a cell.
 ``integrate`` keeps which cells of the last level it accepted the test
-certified, a bit a cell.  The grids nest, so a cell of the next level
+certified, a bool a cell.  The grids nest, so a cell of the next level
 lies inside one of them, and inside its enclosures too (inclusion
 monotonicity: Moore, Kearfott & Cloud, "Introduction to Interval
 Analysis", 2009): it is certified without an enclosure of its own once
@@ -51,8 +52,8 @@ already give tight values.
 
 Levels that cannot close are skipped, keeping every bit of plain
 doubling.  The grids nest exactly (``2j * (s/2) == j * s``), and the two
-halves of a cell share its midpoint sample and hold all its samples and
-hints, so width(2M) >= width(M)/2 in exact arithmetic.  Certified cells
+halves of a cell share its midpoint sample and hold all its samples, so
+width(2M) >= width(M)/2 in exact arithmetic.  Certified cells
 keep the bound: a certified cell's range is that of its two edges, which
 are edge samples of its halves, and a certified half's range holds every
 sample inside it, f being monotone there.  (The halves of a certified
@@ -68,10 +69,11 @@ goes back to the first skipped level and doubles plainly from there.
 Isolated undefined sample points (both neighbours defined) are left
 out and two adjacent ones raise ``UndefinedSamplesError``; this is how
 endpoint singularities like a derivative that only fails to exist at the
-boundary are tolerated.  Hints follow one rule everywhere: a hint
-strictly inside a cell folds its value into that cell's min and max, a
-tie keeps the grid sample's value, and an undefined hint value is left
-out, so hints never change which grids raise.
+boundary are tolerated.  Hints, which the partition functions and
+``approximant.build_approximant`` take, follow one rule: a hint strictly
+inside a cell folds its value into that cell's min and max, a tie keeps
+the grid sample's value, and an undefined hint value is left out, so
+hints never change which grids raise.
 Results are bitwise reproducible.  A row of at most 4096 terms gets its
 correctly rounded sum, the bits of math.fsum, from the error-free
 extraction of Rump, Ogita & Oishi (SIAM J. Sci. Comput. 31(1), 2008) in
@@ -402,26 +404,6 @@ def _cell_extrema(ys: np.ndarray, w: int, lo=None, hi=None, ends=None):
     return lo, hi, undefined
 
 
-def _hint_values(ev: Evaluator, hints: Sequence[float] | None, a: float, b: float):
-    """(sorted hint points inside (a, b), their values), both empty without any."""
-    inside = sorted(h for h in (() if hints is None else hints) if a < h < b)
-    hint_xs = np.asarray(inside, dtype=float)
-    return hint_xs, ev(hint_xs) if inside else hint_xs
-
-
-def _fold_hints(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, values: np.ndarray) -> None:
-    """Fold each hint's value into its cell's (min, max), in order.
-
-    A tie keeps the value already there, and an undefined (NaN) value,
-    which compares false, is left out.
-    """
-    for i, y in zip(cell.tolist(), values.tolist()):
-        if y < lo[i]:
-            lo[i] = y
-        if y > hi[i]:
-            hi[i] = y
-
-
 def _cell_bounds(
     f: Integrand,
     cells: Interval | Partition,
@@ -464,8 +446,16 @@ def _cell_bounds(
         for c0 in range(start, stop, per_chunk):
             c1 = min(stop, c0 + per_chunk)
             _cell_extrema(ev(grid(pts[c0 : c1 + 1])), w, lo[c0:c1], hi[c0:c1])
-    hint_xs, hint_ys = _hint_values(ev, hints, pts[0], pts[-1])
-    _fold_hints(lo, hi, np.searchsorted(pts, hint_xs, side="right") - 1, hint_ys)
+    inside = sorted(h for h in (() if hints is None else hints) if pts[0] < h < pts[-1])
+    if inside:
+        hint_xs = np.asarray(inside, dtype=float)
+        cell = np.searchsorted(pts, hint_xs, side="right") - 1
+        # in order; a tie keeps the grid value, and NaN, which compares false, is left out
+        for i, y in zip(cell.tolist(), ev(hint_xs).tolist()):
+            if y < lo[i]:
+                lo[i] = y
+            if y > hi[i]:
+                hi[i] = y
     if isinstance(cells, Interval):
         return float(lo[0]), float(hi[0])
     return lo, hi
@@ -593,68 +583,24 @@ def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
     return holes
 
 
-class _Certified:
-    """The cells of a level of ``cells`` that the monotone test
-    certified, a bit a cell in ``bits`` (``np.packbits`` order), and those
-    of the level it refines.
-
-    ``parent`` holds the bits of the last level accepted before this one
-    when this level's cells nest in it, cell k in parent cell k // ratio,
-    and is None otherwise.  An accepted level lets go of its parent
-    (``done``), so at most two levels' bits are alive at once.
-    """
-
-    __slots__ = ("cells", "bits", "parent", "ratio")
-
-    def __init__(self, cells: int, parent: "_Certified | None" = None):
-        self.cells = cells
-        self.bits = np.zeros(-(-cells // 8), np.uint8)
-        nests = parent is not None and cells % parent.cells == 0
-        self.parent = parent.bits if nests else None
-        self.ratio = cells // parent.cells if nests else 0
-
-    def inherited(self, k0: int, k1: int) -> np.ndarray:
-        """Whether each of cells k0..k1-1 lies in a certified parent cell."""
-        if self.parent is None:
-            return np.zeros(k1 - k0, dtype=bool)
-        p0, p1 = k0 // self.ratio, (k1 - 1) // self.ratio + 1
-        parents = _get_bits(self.parent, p0, p1).repeat(self.ratio)
-        return parents[k0 - p0 * self.ratio : k1 - p0 * self.ratio]
-
-    def put(self, k0: int, certified: np.ndarray) -> None:
-        """Set the bits of cells k0, k0 + 1, ...; cells are put in ascending order."""
-        s = k0 - k0 % 8
-        head = _get_bits(self.bits, s, k0)
-        packed = np.packbits(np.concatenate((head, certified)))
-        self.bits[s // 8 : s // 8 + packed.size] = packed
-
-    def done(self) -> "_Certified":
-        self.parent = None
-        return self
-
-
-def _get_bits(bits: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Bits i0..i1-1 of a packed bit array, as bools."""
-    at = i0 - i0 % 8
-    return np.unpackbits(bits[at // 8 : (i1 + 7) // 8]).view(bool)[i0 - at : i1 - at]
-
-
 def _monotone_pass(
-    ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask
+    ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent
 ) -> tuple[np.ndarray, bool]:
     """Cells c0..c1-1 of a level of ``cells`` tested for monotone cells:
     (which of them are certified, whether the test goes on).  The tested
     cells' edge extrema are written into ``lo`` and ``hi`` (a slot a cell
-    from c0), and the chunk's bits are put into ``mask``.
+    from c0).
 
     A cell is certified when f's enclosure is finite, f' keeps one sign on
     it and both edge values are defined and nonzero: f is monotone there, so
     its extrema are its edge values, taken in ``_cell_extrema``'s operand
     order.  (A zero edge value could tie a zero of the other sign among the
-    samples.)  A cell that ``mask`` marks inherited lies inside a cell the
-    level before certified, so inside that cell's enclosures: only its edge
-    values are checked.  The test stops after a block of _MONOTONE_CELLS
-    cells whose certified cells save fewer than _TEST_SAMPLES samples a cell.
+    samples.)  ``parent`` is None or the certified cells of a level that
+    this one refines, cell k inside its cell k // (cells // parent.size).
+    A cell inside a certified parent cell inherits: it lies inside that
+    cell's enclosures, so only its edge values are checked.  The test stops
+    after a block of _MONOTONE_CELLS cells whose certified cells save fewer
+    than _TEST_SAMPLES samples a cell.
     A group of blocks has its edges evaluated in one call and its fresh (not
     inherited) cells enclosed in one call.  Blocks join until the fresh cells
     reach _MONOTONE_CELLS, and a block that could fail ends its group, so no
@@ -663,7 +609,11 @@ def _monotone_pass(
     """
     bounds = [*range(0, c1 - c0, _MONOTONE_CELLS), c1 - c0]
     starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
-    inherited = mask.inherited(c0, c1)
+    if parent is None:
+        inherited = np.zeros(c1 - c0, dtype=bool)
+    else:
+        r = cells // parent.size
+        inherited = parent[c0 // r : (c1 - 1) // r + 1].repeat(r)[c0 % r : c0 % r + c1 - c0]
     held = np.add.reduceat(inherited, starts, dtype=np.intp)
     fresh_before = np.cumsum(np.append(0, sizes - held)).tolist()
     could_fail = (held * w < _TEST_SAMPLES * sizes).tolist()  # with every fresh cell uncertified
@@ -702,7 +652,6 @@ def _monotone_pass(
         last_block = int(np.count_nonzero(part[bounds[h - 1] - k0 :]))  # the others pass
         testing = last_block * w >= _TEST_SAMPLES * int(sizes[h - 1])
         g = h
-    mask.put(c0, certified)
     return certified, testing
 
 
@@ -712,10 +661,9 @@ def _uniform_sums(
     b: float,
     cells: int,
     cfg: SamplingConfig,
-    hints: Sequence[float] | None,
     tape: tuple | None = None,
-    mask: _Certified | None = None,
-) -> tuple[float, float, float, bool, int]:
+    parent: np.ndarray | None = None,
+) -> tuple[float, float, float, bool, np.ndarray | None]:
     """(lower, upper, magnitude, holes, certified) over ``cells`` equal cells of [a, b].
 
     Cell i samples the uniform grid slice [i*w, i*w + w] for w =
@@ -732,20 +680,18 @@ def _uniform_sums(
     With ``tape`` (``_monotone_tape``), each chunk is tested for monotone
     cells in one pass (``_monotone_pass``), block by block until a block
     certifies too few to pay for its test; one ``_sampled_cells`` call a
-    chunk samples every other cell.  ``certified`` counts the cells whose
-    extrema came from their edges, 0 without a tape.  ``mask`` (a
-    ``_Certified``) gives each pass the cells that inherit a certified
-    parent and takes those it certified; without it nothing is inherited.
+    chunk samples every other cell.  ``certified`` marks the cells whose
+    extrema came from their edges, a bool a cell, and is None without a
+    tape.  ``parent`` (``_monotone_pass``), the certified cells of a level
+    whose cell count divides ``cells``, gives the cells that inherit.
     """
     w = cfg.samples_per_cell - 1
     dx = (b - a) / cells
     step = (b - a) / (cells * w)
     last = cells * w  # the index of sample b
-    pins = None if hints is None else _hint_values(ev, hints, a, b)
-    if tape is not None and mask is None:
-        mask = _Certified(cells)
+    certified = None if tape is None else np.zeros(cells, dtype=bool)
 
-    holes, certified, testing = False, 0, tape is not None
+    holes, testing = False, tape is not None
     lowers, uppers, magnitude = [], [], 0.0  # each summation chunk's sums
     cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
     # room for one chunk's (lo, hi), so no two chunks' are alive at once
@@ -756,19 +702,10 @@ def _uniform_sums(
         lo, hi = pair[0], pair[1]
         todo = range(c1 - c0)
         if testing:
-            sure, testing = _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask)
-            certified += int(np.count_nonzero(sure))
+            sure, testing = _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent)
+            certified[c0:c1] = sure
             todo = np.flatnonzero(~sure)
         holes = _sampled_cells(ev, a, b, step, w, last, c0, todo, lo, hi) or holes
-        if pins is not None and pins[0].size:
-            hint_xs, hint_ys = pins
-            edges = a + dx * np.arange(c0, c1 + 1)
-            if c1 == cells:
-                edges[-1] = b  # as the last sample is, so no hint below b falls out
-            # a hint on an edge belongs to the cell on its right, also across chunks
-            idx = np.searchsorted(edges, hint_xs, side="right") - 1
-            keep = (idx >= 0) & (idx < c1 - c0)
-            _fold_hints(lo, hi, idx[keep], hint_ys[keep])
         if c1 - c0 <= _FSUM_BLOCK:  # one |pair| pass bounds the extraction too
             size = np.abs(pair)
             lower, upper = compensated_sum(pair, _abs=size)
@@ -788,7 +725,7 @@ def integrate(
     iv: Interval,
     tol: float,
     cfg: SamplingConfig = DEFAULT_CONFIG,
-    hints: Sequence[float] | None = None,
+    *,
     max_cells: int = CELL_CAP,
     start_cells: int = START_CELLS,
 ) -> DarbouxEstimate:
@@ -824,10 +761,10 @@ def integrate(
     while True:
         jumped = 0 < 2 * last < cells
         levels, swept = levels + 1, swept + cells
-        mask = None if tape is None else _Certified(cells, kept)
+        parent = kept if kept is not None and cells % kept.size == 0 else None
         try:
-            lower, upper, magnitude, holes, certified = _uniform_sums(
-                ev, iv.a, iv.b, cells, cfg, hints, tape, mask
+            lower, upper, magnitude, holes, sure = _uniform_sums(
+                ev, iv.a, iv.b, cells, cfg, tape, parent
             )
             undo = jumped and (holes or not math.isfinite(upper - lower))
         except UndefinedSamplesError:
@@ -837,7 +774,8 @@ def integrate(
         if undo:  # a skipped level may have failed first or broken the bound
             cells, jumps = 2 * last, False
             continue
-        kept = None if mask is None else mask.done()
+        kept = sure
+        certified = 0 if sure is None else int(np.count_nonzero(sure))
         est = DarbouxEstimate(lower, upper, iv.width / cells, cells, levels, swept, certified)
         gap = upper - lower
         if not math.isfinite(gap):
@@ -869,7 +807,7 @@ def integrate_signed(
     b: float,
     tol: float,
     cfg: SamplingConfig = DEFAULT_CONFIG,
-    hints: Sequence[float] | None = None,
+    *,
     max_cells: int = CELL_CAP,
 ) -> DarbouxEstimate:
     """Oriented integral: reversing the endpoints negates the estimate.
@@ -879,5 +817,5 @@ def integrate_signed(
     if a == b:
         return DarbouxEstimate(0.0, 0.0, norm=0.0, cells=0)
     if a < b:
-        return integrate(f, Interval(a, b), tol, cfg, hints, max_cells)
-    return -integrate(f, Interval(b, a), tol, cfg, hints, max_cells)
+        return integrate(f, Interval(a, b), tol, cfg, max_cells=max_cells)
+    return -integrate(f, Interval(b, a), tol, cfg, max_cells=max_cells)

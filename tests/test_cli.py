@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,9 @@ from quadratura.gallery import GALLERY
 from quadratura.improper import ImproperSchedule, improper_verify
 from quadratura.partition import Interval, uniform_partition
 
+
+IMPROPER = ["improper", "--f", "x", "--phi", "1/(1+t)", "--alpha", "0", "--beta", "inf",
+            "--open-alpha"]
 
 # ``reason`` is empty when both sides closed
 SUBSTITUTE_KEYS = {"lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict", "reason"}
@@ -74,20 +78,23 @@ class TestIntegrateCommand:
         assert code == EXIT_OK
         assert json.loads(out)["midpoint"] == 999.5
 
-    def test_nan_tolerance_is_usage_error(self, capsys):
-        code = main(["integrate", "--f", "x", "--a", "0", "--b", "1", "--tol", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--f", "x", "--a", "0", "--b", "1", "--tol"],
+        ["substitute", "--f", "x", "--phi", "t", "--alpha", "0", "--beta", "1", "--tol"],
+        [*IMPROPER, "--tol"], [*IMPROPER, "--inner-tol"], [*IMPROPER, "--lhs-inner-tol"],
+        [*IMPROPER, "--lhs-tol"], ["gallery", "--tol"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+    @pytest.mark.parametrize("value", ["nan", "-1", "0"])
+    def test_nan_tolerance_is_usage_error(self, capsys, argv, value):
+        # rejected before any work: one error line, nothing on stdout
+        with mock.patch.object(darboux, "integrate", side_effect=AssertionError("integrated")):
+            code = main([*argv, value])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
-        assert captured.err.splitlines() == ["error: tolerance must be positive, got nan"]
-        # substitute reports both sides inconclusive, as it does for --tol -1
-        argv = ["substitute", "--f", "x", "--phi", "t", "--alpha", "0", "--beta", "1", "--tol"]
-        code, out = run(capsys, *argv, "nan")
-        payload = json.loads(out)
-        assert code == EXIT_NUMERIC and payload["verdict"] == "inconclusive"
-        assert payload["lhs"] is payload["rhs"] is None
-        assert payload["reason"] == ("lhs: tolerance must be positive, got nan; "
-                                     "rhs: tolerance must be positive, got nan")
-        assert run(capsys, *argv, "-1")[0] == code
+        option = argv[-1]
+        assert captured.err.splitlines() == [
+            f"error: argument {option}: tolerance must be positive, got {float(value)}"
+        ]
 
     def test_overflowing_width_is_usage_error(self, capsys):
         code = main(["integrate", "--f", "x", "--a", "-1e308", "--b", "1e308"])

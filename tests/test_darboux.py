@@ -190,7 +190,6 @@ def hint_rule_outcomes(f, iv, hints):
         "supremum_on": lambda: supremum_on(f, one_cell, EDGES, hints).tobytes(),
         "lower_sum": lambda: lower_sum(f, one_cell, EDGES, hints),
         "upper_sum": lambda: upper_sum(f, uniform_partition(iv, 4), EDGES, hints),
-        "integrate": lambda: integrate(f, iv, 1e-3, EDGES, hints).lower.hex(),
         "build_approximant": lambda: build_approximant(f, iv, 4, EDGES, hints).values.tobytes(),
     }
     out = {}
@@ -268,13 +267,11 @@ class TestArrayHints:
         arr = np.array(hints, dtype=float)
 
         def results(h):
-            est = integrate(f, iv, 1e-6, EDGES, h)
             g = build_approximant(f, iv, 6, EDGES, h)
             return (
                 infimum_on(f, Interval(0.0, 0.45), EDGES, h),
                 supremum_on(f, p, EDGES, h).tobytes(),
                 lower_sum(f, p, EDGES, h),
-                (est.lower, est.upper, est.cells),
                 g.knots.tobytes(), g.values.tobytes(),
             )
 
@@ -838,28 +835,12 @@ class TestWorkCounts:
         assert fwd.levels > 0 and (rev.levels, rev.swept) == (fwd.levels, fwd.swept)
 
 
-class TestHintOnChunkEdge:
-    # 65,536 cells of 63 gaps: chunks of 33,288 cells, one edge at cell 33,288
-    CFG = SamplingConfig(samples_per_cell=64)
-
-    def hint_effect(self, a, b, k):
-        cells = 65536
-        c = a + (b - a) / cells * k
-        ev = D.as_evaluator(parse(f"abs(x-{c!r})^0.01"))
-        hinted = D._uniform_sums(ev, a, b, cells, self.CFG, [c])[0]
-        return hinted - D._uniform_sums(ev, a, b, cells, self.CFG, None)[0]
-
-    def test_hint_on_chunk_edge_counts(self):
-        assert self.hint_effect(1.0 / 3.0, 2.0, 33288) < -1e-6
-        assert self.hint_effect(0.1, 1.3, 33287) < -1e-6  # an edge inside a chunk
-
-
-def plain_doubling(f, iv, tol, cfg, hints, max_cells, start_cells):
+def plain_doubling(f, iv, tol, cfg, max_cells, start_cells):
     """The refinement rule without level skipping: N, 2N, 4N, ... up to the cap."""
     ev = D.as_evaluator(f)
     cells = min(start_cells, max_cells)
     while True:
-        lower, upper = D._uniform_sums(ev, iv.a, iv.b, cells, cfg, hints)[:2]
+        lower, upper = D._uniform_sums(ev, iv.a, iv.b, cells, cfg)[:2]
         est = DarbouxEstimate(lower, upper, iv.width / cells, cells)
         gap = upper - lower
         if not math.isfinite(gap):
@@ -875,12 +856,12 @@ def plain_doubling(f, iv, tol, cfg, hints, max_cells, start_cells):
         cells = min(cells * 2, max_cells)
 
 
-def integrate_outcome(run, *args):
+def integrate_outcome(run, *args, **kwargs):
     def bits(est):
         return est.lower.hex(), est.upper.hex(), est.norm.hex(), est.cells
 
     try:
-        return bits(run(*args))
+        return bits(run(*args, **kwargs))
     except NonConvergenceError as exc:
         return type(exc), str(exc), bits(exc.estimate)
     except UndefinedSamplesError as exc:
@@ -889,7 +870,7 @@ def integrate_outcome(run, *args):
 
 # Isolated holes across 0 (x/x, sin(x)/x, a jump with a hole), a band of
 # adjacent undefined samples, poles with finite, overflowing and infinite
-# samples, sin(1/x), a kink for hints, and a huge offset.
+# samples, sin(1/x), a kink, and a huge offset.
 SKIP_FORMULAS = (
     "x/x", "sin(x)/x", "x/abs(x)", "sqrt(x^2-0.0001)", "1/(x-0.3)", "1e300/(x-0.3)",
     "exp(1/x)", "sin(1/x)", "abs(x-1/3)^0.01", "1e6+sin(200*x)",
@@ -905,20 +886,7 @@ def skip_cases(draw):
     samples = draw(st.sampled_from([2, 3, 8, 64]))
     start = draw(st.sampled_from([3, 7]))
     tol = 10.0 ** draw(st.floats(-9.0, -2.0))
-    chunk = 2**21 // (samples - 1)  # cells per evaluation chunk
-    hints = None
-    if draw(st.booleans()):
-        hints = []
-        for _ in range(draw(st.integers(1, 4))):
-            if draw(st.booleans()):
-                hints.append(a + draw(st.floats(0.0, 1.0)) * (b - a))
-                continue
-            # an edge of some level, or the chunk edge of a level that has one
-            cells = min(start << draw(st.integers(0, 14)), SKIP_CAP)
-            on_chunk = cells > chunk and draw(st.booleans())
-            k = chunk if on_chunk else draw(st.integers(1, cells - 1))
-            hints.append(a + (b - a) / cells * k)
-    return text, a, b, samples, start, tol, hints
+    return text, a, b, samples, start, tol
 
 
 class TestLevelSkipping:
@@ -927,33 +895,29 @@ class TestLevelSkipping:
     @settings(max_examples=100, deadline=None)
     @given(case=skip_cases())
     # gap cancellation under |lower| = 1e9: fails without the absolute margin
-    @example(case=("1e9+sin(20*x)", 0.0, 1.0, 2, 3, float.fromhex("0x1.1378p-10"), None))
+    @example(case=("1e9+sin(20*x)", 0.0, 1.0, 2, 3, float.fromhex("0x1.1378p-10")))
     # a hole on a skipped level's edge splits the jump: fails without the fallback
-    @example(case=("x/abs(x)", -1.0, 1.0, 64, 3, 1e-3, None))
-    # a hint on the edge between the two evaluation chunks of 49,152 cells
-    @example(case=("abs(x-1/3)^0.01", 1.0 / 3.0, 2.0, 64, 3, 1e-4,
-                   [1.0 / 3.0 + (2.0 - 1.0 / 3.0) / 49152 * 33288]))
+    @example(case=("x/abs(x)", -1.0, 1.0, 64, 3, 1e-3))
     def test_matches_plain_doubling_bitwise(self, case):
-        text, a, b, samples, start, tol, hints = case
-        args = (parse(text), Interval(a, b), tol, SamplingConfig(samples_per_cell=samples),
-                hints, SKIP_CAP, start)
+        text, a, b, samples, start, tol = case
+        f, iv, cfg = parse(text), Interval(a, b), SamplingConfig(samples_per_cell=samples)
         with np.errstate(all="ignore"):
-            want = integrate_outcome(plain_doubling, *args)
-            got = integrate_outcome(integrate, *args)
+            want = integrate_outcome(plain_doubling, f, iv, tol, cfg, SKIP_CAP, start)
+            got = integrate_outcome(
+                integrate, f, iv, tol, cfg, max_cells=SKIP_CAP, start_cells=start
+            )
         assert got == want
 
 
-def whole_chunk_sums(ev, a, b, cells, cfg, hints, tape=None, mask=None):
+def whole_chunk_sums(ev, a, b, cells, cfg, tape=None, parent=None):
     """``_uniform_sums`` with each summation chunk sampled and evaluated at once.
 
-    Every cell is sampled, so ``tape`` and ``mask`` go unused and nothing is
-    certified.
+    Every cell is sampled, so ``tape`` and ``parent`` go unused and nothing
+    is certified.
     """
     w = cfg.samples_per_cell - 1
     step = (b - a) / (cells * w)
     dx = (b - a) / cells
-    hint_xs = np.array(sorted(h for h in hints or () if a < h < b), dtype=float)
-    hint_ys = ev(hint_xs) if hint_xs.size else hint_xs
     lo_parts, hi_parts = [], []
     magnitude, holes = 0.0, False
     cells_per_chunk = max(1, D._SUM_CHUNK_POINTS // w)
@@ -966,19 +930,10 @@ def whole_chunk_sums(ev, a, b, cells, cfg, hints, tape=None, mask=None):
         if undefined is not None:
             undefined += c0 * w
             holes = holes or bool(((undefined > 0) & (undefined < cells * w)).any())
-        if hint_xs.size:
-            edges = a + dx * np.arange(c0, c1 + 1)
-            if c1 == cells:
-                edges[-1] = b
-            # a hint on an edge goes to the cell on its right; a tie or a NaN changes nothing
-            for i, y in zip(np.searchsorted(edges, hint_xs, side="right") - 1, hint_ys):
-                if 0 <= i < c1 - c0:
-                    lo[i] = y if y < lo[i] else lo[i]
-                    hi[i] = y if y > hi[i] else hi[i]
         lo_parts.append(compensated_sum(lo))
         hi_parts.append(compensated_sum(hi))
         magnitude += float(np.abs(lo).sum() + np.abs(hi).sum())
-    return D._fsum(lo_parts) * dx, D._fsum(hi_parts) * dx, magnitude * dx, holes, 0
+    return D._fsum(lo_parts) * dx, D._fsum(hi_parts) * dx, magnitude * dx, holes, None
 
 
 def sums_outcome(run, *args):
@@ -989,10 +944,10 @@ def sums_outcome(run, *args):
     return lower.hex(), upper.hex(), magnitude.hex(), holes, certified
 
 
-def counted_outcome(run, *args):
+def counted_outcome(run, *args, **kwargs):
     """``integrate_outcome`` with the work counts of the estimate."""
     try:
-        est, head = run(*args), ()
+        est, head = run(*args, **kwargs), ()
     except NonConvergenceError as exc:
         est, head = exc.estimate, (type(exc), str(exc))
     except UndefinedSamplesError as exc:
@@ -1008,7 +963,7 @@ def sample_at(a, b, cells, w, i):
 
 @st.composite
 def block_cases(draw):
-    """A level whose undefined points and hints sit on evaluation-block and summation-chunk edges."""
+    """A level whose undefined points sit on evaluation-block and summation-chunk edges."""
     samples = draw(st.sampled_from([2, 3, 8, 17, 64]))
     w = samples - 1
     chunk_points = draw(st.sampled_from([17, 100, D._CHUNK_POINTS]))
@@ -1022,18 +977,14 @@ def block_cases(draw):
     for c0 in range(0, cells, per_sum):
         edges.update(range(c0 * w, min(cells, c0 + per_sum) * w, per_block * w))
     edges = sorted(edges)
-    bad, hints = set(), []
+    bad = set()
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.sampled_from(edges)) if draw(st.booleans()) else draw(
             st.integers(0, cells * w))
-        kind = draw(st.sampled_from(["isolated", "pair-left", "pair-right", "hint"]))
-        x = sample_at(a, b, cells, w, i)
-        if kind == "hint":
-            hints.append(x)
-            continue
+        kind = draw(st.sampled_from(["isolated", "pair-left", "pair-right"]))
         span = {"isolated": (i,), "pair-left": (i - 1, i), "pair-right": (i, i + 1)}[kind]
         bad.update(sample_at(a, b, cells, w, j) for j in span if 0 <= j <= cells * w)
-    return samples, chunk_points, sum_points, a, b, cells, sorted(bad), hints or None
+    return samples, chunk_points, sum_points, a, b, cells, sorted(bad)
 
 
 def block_integrand(bad, sizes):
@@ -1058,27 +1009,24 @@ class TestEvaluationBlocks:
     @given(case=block_cases())
     # an isolated undefined sample on the first block edge (17 points, 16 gaps)
     @example(case=(2, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100,
-                   [sample_at(0.0, 1.0, 100, 1, 16)], None))
+                   [sample_at(0.0, 1.0, 100, 1, 16)]))
     # adjacent undefined samples on each side of that edge
     @example(case=(3, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100,
-                   [sample_at(0.0, 1.0, 100, 2, i) for i in (15, 16)], None))
+                   [sample_at(0.0, 1.0, 100, 2, i) for i in (15, 16)]))
     @example(case=(3, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100,
-                   [sample_at(0.0, 1.0, 100, 2, i) for i in (16, 17)], None))
+                   [sample_at(0.0, 1.0, 100, 2, i) for i in (16, 17)]))
     # an undefined sample at b, in the last of several blocks, is not a hole
-    @example(case=(2, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100, [1.0], None))
-    # a hint on a block edge that is also a summation-chunk edge (64 points)
-    @example(case=(8, 17, 64, 0.1, 1.1, 40, [],
-                   [sample_at(0.1, 1.1, 40, 7, 63)]))
+    @example(case=(2, 17, D._SUM_CHUNK_POINTS, 0.0, 1.0, 100, [1.0]))
     def test_level_matches_whole_chunks(self, case):
-        samples, chunk_points, sum_points, a, b, cells, bad, hints = case
+        samples, chunk_points, sum_points, a, b, cells, bad = case
         cfg = SamplingConfig(samples_per_cell=samples)
         sizes = []
         f = D.as_evaluator(block_integrand(bad, sizes))
         with mock.patch.object(D, "_CHUNK_POINTS", chunk_points), \
                 mock.patch.object(D, "_SUM_CHUNK_POINTS", sum_points), np.errstate(all="ignore"):
-            want = sums_outcome(whole_chunk_sums, f, a, b, cells, cfg, hints)
+            want = sums_outcome(whole_chunk_sums, f, a, b, cells, cfg)
             sizes.clear()
-            got = sums_outcome(D._uniform_sums, f, a, b, cells, cfg, hints)
+            got = sums_outcome(D._uniform_sums, f, a, b, cells, cfg)
         assert got == want
         assert max(sizes) <= max(chunk_points, samples)
 
@@ -1086,15 +1034,16 @@ class TestEvaluationBlocks:
     @given(case=block_cases(), start=st.sampled_from([3, 7]),
            tol=st.floats(-7.0, -2.0).map(lambda e: 10.0**e))
     def test_integrate_matches_whole_chunks(self, case, start, tol):
-        samples, chunk_points, sum_points, a, b, cells, bad, hints = case
+        samples, chunk_points, sum_points, a, b, cells, bad = case
         cfg = SamplingConfig(samples_per_cell=samples)
         f = block_integrand(bad, [])
-        args = (f, Interval(a, b), tol, cfg, hints, 4 * cells, start)
+        args = (f, Interval(a, b), tol, cfg)
+        kwargs = dict(max_cells=4 * cells, start_cells=start)
         with mock.patch.object(D, "_CHUNK_POINTS", chunk_points), \
                 mock.patch.object(D, "_SUM_CHUNK_POINTS", sum_points), np.errstate(all="ignore"):
             with mock.patch.object(D, "_uniform_sums", whole_chunk_sums):
-                want = counted_outcome(integrate, *args)
-            got = counted_outcome(integrate, *args)
+                want = counted_outcome(integrate, *args, **kwargs)
+            got = counted_outcome(integrate, *args, **kwargs)
         assert got == want
 
     def test_default_sizes_across_chunk_edges(self):
@@ -1105,15 +1054,14 @@ class TestEvaluationBlocks:
         sizes = []
         f = D.as_evaluator(block_integrand(bad, sizes))
         cfg = SamplingConfig(samples_per_cell=64)
-        hints = [sample_at(a, b, cells, w, i + w) for i in at]
         with np.errstate(all="ignore"):
-            want = sums_outcome(whole_chunk_sums, f, a, b, cells, cfg, hints)
+            want = sums_outcome(whole_chunk_sums, f, a, b, cells, cfg)
             sizes.clear()
-            got = sums_outcome(D._uniform_sums, f, a, b, cells, cfg, hints)
+            got = sums_outcome(D._uniform_sums, f, a, b, cells, cfg)
         assert got == want and got[3] is True
         assert max(sizes) <= D._CHUNK_POINTS
         # one more point for each of the 505 block edges inside the level
-        assert sum(sizes) == cells * w + 1 + 505 + len(hints)
+        assert sum(sizes) == cells * w + 1 + 505
 
     def test_sampling_stops_at_the_block_that_raised(self):
         # 2**14 + 1 samples span three blocks; the first one raises
@@ -1124,17 +1072,8 @@ class TestEvaluationBlocks:
             return np.full_like(xs, np.nan)
 
         with pytest.raises(UndefinedSamplesError):
-            D._uniform_sums(D.as_evaluator(f), 0.0, 1.0, 2**14, EDGES, None)
+            D._uniform_sums(D.as_evaluator(f), 0.0, 1.0, 2**14, EDGES)
         assert sizes == [D._CHUNK_POINTS]
-
-    def test_no_hints_evaluate_no_hint_values(self):
-        ev = D.as_evaluator(parse("x/(1+x)"))
-        with mock.patch.object(D, "_hint_values", side_effect=AssertionError("hint values")):
-            D._uniform_sums(ev, 0.0, 1.0, 2**10, EDGES, None)
-            integrate(ev, Interval(0.0, 1.0), 1e-6, EDGES)
-        with mock.patch.object(D, "_hint_values", wraps=D._hint_values) as hinted:
-            D._uniform_sums(ev, 0.0, 1.0, 2**10, EDGES, [0.5])
-        assert hinted.call_count == 1
 
     def test_e1_level_memory(self):
         # E1's rhs integrand at 64 samples: 2**16 cells are 4.1 M samples
@@ -1159,10 +1098,10 @@ class TestEvaluationBlocks:
         # four summation chunks of 2**17 cells at 2 samples: lo and hi are 1 MB each
         monkeypatch.setattr(D, "_SUM_CHUNK_POINTS", 2**17)
         ev = D.as_evaluator(parse("x/(1+x)"))
-        D._uniform_sums(ev, 0.0, 1.0, 2**10, EDGES, None)  # compile the tape first
+        D._uniform_sums(ev, 0.0, 1.0, 2**10, EDGES)  # compile the tape first
         tracemalloc.start()
         try:
-            D._uniform_sums(ev, 0.0, 1.0, 2**19, EDGES, None)
+            D._uniform_sums(ev, 0.0, 1.0, 2**19, EDGES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1171,9 +1110,9 @@ class TestEvaluationBlocks:
 
 
 # float.hex of (lower_sum, upper_sum) on UNIFORM_16, the same on IRREGULAR,
-# integrate's (lower, upper) on [0, 1] at tol 2e-4 and (infimum_on,
-# supremum_on) on PIN_CELL, keyed by (formula, samples, hinted, cells that
-# integrate stops at).  The formulas use arithmetic only, no libm call, so
+# integrate's (lower, upper) on [0, 1] at tol 2e-4 (unhinted rows only:
+# integrate takes no hints) and (infimum_on, supremum_on) on PIN_CELL, keyed
+# by (formula, samples, hinted, cells that integrate stops at).  The formulas use arithmetic only, no libm call, so
 # the bits do not depend on the CPU; the third has an isolated undefined
 # point at 0.5, a grid edge in most rows.
 PIN_HINTS = {
@@ -1191,10 +1130,9 @@ PINNED = {
         '0x1.920b3be7e6554p-2', '0x1.92342da09f4dbp-2',
         '0x1.998f1d838b954p-4', '0x1.163e7b334631ep-1',
     ),
-    ('x/(x^4+1)', 2, True, 4096): (
+    ('x/(x^4+1)', 2, True, None): (
         '0x1.7d292750b5ebfp-2', '0x1.a61884d8b3e8bp-2',
         '0x1.5ea949b128665p-2', '0x1.bb28eda43cc7dp-2',
-        '0x1.920b3be7e6554p-2', '0x1.92342da0a71b7p-2',
         '0x1.998f1d838b954p-4', '0x1.23c6e3224f9d1p-1',
     ),
     ('x/(x^4+1)', 8, False, 4096): (
@@ -1203,10 +1141,9 @@ PINNED = {
         '0x1.920b3be7e6554p-2', '0x1.92342da0a71b6p-2',
         '0x1.998f1d838b954p-4', '0x1.23468bdb80f2cp-1',
     ),
-    ('x/(x^4+1)', 8, True, 4096): (
+    ('x/(x^4+1)', 8, True, None): (
         '0x1.7d292750b5ebfp-2', '0x1.a61884d8b3e8bp-2',
         '0x1.5ea949b128665p-2', '0x1.bb28eda43cc7dp-2',
-        '0x1.920b3be7e6554p-2', '0x1.92342da0a71b7p-2',
         '0x1.998f1d838b954p-4', '0x1.23c6e3224f9d1p-1',
     ),
     ('x/(x^4+1)', 64, False, 4096): (
@@ -1215,10 +1152,9 @@ PINNED = {
         '0x1.920b3be7e6554p-2', '0x1.92342da0a71b6p-2',
         '0x1.998f1d838b954p-4', '0x1.23c6d79af9a09p-1',
     ),
-    ('x/(x^4+1)', 64, True, 4096): (
+    ('x/(x^4+1)', 64, True, None): (
         '0x1.7d292750b5ebfp-2', '0x1.a61884d8b3e8bp-2',
         '0x1.5ea949b128665p-2', '0x1.bb28eda43cc7dp-2',
-        '0x1.920b3be7e6554p-2', '0x1.92342da0a71b7p-2',
         '0x1.998f1d838b954p-4', '0x1.23c6e3224f9d1p-1',
     ),
     ('(x-0.3)^2', 2, False, 4096): (
@@ -1227,10 +1163,9 @@ PINNED = {
         '0x1.f8e224ccd70a3p-4', '0x1.f9769fae0a3d6p-4',
         '0x1.47ae147ae147ap-5', '0x1.70a3d70a3d70cp-2',
     ),
-    ('(x-0.3)^2', 2, True, 4096): (
+    ('(x-0.3)^2', 2, True, None): (
         '0x1.b199999999999p-4', '0x1.23051eb851eb8p-3',
         '0x1.5744f5d35653ep-4', '0x1.61682f944241dp-3',
-        '0x1.f8e224cccccccp-4', '0x1.f9769fae0a3d6p-4',
         '0x0.0p+0', '0x1.70a3d70a3d70cp-2',
     ),
     ('(x-0.3)^2', 8, False, 4096): (
@@ -1239,10 +1174,9 @@ PINNED = {
         '0x1.f8e224cccda2cp-4', '0x1.f9769fae0a3d6p-4',
         '0x1.abfd7e03c2fc8p-11', '0x1.70a3d70a3d70cp-2',
     ),
-    ('(x-0.3)^2', 8, True, 4096): (
+    ('(x-0.3)^2', 8, True, None): (
         '0x1.b199999999999p-4', '0x1.23051eb851eb8p-3',
         '0x1.5744f5d35653ep-4', '0x1.61682f944241dp-3',
-        '0x1.f8e224cccccccp-4', '0x1.f9769fae0a3d6p-4',
         '0x0.0p+0', '0x1.70a3d70a3d70cp-2',
     ),
     ('(x-0.3)^2', 64, False, 4096): (
@@ -1251,10 +1185,9 @@ PINNED = {
         '0x1.f8e224cccccf6p-4', '0x1.f9769fae0a3d6p-4',
         '0x1.522a43f65490fp-17', '0x1.70a3d70a3d70cp-2',
     ),
-    ('(x-0.3)^2', 64, True, 4096): (
+    ('(x-0.3)^2', 64, True, None): (
         '0x1.b199999999999p-4', '0x1.23051eb851eb8p-3',
         '0x1.5744f5d35653ep-4', '0x1.61682f944241dp-3',
-        '0x1.f8e224cccccccp-4', '0x1.f9769fae0a3d6p-4',
         '0x0.0p+0', '0x1.70a3d70a3d70cp-2',
     ),
     ('(x^2-0.25)/(x-0.5)', 2, False, 8192): (
@@ -1263,10 +1196,9 @@ PINNED = {
         '0x1.fff8008000000p-1', '0x1.0003ffc000000p+0',
         '0x1.3333333333333p-1', '0x1.6666666666667p+0',
     ),
-    ('(x^2-0.25)/(x-0.5)', 2, True, 8192): (
+    ('(x^2-0.25)/(x-0.5)', 2, True, None): (
         '0x1.f200000000000p-1', '0x1.0700000000000p+0',
         '0x1.d837b4a2339c2p-1', '0x1.0ac083126e979p+0',
-        '0x1.fff8008000000p-1', '0x1.0003ffc000000p+0',
         '0x1.3333333333333p-1', '0x1.6666666666667p+0',
     ),
     ('(x^2-0.25)/(x-0.5)', 8, False, 8192): (
@@ -1275,10 +1207,9 @@ PINNED = {
         '0x1.fff800124924ap-1', '0x1.0003fff6db6dcp+0',
         '0x1.3333333333333p-1', '0x1.6666666666667p+0',
     ),
-    ('(x^2-0.25)/(x-0.5)', 8, True, 8192): (
+    ('(x^2-0.25)/(x-0.5)', 8, True, None): (
         '0x1.f049249249248p-1', '0x1.07db6db6db6dbp+0',
         '0x1.d80ac441c5228p-1', '0x1.12ac6211e7c66p+0',
-        '0x1.fff800124924ap-1', '0x1.0003fff6db6dcp+0',
         '0x1.3333333333333p-1', '0x1.6666666666667p+0',
     ),
     ('(x^2-0.25)/(x-0.5)', 64, False, 8192): (
@@ -1287,10 +1218,9 @@ PINNED = {
         '0x1.fff8000208208p-1', '0x1.0003fffefbefcp+0',
         '0x1.3333333333333p-1', '0x1.6666666666667p+0',
     ),
-    ('(x^2-0.25)/(x-0.5)', 64, True, 8192): (
+    ('(x^2-0.25)/(x-0.5)', 64, True, None): (
         '0x1.f00820820820fp-1', '0x1.07fbefbefbef8p+0',
         '0x1.d8041be7a1ce6p-1', '0x1.13d8cef562062p+0',
-        '0x1.fff8000208208p-1', '0x1.0003fffefbefcp+0',
         '0x1.3333333333333p-1', '0x1.6666666666667p+0',
     ),
 }
@@ -1303,14 +1233,17 @@ class TestPinnedBits:
         f = parse(text)
         cfg = SamplingConfig(samples_per_cell=samples)
         hints = PIN_HINTS[text] if hinted else None
-        est = integrate(f, Interval(0.0, 1.0), 2e-4, cfg, hints)
-        got = (
+        sums = (
             lower_sum(f, UNIFORM_16, cfg, hints), upper_sum(f, UNIFORM_16, cfg, hints),
             lower_sum(f, IRREGULAR, cfg, hints), upper_sum(f, IRREGULAR, cfg, hints),
-            est.lower, est.upper,
-            infimum_on(f, PIN_CELL, cfg, hints), supremum_on(f, PIN_CELL, cfg, hints),
         )
-        assert est.cells == cells
+        cell = infimum_on(f, PIN_CELL, cfg, hints), supremum_on(f, PIN_CELL, cfg, hints)
+        if hinted:
+            got = (*sums, *cell)
+        else:
+            est = integrate(f, Interval(0.0, 1.0), 2e-4, cfg)
+            assert est.cells == cells
+            got = (*sums, est.lower, est.upper, *cell)
         assert tuple(v.hex() for v in got) == PINNED[key]
 
     def test_integrate_across_chunks(self):

@@ -280,9 +280,9 @@ class TestCertifiedCells:
         # the E1 rhs integrand at 64 samples: all but the cells near 0 and at
         # the turning points are monotone
         f = product("x^3", "t*sin(1/t)", 0.0, 2 / math.pi)
-        *_, certified = D._uniform_sums(D.as_evaluator(f), 0.0, 2 / math.pi, 2**16, CFG64, None,
+        *_, certified = D._uniform_sums(D.as_evaluator(f), 0.0, 2 / math.pi, 2**16, CFG64,
                                         D._monotone_tape(f, CFG64))
-        assert certified >= 0.98 * 2**16
+        assert np.count_nonzero(certified) >= 0.98 * 2**16
 
     def test_e1_rhs_closes_with_the_bits_of_sampling_in_full(self):
         p = SubstitutionProblem(parse("x^3"), parse("t*sin(1/t)"), 0.0, 2 / math.pi * 1.01)
@@ -297,9 +297,9 @@ class TestCertifiedCells:
         f = product("x^2", "t*sin(1/t)", 0.0, 1.0)
         ev, tape = D.as_evaluator(f), D._monotone_tape(f, CFG16)
         for a, b in ((0.0, 0.1), (0.1, 0.5), (0.5, 1.0)):
-            got = D._uniform_sums(ev, a, b, 3000, CFG16, None, tape)
-            assert got[:4] == D._uniform_sums(ev, a, b, 3000, CFG16, None)[:4]
-            assert got[4] > 0
+            got = D._uniform_sums(ev, a, b, 3000, CFG16, tape)
+            assert got[:4] == D._uniform_sums(ev, a, b, 3000, CFG16)[:4]
+            assert got[4].any()
 
     def test_below_the_cutoff_or_without_a_derivative_nothing_is_enclosed(self):
         with mock.patch.object(D, "enclose", side_effect=AssertionError("enclosed")):
@@ -319,7 +319,7 @@ class TestCertifiedCells:
             return ev(xs)
 
         cfg = SamplingConfig(samples_per_cell=1000)
-        D._uniform_sums(recording, 0.0, 1.0, 2**13, cfg, None, D._monotone_tape(f, cfg))
+        D._uniform_sums(recording, 0.0, 1.0, 2**13, cfg, D._monotone_tape(f, cfg))
         assert max(sizes) <= D._CHUNK_POINTS
         assert sum(sizes) < 2**13 * 20
 
@@ -334,7 +334,7 @@ class TestCertifiedCells:
                 got.append(xs.size)
                 return ev(xs)
 
-            D._uniform_sums(recording, 0.0, 1.0, cells, cfg, None, D._monotone_tape(f, cfg))
+            D._uniform_sums(recording, 0.0, 1.0, cells, cfg, D._monotone_tape(f, cfg))
             return got
 
         got = sizes(parse("x/(1+x)"), 2**16, SamplingConfig(samples_per_cell=2))
@@ -436,10 +436,10 @@ class TestSampledCells:
 
         with mock.patch.object(D, "enclose", counting):
             lower, upper, _, _, certified = D._uniform_sums(
-                D.as_evaluator(f), 0.0, 1.0, 3 * D._MONOTONE_CELLS, CFG64, None,
+                D.as_evaluator(f), 0.0, 1.0, 3 * D._MONOTONE_CELLS, CFG64,
                 D._monotone_tape(f, CFG64))
-        assert calls == [D._MONOTONE_CELLS] and certified == 0
-        want = D._uniform_sums(D.as_evaluator(f), 0.0, 1.0, 3 * D._MONOTONE_CELLS, CFG64, None)
+        assert calls == [D._MONOTONE_CELLS] and not certified.any()
+        want = D._uniform_sums(D.as_evaluator(f), 0.0, 1.0, 3 * D._MONOTONE_CELLS, CFG64)
         assert (lower, upper) == want[:2]
 
     def test_a_block_certifying_too_few_to_pay_ends_the_test_of_its_row(self):
@@ -448,10 +448,11 @@ class TestSampledCells:
         # extrema all the same.  Finer, nearly all certify.
         f, calls = parse("sin(3000*x)"), []
         ev, tape = D.as_evaluator(f), D._monotone_tape(f, CFG64)
-        lower, upper, _, _, certified = D._uniform_sums(ev, 0.0, 1.0, 1024, CFG64, None, tape)
-        assert certified == 69
-        assert (lower, upper) == D._uniform_sums(ev, 0.0, 1.0, 1024, CFG64, None)[:2]
-        assert D._uniform_sums(ev, 0.0, 1.0, 16384, CFG64, None, tape)[4] > 0.9 * 16384
+        lower, upper, _, _, certified = D._uniform_sums(ev, 0.0, 1.0, 1024, CFG64, tape)
+        assert np.count_nonzero(certified) == 69
+        assert (lower, upper) == D._uniform_sums(ev, 0.0, 1.0, 1024, CFG64)[:2]
+        finer = D._uniform_sums(ev, 0.0, 1.0, 16384, CFG64, tape)[4]
+        assert np.count_nonzero(finer) > 0.9 * 16384
 
         def counting(tape, lo, hi):
             calls.append(len(lo))
@@ -461,10 +462,10 @@ class TestSampledCells:
         # little, so the other two are not tested
         cells = 3 * D._MONOTONE_CELLS
         with mock.patch.object(D, "enclose", counting):
-            lower, upper, _, _, certified = D._uniform_sums(ev, 0.0, 6.0, cells, CFG64, None, tape)
+            lower, upper, _, _, certified = D._uniform_sums(ev, 0.0, 6.0, cells, CFG64, tape)
         assert calls == [D._MONOTONE_CELLS]
-        assert certified == 138  # under the 260 that would pay
-        assert (lower, upper) == D._uniform_sums(ev, 0.0, 6.0, cells, CFG64, None)[:2]
+        assert np.count_nonzero(certified) == 138  # under the 260 that would pay
+        assert (lower, upper) == D._uniform_sums(ev, 0.0, 6.0, cells, CFG64)[:2]
 
 
 class TestEstimateCount:
@@ -490,23 +491,25 @@ class TestEstimateCount:
 SUMS = D._uniform_sums
 
 
-def sums_afresh(ev, a, b, cells, cfg, hints, tape=None, mask=None):
+def sums_afresh(ev, a, b, cells, cfg, tape=None, parent=None):
     """``_uniform_sums`` inheriting nothing: every cell of every level is tested."""
-    return SUMS(ev, a, b, cells, cfg, hints, tape)
+    return SUMS(ev, a, b, cells, cfg, tape)
 
 
 def inheriting(f, iv, tol, cfg, max_cells=2**14, afresh=False):
     """integrate's bits and counts, the cells it enclosed and each level's
-    (cells, cells a parent cell held), with or without inheriting."""
+    (cells, cells a parent cell held, 0 without a parent), with or without
+    inheriting."""
     enclosed, levels = [], []
 
     def counting(tape, lo, hi):
         enclosed.append(len(lo))
         return enclose(tape, lo, hi)
 
-    def recording(ev, a, b, cells, cfg, hints, tape=None, mask=None):
-        levels.append((cells, None if mask is None else mask.ratio))
-        return (sums_afresh if afresh else SUMS)(ev, a, b, cells, cfg, hints, tape, mask)
+    def recording(ev, a, b, cells, cfg, tape=None, parent=None):
+        ratio = None if tape is None else 0 if parent is None else cells // parent.size
+        levels.append((cells, ratio))
+        return (sums_afresh if afresh else SUMS)(ev, a, b, cells, cfg, tape, parent)
 
     with mock.patch.object(D, "enclose", counting), \
             mock.patch.object(D, "_uniform_sums", recording), np.errstate(all="ignore"):
@@ -568,16 +571,22 @@ class TestInheritedCertification:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), cells=st.integers(1, 300), ratio=st.sampled_from([1, 2, 4, 64]))
-    def test_bits_put_in_pieces_are_inherited_by_the_children(self, data, cells, ratio):
+    def test_cells_written_in_pieces_are_inherited_by_the_children(self, data, cells, ratio):
+        # x*x-x^2+1: no fresh cell is certified, and no edge value is zero,
+        # so one block of a chunk certifies exactly the cells it inherits
         certified = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
         cuts = sorted(data.draw(st.sets(st.integers(1, cells - 1))) if cells > 1 else ())
-        parent = D._Certified(cells)
-        for k0, k1 in zip([0, *cuts], [*cuts, cells]):
-            parent.put(k0, certified[k0:k1])
-        child = D._Certified(cells * ratio, parent.done())
-        k0 = data.draw(st.integers(0, cells * ratio - 1))
-        k1 = data.draw(st.integers(k0 + 1, cells * ratio))
-        assert (child.inherited(k0, k1) == certified.repeat(ratio)[k0:k1]).all()
+        parent = np.zeros(cells, dtype=bool)
+        for k0, k1 in zip([0, *cuts], [*cuts, cells]):  # as _uniform_sums writes its chunks
+            parent[k0:k1] = certified[k0:k1]
+        n = cells * ratio
+        k0 = data.draw(st.integers(0, n - 1))
+        k1 = data.draw(st.integers(k0 + 1, min(n, k0 + D._MONOTONE_CELLS)))
+        f = parse("x*x-x^2+1")
+        lo, hi = np.empty(k1 - k0), np.empty(k1 - k0)
+        got, _ = D._monotone_pass(D.as_evaluator(f), D._monotone_tape(f, CFG16), -1.0, 2.0,
+                                  3.0 / (n * 15), 15, n, k0, k1, lo, hi, parent)
+        assert (got == certified.repeat(ratio)[k0:k1]).all()
 
     def test_a_jumped_level_that_undoes_inherits_from_the_last_accepted(self):
         # x0 is the midpoint of a 1,024-cell level's cell: an edge at 2,048
@@ -608,16 +617,16 @@ class TestEnclosedCount:
             enclosed[level[0]] = enclosed.get(level[0], 0) + len(lo)
             return enclose(tape, lo, hi)
 
-        def recording(ev, a, b, cells, cfg, hints, tape=None, mask=None):
+        def recording(ev, a, b, cells, cfg, tape=None, parent=None):
             level[0] = (tape is D._monotone_tape(rhs, cfg), cells)
-            return SUMS(ev, a, b, cells, cfg, hints, tape, mask)
+            return SUMS(ev, a, b, cells, cfg, tape, parent)
 
         with mock.patch.object(D, "enclose", counting), \
                 mock.patch.object(D, "_uniform_sums", recording):
             report = verify(p, 1e-5, CFG64)
-        first = D._uniform_sums(D.as_evaluator(rhs), 0.0, 0.6366197723675814, 1024, CFG64, None,
+        first = D._uniform_sums(D.as_evaluator(rhs), 0.0, 0.6366197723675814, 1024, CFG64,
                                 D._monotone_tape(rhs, CFG64))
-        assert report.rhs.cells == 65536 and first[4] == 920
+        assert report.rhs.cells == 65536 and np.count_nonzero(first[4]) == 920
         assert enclosed[True, 65536] == 64 * (1024 - 920) == 6656
         assert sum(enclosed.values()) == 8704  # was 133,120 (both sides, both levels)
 
@@ -645,18 +654,19 @@ def reference_block(ev, tape, a, b, step, w, cells, k0, k1, lo, hi, inherited):
     return int(np.count_nonzero(certified)), holes, certified
 
 
-def reference_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask):
+def reference_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent):
     """A chunk as a loop over blocks: each block's edges evaluated, its fresh
     cells enclosed and its uncertified cells sampled on their own, then the
     cells past the block that stopped the test sampled in runs of 8,191 // w
-    cells: (cells certified, holes, whether the test goes on)."""
+    cells: ((cells certified, holes, whether the test goes on), which cells)."""
+    inherited = np.zeros(cells, bool) if parent is None else parent.repeat(cells // parent.size)
+    certified = np.zeros(c1 - c0, dtype=bool)
     k0, sure, holes, testing = c0, 0, False, True
     while testing and k0 < c1:
         k1 = min(c1, k0 + D._MONOTONE_CELLS)
         block = slice(k0 - c0, k1 - c0)
-        got, hole, bits = reference_block(ev, tape, a, b, step, w, cells, k0, k1, lo[block],
-                                          hi[block], mask.inherited(k0, k1))
-        mask.put(k0, bits)
+        got, hole, certified[block] = reference_block(ev, tape, a, b, step, w, cells, k0, k1,
+                                                      lo[block], hi[block], inherited[k0:k1])
         sure, holes = sure + got, holes or hole
         testing = got * w >= D._TEST_SAMPLES * (k1 - k0)
         k0 = k1
@@ -667,31 +677,28 @@ def reference_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask):
         _, _, undefined = D._cell_extrema(ys, w, lo[j0 - c0 : j1 - c0], hi[j0 - c0 : j1 - c0])
         if undefined is not None:  # the sample's index in the level: 0 is a, last is b
             holes = holes or bool(((undefined + j0 * w > 0) & (undefined + j0 * w < last)).any())
-    return sure, holes, testing
+    return (sure, holes, testing), certified
 
 
-def one_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask):
+def one_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent):
     """A chunk as ``_uniform_sums`` takes it: ``_monotone_pass``, then every
     cell it left uncertified in one ``_sampled_cells`` call."""
-    certified, testing = D._monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, mask)
+    certified, testing = D._monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent)
     assert certified.dtype == bool and certified.size == c1 - c0
     holes = D._sampled_cells(ev, a, b, step, w, cells * w, c0, np.flatnonzero(~certified), lo, hi)
-    return int(np.count_nonzero(certified)), holes, testing
+    return (int(np.count_nonzero(certified)), holes, testing), certified
 
 
 def chunk_passes(run, f, a, b, cells, w, parent_bits, chunk):
     """A level's chunks of ``chunk`` cells through ``run`` while the test goes
     on: the lo/hi bytes, each chunk's (cells certified, holes, whether the
-    test goes on), the certified bits and the sorted cells handed to
-    ``enclose``.  ``parent_bits`` (None: nothing nests) are the bits of the
-    level before, whose cells hold cells // len(parent_bits)."""
+    test goes on), the level's certified cells and the sorted cells handed
+    to ``enclose``.  ``parent_bits`` (None: nothing nests) are the certified
+    cells of the level before, whose cells hold cells // len(parent_bits)."""
     cfg = SamplingConfig(samples_per_cell=w + 1)
     ev, tape = D.as_evaluator(f), D._monotone_tape(f, cfg)
-    parent = None
-    if parent_bits is not None:
-        parent = D._Certified(len(parent_bits))
-        parent.put(0, np.asarray(parent_bits, dtype=bool))
-    mask = D._Certified(cells, parent)
+    parent = None if parent_bits is None else np.asarray(parent_bits, dtype=bool)
+    certified = np.zeros(cells, dtype=bool)
     enclosed = []
 
     def recording(tape, lo, hi):
@@ -706,12 +713,13 @@ def chunk_passes(run, f, a, b, cells, w, parent_bits, chunk):
                 break
             c1 = min(cells, c0 + chunk)
             try:
-                results.append(run(ev, tape, a, b, (b - a) / (cells * w), w, cells, c0, c1,
-                                   lo[c0:c1], hi[c0:c1], mask))
+                result, certified[c0:c1] = run(ev, tape, a, b, (b - a) / (cells * w), w, cells,
+                                               c0, c1, lo[c0:c1], hi[c0:c1], parent)
             except UndefinedSamplesError:  # both raise; what came before may differ
                 return "raised", c0
-            testing = results[-1][-1]
-    return lo.tobytes(), hi.tobytes(), results, mask.bits.tobytes(), sorted(enclosed)
+            results.append(result)
+            testing = result[-1]
+    return lo.tobytes(), hi.tobytes(), results, certified.tobytes(), sorted(enclosed)
 
 
 def edge_point(a, b, cells, w, k):
@@ -761,9 +769,9 @@ class TestOnePassAChunk:
         assert got == chunk_passes(reference_pass, *args)
         assert got[2] == [(cells - 2, True, True)]
 
-    def test_sixteen_samples_a_chunk_that_splits_a_byte(self):
-        # 2**21 // 15 = 139,810 cells a chunk, 2 more than a multiple of 8: the
-        # second chunk's bits start inside a byte
+    def test_sixteen_samples_a_chunk_that_starts_inside_a_parent_cell(self):
+        # 2**21 // 15 = 139,810 cells a chunk, 2 more than a multiple of 16:
+        # the second chunk starts 2 cells into a parent cell
         w, cells = 15, 2**18
         chunk = D._SUM_CHUNK_POINTS // w
         assert chunk == 139810
@@ -780,3 +788,21 @@ class TestOnePassAChunk:
         assert [r[0] for r in got[2]] == [chunk, 3310]
         assert got[2][1][-1] is False
         assert max(hi for _, hi in got[4]) == edge_point(0.0, 1.0, cells, w, chunk + 3 * 2048)
+
+    def test_sixty_four_samples_a_chunk_that_starts_eight_cells_into_a_parent_cell(self):
+        # 2**21 // 63 = 33,288 cells a chunk, 8 more than a multiple of 32: at
+        # 32 cells a parent, the second chunk starts 8 cells into parent 1040
+        w, cells = 63, 65536
+        chunk = D._SUM_CHUNK_POINTS // w
+        assert (chunk // 32, chunk % 32) == (1040, 8)
+        bits = np.ones(cells // 32, dtype=bool)
+        bits[1041] = False
+        bits[1100:1140] = False
+        args = (parse("x*x-x^2+1"), 0.0, 1.0, cells, w, bits, chunk)
+        got = chunk_passes(one_pass, *args)
+        assert got == chunk_passes(reference_pass, *args)
+        assert got[2] == [(chunk, False, True), (cells - chunk - 41 * 32, False, True)]
+        # the second chunk opens with parent 1040's last 24 cells, then 1041's 32
+        level = np.frombuffer(got[3], dtype=bool)
+        assert level[chunk : chunk + 24].all() and not level[chunk + 24 : chunk + 56].any()
+        assert len(got[4]) == 41 * 32  # only the children of uncertified parents are enclosed
