@@ -681,15 +681,17 @@ def _uniform_sums(
     cells in one pass (``_monotone_pass``), block by block until a block
     certifies too few to pay for its test; one ``_sampled_cells`` call a
     chunk samples every other cell.  ``certified`` marks the cells whose
-    extrema came from their edges, a bool a cell, and is None without a
-    tape.  ``parent`` (``_monotone_pass``), the certified cells of a level
-    whose cell count divides ``cells``, gives the cells that inherit.
+    extrema came from their edges, a bool a cell, and is None when no cell
+    is, as always without a tape: the array is allocated at the first
+    certified cell.  ``parent`` (``_monotone_pass``), the certified
+    cells of a level whose cell count divides ``cells``, gives the cells that
+    inherit; None inherits nothing, as an all-False array would.
     """
     w = cfg.samples_per_cell - 1
     dx = (b - a) / cells
     step = (b - a) / (cells * w)
     last = cells * w  # the index of sample b
-    certified = None if tape is None else np.zeros(cells, dtype=bool)
+    certified = None
 
     holes, testing = False, tape is not None
     lowers, uppers, magnitude = [], [], 0.0  # each summation chunk's sums
@@ -703,7 +705,10 @@ def _uniform_sums(
         todo = range(c1 - c0)
         if testing:
             sure, testing = _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent)
-            certified[c0:c1] = sure
+            if sure.any():
+                if certified is None:
+                    certified = np.zeros(cells, dtype=bool)
+                certified[c0:c1] = sure
             todo = np.flatnonzero(~sure)
         holes = _sampled_cells(ev, a, b, step, w, last, c0, todo, lo, hi) or holes
         if c1 - c0 <= _FSUM_BLOCK:  # one |pair| pass bounds the extraction too

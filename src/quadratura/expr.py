@@ -50,6 +50,7 @@ within their reach.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -532,85 +533,126 @@ _CALL = {
 }
 
 
-def _step_fn(e: Expr):
-    if e.kind == "call":
-        return _CALL[e.name]
-    if e.kind == "pow":
-        return _pow_literal if e.args[1].kind == "const" else _pow
-    return _STEP[e.kind]
+def _step_fn(kind: str, name: str, args: tuple[Expr, ...]):
+    """The step of a node: by kind, a call's by name, a power's by whether
+    its exponent is a literal."""
+    fn = _STEP.get(kind)
+    if fn is None:
+        fn = _CALL[name] if kind == "call" else _pow_literal if args[1].kind == "const" else _pow
+    return fn
 
 
 def _fold_constants(fn, values: list[np.float64]) -> np.float64:
-    """``fn`` on constant operands, each as a one-point array as at run time."""
+    """``fn`` on constant operands, each as a one-point array as at run time.
+
+    Call it under ``np.errstate(all="ignore")``.
+    """
     args = [v if i and fn is _pow_literal else np.array([v]) for i, v in enumerate(values)]
-    with np.errstate(all="ignore"):
-        return fn(*args)[0]
+    return fn(*args)[0]
+
+
+_PACK = struct.Struct("d").pack  # a constant's key: its bits, so 0.0 and -0.0 differ
 
 
 def _compile(*roots: Expr) -> tuple:
     """Compile ``roots`` to one tape, ``(registers, steps, outputs)`` for ``_run``.
 
     Values are numbered in postorder of the roots in the order given, each
-    node once.  A node's key is its step function (which tells the kinds
-    and pow variants apart) with its operands' numbers, or the bit pattern
-    of a constant, so identical subtrees get one number and equal but
-    differently signed zeros do not.  Register 0 holds the input and
-    constants their own registers; a computed value's register is reused
-    after its last read, unless it holds a root's value.  ``outputs`` holds
-    each root's register and the length of the prefix of ``steps`` that
-    computes it: the steps up to the last value its postorder added.
+    node once, in one walk with an explicit stack.  A node's key is its
+    step function (which tells the kinds and pow variants apart) with its
+    operands' numbers, or the bit pattern of a constant, so identical
+    subtrees get one number and equal but differently signed zeros do not.
+    Register 0 holds the input and constants their own registers; a
+    computed value's register is reused after its last read, unless it
+    holds a root's value.  ``outputs`` holds each root's register and the
+    length of the prefix of ``steps`` that computes it: the steps up to the
+    last value its postorder added.
     """
-    number: dict[int, int] = {}  # id(node) -> value number
-    by_key: dict[tuple, int] = {("var",): 0}
-    constant: dict[int, np.float64] = {}
-    computed: dict[int, tuple] = {}  # value number -> (fn, operand numbers)
-    seen: set[int] = set()
+    number: dict[int, int] = {}  # id(node) -> value number; the input is 0
+    by_key: dict = {}  # a constant's bits, or (fn, *operands) -> value number
+    constant: dict[int, np.float64] = {}  # value number -> value
+    computed: list[tuple] = []  # (value number, fn, operands), in postorder
+    last_read: dict[int, int] = {}  # value number -> the last value number reading it
     ends = []
-    for root in roots:
-        for node in _postorder(root, seen):
-            if node.kind == "var":
-                key, c = ("var",), None
-            elif node.kind == "const":
-                c = np.float64(node.value)
-                key = ("const", c.tobytes())
-            else:
-                fn = _step_fn(node)
-                operands = tuple(number[id(a)] for a in node.args)
-                if all(k in constant for k in operands):
-                    c = _fold_constants(fn, [constant[k] for k in operands])
-                    key = ("const", c.tobytes())
-                else:
-                    key, c = (fn, *operands), None
+
+    def leaf(node: Expr) -> int:
+        if node.kind == "var":
+            k = 0
+        else:
+            key = _PACK(node.value)
             k = by_key.get(key)
             if k is None:
-                k = by_key[key] = len(by_key)
-                if c is None:
-                    computed[k] = key
-                else:
+                k = by_key[key] = len(by_key) + 1
+                constant[k] = np.float64(node.value)
+        number[id(node)] = k
+        return k
+
+    for root in roots:
+        stack = [root] if root.args else []
+        if not stack:
+            leaf(root)
+        while stack:  # a node stays on the stack until its operands have numbers
+            node = stack[-1]
+            if id(node) in number:
+                stack.pop()
+                continue
+            args = node.args
+            ka = number.get(id(args[0]))
+            if ka is None:
+                if args[0].args:
+                    stack.append(args[0])
+                    continue
+                ka = leaf(args[0])
+            if len(args) == 1:
+                operands = (ka,)
+                folds = ka in constant
+            else:
+                kb = number.get(id(args[1]))
+                if kb is None:
+                    if args[1].args:
+                        stack.append(args[1])
+                        continue
+                    kb = leaf(args[1])
+                operands = (ka, kb)
+                folds = ka in constant and kb in constant
+            stack.pop()
+            fn = _step_fn(node.kind, node.name, args)
+            if folds:
+                with np.errstate(all="ignore"):
+                    c = _fold_constants(fn, [constant[k] for k in operands])
+                key = c.tobytes()
+            else:
+                key = (fn, *operands)
+            k = by_key.get(key)
+            if k is None:
+                k = by_key[key] = len(by_key) + 1
+                if folds:
                     constant[k] = c
+                else:
+                    computed.append((k, fn, operands))
+                    for j in operands:
+                        last_read[j] = k
             number[id(node)] = k
         ends.append(len(computed))
 
     results = [number[id(root)] for root in roots]
-    last_read = {k: at for at, (_, *operands) in computed.items() for k in operands}
-    registers: list = [None]
-    reg = {0: 0}
-    for k, c in constant.items():
-        reg[k] = len(registers)
-        registers.append(c)
+    kept = set(results)
+    first = len(constant) + 1  # the first register of a computed value
+    registers: list = [None, *constant.values()]
+    reg = [0] * (len(by_key) + 1)  # value number -> register
+    for r, k in enumerate(constant, 1):
+        reg[k] = r
     free: list[int] = []
     steps = []
-    for at, (fn, *operands) in computed.items():  # in postorder
-        srcs = [reg[k] for k in operands]
-        for k in set(operands):
-            if k in computed and last_read[k] == at and k not in results:
-                free.append(reg[k])
-        if free:
-            reg[at] = free.pop()
-        else:
-            reg[at] = len(registers)
+    for k, fn, operands in computed:
+        # freed once each (x*x reads one value twice), in a set's order: it fixes the numbering
+        for j in {j for j in operands if reg[j] >= first and last_read[j] == k and j not in kept}:
+            free.append(reg[j])
+        r = free.pop() if free else len(registers)
+        if r == len(registers):
             registers.append(None)
-        steps.append((fn, reg[at], srcs[0], srcs[1] if len(srcs) > 1 else -1))
+        steps.append((fn, r, reg[operands[0]], reg[operands[-1]] if len(operands) > 1 else -1))
+        reg[k] = r
     return registers, tuple(steps), tuple((reg[k], end) for k, end in zip(results, ends))
 
 
@@ -694,10 +736,6 @@ def evaluate(e: Expr, x: float) -> EvalOutcome:
 # Differentiation
 
 
-def _is_constant(e: Expr) -> bool:
-    return not variables(e)
-
-
 def _const_value(e: Expr) -> float:
     """The value of a constant-only tree, folded node by node as ``_compile``
     folds it, so the bits are those of ``evaluate(e, 0.0)`` without a tape.
@@ -705,7 +743,8 @@ def _const_value(e: Expr) -> float:
     if e.kind == "const":
         return e.value
     values = [np.float64(_const_value(a)) for a in e.args]
-    return float(_fold_constants(_step_fn(e), values))
+    with np.errstate(all="ignore"):
+        return float(_fold_constants(_step_fn(e.kind, e.name, e.args), values))
 
 
 def differentiate(e: Expr, varname: str | None = None) -> Expr:
@@ -713,118 +752,129 @@ def differentiate(e: Expr, varname: str | None = None) -> Expr:
 
     Exponents must be constants (the power rule is applied with the
     folded exponent value); ``abs`` is rejected.  The result is lightly
-    simplified (constant folding, +0 / *1 / *0 elimination) but carries
-    no canonical form: correctness is pointwise evaluation equality.
+    simplified (constant folding, +0 / *1 / *0 elimination) as it is
+    built, node by node (``_node``), and it carries no canonical form:
+    correctness is pointwise evaluation equality.  Each node object of
+    ``e`` is differentiated, and copied into the result, once, so the
+    result shares the nodes that ``e`` shares.
     """
     if varname is None:
         names = variables(e)
         if len(names) > 1:
             raise ValueError(f"ambiguous variable: {sorted(names)}")
         varname = next(iter(names), "x")
-    return _simplify(_diff(e, varname))
+    copies: dict[int, Expr] = {}  # id(node of e) -> it rebuilt by _node
+    derivatives: dict[int, Expr] = {}  # id(node of e) -> its derivative
+
+    def copy(n: Expr) -> Expr:
+        if not n.args:
+            return n
+        got = copies.get(id(n))
+        if got is None:
+            got = copies[id(n)] = _node(n.kind, tuple(map(copy, n.args)), n.name)
+        return got
+
+    def d(n: Expr) -> Expr:
+        got = derivatives.get(id(n))
+        if got is None:
+            got = derivatives[id(n)] = _derivative(n, varname, d, copy)
+        return got
+
+    with np.errstate(all="ignore"):
+        return d(e)
 
 
-def _diff(e: Expr, v: str) -> Expr:
+def _derivative(e: Expr, v: str, d, copy) -> Expr:
+    """The derivative of ``e`` from ``d``, its operands' derivatives, and
+    ``copy``, its operands rebuilt."""
     kind = e.kind
     if kind == "const":
         return const(0.0)
     if kind == "var":
         return const(1.0 if e.name == v else 0.0)
     if kind == "neg":
-        return neg(_diff(e.args[0], v))
-    if kind == "add":
-        return add(_diff(e.args[0], v), _diff(e.args[1], v))
-    if kind == "sub":
-        return sub(_diff(e.args[0], v), _diff(e.args[1], v))
-    if kind == "mul":
+        return _node("neg", (d(e.args[0]),))
+    if kind in ("add", "sub"):
+        return _node(kind, (d(e.args[0]), d(e.args[1])))
+    if kind in ("mul", "div"):
         a, b = e.args
-        return add(mul(_diff(a, v), b), mul(a, _diff(b, v)))
-    if kind == "div":
-        a, b = e.args
-        num = sub(mul(_diff(a, v), b), mul(a, _diff(b, v)))
-        return div(num, pow_(b, const(2.0)))
+        da_b = _node("mul", (d(a), copy(b)))
+        a_db = _node("mul", (copy(a), d(b)))
+        if kind == "mul":
+            return _node("add", (da_b, a_db))
+        return _node("div", (_node("sub", (da_b, a_db)), _node("pow", (copy(b), const(2.0)))))
     if kind == "pow":
         base_node, exp_node = e.args
-        if not _is_constant(exp_node):
+        if exp_node.kind != "const" and variables(exp_node):
             raise NonDifferentiableError(
                 f"cannot differentiate {to_text(e)}: exponent must be a constant"
             )
         c = _const_value(exp_node)
         if c == 0.0:
             return const(0.0)
-        term = mul(const(c), pow_(base_node, const(c - 1.0)))
-        return mul(term, _diff(base_node, v))
+        term = _node("mul", (const(c), _node("pow", (copy(base_node), const(c - 1.0)))))
+        return _node("mul", (term, d(base_node)))
     u = e.args[0]
-    du = _diff(u, v)
+    du = d(u)
     name = e.name
     if name == "sin":
-        return mul(call("cos", u), du)
+        return _node("mul", (_node("call", (copy(u),), "cos"), du))
     if name == "cos":
-        return neg(mul(call("sin", u), du))
+        return _node("neg", (_node("mul", (_node("call", (copy(u),), "sin"), du)),))
     if name == "tan":
-        return div(du, pow_(call("cos", u), const(2.0)))
+        return _node("div", (du, _node("pow", (_node("call", (copy(u),), "cos"), const(2.0)))))
     if name == "sqrt":
-        return div(du, mul(const(2.0), call("sqrt", u)))
+        return _node("div", (du, _node("mul", (const(2.0), _node("call", (copy(u),), "sqrt")))))
     if name == "atan":
-        return div(du, add(const(1.0), pow_(u, const(2.0))))
+        return _node("div", (du, _node("add", (const(1.0), _node("pow", (copy(u), const(2.0)))))))
     if name == "exp":
-        return mul(call("exp", u), du)
+        return _node("mul", (_node("call", (copy(u),), "exp"), du))
     if name == "log":
-        return div(du, u)
+        return _node("div", (du, copy(u)))
     raise NonDifferentiableError(f"cannot differentiate node {name!r}")
 
 
-def _fold(e: Expr) -> Expr | None:
-    """Fold a constant subtree to a literal when the result is finite."""
-    if all(a.kind == "const" for a in e.args):
-        v = _const_value(e)
+def _node(kind: str, args: tuple[Expr, ...], name: str = "") -> Expr:
+    """The node ``kind(*args)`` over operands that ``_node`` built, simplified.
+
+    Constant operands are folded through the step function when the value
+    is finite; otherwise ``-(-a)``, ``a+0``, ``a-0``, ``0-a``, ``a*0``,
+    ``a*1``, ``a/1``, ``a^1`` and ``a^0`` are rewritten, and nothing else
+    is.  Call it under ``np.errstate(all="ignore")``.
+    """
+    a = args[0]
+    b = args[1] if len(args) > 1 else a
+    if a.kind == "const" and b.kind == "const":
+        values = [np.float64(c.value) for c in args]
+        v = float(_fold_constants(_step_fn(kind, name, args), values))
         if math.isfinite(v):
             return const(v)
-    return None
-
-
-def _simplify(e: Expr) -> Expr:
-    if e.kind in ("const", "var"):
-        return e
-    args = tuple(_simplify(a) for a in e.args)
-    e = Expr(e.kind, value=e.value, name=e.name, args=args)
-    folded = _fold(e)
-    if folded is not None:
-        return folded
-    kind = e.kind
     if kind == "neg":
-        (a,) = args
         if a.kind == "neg":
             return a.args[0]
-        return e
-    if kind in ("add", "sub", "mul", "div", "pow"):
-        a, b = args
-        if kind == "add":
-            if _is_zero(a):
-                return b
-            if _is_zero(b):
-                return a
-        elif kind == "sub":
-            if _is_zero(b):
-                return a
-            if _is_zero(a):
-                return _simplify(neg(b))
-        elif kind == "mul":
-            if _is_zero(a) or _is_zero(b):
-                return const(0.0)
-            if _is_one(a):
-                return b
-            if _is_one(b):
-                return a
-        elif kind == "div":
-            if _is_one(b):
-                return a
-        elif kind == "pow":
-            if _is_one(b):
-                return a
-            if _is_zero(b):
-                return const(1.0)
-    return e
+    elif kind == "add":
+        if _is_zero(a):
+            return b
+        if _is_zero(b):
+            return a
+    elif kind == "sub":
+        if _is_zero(b):
+            return a
+        if _is_zero(a):
+            return _node("neg", (b,))
+    elif kind == "mul":
+        if _is_zero(a) or _is_zero(b):
+            return const(0.0)
+        if _is_one(a):
+            return b
+        if _is_one(b):
+            return a
+    elif kind in ("div", "pow"):
+        if _is_one(b):
+            return a
+        if kind == "pow" and _is_zero(b):
+            return const(1.0)
+    return Expr(kind, name=name, args=args)
 
 
 def _is_zero(e: Expr) -> bool:

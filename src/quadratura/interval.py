@@ -33,7 +33,6 @@ from .expr import (
     _compile,
     _div,
     _log,
-    _postorder,
     _pow,
     _pow_literal,
     _run,
@@ -189,20 +188,30 @@ _SLOPES: dict[int, tuple[Expr, tuple | None]] = {}
 _SLOPES_KEPT = 8
 
 
+def _within_height(f: Expr, height: int) -> bool:
+    """Whether no path from f down to a leaf holds more than ``height`` nodes:
+    the nodes at each depth, each once, until there are none."""
+    level = (f,)
+    for _ in range(height):
+        level = {id(a): a for node in level for a in node.args}.values()
+        if not level:
+            return True
+    return False
+
+
 def slope_tape(f: Expr) -> tuple | None:
     """The interval tape of f and its derivative, kept for the next call on f.
 
-    None where ``differentiate`` rejects f, and for a tree taller than
-    MAX_TREE_HEIGHT, which it may not reach through.
+    The derivative is built simplified, each node of f differentiated once,
+    and compiled with f to one tape.  None where ``differentiate`` rejects
+    f, and for a tree taller than MAX_TREE_HEIGHT, which it may not reach
+    through; the height is read level by level, at most that many levels.
     """
     kept = _SLOPES.get(id(f))
     if kept is not None and kept[0] is f:
         return kept[1]
-    height: dict[int, int] = {}
-    for node in _postorder(f):
-        height[id(node)] = 1 + max((height[id(a)] for a in node.args), default=0)
     tape = None
-    if height[id(f)] <= MAX_TREE_HEIGHT:
+    if _within_height(f, MAX_TREE_HEIGHT):
         try:
             tape = interval_tape(f, differentiate(f))
         except (NonDifferentiableError, ValueError):  # ValueError: two variables

@@ -1,11 +1,14 @@
 import math
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import expr_reference as R
 from quadratura import expr as E
+from quadratura.gallery import GALLERY
 from quadratura.expr import (
     ArityError,
     ParseError,
@@ -534,11 +537,11 @@ class TestConstantFolding:
         want = evaluate(e, 0.0)
         assert _hex(E._const_value(e)) == _hex(want)
         if e.args and all(a.kind == "const" for a in e.args):
-            folded = E._fold(e)
+            with np.errstate(all="ignore"):
+                built = E._node(e.kind, e.args, e.name)
             if math.isfinite(want):
-                assert folded.kind == "const" and folded.value.hex() == want.hex()
-            else:
-                assert folded is None
+                assert built.kind == "const" and built.value.hex() == want.hex()
+            assert built == R._simplify(e)  # not finite: a rule, or the node unfolded
 
     @pytest.mark.parametrize("text", _DIFF_CORPUS)
     def test_derivative_keeps_its_text_and_bits(self, text, monkeypatch):
@@ -562,6 +565,170 @@ class TestConstantFolding:
         a, b = evaluate_array(got, xs), evaluate_array(want, xs)
         assert np.array_equal(np.isnan(a), np.isnan(b))
         assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
+# Constants a formula DAG draws from: signed zeros, NaN, infinities, and
+# values on either side of the folding and simplifying rules' cases.
+_DAG_CONSTANTS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -1.5, 3.0, math.nan, math.inf, -math.inf)
+# Literal exponents: zero, one, integers either side of 64, negative and
+# non-integer ones, signed zero and the non-finite ones.
+_DAG_EXPONENTS = (0.0, -0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, -0.5, 2.5, 65.0, -65.0,
+                  math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _formula_dag(draw):
+    """1-3 roots over one pool of nodes, each built on earlier ones: shared
+    subtrees, roots that read each other, constant-only nodes, and powers
+    with literal, constant-only and variable exponents."""
+    pool = [E.var("x"), *(E.const(c) for c in draw(st.lists(
+        st.sampled_from(_DAG_CONSTANTS), min_size=1, max_size=4)))]
+    constant_only = [n for n in pool if n.kind == "const"]
+    pick = lambda among: among[draw(st.integers(0, len(among) - 1))]  # noqa: E731
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(
+            ["neg", "call", "add", "sub", "mul", "div", "pow", "pow", "pow"]))
+        if kind == "neg":
+            node = E.neg(pick(pool))
+        elif kind == "call":
+            node = E.call(draw(st.sampled_from(E.FUNCTIONS)), pick(pool))
+        elif kind == "pow":
+            exponent = draw(st.one_of(
+                st.builds(E.const, st.sampled_from(_DAG_EXPONENTS)),
+                st.just(pick(constant_only)),
+                st.just(pick(pool)),
+            ))
+            node = E.pow_(pick(pool), exponent)
+        else:
+            node = E.Expr(kind, args=(pick(pool), pick(pool)))
+        pool.append(node)
+        if not E.variables(node):
+            constant_only.append(node)
+    roots = [pick(pool) for _ in range(draw(st.integers(0, 2)))]
+    roots.insert(draw(st.integers(0, len(roots))), pool[-1])
+    return roots
+
+
+def _assert_same_tape(got, want):
+    """Registers equal bit for bit, the same steps and the same outputs."""
+    (regs, steps, outputs), (want_regs, want_steps, want_outputs) = got, want
+    assert [r if r is None else (type(r), r.tobytes()) for r in regs] == [
+        r if r is None else (type(r), r.tobytes()) for r in want_regs]
+    assert steps == want_steps
+    assert outputs == want_outputs
+
+
+def _number(e, numbers: dict) -> int:
+    """e's number in ``numbers``, which numbers each distinct structure once:
+    equal numbers mean trees that are ``==`` with constants equal bit for bit
+    (``==`` itself fails on NaN, and does not tell 0.0 from -0.0)."""
+    memo: dict[int, int] = {}
+
+    def walk(n):
+        got = memo.get(id(n))
+        if got is None:
+            key = (n.kind, struct.pack("d", n.value), n.name, tuple(map(walk, n.args)))
+            got = memo[id(n)] = numbers.setdefault(key, len(numbers))
+        return got
+
+    return walk(e)
+
+
+def _derivative_or_error(differentiate_fn, e):
+    try:
+        return differentiate_fn(e)
+    except (NonDifferentiableError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_derivative_as_reference(e):
+    """``differentiate(e)`` is ``==`` the reference's, prints the same and
+    compiles, with e, to the same tape; or both raise the same error."""
+    got = _derivative_or_error(differentiate, e)
+    want = _derivative_or_error(R.differentiate_reference, e)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    numbers: dict = {}
+    assert _number(got, numbers) == _number(want, numbers)
+    assert to_text(got) == to_text(want)
+    _assert_same_tape(E._compile(e, got), R.compile_reference(e, want))
+
+
+def _batch_shapes():
+    """The shapes of a formula-batch problem: a cubic f over each kind of phi."""
+    f = parse("0.125 - 0.5*x^1 + 0.75*x^2 - 0.375*x^3")
+    for phi_text in ("1.25*t+-0.5", "t^2", "sqrt(t)", "exp(t)", "sin(t)", "log(1+t)", "atan(t)"):
+        yield f, parse(phi_text)
+
+
+def _battery():
+    """Formulas whose tapes and derivatives are compared with the reference:
+    the gallery's (E1's among them) with their products, the formula-batch
+    shapes and the pinned and corpus formulas."""
+    from test_pinned_bits import EVAL_PINNED, SPECIAL
+
+    pairs = [(parse(g.f), parse(g.phi)) for g in GALLERY] + list(_batch_shapes())
+    formulas = [SPECIAL[k] if k in SPECIAL else parse(k) for k in sorted(EVAL_PINNED)]
+    formulas += [parse(text) for text in _DIFF_CORPUS]
+    for f, phi in pairs:
+        dphi = differentiate(phi)
+        formulas += [f, phi, dphi, E.mul(E.substitute(f, phi), dphi)]
+    return pairs, formulas
+
+
+class TestAgainstReference:
+    """The one-walk compiler and the simplifying differentiator give what the
+    two-pass ones in ``expr_reference`` give."""
+
+    @given(roots=_formula_dag())
+    @settings(max_examples=300, deadline=None)
+    @example(roots=[E.pow_(E.var("x"), E.const(0.0))])
+    @example(roots=[E.mul(E.const(0.0), E.const(math.inf)), E.neg(E.neg(E.var("x")))])
+    @example(roots=[E.sub(E.const(-0.0), E.mul(E.var("x"), E.const(math.nan)))])
+    def test_tape_and_derivative(self, roots):
+        _assert_same_tape(E._compile(*roots), R.compile_reference(*roots))
+        for root in roots:
+            _assert_derivative_as_reference(root)
+
+    @given(roots=_formula_dag(), phi=_formula_dag())
+    @settings(max_examples=100, deadline=None)
+    def test_substituted_product(self, roots, phi):
+        # a DAG input: phi shared by every variable of f and by the product
+        f, phi = roots[-1], phi[-1]
+        dphi = _derivative_or_error(differentiate, phi)
+        if isinstance(dphi, tuple):
+            return
+        product = E.mul(E.substitute(f, phi), dphi)
+        _assert_same_tape(E._compile(phi, dphi, product),
+                          R.compile_reference(phi, dphi, product))
+        _assert_derivative_as_reference(product)
+
+    def test_battery(self):
+        pairs, formulas = _battery()
+        for e in formulas:
+            _assert_same_tape(E._compile(e), R.compile_reference(e))
+            _assert_derivative_as_reference(e)
+        for f, phi in pairs:  # the two tapes of a formula problem
+            dphi = differentiate(phi)
+            product = E.mul(E.substitute(f, phi), dphi)
+            _assert_same_tape(E._compile(phi, dphi, product),
+                              R.compile_reference(phi, dphi, product))
+
+    def test_shared_subtree_is_differentiated_once(self, monkeypatch):
+        # f(phi) * phi' reads phi in both factors: one derivative node for it
+        phi = parse("t*sin(1/t)")
+        product = E.mul(E.substitute(parse("x^3"), phi), differentiate(phi))
+        seen = Counter()
+        original = E._derivative
+
+        def counting(e, *rest):
+            seen[id(e)] += 1
+            return original(e, *rest)
+
+        monkeypatch.setattr(E, "_derivative", counting)
+        differentiate(product)
+        assert seen and max(seen.values()) == 1
 
 
 class TestRoundTrip:
