@@ -21,13 +21,13 @@ its extrema are its edge values, the exact Darboux terms; only the other
 cells are sampled in full.  This is the monotonicity test of interval
 global optimization (Hansen & Walster, "Global Optimization Using
 Interval Analysis", 2004).  The test costs about as much as evaluating 5
-to 8 samples a cell, so it is judged in blocks of 2,048 cells: a block
-whose certified cells save fewer than 8 samples a cell keeps them but
-ends the test, and the level's later blocks are sampled in full.  A
-summation chunk takes one pass that only certifies: groups of blocks
-with 2,048 or more cells to enclose have their edges evaluated and those
-cells enclosed in a call each; one call then samples the rest.  Evaluation
-and enclosure go cell by cell, so this moves neither the rule nor a cell.
+to 8 samples a cell, so it is decided once a level: a level of at most
+2,048 cells is tested whole, and so is a larger one whose parent level's
+certified cells saved 8 samples a cell (their children almost always
+certify too); any other is tested whole only if a probe of its first
+2,048 cells pays, else sampled in full.  A summation chunk takes one
+pass that only certifies, its edges evaluated in one call and its cells
+enclosed 2,048 a call, cell by cell; one call then samples the rest.
 ``integrate`` keeps which cells of the last level it accepted the test
 certified, a bool a cell.  The grids nest, so a cell of the next level
 lies inside one of them, and inside its enclosures too (inclusion
@@ -127,13 +127,13 @@ _CHUNK_POINTS = 8192
 # ``integrate`` sums 2**21 // w cells a chunk: this fixes its summation order.
 _SUM_CHUNK_POINTS = 2**21
 # At this many samples a cell or more, an expression's cells are tested for
-# monotonicity first (``_monotone_pass``), judged in blocks of _MONOTONE_CELLS.
+# monotonicity first (``_monotone_pass``), enclosed _MONOTONE_CELLS a call; a
+# larger level than that without a parent that paid is probed on as many.
 _MONOTONE_SAMPLES = 16
 _MONOTONE_CELLS = 2048
-# Evaluating the edges and enclosing a block that inherits nothing costs
-# about 5 to 8 samples a cell (E1's product and simpler formulas on a 2-vCPU
-# Xeon), so after a block whose certified cells save fewer than _TEST_SAMPLES
-# samples a cell, the level's later blocks are sampled in full without a test.
+# Evaluating the edges and enclosing cells that inherit nothing costs about 5
+# to 8 samples a cell (E1's product and simpler formulas on a 2-vCPU Xeon), so
+# a test pays where its certified cells save _TEST_SAMPLES a cell (``_pays``).
 _TEST_SAMPLES = 8
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -583,13 +583,15 @@ def _sampled_cells(ev, a, b, step, w, last, k0, todo, lo, hi) -> bool:
     return holes
 
 
-def _monotone_pass(
-    ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent
-) -> tuple[np.ndarray, bool]:
+def _pays(certified: np.ndarray, w: int) -> bool:
+    """Whether ``certified`` cells of w + 1 samples save the samples their test costs."""
+    return np.count_nonzero(certified) * w >= _TEST_SAMPLES * certified.size
+
+
+def _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent) -> np.ndarray:
     """Cells c0..c1-1 of a level of ``cells`` tested for monotone cells:
-    (which of them are certified, whether the test goes on).  The tested
-    cells' edge extrema are written into ``lo`` and ``hi`` (a slot a cell
-    from c0).
+    which of them are certified.  Their edge extrema are written into
+    ``lo`` and ``hi`` (a slot a cell from c0).
 
     A cell is certified when f's enclosure is finite, f' keeps one sign on
     it and both edge values are defined and nonzero: f is monotone there, so
@@ -598,61 +600,28 @@ def _monotone_pass(
     samples.)  ``parent`` is None or the certified cells of a level that
     this one refines, cell k inside its cell k // (cells // parent.size).
     A cell inside a certified parent cell inherits: it lies inside that
-    cell's enclosures, so only its edge values are checked.  The test stops
-    after a block of _MONOTONE_CELLS cells whose certified cells save fewer
-    than _TEST_SAMPLES samples a cell.
-    A group of blocks has its edges evaluated in one call and its fresh (not
-    inherited) cells enclosed in one call.  Blocks join until the fresh cells
-    reach _MONOTONE_CELLS, and a block that could fail ends its group, so no
-    cell past the block that stops the test is enclosed, and none is
-    certified.  The pass samples nothing: the caller samples the rest.
+    cell's enclosures, so only its edge values are checked.  The edges are
+    evaluated in one call and the fresh (not inherited) cells enclosed
+    _MONOTONE_CELLS a call.  The pass samples nothing: the caller samples
+    the rest.
     """
-    bounds = [*range(0, c1 - c0, _MONOTONE_CELLS), c1 - c0]
-    starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
+    edges = _row_points(a, b, step, cells * w, c0 * w, c1 * w, w)
+    ys = ev(edges)
+    nonzero = np.abs(ys) > 0  # False where NaN
+    certified = nonzero[:-1] & nonzero[1:]
     if parent is None:
-        inherited = np.zeros(c1 - c0, dtype=bool)
+        fresh = np.arange(c1 - c0)
     else:
         r = cells // parent.size
         inherited = parent[c0 // r : (c1 - 1) // r + 1].repeat(r)[c0 % r : c0 % r + c1 - c0]
-    held = np.add.reduceat(inherited, starts, dtype=np.intp)
-    fresh_before = np.cumsum(np.append(0, sizes - held)).tolist()
-    could_fail = (held * w < _TEST_SAMPLES * sizes).tolist()  # with every fresh cell uncertified
-    certified = np.zeros(c1 - c0, dtype=bool)
-    testing, g = True, 0
-    while testing and g < len(sizes):
-        h = g + 1  # the group: blocks g..h-1
-        while h < len(sizes) and not could_fail[h - 1] and (
-            fresh_before[h] - fresh_before[g] < _MONOTONE_CELLS
-        ):
-            h += 1
-        k0 = bounds[g]
-        edges = _row_points(a, b, step, cells * w, (c0 + k0) * w, (c0 + bounds[h]) * w, w)
-        ys = ev(edges)
-        nonzero = np.abs(ys) > 0  # False where NaN
-        both = nonzero[:-1] & nonzero[1:]
-        # zero edge values uncertify inherited cells: a block they leave short ends the group
-        kept = np.add.reduceat(both & inherited[k0 : bounds[h]], starts[g:h] - k0, dtype=np.intp)
-        short = (kept * w < _TEST_SAMPLES * sizes[g:h])[:-1]
-        if short.any():
-            h = g + 1 + int(np.argmax(short))
-            m = bounds[h] - k0
-            edges, ys, both = edges[: m + 1], ys[: m + 1], both[:m]
-        k1 = bounds[h]
-        part = certified[k0:k1]
-        part[:] = both
-        fresh = np.flatnonzero(~inherited[k0:k1])
-        if fresh.size:
-            if fresh.size == k1 - k0:
-                fresh = slice(None)  # nothing inherited: views of the edges, not gathered copies
-            f_range, slope = enclose(tape, edges[:-1][fresh], edges[1:][fresh])
-            part[fresh] &= np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
-            del f_range, slope  # free before the samples are evaluated
-        np.minimum(ys[:-1], ys[1:], out=lo[k0:k1])
-        np.maximum(ys[:-1], ys[1:], out=hi[k0:k1])
-        last_block = int(np.count_nonzero(part[bounds[h - 1] - k0 :]))  # the others pass
-        testing = last_block * w >= _TEST_SAMPLES * int(sizes[h - 1])
-        g = h
-    return certified, testing
+        fresh = np.flatnonzero(~inherited)
+    for k in range(0, fresh.size, _MONOTONE_CELLS):
+        part = fresh[k : k + _MONOTONE_CELLS]
+        f_range, slope = enclose(tape, edges[part], edges[part + 1])
+        certified[part] &= np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+    np.minimum(ys[:-1], ys[1:], out=lo)
+    np.maximum(ys[:-1], ys[1:], out=hi)
+    return certified
 
 
 def _uniform_sums(
@@ -677,15 +646,18 @@ def _uniform_sums(
     sample was skipped strictly inside (a, b).  Adjacent undefined samples
     raise.
 
-    With ``tape`` (``_monotone_tape``), each chunk is tested for monotone
-    cells in one pass (``_monotone_pass``), block by block until a block
-    certifies too few to pay for its test; one ``_sampled_cells`` call a
-    chunk samples every other cell.  ``certified`` marks the cells whose
-    extrema came from their edges, a bool a cell, and is None when no cell
-    is, as always without a tape: the array is allocated at the first
-    certified cell.  ``parent`` (``_monotone_pass``), the certified
-    cells of a level whose cell count divides ``cells``, gives the cells that
-    inherit; None inherits nothing, as an all-False array would.
+    With ``tape`` (``_monotone_tape``), a level is tested for monotone
+    cells as a whole or not at all (see the module docstring): a level of
+    more than _MONOTONE_CELLS cells whose ``parent`` does not pay
+    (``_pays``) first probes as many cells, and when they do not pay it
+    drops them and is sampled in full.  A tested chunk takes one
+    ``_monotone_pass`` and one ``_sampled_cells`` call for the rest.
+    ``certified`` marks the cells whose extrema came from their edges, a
+    bool a cell, and is None when no cell is, as always without a tape:
+    the array is allocated at the first certified cell.  ``parent``
+    (``_monotone_pass``), the certified cells of a level whose cell count
+    divides ``cells``, gives the cells that inherit; None inherits nothing
+    and pays for nothing, as an all-False array would.
     """
     w = cfg.samples_per_cell - 1
     dx = (b - a) / cells
@@ -696,6 +668,11 @@ def _uniform_sums(
     holes, testing = False, tape is not None
     lowers, uppers, magnitude = [], [], 0.0  # each summation chunk's sums
     cells_per_chunk = max(1, _SUM_CHUNK_POINTS // w)
+    # a level of more than _MONOTONE_CELLS cells without a parent that paid
+    # is judged by a probe of its first cells
+    paid = parent is not None and _pays(parent, w)
+    probe = 0 if cells <= _MONOTONE_CELLS or paid else min(_MONOTONE_CELLS, cells_per_chunk)
+    level = (ev, tape, a, b, step, w, cells)  # the arguments every pass shares
     # room for one chunk's (lo, hi), so no two chunks' are alive at once
     room = np.empty(2 * min(cells, cells_per_chunk))
     for c0 in range(0, cells, cells_per_chunk):
@@ -704,7 +681,14 @@ def _uniform_sums(
         lo, hi = pair[0], pair[1]
         todo = range(c1 - c0)
         if testing:
-            sure, testing = _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent)
+            k = probe or c1 - c0
+            sure = _monotone_pass(*level, c0, c0 + k, lo[:k], hi[:k], parent)
+            if probe:  # a probe that does not pay leaves the level untested
+                probe, testing = 0, _pays(sure, w)
+                if testing and k < c1 - c0:
+                    rest = _monotone_pass(*level, c0 + k, c1, lo[k:], hi[k:], parent)
+                    sure = np.append(sure, rest)
+        if testing:
             if sure.any():
                 if certified is None:
                     certified = np.zeros(cells, dtype=bool)

@@ -756,7 +756,9 @@ def differentiate(e: Expr, varname: str | None = None) -> Expr:
     built, node by node (``_node``), and it carries no canonical form:
     correctness is pointwise evaluation equality.  Each node object of
     ``e`` is differentiated, and copied into the result, once, so the
-    result shares the nodes that ``e`` shares.
+    result shares the nodes that ``e`` shares; a node whose copy would
+    equal it, operand for operand, is taken as it is, so the result
+    shares those subtrees with ``e`` too.
     """
     if varname is None:
         names = variables(e)
@@ -771,7 +773,11 @@ def differentiate(e: Expr, varname: str | None = None) -> Expr:
             return n
         got = copies.get(id(n))
         if got is None:
-            got = copies[id(n)] = _node(n.kind, tuple(map(copy, n.args)), n.name)
+            got = _node(n.kind, tuple(map(copy, n.args)), n.name)
+            same = got.kind == n.kind and got.name == n.name
+            if same and all(x is y for x, y in zip(got.args, n.args)):
+                got = n  # nothing changed: share the node itself
+            copies[id(n)] = got
         return got
 
     def d(n: Expr) -> Expr:

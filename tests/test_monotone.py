@@ -326,7 +326,7 @@ class TestCertifiedCells:
     def test_runs_take_as_many_cells_a_call_as_fit(self):
         # a run takes (8192 - 1) // w cells a call: at 2 samples, 2**16 cells
         # take 9 calls (16 in gathered parts of 4,096); x*x-x^2 certifies
-        # nothing, so its 6,144 cells take 48 calls after its first block's edges
+        # nothing, so its 6,144 cells take 48 calls after its probe's edges
         def sizes(f, cells, cfg):
             ev, got = D.as_evaluator(f), []
 
@@ -426,7 +426,7 @@ class TestSampledCells:
         assert holes and (undefined + k0 * w).tolist() == [5000]
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
 
-    def test_a_block_certifying_none_ends_the_test_of_its_row(self):
+    def test_a_probe_certifying_none_leaves_its_level_untested(self):
         # x*x - x^2: the enclosure of its derivative always holds 0
         f, calls = parse("x*x-x^2"), []
 
@@ -442,10 +442,10 @@ class TestSampledCells:
         want = D._uniform_sums(D.as_evaluator(f), 0.0, 1.0, 3 * D._MONOTONE_CELLS, CFG64)
         assert (lower, upper) == want[:2]
 
-    def test_a_block_certifying_too_few_to_pay_ends_the_test_of_its_row(self):
+    def test_a_probe_certifying_too_few_to_pay_leaves_its_level_untested(self):
         # sin(3000x): 69 of 1,024 cells certify, saving 4.2 samples a cell at
-        # 64 samples, under the 8 the test costs; they keep their edge
-        # extrema all the same.  Finer, nearly all certify.
+        # 64 samples, under the 8 the test costs; a level of at most 2,048
+        # cells is tested whole all the same.  Finer, nearly all certify.
         f, calls = parse("sin(3000*x)"), []
         ev, tape = D.as_evaluator(f), D._monotone_tape(f, CFG64)
         lower, upper, _, _, certified = D._uniform_sums(ev, 0.0, 1.0, 1024, CFG64, tape)
@@ -458,14 +458,87 @@ class TestSampledCells:
             calls.append(len(lo))
             return enclose(tape, lo, hi)
 
-        # the same cell width over [0, 6]: the first of three blocks pays too
-        # little, so the other two are not tested
+        # the same cell width over [0, 6], with no parent: the probe of the
+        # first 2,048 cells certifies 138, under the 260 that would pay, so
+        # they are dropped and the whole level is sampled
         cells = 3 * D._MONOTONE_CELLS
         with mock.patch.object(D, "enclose", counting):
             lower, upper, _, _, certified = D._uniform_sums(ev, 0.0, 6.0, cells, CFG64, tape)
         assert calls == [D._MONOTONE_CELLS]
-        assert np.count_nonzero(certified) == 138  # under the 260 that would pay
+        assert certified is None
         assert (lower, upper) == D._uniform_sums(ev, 0.0, 6.0, cells, CFG64)[:2]
+
+    def test_a_failed_probe_makes_one_enclose_call(self):
+        # 2**18 cells at 16 samples span two summation chunks; x*x-x^2
+        # certifies nothing, so the probe's 2,048 cells are the only ones
+        # enclosed, and their edges the only ones evaluated
+        f, calls, sizes = parse("x*x-x^2"), [], []
+        ev = D.as_evaluator(f)
+
+        def counting(tape, lo, hi):
+            calls.append(len(lo))
+            return enclose(tape, lo, hi)
+
+        def recording(xs):
+            sizes.append(xs.size)
+            return ev(xs)
+
+        cells = 2**18
+        with mock.patch.object(D, "enclose", counting):
+            got = D._uniform_sums(recording, 0.0, 1.0, cells, CFG16, D._monotone_tape(f, CFG16))
+        assert calls == [D._MONOTONE_CELLS] and got[4] is None
+        probe, tested = sizes[0], sizes[1:]
+        sizes.clear()
+        assert got[:4] == D._uniform_sums(recording, 0.0, 1.0, cells, CFG16)[:4]
+        assert probe == D._MONOTONE_CELLS + 1 and tested == sizes  # then sampled as untested
+
+
+class TestPerLevelRule:
+    """A level of more than 2,048 cells is tested whole when its parent's
+    certified cells paid for their test, else when a probe of its first
+    2,048 cells pays, else not at all."""
+
+    def test_a_level_whose_parent_paid_is_tested_whole(self):
+        # E1 x^2 at tol 1e-6: the rhs goes from 1,024 cells to 2**19 and then
+        # 2**23.  The first 2,048 cells of 2**23 lie below t = 1.6e-4, where
+        # few certify, yet the parent paid, so every block is tested
+        p = SubstitutionProblem(parse("x^2"), parse("t*sin(1/t)"), 0.0, 2 / math.pi)
+        report = verify(p, 1e-6, CFG64)
+        rhs = report.rhs
+        assert report.verdict == "verified"
+        assert (rhs.lower.hex(), rhs.upper.hex(), rhs.cells, rhs.levels, rhs.swept) == (
+            "0x1.6045a9784550bp-4", "0x1.6045fdbe2c36bp-4", 2**23, 3, 12583936)
+        assert rhs.certified >= 0.99 * 2**23
+
+    @pytest.mark.parametrize("cfg, probed", [(CFG16, 2**20), (CFG64, 2**19)], ids=["16", "64"])
+    def test_a_level_after_a_poor_parent_is_probed_then_tested(self, cfg, probed):
+        # x+1e-4*sin(1e6*x): the levels to 2**18 cells certify nothing, the
+        # next probe certifies 805 of 2,048 cells (39%), which pays at 64
+        # samples and not at 16; at 16 samples the level after it is probed
+        # in turn and pays.
+        f, passes = parse("x+1e-4*sin(1e6*x)"), []
+        monotone_pass = D._monotone_pass
+
+        def recording(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent):
+            sure = monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent)
+            passes.append((cells, c0, c1))
+            return sure
+
+        with mock.patch.object(D, "_monotone_pass", recording):
+            est = integrate(f, Interval(0.0, 1.0), 1e-4, cfg)
+        want = {16: ("0x1.fff8310c97a07p-2", "0x1.0003e779daf0ep-1"),
+                64: ("0x1.fff830e32b0ffp-2", "0x1.0003e78e91416p-1")}[cfg.samples_per_cell]
+        assert (est.lower.hex(), est.upper.hex()) == want
+        assert (est.cells, est.levels, est.swept, est.certified) == (2**20, 6, 1917952, 730265)
+        levels = sorted({p[0] for p in passes})
+        assert levels == [2**10, 2**14, 2**16, 2**18, 2**19, 2**20]
+        for cells in levels[1:]:
+            first = [p for p in passes if p[0] == cells][0]
+            # probed where no parent paid: the first 2,048 cells alone
+            assert (first[1:3] == (0, D._MONOTONE_CELLS)) == (cells <= probed)
+        # the probe that paid goes on from cell 2,048, and its level is tested whole
+        tested = [p for p in passes if p[0] == probed]
+        assert tested[1][1] == D._MONOTONE_CELLS and tested[-1][2] == probed
 
 
 class TestEstimateCount:
@@ -573,7 +646,7 @@ class TestInheritedCertification:
     @given(data=st.data(), cells=st.integers(1, 300), ratio=st.sampled_from([1, 2, 4, 64]))
     def test_cells_written_in_pieces_are_inherited_by_the_children(self, data, cells, ratio):
         # x*x-x^2+1: no fresh cell is certified, and no edge value is zero,
-        # so one block of a chunk certifies exactly the cells it inherits
+        # so a pass certifies exactly the cells it inherits
         certified = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
         cuts = sorted(data.draw(st.sets(st.integers(1, cells - 1))) if cells > 1 else ())
         parent = np.zeros(cells, dtype=bool)
@@ -584,8 +657,8 @@ class TestInheritedCertification:
         k1 = data.draw(st.integers(k0 + 1, min(n, k0 + D._MONOTONE_CELLS)))
         f = parse("x*x-x^2+1")
         lo, hi = np.empty(k1 - k0), np.empty(k1 - k0)
-        got, _ = D._monotone_pass(D.as_evaluator(f), D._monotone_tape(f, CFG16), -1.0, 2.0,
-                                  3.0 / (n * 15), 15, n, k0, k1, lo, hi, parent)
+        got = D._monotone_pass(D.as_evaluator(f), D._monotone_tape(f, CFG16), -1.0, 2.0,
+                               3.0 / (n * 15), 15, n, k0, k1, lo, hi, parent)
         assert (got == certified.repeat(ratio)[k0:k1]).all()
 
     def test_a_jumped_level_that_undoes_inherits_from_the_last_accepted(self):
@@ -632,7 +705,7 @@ class TestEnclosedCount:
 
 
 # ---------------------------------------------------------------------------
-# One monotone pass a summation chunk, against the per-block loop it replaced
+# One monotone pass a summation chunk, against a loop over blocks
 
 
 def reference_block(ev, tape, a, b, step, w, cells, k0, k1, lo, hi, inherited):
@@ -655,46 +728,36 @@ def reference_block(ev, tape, a, b, step, w, cells, k0, k1, lo, hi, inherited):
 
 
 def reference_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent):
-    """A chunk as a loop over blocks: each block's edges evaluated, its fresh
-    cells enclosed and its uncertified cells sampled on their own, then the
-    cells past the block that stopped the test sampled in runs of 8,191 // w
-    cells: ((cells certified, holes, whether the test goes on), which cells)."""
+    """A chunk as a loop over blocks of 2,048 cells: each block's edges
+    evaluated, its fresh cells enclosed and its uncertified cells sampled on
+    their own: ((cells certified, holes), which cells)."""
     inherited = np.zeros(cells, bool) if parent is None else parent.repeat(cells // parent.size)
     certified = np.zeros(c1 - c0, dtype=bool)
-    k0, sure, holes, testing = c0, 0, False, True
-    while testing and k0 < c1:
+    sure, holes = 0, False
+    for k0 in range(c0, c1, D._MONOTONE_CELLS):
         k1 = min(c1, k0 + D._MONOTONE_CELLS)
         block = slice(k0 - c0, k1 - c0)
         got, hole, certified[block] = reference_block(ev, tape, a, b, step, w, cells, k0, k1,
                                                       lo[block], hi[block], inherited[k0:k1])
         sure, holes = sure + got, holes or hole
-        testing = got * w >= D._TEST_SAMPLES * (k1 - k0)
-        k0 = k1
-    last, per_run = cells * w, (D._CHUNK_POINTS - 1) // w
-    for j0 in range(k0, c1, per_run):
-        j1 = min(c1, j0 + per_run)
-        ys = ev(D._row_points(a, b, step, last, j0 * w, j1 * w))
-        _, _, undefined = D._cell_extrema(ys, w, lo[j0 - c0 : j1 - c0], hi[j0 - c0 : j1 - c0])
-        if undefined is not None:  # the sample's index in the level: 0 is a, last is b
-            holes = holes or bool(((undefined + j0 * w > 0) & (undefined + j0 * w < last)).any())
-    return (sure, holes, testing), certified
+    return (sure, holes), certified
 
 
 def one_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent):
-    """A chunk as ``_uniform_sums`` takes it: ``_monotone_pass``, then every
+    """A chunk as ``_uniform_sums`` tests it: ``_monotone_pass``, then every
     cell it left uncertified in one ``_sampled_cells`` call."""
-    certified, testing = D._monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent)
+    certified = D._monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent)
     assert certified.dtype == bool and certified.size == c1 - c0
     holes = D._sampled_cells(ev, a, b, step, w, cells * w, c0, np.flatnonzero(~certified), lo, hi)
-    return (int(np.count_nonzero(certified)), holes, testing), certified
+    return (int(np.count_nonzero(certified)), holes), certified
 
 
 def chunk_passes(run, f, a, b, cells, w, parent_bits, chunk):
-    """A level's chunks of ``chunk`` cells through ``run`` while the test goes
-    on: the lo/hi bytes, each chunk's (cells certified, holes, whether the
-    test goes on), the level's certified cells and the sorted cells handed
-    to ``enclose``.  ``parent_bits`` (None: nothing nests) are the certified
-    cells of the level before, whose cells hold cells // len(parent_bits)."""
+    """A level's chunks of ``chunk`` cells through ``run``: the lo/hi bytes,
+    each chunk's (cells certified, holes), the level's certified cells and
+    the sorted cells handed to ``enclose``.  ``parent_bits`` (None: nothing
+    nests) are the certified cells of the level before, whose cells hold
+    cells // len(parent_bits)."""
     cfg = SamplingConfig(samples_per_cell=w + 1)
     ev, tape = D.as_evaluator(f), D._monotone_tape(f, cfg)
     parent = None if parent_bits is None else np.asarray(parent_bits, dtype=bool)
@@ -706,11 +769,9 @@ def chunk_passes(run, f, a, b, cells, w, parent_bits, chunk):
         return enclose(tape, lo, hi)
 
     lo, hi = np.full(cells, 7.0), np.full(cells, 7.0)
-    results, testing = [], True
+    results = []
     with mock.patch.object(D, "enclose", recording), np.errstate(all="ignore"):
         for c0 in range(0, cells, chunk):
-            if not testing:
-                break
             c1 = min(cells, c0 + chunk)
             try:
                 result, certified[c0:c1] = run(ev, tape, a, b, (b - a) / (cells * w), w, cells,
@@ -718,7 +779,6 @@ def chunk_passes(run, f, a, b, cells, w, parent_bits, chunk):
             except UndefinedSamplesError:  # both raise; what came before may differ
                 return "raised", c0
             results.append(result)
-            testing = result[-1]
     return lo.tobytes(), hi.tobytes(), results, certified.tobytes(), sorted(enclosed)
 
 
@@ -748,7 +808,7 @@ class TestOnePassAChunk:
         assert chunk_passes(one_pass, *args) == chunk_passes(reference_pass, *args)
 
     @pytest.mark.parametrize("text", ["x*x-x^2+1", "x*x-x^2", "sin(30*x)"])
-    def test_a_block_fails_in_the_middle_after_inherited_blocks(self, text):
+    def test_a_poor_block_in_the_middle_does_not_end_the_pass(self, text):
         # 64 cells a parent, 32 parents a block: blocks 0-2 inherit all but two
         # parents' cells each, block 3 nothing, the blocks after it most
         bits = np.ones(8 * 32, dtype=bool)
@@ -757,8 +817,9 @@ class TestOnePassAChunk:
         args = (parse(text), 0.0, 1.0, 8 * 2048, 63, bits, 8 * 2048)
         got = chunk_passes(one_pass, *args)
         assert got == chunk_passes(reference_pass, *args)
-        if text == "x*x-x^2+1":
-            assert got[2] == [(3 * 2048 - 3 * 64, False, False)]
+        if text == "x*x-x^2+1":  # every inherited cell, in the blocks after block 3 too
+            assert got[2] == [((8 * 32 - 35) * 64, False)]
+            assert len(got[4]) == 35 * 64  # only the cells of uncertified parents are enclosed
 
     def test_an_undefined_edge_sample(self):
         cells, w = 4 * 2048, 63
@@ -767,27 +828,27 @@ class TestOnePassAChunk:
         args = (parse(f"x*x-x^2+1 + (x - {x0!r})/(x - {x0!r})"), 0.0, 1.0, cells, w, bits, cells)
         got = chunk_passes(one_pass, *args)
         assert got == chunk_passes(reference_pass, *args)
-        assert got[2] == [(cells - 2, True, True)]
+        assert got[2] == [(cells - 2, True)]
 
     def test_sixteen_samples_a_chunk_that_starts_inside_a_parent_cell(self):
         # 2**21 // 15 = 139,810 cells a chunk, 2 more than a multiple of 16:
-        # the second chunk starts 2 cells into a parent cell
+        # the second chunk starts 2 cells into parent cell 8738
         w, cells = 15, 2**18
         chunk = D._SUM_CHUNK_POINTS // w
         assert chunk == 139810
         bits = np.ones(cells // 16, dtype=bool)
-        # the second chunk starts in parent 8738; its first block passes with
-        # 880 fresh cells, its third fails with 1,954
         bits[8745:8800] = False
         bits[9000:9200] = False
         args = (parse("x*x-x^2+1"), 0.0, 1.0, cells, w, bits, chunk)
         got = chunk_passes(one_pass, *args)
         assert got == chunk_passes(reference_pass, *args)
-        # the second chunk certifies 3 * 2048 - 880 - 1954 cells, and no cell
-        # past its third block is enclosed
-        assert [r[0] for r in got[2]] == [chunk, 3310]
-        assert got[2][1][-1] is False
-        assert max(hi for _, hi in got[4]) == edge_point(0.0, 1.0, cells, w, chunk + 3 * 2048)
+        # the second chunk certifies all but the 255 uncertified parents' cells,
+        # and only those are enclosed
+        assert got[2] == [(chunk, False), (cells - chunk - 255 * 16, False)]
+        level = np.frombuffer(got[3], dtype=bool)
+        assert level[chunk : chunk + 14].all() and not level[8745 * 16 : 8800 * 16].any()
+        assert len(got[4]) == 255 * 16
+        assert min(lo for lo, _ in got[4]) == edge_point(0.0, 1.0, cells, w, 8745 * 16)
 
     def test_sixty_four_samples_a_chunk_that_starts_eight_cells_into_a_parent_cell(self):
         # 2**21 // 63 = 33,288 cells a chunk, 8 more than a multiple of 32: at
@@ -801,7 +862,7 @@ class TestOnePassAChunk:
         args = (parse("x*x-x^2+1"), 0.0, 1.0, cells, w, bits, chunk)
         got = chunk_passes(one_pass, *args)
         assert got == chunk_passes(reference_pass, *args)
-        assert got[2] == [(chunk, False, True), (cells - chunk - 41 * 32, False, True)]
+        assert got[2] == [(chunk, False), (cells - chunk - 41 * 32, False)]
         # the second chunk opens with parent 1040's last 24 cells, then 1041's 32
         level = np.frombuffer(got[3], dtype=bool)
         assert level[chunk : chunk + 24].all() and not level[chunk + 24 : chunk + 56].any()
