@@ -709,6 +709,51 @@ def _uniform_sums(
     return _fsum(lowers) * dx, _fsum(uppers) * dx, magnitude * dx, holes, certified
 
 
+def _sweep(
+    ev: Evaluator, pieces: Sequence[tuple[float, float]], cells: int, cfg: SamplingConfig
+) -> list:
+    """One untested level over a list of pieces: each piece's ``_uniform_sums``
+    over ``cells`` equal cells of it, or the UndefinedSamplesError it raised.
+
+    The pieces' cells * w + 1 points each must fit one evaluator block
+    together (_CHUNK_POINTS), so each piece's level is one evaluator block
+    and one summation chunk, as ``_uniform_sums`` samples it alone.  The
+    points are evaluated in one call, each piece is reduced by
+    ``_cell_extrema``, and the 2n rows of extrema are summed in one
+    ``compensated_sum`` call.  Evaluation is elementwise and ``fsum_rows``
+    rounds row by row, so each piece gets the bits of ``_uniform_sums``.
+    """
+    w = cfg.samples_per_cell - 1
+    last = cells * w  # the index of sample b
+    a, b = np.array(pieces, dtype=float).T
+    # each piece's _row_points(a, b, step, last, 0, last), as a row
+    xs = np.arange(last + 1.0) * ((b - a) / last)[:, None]
+    xs += a[:, None]
+    xs[:, -1] = b
+    pairs = np.empty((len(pieces), 2, cells))
+    swept: list = []  # each piece's error, or whether it skipped a hole
+    for ys, pair in zip(ev(xs.ravel()).reshape(len(pieces), -1), pairs):
+        try:
+            undefined = _cell_extrema(ys, w, *pair)[2]
+        except UndefinedSamplesError as exc:
+            swept.append(exc)
+            pair[...] = 0.0
+            continue
+        # a hole unless it is sample a or b
+        swept.append(undefined is not None and bool(((undefined != 0) & (undefined != last)).any()))
+    rows = pairs.reshape(-1, cells)
+    size = np.abs(rows)
+    sums = compensated_sum(rows, _abs=size)
+    with np.errstate(over="ignore"):
+        sizes = size.sum(axis=1).tolist()
+    for r, (lo, hi) in enumerate(pieces):
+        if not isinstance(swept[r], UndefinedSamplesError):
+            dx = (hi - lo) / cells
+            lower, upper = _fsum([sums[2 * r]]) * dx, _fsum([sums[2 * r + 1]]) * dx
+            swept[r] = (lower, upper, (sizes[2 * r] + sizes[2 * r + 1]) * dx, swept[r], None)
+    return swept
+
+
 def integrate(
     f: Integrand,
     iv: Interval,
@@ -717,6 +762,7 @@ def integrate(
     *,
     max_cells: int = CELL_CAP,
     start_cells: int = START_CELLS,
+    _opened=None,
 ) -> DarbouxEstimate:
     """Refine uniform cells from 2**10 until upper - lower <= tol.
 
@@ -734,6 +780,11 @@ def integrate(
     From 16 samples a cell, each level after the first encloses only the
     cells inside the last accepted level's uncertified cells (see the
     module docstring); the rest inherit their parent's certification.
+
+    ``_opened`` (internal) is the first level when the caller has swept it
+    already: ``_sweep``'s entry for ``iv`` at min(start_cells, max_cells)
+    cells with this ``cfg``, untested, so only where ``f`` takes no
+    monotone test.  The result is that of sweeping it here.
     """
     if not tol > 0:  # NaN as well
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -752,9 +803,13 @@ def integrate(
         levels, swept = levels + 1, swept + cells
         parent = kept if kept is not None and cells % kept.size == 0 else None
         try:
-            lower, upper, magnitude, holes, sure = _uniform_sums(
-                ev, iv.a, iv.b, cells, cfg, tape, parent
-            )
+            if _opened is None:
+                level = _uniform_sums(ev, iv.a, iv.b, cells, cfg, tape, parent)
+            elif isinstance(_opened, UndefinedSamplesError):
+                raise _opened
+            else:
+                level, _opened = _opened, None
+            lower, upper, magnitude, holes, sure = level
             undo = jumped and (holes or not math.isfinite(upper - lower))
         except UndefinedSamplesError:
             if not jumped:

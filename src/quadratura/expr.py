@@ -505,7 +505,7 @@ def _pow_literal(a, c):
         out = np.power(a, c)
     if c < 0:
         _undefined_where(out, a == 0.0)
-    return _patch_nan(out, a)
+    return out  # NaN propagates through a product of powers and np.power(nan, c != 0)
 
 
 def _pow(a, b):

@@ -22,6 +22,17 @@ reports the midpoint and width of the running bracket, and ``cells``
 counts all cells covering [u_k, v_k].  Each strip gets its own uniform
 grid, so a strip near a steep end does not force fine cells onto the
 rest of the truncation.
+
+An expression's strips open together where their first levels take no
+monotone test (below 16 samples a cell): a strip's first level does not
+depend on its budget, so as many strips of the coming steps as fit in one
+evaluator block (7 of 1,025 points at 2 samples and 1,024 cells) are
+swept at once (``darboux._sweep``), and each strip then refines alone
+from its opened level, with its own budget.  The results and errors are
+those of opening each strip alone; a strip that is no interval, and the
+ones after it, are not swept ahead and fail in their own turn.
+Callables, whose evaluation might raise, and strips whose first level is
+tested, so that the next inherits its certification, open alone.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import numpy as np
 from . import changevar, darboux
 from .changevar import INCONCLUSIVE, MISMATCH, VERIFIED, SubstitutionProblem
 from .darboux import CELL_CAP, NonConvergenceError, SamplingConfig
+from .expr import Expr
 from .partition import Interval
 
 __all__ = [
@@ -133,6 +145,43 @@ def _aitken(values: list[float]) -> tuple[float | None, bool]:
     return float(limit), True
 
 
+def _strips(schedule: ImproperSchedule, k: int) -> list[tuple[float, float]] | None:
+    """The strips step k integrates, or None where its truncation is degenerate."""
+    u, v = schedule.truncation(k)
+    if not u < v:
+        return None
+    if k == 0:
+        return [(u, v)]
+    pu, pv = schedule.truncation(k - 1)
+    # No strips once offset * 2^-k no longer moves a finite endpoint.
+    return [(a, b) for a, b in ((u, pu), (pv, v)) if a < b]
+
+
+def _open_ahead(f, schedule: ImproperSchedule, k: int, i: int, cfg: SamplingConfig,
+                cells: int, count: int) -> dict:
+    """The opening levels of strip i of step k and of the strips after it,
+    ``count`` strips at most, swept in one ``darboux._sweep``: a dict from
+    each strip to its level.  The strips stop before a degenerate step and
+    before a strip that is no interval, which then fails in its own turn.
+    """
+    strips: list[tuple[float, float]] = []
+    for j in range(k, schedule.max_steps):
+        step = _strips(schedule, j)
+        if step is None:
+            break
+        strips += step[i:] if j == k else step
+        if len(strips) >= count:
+            break
+    pieces = []
+    for a, b in strips[:count]:
+        if not math.isfinite(b - a):  # no Interval, for a < b
+            break
+        pieces.append((a, b))
+    if not pieces:
+        return {}
+    return dict(zip(pieces, darboux._sweep(darboux.as_evaluator(f), pieces, cells, cfg)))
+
+
 def _run_side(
     f,
     schedule: ImproperSchedule,
@@ -145,23 +194,30 @@ def _run_side(
     values: list[float] = []
     lower = upper = 0.0
     cells = 0
-    prev: tuple[float, float] | None = None
+    # An expression that takes no monotone test opens the strips of the
+    # coming steps together, as many as fit in one evaluator block.
+    opening = min(darboux.START_CELLS, max_cells)
+    ahead = darboux._CHUNK_POINTS // (opening * (cfg.samples_per_cell - 1) + 1)
+    if not isinstance(f, Expr) or darboux._monotone_tape(f, cfg) is not None:
+        ahead = 0
+    opened: dict = {}
     for k in range(schedule.max_steps):
         u, v = schedule.truncation(k)
-        if not u < v:
+        strips = _strips(schedule, k)
+        if strips is None:
             side.error = f"schedule degenerate at step {k}"
             break
-        if prev is None:
-            strips = [(u, v)]
+        if k == 0:
             budget = inner_tol / 2.0 if schedule.any_open else inner_tol
         else:
-            # No strips once offset * 2^-k no longer moves a finite endpoint.
-            strips = [(a, b) for a, b in ((u, prev[0]), (prev[1], v)) if a < b]
             budget = (inner_tol - (upper - lower)) / 2.0
         try:
             for i, (a, b) in enumerate(strips):
                 tol = budget / (len(strips) - i)
-                est = darboux.integrate(f, Interval(a, b), tol, cfg, max_cells=max_cells)
+                if ahead > 1 and (a, b) not in opened:
+                    opened = _open_ahead(f, schedule, k, i, cfg, opening, ahead)
+                est = darboux.integrate(f, Interval(a, b), tol, cfg, max_cells=max_cells,
+                                        _opened=opened.pop((a, b), None))
                 lower += est.lower
                 upper += est.upper
                 cells += est.cells
@@ -172,7 +228,6 @@ def _run_side(
         if not math.isfinite(upper - lower):
             side.error = f"step {k} on [{u:.6g}, {v:.6g}]: running bracket is not finite"
             break
-        prev = (u, v)
         mid = 0.5 * (lower + upper)
         if not math.isfinite(mid):  # finite sums whose sum overflows
             mid = 0.5 * lower + 0.5 * upper

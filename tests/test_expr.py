@@ -180,6 +180,15 @@ class TestEvaluate:
         assert math.isnan(ev("0*(1/t)", 0.0))
         assert math.isnan(ev("(1/t)^0", 0.0))
 
+    @pytest.mark.parametrize("c", ["3", "64", "-3", "-64", "0.5", "-2.5", "65", "-70", "100.5"])
+    def test_undefined_base_of_a_literal_power_stays_undefined(self, c):
+        # binary powering, its reciprocal and np.power with c != 0 all keep NaN
+        xs = np.array([np.nan, 0.5, -1.0, 2.0])
+        for base in ("x", "log(x)"):  # a NaN input, and a domain error at -1.0
+            ys = evaluate_array(parse(f"({base})^{c}"), xs)
+            assert math.isnan(ys[0]) and np.isnan(ys[2]) == (base == "log(x)" or "." in c)
+            assert math.isnan(ev(f"(1/x)^{c}", 0.0))
+
     def test_negative_base_fractional_power_undefined(self):
         assert math.isnan(ev("x^0.5", -1.0))
 
