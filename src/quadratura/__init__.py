@@ -2,7 +2,6 @@
 
 from .expr import (
     Expr,
-    NonDifferentiableError,
     ParseError,
     differentiate,
     evaluate,

@@ -37,7 +37,7 @@ from .darboux import (
     as_evaluator,
     integrate_signed,
 )
-from .expr import Expr, NonDifferentiableError, compile_tape, differentiate, mul, substitute
+from .expr import Expr, compile_tape, differentiate, mul, substitute
 from .partition import Interval
 
 __all__ = [
@@ -74,11 +74,10 @@ _GROWTH_LIMIT = 10.0
 class SubstitutionProblem:
     """One identity instance: f in x, phi in t, bounded [alpha, beta], alpha < beta.
 
-    ``phi_prime`` overrides the symbolic derivative when given; when phi
-    is not symbolically differentiable the engine falls back to central
-    differences with step 1e-7 * (beta - alpha).  ``f_domain`` optionally
-    declares the interval [a, b] that phi is expected to map onto
-    (endpoint diagnostics only).
+    ``phi_prime`` overrides the symbolic derivative when given; every
+    formula phi has one, abs and varying exponents included.  ``f_domain``
+    optionally declares the interval [a, b] that phi is expected to map
+    onto (endpoint diagnostics only).
     """
 
     f: Expr
@@ -87,7 +86,7 @@ class SubstitutionProblem:
     beta: float
     phi_prime: Expr | None = None
     f_domain: tuple[float, float] | None = None
-    # (phi' or None, the product expression or None), built on first use so
+    # (phi', the product expression or None), built on first use so
     # the hypothesis probes and the rhs share one derivative and one t-tape.
     _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (phi(alpha), phi(beta)) once computed: the probes and the lhs share them.
@@ -103,9 +102,9 @@ class SubstitutionProblem:
     def span(self) -> float:
         return self.beta - self.alpha
 
-    def _derived_exprs(self) -> tuple[Expr | None, Expr | None]:
-        """phi' (the override, else the symbolic derivative, else None) and
-        (f o phi) * phi' as one expression (None unless all three are formulas).
+    def _derived_exprs(self) -> tuple[Expr, Expr | None]:
+        """phi' (the override, else the symbolic derivative) and (f o phi) * phi'
+        as one expression (None unless f is a formula).
 
         A built product is compiled with phi and phi' to one t-tape whose
         outputs are phi, phi' and the product, in that order: evaluating
@@ -113,14 +112,9 @@ class SubstitutionProblem:
         """
         derived = self._derived
         if derived is None:
-            dphi = self.phi_prime
-            if dphi is None:
-                try:
-                    dphi = differentiate(self.phi)
-                except NonDifferentiableError:
-                    pass
+            dphi = differentiate(self.phi) if self.phi_prime is None else self.phi_prime
             product = None
-            if all(isinstance(g, Expr) for g in (self.f, self.phi, dphi)):
+            if isinstance(self.f, Expr):
                 product = mul(substitute(self.f, self.phi), dphi)
                 compile_tape(self.phi, dphi, product)
             derived = (dphi, product)
@@ -128,36 +122,23 @@ class SubstitutionProblem:
         return derived
 
     def phi_evaluator(self) -> Evaluator:
-        """phi, as the first output of the t-tape when f, phi and phi' are formulas."""
+        """phi, as the first output of the t-tape when f is a formula."""
         self._derived_exprs()
         return as_evaluator(self.phi)
 
-    def phi_prime_evaluator(self) -> Evaluator:
-        dphi = self._derived_exprs()[0]
-        if dphi is not None:
-            return as_evaluator(dphi)
-        phi_ev = as_evaluator(self.phi)
-        h = 1e-7 * self.span
-
-        def central(ts: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where phi overflows
-                return (phi_ev(ts + h) - phi_ev(ts - h)) / (2.0 * h)
-
-        return central
-
     def product_evaluator(self) -> Evaluator:
-        """(f o phi) * phi', compiled as one expression when all are formulas.
+        """(f o phi) * phi', compiled as one expression when f is a formula.
 
         f, phi and phi' then share their common subterms (for t*sin(1/t),
         1/t and sin(1/t)); the values are those of the three separate
         evaluations, bit for bit where defined.
         """
-        fused = self._derived_exprs()[1]
+        dphi, fused = self._derived_exprs()
         if fused is not None:
             return as_evaluator(fused)
         f_ev = as_evaluator(self.f)
         phi_ev = as_evaluator(self.phi)
-        dphi_ev = self.phi_prime_evaluator()
+        dphi_ev = as_evaluator(dphi)
 
         def product(ts: np.ndarray) -> np.ndarray:
             # inf/NaN flow on to the sums.  One expression of temporaries
@@ -168,7 +149,7 @@ class SubstitutionProblem:
         return product
 
     def product_integrand(self) -> Integrand:
-        """(f o phi) * phi' as one expression when all are formulas, so
+        """(f o phi) * phi' as one expression when f is a formula, so
         ``darboux.integrate`` can test its cells for monotonicity; else
         ``product_evaluator()``.  Both evaluate to the same bits.
         """
@@ -177,12 +158,12 @@ class SubstitutionProblem:
 
     def _phi_prime_and_product_evaluator(self) -> Evaluator:
         """phi' and the product as the two rows of one array, from one run of
-        the t-tape when f, phi and phi' are formulas.
+        the t-tape when f is a formula.
         """
         dphi, fused = self._derived_exprs()
         if fused is not None:
             return as_evaluator((dphi, fused))
-        dphi_ev, product_ev = self.phi_prime_evaluator(), self.product_evaluator()
+        dphi_ev, product_ev = as_evaluator(dphi), self.product_evaluator()
         return lambda ts: np.stack([dphi_ev(ts), product_ev(ts)])
 
     def image_endpoints(self) -> tuple[float, float]:

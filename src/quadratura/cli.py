@@ -244,10 +244,7 @@ def cmd_approx(args) -> int:
 
 def cmd_diff(args) -> int:
     f = _parse_formula(args.f, "--f", expr.MAX_TREE_HEIGHT)
-    try:
-        d = expr.differentiate(f, args.var)
-    except (expr.NonDifferentiableError, ValueError) as exc:
-        return _usage_error(str(exc))
+    d = expr.differentiate(f, args.var)  # f has one variable, and a rule for every node
     payload = {"input": expr.to_text(f), "derivative": expr.to_text(d)}
     if args.json:
         _emit(payload, args)
@@ -302,8 +299,12 @@ def _count(minimum: int, maximum: int | None = None):
     return count
 
 
-# One cell's samples fit one evaluation block: no allocation that cannot succeed
+# Upper bounds keep every allocation possible: one cell's samples fit one
+# evaluation block, a level holds at most the default cap of cells, and the
+# continuity probe's 7 * 2^20 points take 56 MiB.
 _SAMPLES = _count(2, darboux._CHUNK_POINTS)
+_MAX_CELLS = _count(1, CELL_CAP)
+_GRID_SIZE = _count(100, 2**20)
 
 
 def _tolerance(text: str) -> float:
@@ -326,7 +327,7 @@ def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-6) ->
         help="samples per cell, >= 2 (2 = cell edges; raise for oscillatory integrands)",
     )
     p.add_argument(
-        "--max-cells", type=_count(1), default=CELL_CAP, help="uniform cell cap, >= 1"
+        "--max-cells", type=_MAX_CELLS, default=CELL_CAP, help="uniform cell cap, 1 to 2^24"
     )
     p.add_argument("--json", action="store_true", help="emit JSON (default for most commands)")
     p.add_argument("--csv", action="store_true", help="emit CSV where the command supports it")
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--phi-prime", default=None, help="override the symbolic derivative")
     p.add_argument(
-        "--grid-size", type=_count(100), default=1000, help="hypothesis-check grid, >= 100"
+        "--grid-size", type=_GRID_SIZE, default=1000, help="hypothesis-check grid, 100 to 2^20"
     )
     _add_common(p)
     p.set_defaults(func=cmd_substitute)
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, help="run a single entry (E1, E2 or E3)")
     p.add_argument("--tol", type=_tolerance, default=None, help="override every entry's tolerance")
     p.add_argument("--samples", type=_SAMPLES, default=None)
-    p.add_argument("--max-cells", type=_count(1), default=CELL_CAP)
+    p.add_argument("--max-cells", type=_MAX_CELLS, default=CELL_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", type=str, default=None)

@@ -10,9 +10,9 @@ is exact; callers of these four partition functions that need guarantees
 pass ``hints`` listing the interior turning points, which makes every
 cell extremum exact.
 
-At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression that
-``differentiate`` accepts is tested for monotone cells first: f and f'
-are enclosed by interval evaluation of their tape
+At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression at
+most ``MAX_TREE_HEIGHT`` (100) levels tall is tested for monotone cells
+first: f and f' are enclosed by interval evaluation of their tape
 (``interval.slope_tape``, ``interval.enclose``) on the cells between the
 evaluated edge samples, and a cell is *certified* when f's enclosure is
 finite, the enclosure of f' keeps one sign (lo >= 0 or hi <= 0) and both
@@ -40,8 +40,7 @@ formula of the bitwise battery in ``tests/test_monotone.py``, its
 samples' extrema are its edge values bit for bit, so the sums are those
 of sampling every cell; only rounding that makes the evaluated f locally
 non-monotone could move a bit.  Callables,
-formulas ``differentiate`` rejects, and fewer samples a cell take every
-sample as before.
+taller expressions, and fewer samples a cell take every sample as before.
 
 ``integrate`` refines a uniform cell count N, 2N, 4N, ... until the
 bracket closes to the requested tolerance; the midpoint of the final

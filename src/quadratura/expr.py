@@ -64,7 +64,6 @@ __all__ = [
     "MAX_TREE_HEIGHT",
     "UnknownIdentifierError",
     "ArityError",
-    "NonDifferentiableError",
     "parse",
     "evaluate",
     "evaluate_array",
@@ -110,10 +109,6 @@ class UnknownIdentifierError(ParseError):
 
 
 class ArityError(ParseError):
-    pass
-
-
-class NonDifferentiableError(ValueError):
     pass
 
 
@@ -750,8 +745,10 @@ def _const_value(e: Expr) -> float:
 def differentiate(e: Expr, varname: str | None = None) -> Expr:
     """Symbolic derivative of ``e`` with respect to its variable.
 
-    Exponents must be constants (the power rule is applied with the
-    folded exponent value); ``abs`` is rejected.  The result is lightly
+    A constant exponent c takes the power rule with its folded value;
+    one that varies takes d(a^b) = a^b * (b' log a + b a'/a), and
+    d|u| = u' u/|u|, so both are undefined where log a or u/|u| is (an
+    isolated u = 0 is one undefined sample).  The result is lightly
     simplified (constant folding, +0 / *1 / *0 elimination) as it is
     built, node by node (``_node``), and it carries no canonical form:
     correctness is pointwise evaluation equality.  Each node object of
@@ -811,10 +808,10 @@ def _derivative(e: Expr, v: str, d, copy) -> Expr:
         return _node("div", (_node("sub", (da_b, a_db)), _node("pow", (copy(b), const(2.0)))))
     if kind == "pow":
         base_node, exp_node = e.args
-        if exp_node.kind != "const" and variables(exp_node):
-            raise NonDifferentiableError(
-                f"cannot differentiate {to_text(e)}: exponent must be a constant"
-            )
+        if exp_node.kind != "const" and variables(exp_node):  # a^b * (b' log a + b a'/a)
+            db_log_a = _node("mul", (d(exp_node), _node("call", (copy(base_node),), "log")))
+            b_da_a = _node("div", (_node("mul", (copy(exp_node), d(base_node))), copy(base_node)))
+            return _node("mul", (copy(e), _node("add", (db_log_a, b_da_a))))
         c = _const_value(exp_node)
         if c == 0.0:
             return const(0.0)
@@ -837,7 +834,7 @@ def _derivative(e: Expr, v: str, d, copy) -> Expr:
         return _node("mul", (_node("call", (copy(u),), "exp"), du))
     if name == "log":
         return _node("div", (du, copy(u)))
-    raise NonDifferentiableError(f"cannot differentiate node {name!r}")
+    return _node("div", (_node("mul", (du, copy(u))), copy(e)))  # abs: u' u/|u|, undefined at 0
 
 
 def _node(kind: str, args: tuple[Expr, ...], name: str = "") -> Expr:

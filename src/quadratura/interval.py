@@ -7,9 +7,9 @@ Interval Analysis", SIAM 2009) that applies the step itself to the
 endpoints, or to the corners of two operands, with the same rounding.
 Rounding is monotone, so a defined point value of the step lies between
 the rule's endpoints; nothing is rounded outward.  NaN marks "no
-enclosure": a rule without one, or an operand that touches the domain's
-edge.  A rule whose value at an infinite end could be finite (a divisor,
-a negative power, exp, atan, sin, cos, tan) gives none for one, so an
+enclosure", where an operand touches the domain's edge.  A rule whose
+value at an infinite end could be finite (a divisor, a negative power, a
+varying exponent, exp, atan, sin, cos, tan) gives none for one, so an
 enclosure that is finite holds only defined point values.
 
 ``interval_tape`` compiles its roots to one tape with ``expr._compile``,
@@ -29,7 +29,6 @@ import numpy as np
 from .expr import (
     MAX_TREE_HEIGHT,
     Expr,
-    NonDifferentiableError,
     _compile,
     _div,
     _log,
@@ -95,8 +94,20 @@ def _idiv(a, b):
     return _none_where(out, ~(((b[0] > 0) | (b[1] < 0)) & _finite(b)))
 
 
-def _no_rule(*operands):
-    return np.full(np.broadcast_shapes(*(np.shape(v) for v in operands)), np.nan)
+def _iabs(a):
+    # |a| at both ends, put in order, and 0 below where a holds 0 inside
+    out = _ordered(np.abs(a))
+    np.copyto(out[0], 0.0, where=(a[0] < 0) & (a[1] > 0))
+    return out
+
+
+def _varying_power(a, b):
+    """The rule of a^b for an exponent b that varies: the hull at the corners,
+    a^b = exp(b log a) being monotone in each operand where a > 0; none unless
+    a is finite and > 0 and b finite."""
+    a = np.broadcast_to(a, b.shape)
+    out = _hull(np.power(a[:, None], b))
+    return _none_where(out, ~((a[0] > 0) & _finite(a) & _finite(b)))
 
 
 def _power(point):
@@ -104,8 +115,8 @@ def _power(point):
     at both ends, x^c being monotone on each side of 0."""
 
     def rule(a, c):
-        if np.ndim(c):  # an exponent that varies has no rule
-            return _no_rule(a, c)
+        if np.ndim(c):
+            return _varying_power(a, c)
         out = _ordered(point(a, c))
         if c < 0:  # none across the pole at 0, or with an infinite end
             return _none_where(out, ~(((a[0] > 0) | (a[1] < 0)) & _finite(a)))
@@ -153,8 +164,7 @@ def _bounded_increasing(fn):
 
 
 # Each step function's interval rule.  np.sqrt and _log are their own: they
-# are increasing and give NaN below their domain.  abs has none:
-# ``differentiate`` rejects it, so no tape ``slope_tape`` gives holds it.
+# are increasing and give NaN below their domain.
 _ENCLOSE = {
     np.negative: lambda a: -a[::-1],
     np.add: np.add,
@@ -169,7 +179,7 @@ _ENCLOSE = {
     np.sqrt: np.sqrt,
     np.arctan: _bounded_increasing(np.arctan),
     np.exp: _bounded_increasing(np.exp),
-    np.abs: _no_rule,
+    np.abs: _iabs,
     _log: _log,
 }
 
@@ -203,9 +213,9 @@ def slope_tape(f: Expr) -> tuple | None:
     """The interval tape of f and its derivative, kept for the next call on f.
 
     The derivative is built simplified, each node of f differentiated once,
-    and compiled with f to one tape.  None where ``differentiate`` rejects
-    f, and for a tree taller than MAX_TREE_HEIGHT, which it may not reach
-    through; the height is read level by level, at most that many levels.
+    and compiled with f to one tape.  None for a tree of two variables, and
+    for a tree taller than MAX_TREE_HEIGHT, which ``differentiate`` may not
+    reach through; the height is read level by level, at most that many levels.
     """
     kept = _SLOPES.get(id(f))
     if kept is not None and kept[0] is f:
@@ -214,7 +224,7 @@ def slope_tape(f: Expr) -> tuple | None:
     if _within_height(f, MAX_TREE_HEIGHT):
         try:
             tape = interval_tape(f, differentiate(f))
-        except (NonDifferentiableError, ValueError):  # ValueError: two variables
+        except ValueError:  # two variables
             pass
     if len(_SLOPES) >= _SLOPES_KEPT:
         del _SLOPES[next(iter(_SLOPES))]

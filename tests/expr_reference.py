@@ -18,7 +18,6 @@ from quadratura.expr import (
     _CALL,
     _STEP,
     Expr,
-    NonDifferentiableError,
     _pow,
     _pow_literal,
     add,
@@ -29,7 +28,6 @@ from quadratura.expr import (
     neg,
     pow_,
     sub,
-    to_text,
     variables,
 )
 
@@ -178,9 +176,9 @@ def _diff(e: Expr, v: str) -> Expr:
     if kind == "pow":
         base_node, exp_node = e.args
         if not _is_constant(exp_node):
-            raise NonDifferentiableError(
-                f"cannot differentiate {to_text(e)}: exponent must be a constant"
-            )
+            db_log_a = mul(_diff(exp_node, v), call("log", base_node))
+            b_da_a = div(mul(exp_node, _diff(base_node, v)), base_node)
+            return mul(e, add(db_log_a, b_da_a))
         c = _const_value(exp_node)
         if c == 0.0:
             return const(0.0)
@@ -203,7 +201,7 @@ def _diff(e: Expr, v: str) -> Expr:
         return mul(call("exp", u), du)
     if name == "log":
         return div(du, u)
-    raise NonDifferentiableError(f"cannot differentiate node {name!r}")
+    return div(mul(du, u), e)  # abs
 
 
 def _fold(e: Expr) -> Expr | None:

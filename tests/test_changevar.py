@@ -74,11 +74,18 @@ class TestRhsIntegral:
         est = rhs_integral(p, 1e-6, EDGES)
         assert abs(est.midpoint - 1.0 / 3.0) < 1e-6
 
-    def test_finite_difference_fallback(self):
-        # abs has no symbolic derivative; central differences take over
+    def test_abs_phi(self):
+        # d|t| = t/|t|, compiled into the one t-tape like any other phi'
         p = problem("x^2", "abs(t)", 0.5, 1.5)
         est = rhs_integral(p, 1e-5, EDGES)
         want = (1.5**3 - 0.5**3) / 3.0
+        assert abs(est.midpoint - want) < 1e-5
+
+    def test_varying_exponent_phi(self):
+        # d(t^t) = t^t (log t + 1): the rhs is phi(t)^2 phi'(t), whose integral is phi^3/3
+        p = problem("x^2", "t^t", 0.5, 1.5)
+        est = rhs_integral(p, 1e-5, EDGES)
+        want = (1.5**4.5 - 0.5**1.5) / 3.0
         assert abs(est.midpoint - want) < 1e-5
 
 
@@ -271,8 +278,8 @@ def _step(x):
 
 
 # Undefined regions (1/x, log, sqrt of a negative), overflow-scale values,
-# a plain callable, and phi without a symbolic derivative (abs: central
-# differences).  exp(t) on [0, 800] gives an unbounded J.
+# a plain callable, and phi with a kink (abs: phi' undefined at it).
+# exp(t) on [0, 800] gives an unbounded J.
 _PROBE_FS = st.sampled_from(("x", "x^3", "1/x", "log(x)", "sqrt(-x)", "tan(x)", "1e308*x",
                              "exp(x)", "sin(1/x)", "abs(x-0.5)", "1", _step))
 _PROBE_PHIS = st.sampled_from(("t", "t*sin(1/t)", "1/t", "log(t)", "tan(t)", "abs(t-0.5)",

@@ -326,9 +326,9 @@ class TestDiffCommand:
         payload = json.loads(out)
         assert evaluate(parse(payload["derivative"]), 2.0) == 12.0
 
-    def test_abs_rejected(self, capsys):
-        code, _ = run(capsys, "diff", "--f", "abs(x)")
-        assert code == EXIT_USAGE
+    def test_abs_derivative(self, capsys):
+        code, out = run(capsys, "diff", "--f", "abs(t)")
+        assert code == EXIT_OK and out == "t/abs(t)\n"
 
     def test_out_file_without_json(self, capsys, tmp_path):
         target = tmp_path / "d.txt"
@@ -827,10 +827,11 @@ _OUT_OF_RANGE = [
     for command in _COMMAND_ARGS
     for option, value in (("--max-cells", "0"), ("--max-cells", "-5"), ("--samples", "1"),
                           ("--samples", "0"), ("--samples", "8193"),
-                          ("--samples", "100000000000"))
+                          ("--samples", "100000000000"), ("--max-cells", "16777217"))
 ] + [
     ("substitute", "--grid-size", "50"),
     ("substitute", "--grid-size", "-1"),
+    ("substitute", "--grid-size", "1048577"),
     ("improper", "--steps", "0"),
     ("improper", "--lhs-steps", "0"),
 ]

@@ -80,8 +80,6 @@ class TestIntervalRules:
     def test_every_step_has_a_rule_or_none(self):
         steps = {*E._STEP.values(), *E._CALL.values(), E._pow_literal, E._pow}
         assert steps == set(I._ENCLOSE)
-        # differentiate rejects abs, so no tape of a derivative holds it
-        assert I._ENCLOSE[np.abs] is I._no_rule
 
     @settings(max_examples=400, deadline=None)
     @given(fn=st.sampled_from(ONE_OPERAND), case=intervals())
@@ -109,6 +107,10 @@ class TestIntervalRules:
     @example(fn=E._div, a=(1.0, 1.0, [1.0]), b=(1.0, math.inf, [1.0, math.inf]), constant=0)
     @example(fn=np.add, a=(1.0, math.inf, [math.inf]), b=(-math.inf, 0.0, [-math.inf]),
              constant=None)
+    # an exponent that varies: a^b is monotone in each operand for a > 0
+    @example(fn=E._pow, a=(0.5, 2.0, [0.5, 1.0, 2.0]), b=(-1.0, 3.0, [-1.0, 0.0, 3.0]),
+             constant=None)
+    @example(fn=E._pow, a=(0.5, 0.5, [0.5]), b=(-1.0, math.inf, [-1.0, math.inf]), constant=0)
     def test_two_operands(self, fn, a, b, constant):
         # ``constant`` names the operand the tape would hold as a scalar
         if constant == 0:
@@ -170,8 +172,8 @@ class TestEnclose:
                         (E.pow_(x, E.const(-2.0)), [1, 1, 0, 0]),
                         (E.pow_(x, E.const(-0.5)), [1, 1, 0, 1]),
                         (parse("x^-2"), [1, 1, 0, 0]),
-                        # an exponent that varies, or a NaN one, has no rule
-                        (parse("x^x"), [1, 1, 1, 1]),
+                        # an exponent that varies needs a base > 0; a NaN one has none
+                        (parse("x^x"), [1, 1, 0, 1]),
                         (E.pow_(x, E.const(math.nan)), [1, 1, 1, 1])):
             out = enclose(I.interval_tape(f), lo, hi)[0]
             assert np.isnan(out).tolist() == [[bool(n) for n in none]] * 2, str(f)
@@ -191,12 +193,15 @@ class TestEnclose:
         assert all(g._tape is tape for g, tape in zip(roots, tapes))
         assert I.slope_tape(product) is slope
 
-    def test_slope_tape_is_kept_and_none_where_rejected(self):
+    def test_slope_tape_is_kept_and_none_above_the_height(self):
         f = parse("x^3")
         assert I.slope_tape(f) is I.slope_tape(f)
         assert enclose(I.slope_tape(f), [1.0], [2.0]).tolist() == [[[1.0], [8.0]], [[3.0], [12.0]]]
-        assert I.slope_tape(parse("abs(x)")) is None
-        assert I.slope_tape(parse("2^x")) is None
+        # abs and a varying exponent have derivatives: x/abs(x) and 2^x*log(2)
+        (_, _), (lo, hi) = enclose(I.slope_tape(parse("abs(x)")), [-2.0, 1.0], [-1.0, 2.0])
+        assert (hi[0], lo[1]) == (-0.5, 0.5)
+        (f_lo, f_hi), (lo, hi) = enclose(I.slope_tape(parse("2^x")), [1.0], [2.0])
+        assert (f_lo[0], f_hi[0], lo[0], hi[0]) == (2.0, 4.0, 2 * math.log(2), 4 * math.log(2))
         tall = parse("+".join(["x"] * (E.MAX_TREE_HEIGHT + 1)))
         assert I.slope_tape(tall) is None
 
@@ -301,10 +306,10 @@ class TestCertifiedCells:
             assert got[:4] == D._uniform_sums(ev, a, b, 3000, CFG16)[:4]
             assert got[4].any()
 
-    def test_below_the_cutoff_or_without_a_derivative_nothing_is_enclosed(self):
+    def test_below_the_cutoff_or_above_the_height_nothing_is_enclosed(self):
+        tall = parse("+".join(["x"] * (E.MAX_TREE_HEIGHT + 1)))
         with mock.patch.object(D, "enclose", side_effect=AssertionError("enclosed")):
-            for f, cfg in ((parse("x^3"), SamplingConfig(samples_per_cell=15)),
-                           (parse("abs(x)"), CFG64), (parse("2^x"), CFG64)):
+            for f, cfg in ((parse("x^3"), SamplingConfig(samples_per_cell=15)), (tall, CFG64)):
                 est = integrate(f, Interval(0.0, 1.0), 1e-2, cfg)
                 assert est.certified == 0
 
