@@ -34,7 +34,11 @@ lies inside one of them, and inside its enclosures too (inclusion
 monotonicity: Moore, Kearfott & Cloud, "Introduction to Interval
 Analysis", 2009): it is certified without an enclosure of its own once
 its two edge values are defined and nonzero.  Only the cells of the
-first level and those inside an uncertified cell are enclosed.
+first level and those inside an uncertified cell are enclosed; where a
+level jumps 8 or more cells a parent cell and has more such cells than
+one call takes, they are enclosed first in aligned groups of at most a
+quarter of a parent cell (the bisection step of interval global
+optimization), and a cell of a certified group inherits as well.
 Where the evaluated f is monotone on a certified cell, as it is on every
 formula of the bitwise battery in ``tests/test_monotone.py``, its
 samples' extrema are its edge values bit for bit, so the sums are those
@@ -587,6 +591,17 @@ def _pays(certified: np.ndarray, w: int) -> bool:
     return np.count_nonzero(certified) * w >= _TEST_SAMPLES * certified.size
 
 
+def _one_sign(tape, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Whether f's enclosure on [x0[i], x1[i]] is finite and f' keeps one
+    sign there, a bool an interval, enclosed _MONOTONE_CELLS a call."""
+    sure = np.empty(x0.size, dtype=bool)
+    for k in range(0, x0.size, _MONOTONE_CELLS):
+        part = slice(k, k + _MONOTONE_CELLS)
+        f_range, slope = enclose(tape, x0[part], x1[part])
+        sure[part] = np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+    return sure
+
+
 def _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent) -> np.ndarray:
     """Cells c0..c1-1 of a level of ``cells`` tested for monotone cells:
     which of them are certified.  Their edge extrema are written into
@@ -601,8 +616,13 @@ def _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent) -> np
     A cell inside a certified parent cell inherits: it lies inside that
     cell's enclosures, so only its edge values are checked.  The edges are
     evaluated in one call and the fresh (not inherited) cells enclosed
-    _MONOTONE_CELLS a call.  The pass samples nothing: the caller samples
-    the rest.
+    _MONOTONE_CELLS a call.  Where r = cells // parent.size is at least 8
+    and there are more fresh cells F than that, they are first enclosed in
+    groups of g consecutive cells, g the least power of two with F / g <=
+    _MONOTONE_CELLS but at most r / 4 (so at least 2), each group aligned to
+    g and so inside one parent cell; a cell of a certified group inherits,
+    and only the cells of the other groups are enclosed one by one.  The
+    pass samples nothing: the caller samples the rest.
     """
     edges = _row_points(a, b, step, cells * w, c0 * w, c1 * w, w)
     ys = ev(edges)
@@ -614,10 +634,14 @@ def _monotone_pass(ev, tape, a, b, step, w, cells, c0, c1, lo, hi, parent) -> np
         r = cells // parent.size
         inherited = parent[c0 // r : (c1 - 1) // r + 1].repeat(r)[c0 % r : c0 % r + c1 - c0]
         fresh = np.flatnonzero(~inherited)
-    for k in range(0, fresh.size, _MONOTONE_CELLS):
-        part = fresh[k : k + _MONOTONE_CELLS]
-        f_range, slope = enclose(tape, edges[part], edges[part + 1])
-        certified[part] &= np.isfinite(f_range).all(axis=0) & ((slope[0] >= 0) | (slope[1] <= 0))
+        if r >= 8 and fresh.size > _MONOTONE_CELLS:
+            g = min(r // 4, 1 << ((fresh.size - 1) // _MONOTONE_CELLS).bit_length())
+            # the groups whose g cells are all in the chunk, each inside one fresh parent cell
+            first = fresh[((fresh + c0) % g == 0) & (fresh + g <= c1 - c0)]
+            first = first[_one_sign(tape, edges[first], edges[first + g])]
+            inherited[(first[:, None] + np.arange(g)).ravel()] = True
+            fresh = np.flatnonzero(~inherited)
+    certified[fresh] &= _one_sign(tape, edges[fresh], edges[fresh + 1])
     np.minimum(ys[:-1], ys[1:], out=lo)
     np.maximum(ys[:-1], ys[1:], out=hi)
     return certified

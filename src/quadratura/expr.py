@@ -748,8 +748,9 @@ def differentiate(e: Expr, varname: str | None = None) -> Expr:
     A constant exponent c takes the power rule with its folded value;
     one that varies takes d(a^b) = a^b * (b' log a + b a'/a), and
     d|u| = u' u/|u|, so both are undefined where log a or u/|u| is (an
-    isolated u = 0 is one undefined sample).  The result is lightly
-    simplified (constant folding, +0 / *1 / *0 elimination) as it is
+    isolated u = 0 is one undefined sample); a constant through either,
+    |u| whose u' folds to 0 and 0^b, has the derivative 0.  The result is
+    lightly simplified (constant folding, +0 / *1 / *0 elimination) as it is
     built, node by node (``_node``), and it carries no canonical form:
     correctness is pointwise evaluation equality.  Each node object of
     ``e`` is differentiated, and copied into the result, once, so the
@@ -809,6 +810,8 @@ def _derivative(e: Expr, v: str, d, copy) -> Expr:
     if kind == "pow":
         base_node, exp_node = e.args
         if exp_node.kind != "const" and variables(exp_node):  # a^b * (b' log a + b a'/a)
+            if _is_zero(copy(base_node)):  # 0^b is constant where it is defined
+                return const(0.0)
             db_log_a = _node("mul", (d(exp_node), _node("call", (copy(base_node),), "log")))
             b_da_a = _node("div", (_node("mul", (copy(exp_node), d(base_node))), copy(base_node)))
             return _node("mul", (copy(e), _node("add", (db_log_a, b_da_a))))
@@ -834,6 +837,8 @@ def _derivative(e: Expr, v: str, d, copy) -> Expr:
         return _node("mul", (_node("call", (copy(u),), "exp"), du))
     if name == "log":
         return _node("div", (du, copy(u)))
+    if _is_zero(du):  # abs of a constant
+        return const(0.0)
     return _node("div", (_node("mul", (du, copy(u))), copy(e)))  # abs: u' u/|u|, undefined at 0
 
 

@@ -145,10 +145,11 @@ def _periodic(fn, peak: float):
 
     def rule(a):
         out = _ordered(fn(a))
+        none = np.isnan(out[0])  # fn is NaN exactly at an end that is not finite
         lo, hi = _spans(a, peak, 2.0 * math.pi)
         np.copyto(out[0], -1.0, where=np.floor(hi - 0.5) + 0.5 >= lo)
         np.copyto(out[1], 1.0, where=np.floor(hi) >= lo)
-        return _none_where(out, ~_finite(a))
+        return _none_where(out, none)
 
     return rule
 

@@ -176,6 +176,8 @@ def _diff(e: Expr, v: str) -> Expr:
     if kind == "pow":
         base_node, exp_node = e.args
         if not _is_constant(exp_node):
+            if _is_zero(_simplify(base_node)):
+                return const(0.0)
             db_log_a = mul(_diff(exp_node, v), call("log", base_node))
             b_da_a = div(mul(exp_node, _diff(base_node, v)), base_node)
             return mul(e, add(db_log_a, b_da_a))
@@ -201,6 +203,8 @@ def _diff(e: Expr, v: str) -> Expr:
         return mul(call("exp", u), du)
     if name == "log":
         return div(du, u)
+    if _is_zero(_simplify(du)):
+        return const(0.0)
     return div(mul(du, u), e)  # abs
 
 

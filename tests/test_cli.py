@@ -140,6 +140,15 @@ class TestSubstituteCommand:
         assert verdicts["phi_prime_bounded"] == "fail"
         assert verdicts["product_bounded"] == "pass"
 
+    @pytest.mark.parametrize("phi, alpha", [("abs(0*t)", "0"), ("0^t", "0.5")])
+    def test_phi_constant_through_abs_or_a_power(self, capsys, phi, alpha):
+        # phi' is 0, not undefined at every sample
+        code, out = run(capsys, "substitute", "--f", "x", "--phi", phi,
+                        "--alpha", alpha, "--beta", "1")
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["verdict"] == "verified"
+        assert payload["rhs"] == {"lower": 0.0, "upper": 0.0}
+
     def test_unevaluable_phi_inconclusive(self, capsys):
         code, out = run(capsys, "substitute", "--f", "x^2", "--phi", "sqrt(-1-t^2)",
                         "--alpha", "0", "--beta", "1", "--tol", "1e-5")
@@ -329,6 +338,11 @@ class TestDiffCommand:
     def test_abs_derivative(self, capsys):
         code, out = run(capsys, "diff", "--f", "abs(t)")
         assert code == EXIT_OK and out == "t/abs(t)\n"
+
+    @pytest.mark.parametrize("text", ["abs(0*t)", "abs(t-t)", "0^t"])
+    def test_constant_through_abs_or_a_power(self, capsys, text):
+        code, out = run(capsys, "diff", "--f", text)
+        assert code == EXIT_OK and out == "0\n"
 
     def test_out_file_without_json(self, capsys, tmp_path):
         target = tmp_path / "d.txt"

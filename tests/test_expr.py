@@ -289,6 +289,11 @@ class TestDifferentiate:
             want = math.cos(x) * math.copysign(1.0, math.sin(x))
             assert abs(evaluate(d, x) - want) < 1e-15
 
+    @pytest.mark.parametrize("text", ["abs(0*x)", "abs(x-x)", "0^x", "(0*x)^x", "abs(0^x)"])
+    def test_constant_through_abs_or_a_power_has_derivative_zero(self, text):
+        # not u' u/|u| = 0/0, nor 0^x (log 0 + ...), which are undefined everywhere
+        assert to_text(differentiate(parse(text))) == "0"
+
     def test_variable_exponent_derivative(self):
         # d(a^b) = a^b (b' log a + b a'/a)
         d = differentiate(parse("x^x"))

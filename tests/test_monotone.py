@@ -7,6 +7,9 @@ sampling each cell in full, which is what the same expression wrapped as a
 plain callable gets.
 """
 
+import contextlib
+import io
+import json
 import math
 from unittest import mock
 
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quadratura import cli
 from quadratura import darboux as D
 from quadratura import expr as E
 from quadratura import interval as I
@@ -689,10 +693,10 @@ class TestEnclosedCount:
         # left uncertified are enclosed; afresh, all 65,536 would be
         p = SubstitutionProblem(parse("x^3"), parse("t*sin(1/t)"), 0.0, 0.6366197723675814)
         rhs = p.product_integrand()
-        enclosed, level = {}, [None]
+        enclosed, level = {}, [None]  # each level's enclose calls, by size
 
         def counting(tape, lo, hi):
-            enclosed[level[0]] = enclosed.get(level[0], 0) + len(lo)
+            enclosed.setdefault(level[0], []).append(len(lo))
             return enclose(tape, lo, hi)
 
         def recording(ev, a, b, cells, cfg, tape=None, parent=None):
@@ -705,8 +709,13 @@ class TestEnclosedCount:
         first = D._uniform_sums(D.as_evaluator(rhs), 0.0, 0.6366197723675814, 1024, CFG64,
                                 D._monotone_tape(rhs, CFG64))
         assert report.rhs.cells == 65536 and np.count_nonzero(first[4]) == 920
-        assert enclosed[True, 65536] == 64 * (1024 - 920) == 6656
-        assert sum(enclosed.values()) == 8704  # was 133,120 (both sides, both levels)
+        # their 6,656 cells are first enclosed 4 a group, 16 groups a parent
+        # cell, and the 4 cells of each of the 397 groups left uncertified
+        # one by one (were 6,656 cells, one by one)
+        assert enclosed[True, 65536] == [64 * (1024 - 920) // 4, 4 * 397] == [1664, 1588]
+        # was 8,704 in 6 calls, and 133,120 afresh (both sides, both levels)
+        assert sum(map(sum, enclosed.values())) == 5300
+        assert sum(map(len, enclosed.values())) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +801,43 @@ def edge_point(a, b, cells, w, k):
     return float(D._row_points(a, b, (b - a) / (cells * w), cells * w, k * w, k * w)[0])
 
 
+def spans(enclosed, a, b, cells, w):
+    """The cells k0..k1-1 each enclosed interval spans, as (k0, k1) arrays,
+    its ends matched bit for bit to the level's cell edges."""
+    edges = D._row_points(a, b, (b - a) / (cells * w), cells * w, 0, cells * w, w)
+    lo, hi = np.array(enclosed, dtype=float).reshape(-1, 2).T
+    k0, k1 = np.searchsorted(edges, lo), np.searchsorted(edges, hi)
+    assert (edges[k0] == lo).all() and (edges[k1] == hi).all()
+    return k0, k1
+
+
+def same_but_groups(got, want, a, b, cells, w, parent_bits):
+    """``chunk_passes`` of ``one_pass`` (got) and ``reference_pass`` (want)
+    agree in everything but the enclosed intervals, and each of got's is one
+    cell or a group of g cells, g a power of two at most r / 4 and the group
+    aligned to g, inside one uncertified parent cell of r cells.  Every cell
+    want encloses, got encloses alone or in a group, and no cell twice alone;
+    got's lone cells are want's.  Returns (groups, lone cells) got encloses."""
+    assert got[:4] == want[:4]
+    if got[0] == "raised":
+        return 0, 0
+    k0, k1 = spans(got[4], a, b, cells, w)
+    fresh = spans(want[4], a, b, cells, w)[0]
+    g = k1 - k0
+    grouped, alone = g > 1, k0[g == 1]
+    assert np.unique(alone).size == alone.size and np.isin(alone, fresh).all()
+    if grouped.any():
+        r, g, k0, k1 = cells // len(parent_bits), g[grouped], k0[grouped], k1[grouped]
+        assert ((g & (g - 1)) == 0).all() and (4 * g <= r).all() and (k0 % g == 0).all()
+        assert (k0 // r == (k1 - 1) // r).all() and not np.asarray(parent_bits)[k0 // r].any()
+    covered = np.zeros(cells, dtype=bool)
+    covered[alone] = True
+    for i, j in zip(k0, k1):
+        covered[i:j] = True
+    assert covered[fresh].all()
+    return int(np.count_nonzero(grouped)), alone.size
+
+
 # the derivative's enclosure of x*x-x^2 always holds 0: a cell is certified
 # exactly when it inherits and its edge values are nonzero
 PASS_FORMULAS = ["x*x-x^2+1", "x*x-x^2", "sin(30*x)", "x^3", "exp(x)*x", "1/(x-0.3)",
@@ -810,7 +856,10 @@ class TestOnePassAChunk:
         bits = None if ratio is None else rng.random(parents) < share
         chunk = data.draw(st.integers(max(1, cells // 3), cells))
         args = (parse(text), -1.0, 2.0, cells, w, bits, chunk)
-        assert chunk_passes(one_pass, *args) == chunk_passes(reference_pass, *args)
+        got, want = chunk_passes(one_pass, *args), chunk_passes(reference_pass, *args)
+        groups, _ = same_but_groups(got, want, -1.0, 2.0, cells, w, bits)
+        if groups == 0:  # no group stage: the same cells enclosed
+            assert got == want
 
     @pytest.mark.parametrize("text", ["x*x-x^2+1", "x*x-x^2", "sin(30*x)"])
     def test_a_poor_block_in_the_middle_does_not_end_the_pass(self, text):
@@ -820,11 +869,15 @@ class TestOnePassAChunk:
         bits[[5, 40, 70, 101]] = False
         bits[96:128] = False
         args = (parse(text), 0.0, 1.0, 8 * 2048, 63, bits, 8 * 2048)
-        got = chunk_passes(one_pass, *args)
-        assert got == chunk_passes(reference_pass, *args)
+        got, want = chunk_passes(one_pass, *args), chunk_passes(reference_pass, *args)
+        groups, alone = same_but_groups(got, want, 0.0, 1.0, 8 * 2048, 63, bits)
+        assert len(want[4]) == 35 * 64  # only the cells of uncertified parents are enclosed
+        # their 2,240 cells, more than one call takes, are first enclosed 2 a
+        # group: no group certifies where f' holds 0, all but 2 do on sin(30*x)
+        assert groups == 35 * 64 // 2
+        assert alone == (4 if text == "sin(30*x)" else 35 * 64)
         if text == "x*x-x^2+1":  # every inherited cell, in the blocks after block 3 too
             assert got[2] == [((8 * 32 - 35) * 64, False)]
-            assert len(got[4]) == 35 * 64  # only the cells of uncertified parents are enclosed
 
     def test_an_undefined_edge_sample(self):
         cells, w = 4 * 2048, 63
@@ -845,14 +898,15 @@ class TestOnePassAChunk:
         bits[8745:8800] = False
         bits[9000:9200] = False
         args = (parse("x*x-x^2+1"), 0.0, 1.0, cells, w, bits, chunk)
-        got = chunk_passes(one_pass, *args)
-        assert got == chunk_passes(reference_pass, *args)
+        got, want = chunk_passes(one_pass, *args), chunk_passes(reference_pass, *args)
+        groups, alone = same_but_groups(got, want, 0.0, 1.0, cells, w, bits)
         # the second chunk certifies all but the 255 uncertified parents' cells,
-        # and only those are enclosed
+        # and only those are enclosed: 2 a group first (4,080 cells are more
+        # than one call takes), and as no group certifies, then one by one
         assert got[2] == [(chunk, False), (cells - chunk - 255 * 16, False)]
         level = np.frombuffer(got[3], dtype=bool)
         assert level[chunk : chunk + 14].all() and not level[8745 * 16 : 8800 * 16].any()
-        assert len(got[4]) == 255 * 16
+        assert (groups, alone) == (255 * 16 // 2, 255 * 16)
         assert min(lo for lo, _ in got[4]) == edge_point(0.0, 1.0, cells, w, 8745 * 16)
 
     def test_sixty_four_samples_a_chunk_that_starts_eight_cells_into_a_parent_cell(self):
@@ -872,3 +926,76 @@ class TestOnePassAChunk:
         level = np.frombuffer(got[3], dtype=bool)
         assert level[chunk : chunk + 24].all() and not level[chunk + 24 : chunk + 56].any()
         assert len(got[4]) == 41 * 32  # only the children of uncertified parents are enclosed
+
+
+# ---------------------------------------------------------------------------
+# The group stage: a jumped level's fresh cells enclosed in groups first
+
+E1_RHS = product("x^3", "t*sin(1/t)", 0.0, 2 / math.pi)
+
+
+class TestGroupStage:
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.sampled_from([*PASS_FORMULAS, "E1 rhs"]), w=st.sampled_from([15, 63]),
+           ratio=st.sampled_from([4, 8, 16, 64]), data=st.data())
+    def test_groups_certify_what_their_cells_do(self, text, w, ratio, data):
+        # more than 4,096 fresh cells, so at least one of at most two chunks
+        # holds more than one enclose call takes; at 4 cells a parent cell a
+        # group of at most a quarter of one would be one cell, so none is made
+        parents = data.draw(st.integers(4096 // ratio + 1, 12288 // ratio))
+        uncertified = data.draw(st.integers(4096 // ratio + 1, parents))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = np.ones(parents, dtype=bool)
+        bits[rng.permutation(parents)[:uncertified]] = False
+        cells = parents * ratio
+        chunk = data.draw(st.integers((cells + 1) // 2, cells))
+        f, (a, b) = (E1_RHS, (0.0, 2 / math.pi)) if text == "E1 rhs" else (parse(text), (-1.0, 2.0))
+        args = (f, a, b, cells, w, bits, chunk)
+        got, want = chunk_passes(one_pass, *args), chunk_passes(reference_pass, *args)
+        groups, _ = same_but_groups(got, want, a, b, cells, w, bits)
+        if ratio == 4 or got[0] == "raised":
+            assert got == want
+        else:
+            assert groups > 0
+
+    def test_plain_doubling_encloses_as_before(self):
+        # 524,288 -> 1,048,576 cells: a ratio of 2 takes no group stage
+        f = parse("x+1e-4*sin(1e6*x)")
+        got, enclosed, levels = inheriting(f, Interval(0.0, 1.0), 1e-4, CFG64, max_cells=D.CELL_CAP)
+        assert levels[-2:] == [(524288, 0), (1048576, 2)] and got[3] == 1048576
+        assert enclosed == 1168076
+
+    def test_improper_strips_at_sixteen_samples_enclose_as_before(self):
+        enclosed = []
+
+        def counting(tape, lo, hi):
+            enclosed.append(len(lo))
+            return enclose(tape, lo, hi)
+
+        argv = ["improper", "--f", "x", "--phi", "1/(1+t)", "--alpha", "0", "--beta", "inf",
+                "--open-alpha", "--tol", "1e-3", "--inner-tol", "1e-5", "--steps", "20",
+                "--samples", "16"]
+        with mock.patch.object(D, "enclose", counting), \
+                contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(argv)
+        assert code == 0 and json.loads(out.getvalue())["verdict"] == "verified"
+        assert sum(enclosed) == 43008
+
+    @pytest.mark.parametrize("text, calls", [
+        ("sin(x)^2+cos(x)^2", {16: [1024, 2048, 2048, 2048], 64: [1024] + [2048] * 6}),
+        ("x*x-x^2", {16: [1024], 64: [1024]}),
+        ("exp(x)*exp(-x)", {16: [1024, 2048, 2048, 2048], 64: [1024] + [2048] * 6}),
+    ])
+    def test_formulas_that_certify_nothing_make_the_same_calls(self, text, calls):
+        # no parent certifies a cell, so no level has fresh cells to group
+        for samples, want in calls.items():
+            sizes = []
+
+            def counting(tape, lo, hi):
+                sizes.append(len(lo))
+                return enclose(tape, lo, hi)
+
+            cfg = SamplingConfig(samples_per_cell=samples)
+            with mock.patch.object(D, "enclose", counting):
+                got, certified = counted(parse(text), Interval(0.0, 1.0), 1e-20, cfg, 2**16)
+            assert certified == 0 and sizes == want, samples
