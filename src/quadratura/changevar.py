@@ -75,9 +75,7 @@ class SubstitutionProblem:
     """One identity instance: f in x, phi in t, bounded [alpha, beta], alpha < beta.
 
     ``phi_prime`` overrides the symbolic derivative when given; every
-    formula phi has one, abs and varying exponents included.  ``f_domain``
-    optionally declares the interval [a, b] that phi is expected to map
-    onto (endpoint diagnostics only).
+    formula phi has one, abs and varying exponents included.
     """
 
     f: Expr
@@ -85,8 +83,7 @@ class SubstitutionProblem:
     alpha: float
     beta: float
     phi_prime: Expr | None = None
-    f_domain: tuple[float, float] | None = None
-    # (phi', the product expression or None), built on first use so
+    # (phi', the product: an expression or a callable), built on first use so
     # the hypothesis probes and the rhs share one derivative and one t-tape.
     _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (phi(alpha), phi(beta)) once computed: the probes and the lhs share them.
@@ -102,21 +99,32 @@ class SubstitutionProblem:
     def span(self) -> float:
         return self.beta - self.alpha
 
-    def _derived_exprs(self) -> tuple[Expr, Expr | None]:
-        """phi' (the override, else the symbolic derivative) and (f o phi) * phi'
-        as one expression (None unless f is a formula).
+    def _derived_exprs(self) -> tuple[Expr, Integrand]:
+        """phi' (the override, else the symbolic derivative) and (f o phi) * phi':
+        one expression when f is a formula, else a callable.
 
-        A built product is compiled with phi and phi' to one t-tape whose
+        A built expression is compiled with phi and phi' to one t-tape whose
         outputs are phi, phi' and the product, in that order: evaluating
         phi runs phi's steps, phi' a longer prefix, the product all of them.
+        f, phi and phi' then share their common subterms (for t*sin(1/t),
+        1/t and sin(1/t)); the values are those of the three separate
+        evaluations, bit for bit where defined.
         """
         derived = self._derived
         if derived is None:
             dphi = differentiate(self.phi) if self.phi_prime is None else self.phi_prime
-            product = None
             if isinstance(self.f, Expr):
                 product = mul(substitute(self.f, self.phi), dphi)
                 compile_tape(self.phi, dphi, product)
+            else:
+                f_ev, phi_ev, dphi_ev = map(as_evaluator, (self.f, self.phi, dphi))
+
+                def product(ts: np.ndarray) -> np.ndarray:
+                    # inf/NaN flow on to the sums.  One expression of temporaries
+                    # lets numpy reuse the left factor's buffer for the product.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        return f_ev(phi_ev(ts)) * dphi_ev(ts)
+
             derived = (dphi, product)
             object.__setattr__(self, "_derived", derived)
         return derived
@@ -126,45 +134,25 @@ class SubstitutionProblem:
         self._derived_exprs()
         return as_evaluator(self.phi)
 
-    def product_evaluator(self) -> Evaluator:
-        """(f o phi) * phi', compiled as one expression when f is a formula.
-
-        f, phi and phi' then share their common subterms (for t*sin(1/t),
-        1/t and sin(1/t)); the values are those of the three separate
-        evaluations, bit for bit where defined.
-        """
-        dphi, fused = self._derived_exprs()
-        if fused is not None:
-            return as_evaluator(fused)
-        f_ev = as_evaluator(self.f)
-        phi_ev = as_evaluator(self.phi)
-        dphi_ev = as_evaluator(dphi)
-
-        def product(ts: np.ndarray) -> np.ndarray:
-            # inf/NaN flow on to the sums.  One expression of temporaries
-            # lets numpy reuse the left factor's buffer for the product.
-            with np.errstate(over="ignore", invalid="ignore"):
-                return f_ev(phi_ev(ts)) * dphi_ev(ts)
-
-        return product
-
     def product_integrand(self) -> Integrand:
-        """(f o phi) * phi' as one expression when f is a formula, so
-        ``darboux.integrate`` can test its cells for monotonicity; else
-        ``product_evaluator()``.  Both evaluate to the same bits.
+        """(f o phi) * phi', one expression when f is a formula, so
+        ``darboux.integrate`` can test its cells for monotonicity.
         """
-        fused = self._derived_exprs()[1]
-        return self.product_evaluator() if fused is None else fused
+        return self._derived_exprs()[1]
+
+    def product_evaluator(self) -> Evaluator:
+        """(f o phi) * phi', as ndarray -> ndarray."""
+        return as_evaluator(self.product_integrand())
 
     def _phi_prime_and_product_evaluator(self) -> Evaluator:
         """phi' and the product as the two rows of one array, from one run of
         the t-tape when f is a formula.
         """
-        dphi, fused = self._derived_exprs()
-        if fused is not None:
-            return as_evaluator((dphi, fused))
-        dphi_ev, product_ev = as_evaluator(dphi), self.product_evaluator()
-        return lambda ts: np.stack([dphi_ev(ts), product_ev(ts)])
+        dphi, product = self._derived_exprs()
+        if isinstance(product, Expr):
+            return as_evaluator((dphi, product))
+        dphi_ev = as_evaluator(dphi)
+        return lambda ts: np.stack([dphi_ev(ts), product(ts)])
 
     def image_endpoints(self) -> tuple[float, float]:
         """(phi(alpha), phi(beta)) from one call, probed just inside an end
@@ -299,31 +287,23 @@ def verify(
     hypotheses = check_hypotheses(p, grid_size)
     side_tol = tol / 2.0
 
-    lhs_est = rhs_est = None
-    lhs_ok = rhs_ok = False
-    reasons = []
-    try:
-        lhs_est = lhs_integral(p, side_tol, cfg, max_cells)
-        lhs_ok = True
-    except NonConvergenceError as exc:
-        lhs_est = exc.estimate
-        reasons.append(f"lhs: {exc}")
-    except ValueError as exc:
-        reasons.append(f"lhs: {exc}")
-    try:
-        rhs_est = rhs_integral(p, side_tol, cfg, max_cells)
-        rhs_ok = True
-    except NonConvergenceError as exc:
-        rhs_est = exc.estimate
-        reasons.append(f"rhs: {exc}")
-    except ValueError as exc:
-        reasons.append(f"rhs: {exc}")
+    estimates, reasons = [], []
+    for name, side in (("lhs", lhs_integral), ("rhs", rhs_integral)):
+        try:
+            estimates.append(side(p, side_tol, cfg, max_cells))
+        except NonConvergenceError as exc:
+            estimates.append(exc.estimate)
+            reasons.append(f"{name}: {exc}")
+        except ValueError as exc:
+            estimates.append(None)
+            reasons.append(f"{name}: {exc}")
+    lhs_est, rhs_est = estimates
 
     if lhs_est is not None and rhs_est is not None:
         abs_diff = abs(lhs_est.midpoint - rhs_est.midpoint)
     else:
         abs_diff = math.nan
-    if lhs_ok and rhs_ok:
+    if not reasons:
         verdict = VERIFIED if abs_diff <= tol else MISMATCH
     else:
         verdict = INCONCLUSIVE
@@ -469,21 +449,9 @@ def check_hypotheses(p: SubstitutionProblem, grid_size: int = 1000) -> Hypothesi
                 j_grid = np.linspace(j_lo, j_hi, grid_size)
                 (b,) = _bounded_verdicts(as_evaluator(p.f), j_lo, j_hi, j_grid)
             checks.append(HypothesisCheck("f_bounded_on_J", b.verdict, b.witness))
-        endpoint_witness = {"phi_alpha": u, "phi_beta": v}
-        if p.f_domain is not None:
-            a, b_ = p.f_domain
-            scale = max(abs(a), abs(b_), 1.0)
-            hit = abs(u - a) <= 1e-12 * scale and abs(v - b_) <= 1e-12 * scale
-            endpoint_witness["declared_domain"] = list(p.f_domain)
-            checks.append(
-                HypothesisCheck(
-                    "endpoints_hit_domain", PASS if hit else FAIL, endpoint_witness
-                )
-            )
-        else:
-            checks.append(
-                HypothesisCheck("endpoints_hit_domain", UNDECIDABLE, endpoint_witness)
-            )
+        checks.append(
+            HypothesisCheck("endpoints_hit_domain", UNDECIDABLE, {"phi_alpha": u, "phi_beta": v})
+        )
     except UndefinedSamplesError as exc:
         checks.append(HypothesisCheck("f_bounded_on_J", UNDECIDABLE, {"error": str(exc)}))
         checks.append(

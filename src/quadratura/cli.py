@@ -11,6 +11,7 @@ lives in ``quadratura.improper`` and the examples in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as _csv
 import io
 import json
@@ -62,10 +63,19 @@ def _emit(payload, args) -> None:
 
 def _emit_text(text: str, args) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(text)
     else:
         print(text, end="")
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """An OSError inside is one ``error:`` line naming ``path``, exit 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot write {path}: {exc.strerror or exc}"))
 
 
 def _steps_csv(report: ImproperReport) -> str:
@@ -237,7 +247,8 @@ def cmd_approx(args) -> int:
             print(f"error: the {key} overflows ({_finite_json(summary[key])})", file=sys.stderr)
             return EXIT_NUMERIC
     if args.out:
-        approximant.write_csv(g, args.out)
+        with _writing(args.out):
+            approximant.write_csv(g, args.out)
     print(_json_text(summary))
     return EXIT_OK
 
@@ -315,11 +326,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
-_tolerance.__name__ = "float"  # argparse names the type in "invalid float value"
+def _length(text: str) -> float:
+    """An argparse type: a finite float > 0, else a usage error."""
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN as well
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
 
 
-def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-6) -> None:
-    p.add_argument("--tol", type=_tolerance, default=tol_default, help="target tolerance")
+_tolerance.__name__ = _length.__name__ = "float"  # argparse: "invalid float value"
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="target tolerance")
     p.add_argument(
         "--samples",
         type=_SAMPLES,
@@ -329,8 +348,6 @@ def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-6) ->
     p.add_argument(
         "--max-cells", type=_MAX_CELLS, default=CELL_CAP, help="uniform cell cap, 1 to 2^24"
     )
-    p.add_argument("--json", action="store_true", help="emit JSON (default for most commands)")
-    p.add_argument("--csv", action="store_true", help="emit CSV where the command supports it")
     p.add_argument("--out", type=str, default=None, help="write the report to PATH")
 
 
@@ -397,17 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--open-alpha", action="store_true", help="approach alpha as an open endpoint")
     p.add_argument("--open-beta", action="store_true")
     p.add_argument("--steps", type=_count(1), default=40, help="maximum truncation steps")
-    p.add_argument("--offset", type=float, default=None, help="initial offset for finite open endpoints")
-    p.add_argument("--cutoff-base", type=float, default=1.0, help="initial cutoff for infinite endpoints")
+    p.add_argument("--offset", type=_length, default=None, help="initial offset for finite open endpoints")
+    p.add_argument("--cutoff-base", type=_length, default=1.0, help="initial cutoff for infinite endpoints")
     p.add_argument(
         "--inner-tol", type=_tolerance, default=None, help="per-truncation bracket tolerance"
     )
     p.add_argument("--lhs-inner-tol", type=_tolerance, default=None)
-    p.add_argument("--lhs-offset", type=float, default=None)
-    p.add_argument("--lhs-cutoff-base", type=float, default=1.0)
+    p.add_argument("--lhs-offset", type=_length, default=None)
+    p.add_argument("--lhs-cutoff-base", type=_length, default=1.0)
     p.add_argument("--lhs-steps", type=_count(1), default=None)
     p.add_argument("--lhs-tol", type=_tolerance, default=None)
-    _add_common(p, tol_default=1e-6)
+    p.add_argument("--csv", action="store_true", help="emit the step table as CSV")
+    _add_common(p)
     p.set_defaults(func=cmd_improper)
 
     p = sub.add_parser("approx", help="build the piecewise-linear below-approximant")
@@ -415,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="refinement level")
-    _add_common(p)
+    p.add_argument("--samples", type=_SAMPLES, default=2)
+    p.add_argument("--out", type=str, default=None, help="write the knot CSV to PATH")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("diff", help="print the symbolic derivative")

@@ -56,6 +56,13 @@ __all__ = [
 ]
 
 
+def _check_lengths(**lengths: float | None) -> None:
+    """Raise ValueError unless each length given (not None) is finite and > 0."""
+    for name, value in lengths.items():
+        if value is not None and not 0 < value < math.inf:  # NaN as well
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class ImproperSchedule:
     """Truncation schedule for one pair of endpoints.
@@ -82,8 +89,7 @@ class ImproperSchedule:
             object.__setattr__(self, "lo_open", True)
         if math.isinf(self.hi) and not self.hi_open:
             object.__setattr__(self, "hi_open", True)
-        if self.offset <= 0 or self.cutoff_base <= 0:
-            raise ValueError("offset and cutoff_base must be positive")
+        _check_lengths(offset=self.offset, cutoff_base=self.cutoff_base)
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -314,6 +320,7 @@ def improper_verify(
     """
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
+    _check_lengths(lhs_offset=lhs_offset, lhs_cutoff_base=lhs_cutoff_base)
     rhs = _run_side(p.product_integrand(), t_schedule, rhs_inner_tol, cfg, max_cells)
 
     phi_ev = p.phi_evaluator()

@@ -429,6 +429,12 @@ class TestImproperSchedule:
         with pytest.raises(ValueError):
             ImproperSchedule(lo=0.0, hi=1.0, offset=-1.0)
 
+    @pytest.mark.parametrize("length", ["offset", "cutoff_base"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_lengths_are_finite_and_positive(self, length, value):
+        with pytest.raises(ValueError, match=f"{length} must be positive and finite"):
+            ImproperSchedule(lo=0.0, hi=1.0, lo_open=True, **{length: value})
+
 
 IMPROPER_CASES = {
     "x over 1/(1+t) on (0, inf)": (
@@ -596,6 +602,20 @@ class TestImproperEngine:
 class TestUsage:
     def test_missing_command(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("integrate", "--f", "x", "--a", "0", "--b", "1"),
+        ("substitute", "--f", "x", "--phi", "t", "--alpha", "0", "--beta", "1"),
+        ("improper", "--f", "x", "--phi", "t", "--alpha", "0", "--beta", "1", "--open-alpha",
+         "--tol", "1e-3", "--csv"),
+        ("approx", "--f", "x", "--a", "0", "--b", "1", "--n", "3"),
+        ("diff", "--f", "x^2"),
+        ("gallery", "--only", "E2"),
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, argv):
+        target = tmp_path / "missing" / "report"
+        lines = _usage_error_of([*argv, "--out", str(target)])
+        assert lines == [f"error: cannot write {target}: No such file or directory"]
 
     @pytest.mark.parametrize("argv", [
         ("integrate", "--f", "x", "--a", "0"),
@@ -824,7 +844,7 @@ class TestCliFuzz:
     def test_approx(self, f, a, b, same, n):
         b = a if same else b
         self.check(["approx", *_formula_args("--f", f), "--a", repr(a), "--b", repr(b),
-                    "--n", str(n), "--max-cells", "4096"])
+                    "--n", str(n)])
 
 
 # One valid call per command, for the count options checked below.
@@ -839,30 +859,59 @@ _COMMAND_ARGS = {
 _OUT_OF_RANGE = [
     (command, option, value)
     for command in _COMMAND_ARGS
-    for option, value in (("--max-cells", "0"), ("--max-cells", "-5"), ("--samples", "1"),
-                          ("--samples", "0"), ("--samples", "8193"),
-                          ("--samples", "100000000000"), ("--max-cells", "16777217"))
+    for option, value in (("--samples", "1"), ("--samples", "0"), ("--samples", "8193"),
+                          ("--samples", "100000000000"))
+] + [
+    (command, option, value)
+    for command in _COMMAND_ARGS if command != "approx"
+    for option, value in (("--max-cells", "0"), ("--max-cells", "-5"),
+                          ("--max-cells", "16777217"))
 ] + [
     ("substitute", "--grid-size", "50"),
     ("substitute", "--grid-size", "-1"),
     ("substitute", "--grid-size", "1048577"),
     ("improper", "--steps", "0"),
     ("improper", "--lhs-steps", "0"),
+] + [
+    # the lengths of improper's truncation schedules are finite and > 0
+    ("improper", option, value)
+    for option in ("--offset", "--cutoff-base", "--lhs-offset", "--lhs-cutoff-base")
+    for value in ("0", "-1", "nan", "inf")
+]
+
+# Each command declares only the options it reads; any other is a usage error.
+_UNREAD_OPTIONS = [
+    ("integrate", ["--json"]), ("integrate", ["--csv"]),
+    ("substitute", ["--json"]), ("substitute", ["--csv"]),
+    ("improper", ["--json"]),
+    ("approx", ["--tol", "1e-3"]), ("approx", ["--max-cells", "4096"]),
+    ("approx", ["--json"]), ("approx", ["--csv"]),
 ]
 
 
+def _usage_error_of(argv) -> list[str]:
+    """The stderr lines of ``main(argv)``, which must exit 1 with nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == EXIT_USAGE
+    assert out.getvalue() == ""
+    return err.getvalue().splitlines()
+
+
 class TestCountOptions:
-    """An out-of-range count is one ``error:`` line and exit 1, before any work."""
+    """An out-of-range count or length is one ``error:`` line and exit 1, before any work."""
 
     @pytest.mark.parametrize("command, option, value", _OUT_OF_RANGE)
     def test_out_of_range_is_a_usage_error(self, command, option, value):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, *_COMMAND_ARGS[command], option, value])
-        assert code == EXIT_USAGE
-        assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
+        lines = _usage_error_of([command, *_COMMAND_ARGS[command], option, value])
         assert len(lines) == 1 and lines[0].startswith(f"error: argument {option}:"), lines
+
+    @pytest.mark.parametrize("command, option", _UNREAD_OPTIONS)
+    def test_unread_option_is_a_usage_error(self, command, option):
+        lines = _usage_error_of([command, *_COMMAND_ARGS[command], *option])
+        assert len(lines) == 1 and lines[0].startswith("error: unrecognized arguments:"), lines
+        assert option[0] in lines[0]
 
     def test_lowest_valid_counts_run(self, capsys):
         code, out = run(capsys, "integrate", "--f", "x", "--a", "0", "--b", "1",
@@ -877,6 +926,20 @@ class TestCountOptions:
         code, out = run(capsys, "integrate", "--f", "x", "--a", "0", "--b", "1",
                         "--samples", "8192", "--max-cells", "1", "--tol", "1")
         assert code == EXIT_OK and json.loads(out)["cells"] == 1
+
+    @pytest.mark.parametrize("lengths", [{"lhs_offset": math.nan}, {"lhs_offset": -1.0},
+                                         {"lhs_cutoff_base": 0.0}], ids=str)
+    def test_library_rejects_a_bad_lhs_length_before_the_rhs(self, monkeypatch, lengths):
+        def integrating(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(improper.darboux, "integrate", integrating)
+        p = SubstitutionProblem(parse("x"), parse("1/(1+t)"), 1.0, 2.0)
+        schedule = ImproperSchedule(lo=0.0, hi=math.inf, lo_open=True, tol=1e-3)
+        (name,) = lengths
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=1e-4, lhs_inner_tol=1e-4,
+                            **lengths)
 
     def test_library_rejects_a_cap_below_one_cell(self):
         with pytest.raises(ValueError, match="max_cells"):
