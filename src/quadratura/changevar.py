@@ -28,6 +28,7 @@ from . import darboux
 from .darboux import (
     CELL_CAP,
     DEFAULT_CONFIG,
+    START_CELLS,
     DarbouxEstimate,
     Evaluator,
     Integrand,
@@ -245,6 +246,7 @@ def lhs_integral(
     tol: float,
     cfg: SamplingConfig = DEFAULT_CONFIG,
     max_cells: int = CELL_CAP,
+    start_cells: int = START_CELLS,
 ) -> DarbouxEstimate:
     """Oriented integral of f between phi(alpha) and phi(beta).
 
@@ -252,7 +254,7 @@ def lhs_integral(
     zero estimate.
     """
     u, v = p.image_endpoints()
-    return integrate_signed(p.f, u, v, tol, cfg, max_cells=max_cells)
+    return integrate_signed(p.f, u, v, tol, cfg, max_cells=max_cells, start_cells=start_cells)
 
 
 def rhs_integral(
@@ -260,6 +262,7 @@ def rhs_integral(
     tol: float,
     cfg: SamplingConfig = DEFAULT_CONFIG,
     max_cells: int = CELL_CAP,
+    start_cells: int = START_CELLS,
 ) -> DarbouxEstimate:
     """Bracket for the integral of (f o phi) * phi' over [alpha, beta]."""
     return darboux.integrate(
@@ -268,6 +271,7 @@ def rhs_integral(
         tol,
         cfg,
         max_cells=max_cells,
+        start_cells=start_cells,
     )
 
 
@@ -281,8 +285,12 @@ def verify(
     """Run both integrals at tol/2 each and compare.
 
     verified  <=> both brackets closed and |lhs - rhs| <= tol
-    mismatch  <=> both closed and the difference exceeds tol
+    mismatch  <=> both closed, the difference exceeds tol, and it does so
+                  again on a second grid (``_unconfirmed``)
     inconclusive otherwise (the reason and any partial bracket are kept).
+
+    The report carries the brackets first accepted, also where the second
+    grid turns a mismatch into inconclusive.
     """
     hypotheses = check_hypotheses(p, grid_size)
     side_tol = tol / 2.0
@@ -303,10 +311,13 @@ def verify(
         abs_diff = abs(lhs_est.midpoint - rhs_est.midpoint)
     else:
         abs_diff = math.nan
-    if not reasons:
-        verdict = VERIFIED if abs_diff <= tol else MISMATCH
-    else:
+    if reasons:
         verdict = INCONCLUSIVE
+    elif abs_diff <= tol:
+        verdict = VERIFIED
+    else:
+        reasons = _unconfirmed(p, estimates, tol, cfg, max_cells)
+        verdict = INCONCLUSIVE if reasons else MISMATCH
     return SubstitutionReport(
         lhs=lhs_est,
         rhs=rhs_est,
@@ -316,6 +327,36 @@ def verify(
         verdict=verdict,
         reason="; ".join(reasons),
     )
+
+
+def _unconfirmed(p: SubstitutionProblem, estimates: list[DarbouxEstimate], tol: float,
+                 cfg: SamplingConfig, max_cells: int) -> list[str]:
+    """Why the mismatch of the accepted ``estimates`` is not confirmed; empty
+    when it is.
+
+    Each side is integrated once more at tol/2 on one level of N + 1
+    cells, N its accepted count (N - 1 where N + 1 is above ``max_cells``):
+    a grid whose edges do not line up with a period that aliased on the
+    accepted one, as sin(1024*pi*x)^2 does at 2 samples and 1,024 cells
+    (every edge a zero).  A side of 0 cells, an lhs over an empty image,
+    is exact: it gives the zero estimate again.  The mismatch is confirmed
+    when both brackets close and their midpoints still differ by more than
+    ``tol``.
+    """
+    again = []
+    for name, side, est in zip(("lhs", "rhs"), (lhs_integral, rhs_integral), estimates):
+        cells = est.cells + 1 if est.cells < max_cells else est.cells - 1
+        try:
+            again.append(side(p, tol / 2.0, cfg, cells, start_cells=cells))
+        except (NonConvergenceError, ValueError) as exc:
+            return [f"{name}: the mismatch is not confirmed on {cells} cells: {exc}"]
+    diff = abs(again[0].midpoint - again[1].midpoint)
+    if diff <= tol:
+        return [
+            f"the mismatch is not confirmed on {again[0].cells} lhs and {again[1].cells} rhs"
+            f" cells: the midpoints differ by {diff:.3g} <= tol {tol:.3g}"
+        ]
+    return []
 
 
 # ---------------------------------------------------------------------------

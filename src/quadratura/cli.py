@@ -152,7 +152,7 @@ def cmd_substitute(args) -> int:
     try:
         problem = SubstitutionProblem(
             f=_parse_formula(args.f, "--f"),
-            phi=_parse_formula(args.phi, "--phi", expr.MAX_TREE_HEIGHT),
+            phi=_parse_formula(args.phi, "--phi"),
             alpha=args.alpha,
             beta=args.beta,
             phi_prime=_parse_formula(args.phi_prime, "--phi-prime") if args.phi_prime else None,
@@ -172,14 +172,13 @@ def cmd_improper(args) -> int:
     hi_open = args.open_beta or math.isinf(hi)
     if not (lo_open or hi_open):
         return _usage_error("improper needs at least one open or infinite endpoint")
-    span = (hi - lo) if (math.isfinite(lo) and math.isfinite(hi)) else 1.0
     try:
         schedule = ImproperSchedule(
             lo=lo,
             hi=hi,
             lo_open=lo_open,
             hi_open=hi_open,
-            offset=args.offset if args.offset is not None else span / 4.0,
+            offset=args.offset,
             cutoff_base=args.cutoff_base,
             max_steps=args.steps,
             tol=args.tol,
@@ -187,7 +186,7 @@ def cmd_improper(args) -> int:
         first_lo, first_hi = schedule.truncation(0)
         problem = SubstitutionProblem(
             f=_parse_formula(args.f, "--f"),
-            phi=_parse_formula(args.phi, "--phi", expr.MAX_TREE_HEIGHT),
+            phi=_parse_formula(args.phi, "--phi"),
             alpha=first_lo,
             beta=first_hi,
         )

@@ -10,9 +10,9 @@ is exact; callers of these four partition functions that need guarantees
 pass ``hints`` listing the interior turning points, which makes every
 cell extremum exact.
 
-At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression at
-most ``MAX_TREE_HEIGHT`` (100) levels tall is tested for monotone cells
-first: f and f' are enclosed by interval evaluation of their tape
+At 16 samples a cell or more (``_MONOTONE_SAMPLES``), an expression of
+one variable, of any height, is tested for monotone cells first: f and
+f' are enclosed by interval evaluation of their tape
 (``interval.slope_tape``, ``interval.enclose``) on the cells between the
 evaluated edge samples, and a cell is *certified* when f's enclosure is
 finite, the enclosure of f' keeps one sign (lo >= 0 or hi <= 0) and both
@@ -43,8 +43,8 @@ Where the evaluated f is monotone on a certified cell, as it is on every
 formula of the bitwise battery in ``tests/test_monotone.py``, its
 samples' extrema are its edge values bit for bit, so the sums are those
 of sampling every cell; only rounding that makes the evaluated f locally
-non-monotone could move a bit.  Callables,
-taller expressions, and fewer samples a cell take every sample as before.
+non-monotone could move a bit.  Callables and fewer samples a cell take
+every sample as before.
 
 ``integrate`` refines a uniform cell count N, 2N, 4N, ... until the
 bracket closes to the requested tolerance; the midpoint of the final
@@ -96,7 +96,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .expr import Expr, evaluate_array
+from .expr import _EVAL_BLOCK, Expr, evaluate_array
 from .interval import enclose, slope_tape
 from .partition import Interval, Partition
 
@@ -125,8 +125,8 @@ START_CELLS = 2**10
 CELL_CAP = 2**24
 
 # Samples are evaluated and reduced in blocks of at most this many points,
-# one evaluator block (``expr._EVAL_BLOCK``), so their temporaries stay in cache.
-_CHUNK_POINTS = 8192
+# one evaluator block, so their temporaries stay in cache.
+_CHUNK_POINTS = _EVAL_BLOCK
 # ``integrate`` sums 2**21 // w cells a chunk: this fixes its summation order.
 _SUM_CHUNK_POINTS = 2**21
 # At this many samples a cell or more, an expression's cells are tested for
@@ -165,8 +165,8 @@ class SamplingConfig:
     64 guards oscillatory ones.  An undefined (NaN) sample is left out
     when both its neighbours are defined; two adjacent ones raise.  From
     16 samples on, ``integrate`` evaluates only the edges of the cells of
-    an expression that its derivative's enclosure certifies monotone
-    (see the module docstring), and samples the rest.
+    an expression, of any height, that its derivative's enclosure
+    certifies monotone (see the module docstring), and samples the rest.
     """
 
     samples_per_cell: int = 64
@@ -876,6 +876,7 @@ def integrate_signed(
     cfg: SamplingConfig = DEFAULT_CONFIG,
     *,
     max_cells: int = CELL_CAP,
+    start_cells: int = START_CELLS,
 ) -> DarbouxEstimate:
     """Oriented integral: reversing the endpoints negates the estimate.
 
@@ -883,6 +884,7 @@ def integrate_signed(
     """
     if a == b:
         return DarbouxEstimate(0.0, 0.0, norm=0.0, cells=0)
+    cells = {"max_cells": max_cells, "start_cells": start_cells}
     if a < b:
-        return integrate(f, Interval(a, b), tol, cfg, max_cells=max_cells)
-    return -integrate(f, Interval(b, a), tol, cfg, max_cells=max_cells)
+        return integrate(f, Interval(a, b), tol, cfg, **cells)
+    return -integrate(f, Interval(b, a), tol, cfg, **cells)

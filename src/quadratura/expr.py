@@ -41,10 +41,10 @@ the substitution product ``f(phi(t))*phi'(t)`` as one tape, so f, phi
 and phi' share their common subterms.  ``interval.enclose`` runs the steps
 of such a tape on intervals; ``darboux`` encloses an integrand and its
 derivative to find the cells on which the integrand is monotone.
-Compiling and evaluating are iterative,
-so any height evaluates.  Differentiating and printing recurse once per
-level; ``parse(text, max_height=MAX_TREE_HEIGHT)`` keeps a formula
-within their reach.
+Compiling, evaluating and differentiating are iterative, so a formula of
+any height evaluates and differentiates.  Printing recurses once per
+level; ``parse(text, max_height=MAX_TREE_HEIGHT)`` keeps a formula whose
+derivative is printed within its reach.
 """
 
 from __future__ import annotations
@@ -238,11 +238,10 @@ _NUMBER_START = "0123456789."
 #: inside Python's default recursion limit.
 MAX_PARSE_DEPTH = 100
 
-#: Tallest tree, counting every link of a chain like ``x+x+x``, that
-#: ``differentiate`` and ``to_text`` (which recurse per level, ``to_text``
-#: also on the derivative's taller tree) are known to handle.  Pass it as
-#: ``parse(..., max_height=MAX_TREE_HEIGHT)`` for a formula that will be
-#: differentiated.
+#: Tallest tree, counting every link of a chain like ``x+x+x``, whose
+#: derivative ``to_text`` is known to print: it recurses per level, and the
+#: printed derivative of an n-factor product ``x*x*...*x`` grows as n^2.
+#: Pass it as ``parse(..., max_height=MAX_TREE_HEIGHT)`` for such a formula.
 MAX_TREE_HEIGHT = 100
 
 
@@ -735,11 +734,15 @@ def _const_value(e: Expr) -> float:
     """The value of a constant-only tree, folded node by node as ``_compile``
     folds it, so the bits are those of ``evaluate(e, 0.0)`` without a tape.
     """
-    if e.kind == "const":
-        return e.value
-    values = [np.float64(_const_value(a)) for a in e.args]
+    values: dict[int, np.float64] = {}  # id(node of e) -> its value
     with np.errstate(all="ignore"):
-        return float(_fold_constants(_step_fn(e.kind, e.name, e.args), values))
+        for n in _postorder(e):
+            if n.kind == "const":
+                values[id(n)] = np.float64(n.value)
+            else:
+                operands = [values[id(a)] for a in n.args]
+                values[id(n)] = _fold_constants(_step_fn(n.kind, n.name, n.args), operands)
+    return float(values[id(e)])
 
 
 def differentiate(e: Expr, varname: str | None = None) -> Expr:
@@ -752,11 +755,13 @@ def differentiate(e: Expr, varname: str | None = None) -> Expr:
     |u| whose u' folds to 0 and 0^b, has the derivative 0.  The result is
     lightly simplified (constant folding, +0 / *1 / *0 elimination) as it is
     built, node by node (``_node``), and it carries no canonical form:
-    correctness is pointwise evaluation equality.  Each node object of
-    ``e`` is differentiated, and copied into the result, once, so the
-    result shares the nodes that ``e`` shares; a node whose copy would
-    equal it, operand for operand, is taken as it is, so the result
-    shares those subtrees with ``e`` too.
+    correctness is pointwise evaluation equality.  One pass over the
+    nodes of ``e``, operands first, differentiates each node object once,
+    and a node is copied into the result once, with the operands under it,
+    when a rule first asks for it; so any height differentiates, and the
+    result shares the nodes that ``e`` shares.  A node whose copy would
+    equal it, operand for operand, is taken as it is, so the result shares
+    those subtrees with ``e`` too.
     """
     if varname is None:
         names = variables(e)
@@ -764,28 +769,28 @@ def differentiate(e: Expr, varname: str | None = None) -> Expr:
             raise ValueError(f"ambiguous variable: {sorted(names)}")
         varname = next(iter(names), "x")
     copies: dict[int, Expr] = {}  # id(node of e) -> it rebuilt by _node
+    copied: set[int] = set()  # the keys of copies, for _postorder to skip
     derivatives: dict[int, Expr] = {}  # id(node of e) -> its derivative
 
     def copy(n: Expr) -> Expr:
-        if not n.args:
-            return n
-        got = copies.get(id(n))
-        if got is None:
-            got = _node(n.kind, tuple(map(copy, n.args)), n.name)
-            same = got.kind == n.kind and got.name == n.name
-            if same and all(x is y for x, y in zip(got.args, n.args)):
-                got = n  # nothing changed: share the node itself
-            copies[id(n)] = got
-        return got
+        if id(n) not in copies:  # copy the nodes under n not copied yet, operands first
+            for m in _postorder(n, copied):
+                got = m
+                if m.args:
+                    got = _node(m.kind, tuple(copies[id(a)] for a in m.args), m.name)
+                    same = got.kind == m.kind and got.name == m.name
+                    if same and all(x is y for x, y in zip(got.args, m.args)):
+                        got = m  # nothing changed: share the node itself
+                copies[id(m)] = got
+        return copies[id(n)]
 
     def d(n: Expr) -> Expr:
-        got = derivatives.get(id(n))
-        if got is None:
-            got = derivatives[id(n)] = _derivative(n, varname, d, copy)
-        return got
+        return derivatives[id(n)]
 
     with np.errstate(all="ignore"):
-        return d(e)
+        for n in _postorder(e):
+            derivatives[id(n)] = _derivative(n, varname, d, copy)
+    return d(e)
 
 
 def _derivative(e: Expr, v: str, d, copy) -> Expr:

@@ -76,7 +76,6 @@ GALLERY_PROFILES: dict[str, dict] = {
     "E2": {"samples": 2, "verify_tol": 1e-5},
     "E3": {
         "samples": 2,
-        "t_offset": math.pi / 4.0,
         "rhs_tol": 1e-9,
         "rhs_inner_tol": 2.5e-10,
         "lhs_tol": 1.5e-3,
@@ -121,7 +120,6 @@ def run_gallery_entry(
             hi=entry.beta,
             lo_open=True,
             hi_open=True,
-            offset=profile["t_offset"],
             max_steps=profile["max_steps"],
             tol=profile["rhs_tol"] if tol_override is None else tol_override,
         )

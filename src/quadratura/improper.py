@@ -70,14 +70,15 @@ class ImproperSchedule:
     Open finite endpoints are approached as ``endpoint -+ offset * 2^-k``;
     infinite ones are cut off at ``-+ cutoff_base * 2^k``.  Closed
     endpoints stay fixed.  The sequences are strictly monotone toward
-    the limits.
+    the limits.  ``offset=None`` is a quarter of ``hi - lo`` where that is
+    finite, else 0.25.
     """
 
     lo: float
     hi: float
     lo_open: bool = False
     hi_open: bool = False
-    offset: float = 0.25
+    offset: float | None = None
     cutoff_base: float = 1.0
     max_steps: int = 40
     tol: float = 1e-6
@@ -89,6 +90,9 @@ class ImproperSchedule:
             object.__setattr__(self, "lo_open", True)
         if math.isinf(self.hi) and not self.hi_open:
             object.__setattr__(self, "hi_open", True)
+        if self.offset is None:
+            span = self.hi - self.lo
+            object.__setattr__(self, "offset", span / 4.0 if math.isfinite(span) else 0.25)
         _check_lengths(offset=self.offset, cutoff_base=self.cutoff_base)
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -356,21 +360,21 @@ def improper_verify(
                 for i, y in zip(closed, f_ev(np.array([ends[i] for i in closed])).tolist()):
                     opened[i] = math.isnan(y)
             lo_open, hi_open = opened
-            width = x_hi - x_lo
-            offset = lhs_offset
-            if offset is None:
-                offset = width / 4.0 if math.isfinite(width) else 0.25
-            x_schedule = ImproperSchedule(
-                lo=x_lo,
-                hi=x_hi,
-                lo_open=lo_open,
-                hi_open=hi_open,
-                offset=offset,
-                cutoff_base=lhs_cutoff_base,
-                max_steps=lhs_max_steps if lhs_max_steps is not None else t_schedule.max_steps,
-                tol=lhs_tol if lhs_tol is not None else t_schedule.tol,
-            )
-            lhs = _run_side(p.f, x_schedule, lhs_inner_tol, cfg, max_cells, sign=orientation)
+            try:  # a default offset may round to 0 on a subnormal image
+                x_schedule = ImproperSchedule(
+                    lo=x_lo,
+                    hi=x_hi,
+                    lo_open=lo_open,
+                    hi_open=hi_open,
+                    offset=lhs_offset,
+                    cutoff_base=lhs_cutoff_base,
+                    max_steps=lhs_max_steps if lhs_max_steps is not None else t_schedule.max_steps,
+                    tol=lhs_tol if lhs_tol is not None else t_schedule.tol,
+                )
+            except ValueError as exc:
+                lhs.error = f"x schedule on [{x_lo:.6g}, {x_hi:.6g}]: {exc}"
+            else:
+                lhs = _run_side(p.f, x_schedule, lhs_inner_tol, cfg, max_cells, sign=orientation)
 
     if rhs.steps and lhs.steps:
         abs_diff = abs(rhs.value - lhs.value)

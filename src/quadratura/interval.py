@@ -27,7 +27,6 @@ import math
 import numpy as np
 
 from .expr import (
-    MAX_TREE_HEIGHT,
     Expr,
     _compile,
     _div,
@@ -199,34 +198,19 @@ _SLOPES: dict[int, tuple[Expr, tuple | None]] = {}
 _SLOPES_KEPT = 8
 
 
-def _within_height(f: Expr, height: int) -> bool:
-    """Whether no path from f down to a leaf holds more than ``height`` nodes:
-    the nodes at each depth, each once, until there are none."""
-    level = (f,)
-    for _ in range(height):
-        level = {id(a): a for node in level for a in node.args}.values()
-        if not level:
-            return True
-    return False
-
-
 def slope_tape(f: Expr) -> tuple | None:
     """The interval tape of f and its derivative, kept for the next call on f.
 
     The derivative is built simplified, each node of f differentiated once,
-    and compiled with f to one tape.  None for a tree of two variables, and
-    for a tree taller than MAX_TREE_HEIGHT, which ``differentiate`` may not
-    reach through; the height is read level by level, at most that many levels.
+    and compiled with f to one tape.  None for a tree of two variables.
     """
     kept = _SLOPES.get(id(f))
     if kept is not None and kept[0] is f:
         return kept[1]
-    tape = None
-    if _within_height(f, MAX_TREE_HEIGHT):
-        try:
-            tape = interval_tape(f, differentiate(f))
-        except ValueError:  # two variables
-            pass
+    try:
+        tape = interval_tape(f, differentiate(f))
+    except ValueError:  # two variables
+        tape = None
     if len(_SLOPES) >= _SLOPES_KEPT:
         del _SLOPES[next(iter(_SLOPES))]
     _SLOPES[id(f)] = (f, tape)  # f kept alive, so its id is not reused

@@ -123,6 +123,37 @@ class TestVerify:
         assert report.verdict == MISMATCH
         assert report.abs_diff > 0.3
 
+    def test_mismatch_over_an_empty_image(self):
+        # phi(0) = phi(1): the lhs is the exact zero estimate on the second grid too
+        p = problem("x", "t*(1-t)", 0.0, 1.0, phi_prime=parse("1"))
+        report = verify(p, 1e-3, EDGES)
+        assert report.verdict == MISMATCH and report.reason == ""
+        assert report.lhs.cells == 0 and abs(report.abs_diff - 1 / 6) < 1e-3
+
+    def test_mismatch_of_aliasing_brackets_is_not_confirmed(self):
+        # at 2 samples every lhs edge k/1024 is a zero of f, so the lhs closes
+        # near 0 at 1,024 cells; on 1,025 cells both sides close near 1/2
+        p = problem("sin(1024*pi*x)^2", "t^2", 0.0, 1.0)
+        report = verify(p, 0.2, EDGES, max_cells=2**16)
+        assert report.verdict == INCONCLUSIVE
+        assert report.reason.startswith(
+            "the mismatch is not confirmed on 1025 lhs and 32769 rhs cells: the midpoints differ by"
+        )
+        assert (report.lhs.cells, report.rhs.cells) == (1024, 32768)  # the accepted brackets
+        assert report.lhs.upper < 1e-25 and report.abs_diff > 0.4
+
+    @pytest.mark.parametrize("tol", [0.2, 1e-3])
+    def test_no_mismatch_on_the_aliasing_battery(self, tol):
+        # sin(m*2^k*pi*x)^2 has m*2^(k-1) periods on [0, 1]; from k = 10 they
+        # alias with the power-of-two grids (k = 8 and 9 are controls)
+        for k in range(8, 15):
+            for m in (1, 63):
+                for samples in (2, 64):
+                    for phi in ("t", "t^2", "2*t"):
+                        p = problem(f"sin({m * 2**k}*pi*x)^2", phi, 0.0, 1.0)
+                        report = verify(p, tol, SamplingConfig(samples), max_cells=2**16)
+                        assert report.verdict != MISMATCH, (k, m, samples, phi)
+
     def test_inconclusive_when_phi_never_defined(self):
         p = problem("x^2", "sqrt(-1-t^2)", 0.0, 1.0)
         report = verify(p, 1e-5, EDGES)

@@ -175,6 +175,18 @@ class TestSubstituteCommand:
         assert "rhs: sum is not finite" in payload["reason"]
 
 
+    def test_aliasing_mismatch_is_inconclusive(self, capsys):
+        # at 2 samples and 1,024 cells every lhs edge is a zero of f, so the lhs
+        # closes near 0 while the rhs closes near 1/2; on 1,025 cells it does not close
+        code, out = run(capsys, "substitute", "--f", "sin(1024*pi*x)^2", "--phi", "t^2",
+                        "--alpha", "0", "--beta", "1", "--tol", "1e-3")
+        payload = json.loads(out)
+        assert code == EXIT_NUMERIC and payload["verdict"] == "inconclusive"
+        assert payload["reason"].startswith("lhs: the mismatch is not confirmed on 1025 cells")
+        assert payload["lhs"]["upper"] < 1e-25  # the accepted brackets are kept
+        assert abs(payload["rhs"]["lower"] - 0.5) < 1e-3
+
+
 class TestImproperCommand:
     def test_proper_integral_matches_integrate(self, capsys):
         code, out = run(capsys, "improper", "--f", "x^2", "--phi", "t",
@@ -215,6 +227,15 @@ class TestImproperCommand:
         assert payload["image"]["orientation"] == -1.0
         assert abs(payload["rhs"]["value"] + 0.5) < 2e-3
         assert abs(payload["lhs"]["value"] + 0.5) < 2e-3
+
+    def test_subnormal_image_is_inconclusive(self, capsys):
+        # the image (0, 5e-324) is one subnormal wide: its default offset rounds to 0
+        code, out = run(capsys, "improper", "--f", "x", "--phi", "5e-324/(1+t)",
+                        "--alpha", "0", "--beta", "inf", "--open-alpha", "--tol", "1e-3")
+        payload = json.loads(out)
+        assert code == EXIT_NUMERIC and payload["verdict"] == "inconclusive"
+        assert "offset must be positive and finite, got 0.0" in payload["lhs"]["error"]
+        assert payload["lhs"]["steps"] == [] and payload["rhs"]["steps"]
 
     def test_csv_step_table(self, capsys):
         code, out = run(capsys, "improper", "--f", "x^2", "--phi", "t",
@@ -428,6 +449,18 @@ class TestImproperSchedule:
             ImproperSchedule(lo=1.0, hi=0.0)
         with pytest.raises(ValueError):
             ImproperSchedule(lo=0.0, hi=1.0, offset=-1.0)
+
+    def test_default_offset_is_a_quarter_of_a_finite_span(self):
+        def offset(lo, hi, **kwargs):
+            return ImproperSchedule(lo=lo, hi=hi, lo_open=True, **kwargs).offset
+
+        assert offset(0.0, 1.0) == 0.25
+        assert offset(-math.pi / 2, math.pi / 2) == math.pi / 4  # gallery E3's, bit for bit
+        assert offset(0.0, math.inf) == offset(-math.inf, math.inf) == 0.25
+        assert offset(-1e308, 1e308) == 0.25  # the span overflows
+        assert offset(0.0, 8.0, offset=0.5) == 0.5
+        with pytest.raises(ValueError, match="offset must be positive and finite, got 0.0"):
+            offset(0.0, 5e-324)
 
     @pytest.mark.parametrize("length", ["offset", "cutoff_base"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
@@ -678,7 +711,7 @@ class TestUsage:
 
 
 class TestDeepFormulas:
-    """A formula taller than the recursive passes can take is JSON or one error line."""
+    """A formula of any height is JSON; only a printed derivative is capped."""
 
     @staticmethod
     def one_error_line(capsys, code):
@@ -704,17 +737,22 @@ class TestDeepFormulas:
         assert code == EXIT_OK and out.strip() == str(expr.MAX_TREE_HEIGHT)
 
     @pytest.mark.parametrize("terms", [expr.MAX_TREE_HEIGHT + 1, 20000])
-    @pytest.mark.parametrize("command", ["substitute", "improper", "diff"])
+    @pytest.mark.parametrize("command", ["diff"])
     def test_phi_above_height_cap(self, capsys, command, terms):
-        phi = "+".join(["t"] * terms)
-        argv = {
-            "substitute": ["substitute", "--f", "x", "--phi", phi, "--alpha", "0", "--beta", "1"],
-            "improper": ["improper", "--f", "x", "--phi", phi, "--alpha", "0", "--beta", "1",
-                         "--open-beta"],
-            "diff": ["diff", "--f", phi],
-        }[command]
-        line = self.one_error_line(capsys, main(argv))
+        line = self.one_error_line(capsys, main([command, "--f", "+".join(["t"] * terms)]))
         assert f"taller than {expr.MAX_TREE_HEIGHT} levels" in line
+
+    @pytest.mark.parametrize("terms", [expr.MAX_TREE_HEIGHT + 1, 20000])
+    @pytest.mark.parametrize("command", ["substitute", "improper"])
+    def test_phi_of_any_height(self, capsys, command, terms):
+        # x over t+...+t: both sides are terms^2/2; a bracket of 1,024 cells is
+        # terms^2/1024 wide, so the sides close at their first level
+        phi = "+".join(["t"] * terms)
+        argv = [command, "--f", "x", "--phi", phi, "--alpha", "0", "--beta", "1",
+                "--tol", repr(terms**2 / 256)]
+        code, out = run(capsys, *argv, *(["--open-beta"] if command == "improper" else []))
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "verified"
 
 
 def _reject_constant(token):

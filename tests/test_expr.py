@@ -253,6 +253,15 @@ class TestDifferentiate:
         for x in (-1.5, 0.0, 0.7, 2.0):
             assert abs(evaluate(d, x) - 3.0 * x * x) < 1e-14 * (1 + 3 * x * x)
 
+    def test_any_height(self):
+        # far taller than Python's recursion limit: one pass, operands first
+        chain = parse("+".join(["x"] * 20000))
+        assert differentiate(chain) == E.const(20000.0)
+        power = parse("x^(" + "+".join(["1"] * 3000) + ")")
+        assert to_text(differentiate(power)) == "3000*x^2999"
+        nested = parse("sin(" + "+".join(["x"] * 3000) + ")")
+        assert evaluate(differentiate(nested), 0.25) == evaluate(parse("cos(x)*3000"), 750.0)
+
     def test_oscillator_derivative_matches_closed_form(self):
         # d/dt [t sin(1/t)] = sin(1/t) - (1/t) cos(1/t), checked by value
         d = differentiate(parse("t*sin(1/t)"))

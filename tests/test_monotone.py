@@ -197,7 +197,7 @@ class TestEnclose:
         assert all(g._tape is tape for g, tape in zip(roots, tapes))
         assert I.slope_tape(product) is slope
 
-    def test_slope_tape_is_kept_and_none_above_the_height(self):
+    def test_slope_tape_is_kept_at_any_height(self):
         f = parse("x^3")
         assert I.slope_tape(f) is I.slope_tape(f)
         assert enclose(I.slope_tape(f), [1.0], [2.0]).tolist() == [[[1.0], [8.0]], [[3.0], [12.0]]]
@@ -206,8 +206,9 @@ class TestEnclose:
         assert (hi[0], lo[1]) == (-0.5, 0.5)
         (f_lo, f_hi), (lo, hi) = enclose(I.slope_tape(parse("2^x")), [1.0], [2.0])
         assert (f_lo[0], f_hi[0], lo[0], hi[0]) == (2.0, 4.0, 2 * math.log(2), 4 * math.log(2))
-        tall = parse("+".join(["x"] * (E.MAX_TREE_HEIGHT + 1)))
-        assert I.slope_tape(tall) is None
+        tall = parse("+".join(["x"] * 20000))
+        assert enclose(I.slope_tape(tall), [1.0], [2.0]).tolist() == [
+            [[20000.0], [40000.0]], [[20000.0], [20000.0]]]
 
     def test_only_the_last_slope_tapes_are_kept(self):
         f = parse("x^3")
@@ -266,6 +267,10 @@ for k in (1, 2, 3):
 for text, a, b in (("exp(x)", 700.0, 720.0), ("x*1e-320", -1.0, 1.0), ("sin(x)^64", 0.0, 10.0),
                    ("atan(1/x)", -1.0, 1.0), ("sqrt(1-x^2)", -1.0, 1.0)):
     CASES[f"{text} on {a}..{b}"] = (parse(text), Interval(a, b), 1e-3)
+# a tree taller than any recursion limit: 101 sin(x), and sin(x+...+x) of 3,000 x
+TALL = {"101 sin(x)": "+".join(["sin(x)"] * 101), "sin of 3000 x": f"sin({'+'.join(['x'] * 3000)})"}
+for name, text in TALL.items():
+    CASES[f"{name} on 0..3"] = (parse(text), Interval(0.0, 3.0), 0.101)
 
 
 class TestCertifiedCells:
@@ -280,7 +285,8 @@ class TestCertifiedCells:
         assert none == 0
 
     def test_cells_are_certified(self):
-        for name in ("x^3 on 0.25..3.0", "exp(x) on -1.0..2.0", "gallery E2"):
+        for name in ("x^3 on 0.25..3.0", "exp(x) on -1.0..2.0", "gallery E2",
+                     "101 sin(x) on 0..3", "sin of 3000 x on 0..3"):
             f, iv, tol = CASES[name]
             est = integrate(f, iv, tol, CFG64)
             assert est.certified > 0.9 * est.cells, name
@@ -310,12 +316,10 @@ class TestCertifiedCells:
             assert got[:4] == D._uniform_sums(ev, a, b, 3000, CFG16)[:4]
             assert got[4].any()
 
-    def test_below_the_cutoff_or_above_the_height_nothing_is_enclosed(self):
-        tall = parse("+".join(["x"] * (E.MAX_TREE_HEIGHT + 1)))
+    def test_below_the_cutoff_nothing_is_enclosed(self):
         with mock.patch.object(D, "enclose", side_effect=AssertionError("enclosed")):
-            for f, cfg in ((parse("x^3"), SamplingConfig(samples_per_cell=15)), (tall, CFG64)):
-                est = integrate(f, Interval(0.0, 1.0), 1e-2, cfg)
-                assert est.certified == 0
+            est = integrate(parse("x^3"), Interval(0.0, 1.0), 1e-2, SamplingConfig(15))
+            assert est.certified == 0
 
     def test_uncertified_runs_keep_the_evaluation_size(self):
         # 1/(x-0.3) leaves the cells around 0.3 uncertified

@@ -367,7 +367,7 @@ class TestRhsBits:
         if entry.improper:
             sched = ImproperSchedule(
                 lo=entry.alpha, hi=entry.beta, lo_open=True, hi_open=True,
-                offset=prof["t_offset"], max_steps=prof["max_steps"], tol=prof["rhs_tol"],
+                max_steps=prof["max_steps"], tol=prof["rhs_tol"],
             )
             rep = improper_verify(
                 p, sched, tol=entry.tol, rhs_inner_tol=prof["rhs_inner_tol"],
