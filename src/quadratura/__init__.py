@@ -9,7 +9,7 @@ from .expr import (
     parse,
     to_text,
 )
-from .partition import Interval, BlockGrid, Partition, block_grid, uniform_partition
+from .partition import Interval, Partition, block_grid, uniform_partition
 from .darboux import (
     DarbouxEstimate,
     NonConvergenceError,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import darboux
 from .darboux import _FSUM_BLOCK, DEFAULT_CONFIG, Integrand, SamplingConfig, as_evaluator
-from .partition import Interval, Partition, block_grid
+from .partition import Interval, Partition, block_grid, epsilon_n
 
 __all__ = [
     "PiecewiseLinear",
@@ -121,14 +121,7 @@ def approximant_with_infima(
     if n <= 2:
         return PiecewiseLinear._adopt(np.array([iv.a, iv.b]), np.zeros(2)), None, None
 
-    grid = block_grid(iv, n)
-    e = grid.boundaries()
-    if (e[1:] == e[:-1]).any():
-        raise ValueError(
-            f"level {n} is too fine for [{iv.a!r}, {iv.b!r}]:"
-            f" some of its 2^{n} blocks round to zero width"
-        )
-    blocks = Partition(e)
+    blocks = block_grid(iv, n)
     m = darboux.infimum_on(f, blocks, cfg, hints)
     if (m < 0).any():
         k_bad = int(np.argmin(m)) + 1
@@ -137,7 +130,7 @@ def approximant_with_infima(
         )
 
     # the knots in place: two, then three for each inner edge
-    eps = grid.epsilon
+    e, eps = blocks.points, epsilon_n(iv, n)
     xs, ys = np.empty(3 * m.size - 1), np.empty(3 * m.size - 1)
     xs[0], xs[1], xs[-1] = e[0], e[1] - eps, e[-1]
     xs[2::3] = e[1:-1]

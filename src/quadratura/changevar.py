@@ -77,6 +77,17 @@ class SubstitutionProblem:
 
     ``phi_prime`` overrides the symbolic derivative when given; every
     formula phi has one, abs and varying exponents included.
+
+    Construction builds ``dphi``, phi' (the override, else the symbolic
+    derivative), and ``product``, (f o phi) * phi'.  When f is a formula the
+    product is one expression, which ``darboux.integrate`` can test for
+    monotone cells, compiled with phi and phi' to one t-tape whose outputs
+    are phi, phi' and the product: they share their common subterms (for
+    t*sin(1/t), 1/t and sin(1/t)), with each output's values bit for bit
+    those of its own evaluation where defined.  Else it is a callable.
+    Neither field takes part in equality, hashing or repr: hashing a derived
+    phi' would cost as much as printing it, which grows as n^2 for an
+    n-factor product chain.
     """
 
     f: Expr
@@ -84,9 +95,8 @@ class SubstitutionProblem:
     alpha: float
     beta: float
     phi_prime: Expr | None = None
-    # (phi', the product: an expression or a callable), built on first use so
-    # the hypothesis probes and the rhs share one derivative and one t-tape.
-    _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    dphi: Expr = field(init=False, repr=False, compare=False)
+    product: Integrand = field(init=False, repr=False, compare=False)
     # (phi(alpha), phi(beta)) once computed: the probes and the lhs share them.
     _endpoints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -95,65 +105,25 @@ class SubstitutionProblem:
             raise ValueError(f"need alpha < beta, got [{self.alpha}, {self.beta}]")
         if not math.isfinite(self.beta - self.alpha):
             raise ValueError(f"need a bounded [alpha, beta], got [{self.alpha}, {self.beta}]")
+        dphi = differentiate(self.phi) if self.phi_prime is None else self.phi_prime
+        if isinstance(self.f, Expr):
+            product = mul(substitute(self.f, self.phi), dphi)
+            compile_tape(self.phi, dphi, product)
+        else:
+            f_ev, phi_ev, dphi_ev = map(as_evaluator, (self.f, self.phi, dphi))
+
+            def product(ts: np.ndarray) -> np.ndarray:
+                # inf/NaN flow on to the sums.  One expression of temporaries
+                # lets numpy reuse the left factor's buffer for the product.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return f_ev(phi_ev(ts)) * dphi_ev(ts)
+
+        object.__setattr__(self, "dphi", dphi)
+        object.__setattr__(self, "product", product)
 
     @property
     def span(self) -> float:
         return self.beta - self.alpha
-
-    def _derived_exprs(self) -> tuple[Expr, Integrand]:
-        """phi' (the override, else the symbolic derivative) and (f o phi) * phi':
-        one expression when f is a formula, else a callable.
-
-        A built expression is compiled with phi and phi' to one t-tape whose
-        outputs are phi, phi' and the product, in that order: evaluating
-        phi runs phi's steps, phi' a longer prefix, the product all of them.
-        f, phi and phi' then share their common subterms (for t*sin(1/t),
-        1/t and sin(1/t)); the values are those of the three separate
-        evaluations, bit for bit where defined.
-        """
-        derived = self._derived
-        if derived is None:
-            dphi = differentiate(self.phi) if self.phi_prime is None else self.phi_prime
-            if isinstance(self.f, Expr):
-                product = mul(substitute(self.f, self.phi), dphi)
-                compile_tape(self.phi, dphi, product)
-            else:
-                f_ev, phi_ev, dphi_ev = map(as_evaluator, (self.f, self.phi, dphi))
-
-                def product(ts: np.ndarray) -> np.ndarray:
-                    # inf/NaN flow on to the sums.  One expression of temporaries
-                    # lets numpy reuse the left factor's buffer for the product.
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        return f_ev(phi_ev(ts)) * dphi_ev(ts)
-
-            derived = (dphi, product)
-            object.__setattr__(self, "_derived", derived)
-        return derived
-
-    def phi_evaluator(self) -> Evaluator:
-        """phi, as the first output of the t-tape when f is a formula."""
-        self._derived_exprs()
-        return as_evaluator(self.phi)
-
-    def product_integrand(self) -> Integrand:
-        """(f o phi) * phi', one expression when f is a formula, so
-        ``darboux.integrate`` can test its cells for monotonicity.
-        """
-        return self._derived_exprs()[1]
-
-    def product_evaluator(self) -> Evaluator:
-        """(f o phi) * phi', as ndarray -> ndarray."""
-        return as_evaluator(self.product_integrand())
-
-    def _phi_prime_and_product_evaluator(self) -> Evaluator:
-        """phi' and the product as the two rows of one array, from one run of
-        the t-tape when f is a formula.
-        """
-        dphi, product = self._derived_exprs()
-        if isinstance(product, Expr):
-            return as_evaluator((dphi, product))
-        dphi_ev = as_evaluator(dphi)
-        return lambda ts: np.stack([dphi_ev(ts), product(ts)])
 
     def image_endpoints(self) -> tuple[float, float]:
         """(phi(alpha), phi(beta)) from one call, probed just inside an end
@@ -164,7 +134,7 @@ class SubstitutionProblem:
         """
         ends = self._endpoints
         if ends is None:
-            phi_ev = self.phi_evaluator()
+            phi_ev = as_evaluator(self.phi)
             ends = phi_ev(np.array([self.alpha, self.beta])).tolist()
             for i, (t, inward) in enumerate(((self.alpha, 1.0), (self.beta, -1.0))):
                 if math.isnan(ends[i]):
@@ -266,7 +236,7 @@ def rhs_integral(
 ) -> DarbouxEstimate:
     """Bracket for the integral of (f o phi) * phi' over [alpha, beta]."""
     return darboux.integrate(
-        p.product_integrand(),
+        p.product,
         Interval(p.alpha, p.beta),
         tol,
         cfg,
@@ -467,9 +437,17 @@ def check_hypotheses(p: SubstitutionProblem, grid_size: int = 1000) -> Hypothesi
     lo, hi = p.alpha, p.beta
     grid = np.linspace(lo, hi, grid_size)
 
-    c = _continuity_verdict(p.phi_evaluator(), lo, hi, grid)
+    c = _continuity_verdict(as_evaluator(p.phi), lo, hi, grid)
     checks = [HypothesisCheck("phi_continuous", c.verdict, c.witness)]
-    bounded = _bounded_verdicts(p._phi_prime_and_product_evaluator(), lo, hi, grid)
+    if isinstance(p.product, Expr):  # phi' and the product from one run of the t-tape
+        rows = as_evaluator((p.dphi, p.product))
+    else:
+        dphi_ev = as_evaluator(p.dphi)
+
+        def rows(ts: np.ndarray) -> np.ndarray:
+            return np.stack([dphi_ev(ts), p.product(ts)])
+
+    bounded = _bounded_verdicts(rows, lo, hi, grid)
     for name, b in zip(("phi_prime_bounded", "product_bounded"), bounded):
         checks.append(HypothesisCheck(name, b.verdict, b.witness))
 

@@ -24,7 +24,7 @@ from .changevar import VERIFIED, SubstitutionProblem
 from .darboux import CELL_CAP, DarbouxEstimate, NonConvergenceError, SamplingConfig
 from .expr import ParseError
 from .gallery import run_gallery
-from .improper import ImproperReport, ImproperSchedule, improper_verify
+from .improper import MAX_STEPS, ImproperReport, ImproperSchedule, improper_verify
 from .partition import Interval, ResourceLimitError
 
 __all__ = ["main"]
@@ -311,10 +311,12 @@ def _count(minimum: int, maximum: int | None = None):
 
 # Upper bounds keep every allocation possible: one cell's samples fit one
 # evaluation block, a level holds at most the default cap of cells, and the
-# continuity probe's 7 * 2^20 points take 56 MiB.
+# continuity probe's 7 * 2^20 points take 56 MiB; improper's step k cuts an
+# infinite end off at cutoff_base * 2.0**k, which overflows from k = 1,024.
 _SAMPLES = _count(2, darboux._CHUNK_POINTS)
 _MAX_CELLS = _count(1, CELL_CAP)
 _GRID_SIZE = _count(100, 2**20)
+_STEPS = _count(1, MAX_STEPS)
 
 
 def _tolerance(text: str) -> float:
@@ -412,16 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--open-alpha", action="store_true", help="approach alpha as an open endpoint")
     p.add_argument("--open-beta", action="store_true")
-    p.add_argument("--steps", type=_count(1), default=40, help="maximum truncation steps")
+    p.add_argument("--steps", type=_STEPS, default=40, help="maximum truncation steps, 1 to 1,024")
     p.add_argument("--offset", type=_length, default=None, help="initial offset for finite open endpoints")
-    p.add_argument("--cutoff-base", type=_length, default=1.0, help="initial cutoff for infinite endpoints")
+    p.add_argument(
+        "--cutoff-base", type=_length, default=None,
+        help="initial cutoff for infinite endpoints (default 1, doubled past a finite end)",
+    )
     p.add_argument(
         "--inner-tol", type=_tolerance, default=None, help="per-truncation bracket tolerance"
     )
     p.add_argument("--lhs-inner-tol", type=_tolerance, default=None)
     p.add_argument("--lhs-offset", type=_length, default=None)
-    p.add_argument("--lhs-cutoff-base", type=_length, default=1.0)
-    p.add_argument("--lhs-steps", type=_count(1), default=None)
+    p.add_argument("--lhs-cutoff-base", type=_length, default=None)
+    p.add_argument("--lhs-steps", type=_STEPS, default=None)
     p.add_argument("--lhs-tol", type=_tolerance, default=None)
     p.add_argument("--csv", action="store_true", help="emit the step table as CSV")
     _add_common(p)

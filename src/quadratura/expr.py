@@ -434,7 +434,14 @@ def parse(text: str, max_height: int | None = None) -> Expr:
     returned tree mirrors the grammar; no folding or rewriting is
     applied.
     """
-    return _Parser(text, max_height).parse()
+    try:
+        return _Parser(text, max_height).parse()
+    except ParseError as exc:
+        error = exc
+    # Raised again out here without its traceback: an error found hundreds of
+    # frames down would otherwise keep every parser frame, and the parser's
+    # tokens, alive for as long as the exception lives.
+    raise error.with_traceback(None)
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,24 @@ from .expr import Expr
 from .partition import Interval
 
 __all__ = [
+    "MAX_STEPS",
     "ImproperSchedule",
     "ImproperSide",
     "ImproperReport",
     "improper_verify",
 ]
+
+
+# Step k cuts an infinite end off at cutoff_base * 2.0**k, which raises
+# OverflowError from k = 1,024.
+MAX_STEPS = 1024
+
+
+def _check_steps(**steps: int | None) -> None:
+    """Raise ValueError unless each step count given (not None) is in [1, MAX_STEPS]."""
+    for name, value in steps.items():
+        if value is not None and not 1 <= value <= MAX_STEPS:
+            raise ValueError(f"{name} must be in [1, {MAX_STEPS}], got {value}")
 
 
 def _check_lengths(**lengths: float | None) -> None:
@@ -71,7 +84,9 @@ class ImproperSchedule:
     infinite ones are cut off at ``-+ cutoff_base * 2^k``.  Closed
     endpoints stay fixed.  The sequences are strictly monotone toward
     the limits.  ``offset=None`` is a quarter of ``hi - lo`` where that is
-    finite, else 0.25.
+    finite, else 0.25.  ``cutoff_base=None`` is 1.0, doubled until step 0's
+    truncation is not degenerate, so it lies past a finite other end.
+    ``max_steps`` is at most ``MAX_STEPS``.
     """
 
     lo: float
@@ -79,7 +94,7 @@ class ImproperSchedule:
     lo_open: bool = False
     hi_open: bool = False
     offset: float | None = None
-    cutoff_base: float = 1.0
+    cutoff_base: float | None = None
     max_steps: int = 40
     tol: float = 1e-6
 
@@ -93,9 +108,20 @@ class ImproperSchedule:
         if self.offset is None:
             span = self.hi - self.lo
             object.__setattr__(self, "offset", span / 4.0 if math.isfinite(span) else 0.25)
-        _check_lengths(offset=self.offset, cutoff_base=self.cutoff_base)
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        _check_lengths(offset=self.offset)
+        if self.cutoff_base is None:
+            object.__setattr__(self, "cutoff_base", 1.0)
+            while math.isinf(self.lo) != math.isinf(self.hi):  # else 1.0 is never degenerate
+                u, v = self.truncation(0)
+                if u < v:
+                    break
+                object.__setattr__(self, "cutoff_base", 2.0 * self.cutoff_base)
+            if math.isinf(self.cutoff_base):
+                raise ValueError(
+                    f"no finite first cutoff lies past the finite end of [{self.lo}, {self.hi}]"
+                )
+        _check_lengths(cutoff_base=self.cutoff_base)
+        _check_steps(max_steps=self.max_steps)
 
     @property
     def any_open(self) -> bool:
@@ -308,7 +334,7 @@ def improper_verify(
     rhs_inner_tol: float,
     lhs_inner_tol: float,
     lhs_offset: float | None = None,
-    lhs_cutoff_base: float = 1.0,
+    lhs_cutoff_base: float | None = None,
     lhs_max_steps: int | None = None,
     lhs_tol: float | None = None,
     cfg: SamplingConfig = SamplingConfig(samples_per_cell=2),
@@ -325,9 +351,10 @@ def improper_verify(
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
     _check_lengths(lhs_offset=lhs_offset, lhs_cutoff_base=lhs_cutoff_base)
-    rhs = _run_side(p.product_integrand(), t_schedule, rhs_inner_tol, cfg, max_cells)
+    _check_steps(lhs_max_steps=lhs_max_steps)
+    rhs = _run_side(p.product, t_schedule, rhs_inner_tol, cfg, max_cells)
 
-    phi_ev = p.phi_evaluator()
+    phi_ev = changevar.as_evaluator(p.phi)
     probe_ks = (0, 6, 12, 18, 24, 30, 36)
     lo_probes = [t_schedule.truncation(k)[0] for k in probe_ks]
     hi_probes = [t_schedule.truncation(k)[1] for k in probe_ks]

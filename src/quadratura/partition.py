@@ -1,7 +1,7 @@
 """Intervals, partitions, and the dyadic block grid behind the approximants.
 
-The block grid splits [a, b] into 2**n equal blocks and carries the
-width eps = (b-a) / (n * 2**n) of the narrow strips next to each block
+The block grid splits [a, b] into 2**n equal blocks; ``epsilon_n`` gives
+the width eps = (b-a) / (n * 2**n) of the narrow strips next to each block
 edge, where the approximant is allowed to ramp between block levels.
 
 Grid points are formed as ``a + i * h`` (one rounding each), never by
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Interval",
     "Partition",
-    "BlockGrid",
     "ResourceLimitError",
     "uniform_partition",
     "epsilon_n",
@@ -117,41 +116,21 @@ def epsilon_n(iv: Interval, n: int) -> float:
     return iv.width / (n * (1 << n))
 
 
-@dataclass(frozen=True, slots=True)
-class BlockGrid:
-    """Level-``n`` block grid over an interval: 2**n equal blocks.
-
-    ``boundaries()`` gives the 2**n + 1 block edges; ``epsilon`` is the
-    width of the ramp strips the approximant places next to each edge.
+def block_grid(iv: Interval, n: int) -> Partition:
+    """The 2**n equal blocks of level ``n`` over ``iv`` (3 <= n <= MAX_GRID_LEVEL):
+    edges a + i*(b-a)/2**n, exact at both interval endpoints.  A block that
+    rounds to zero width is a ValueError.
     """
-
-    interval: Interval
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"grid level must be >= 3, got {self.n}")
-        if self.n > MAX_GRID_LEVEL:
-            raise ResourceLimitError(
-                f"grid level {self.n} exceeds cap {MAX_GRID_LEVEL}"
-                f" ({1 << self.n} blocks)"
-            )
-        if self.interval.is_degenerate:
-            raise ValueError("cannot grid a degenerate interval")
-
-    @property
-    def block_count(self) -> int:
-        return 1 << self.n
-
-    @property
-    def epsilon(self) -> float:
-        return epsilon_n(self.interval, self.n)
-
-    def boundaries(self) -> np.ndarray:
-        """Block edges a + i*(b-a)/2**n, exact at both interval endpoints."""
-        return np.linspace(self.interval.a, self.interval.b, self.block_count + 1)
-
-
-def block_grid(iv: Interval, n: int) -> BlockGrid:
-    """Level-``n`` block grid over ``iv`` (n >= 3, capped at MAX_GRID_LEVEL)."""
-    return BlockGrid(iv, n)
+    if n < 3:
+        raise ValueError(f"grid level must be >= 3, got {n}")
+    if n > MAX_GRID_LEVEL:
+        raise ResourceLimitError(f"grid level {n} exceeds cap {MAX_GRID_LEVEL} ({1 << n} blocks)")
+    if iv.is_degenerate:
+        raise ValueError("cannot grid a degenerate interval")
+    e = np.linspace(iv.a, iv.b, (1 << n) + 1)
+    if (e[1:] == e[:-1]).any():
+        raise ValueError(
+            f"level {n} is too fine for [{iv.a!r}, {iv.b!r}]:"
+            f" some of its 2^{n} blocks round to zero width"
+        )
+    return Partition(e)

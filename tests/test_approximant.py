@@ -25,6 +25,7 @@ from quadratura.partition import (
     Interval,
     ResourceLimitError,
     block_grid,
+    epsilon_n,
     uniform_partition,
 )
 
@@ -193,7 +194,7 @@ class TestAcrossChunks:
         monkeypatch.setattr(darboux, "_CHUNK_POINTS", 17)
         iv = Interval(0.1, 1.7)
         n = 6
-        edges = block_grid(iv, n).boundaries()
+        edges = block_grid(iv, n).points
         chunk_edge, block_edge = float(edges[16]), float(edges[5])
         inner = float(0.5 * (edges[40] + edges[41]))
         f = parse(f"abs(x-{chunk_edge!r})+abs(x-{block_edge!r})+abs(x-{inner!r})")
@@ -345,13 +346,7 @@ def reference_knots(iv, n, m):
     """The knots for block infima ``m`` as they were built before being
     written in place: three columns stacked, raveled, concatenated with the
     first two and the last knot, and compressed where knots merged."""
-    grid = block_grid(iv, n)
-    e, eps = grid.boundaries(), grid.epsilon
-    if (e[1:] == e[:-1]).any():
-        raise ValueError(
-            f"level {n} is too fine for [{iv.a!r}, {iv.b!r}]:"
-            f" some of its 2^{n} blocks round to zero width"
-        )
+    e, eps = block_grid(iv, n).points, epsilon_n(iv, n)
     ramp_lo = np.where(m[:-1] <= m[1:], m[:-1], m[1:])
     xs = np.column_stack([e[1:-1], e[1:-1] + eps, e[2:] - eps]).ravel()
     ys = np.column_stack([ramp_lo, m[1:], m[1:]]).ravel()
@@ -498,7 +493,7 @@ class TestBelowApproximantProperties:
 
     def test_plateau_bound(self, battery):
         n = 5
-        edges = block_grid(UNIT, n).boundaries()
+        edges = block_grid(UNIT, n).points
         for b in battery:
             g = build(b, n)
             for lo, hi in zip(edges[:-1], edges[1:]):
@@ -510,8 +505,7 @@ class TestBelowApproximantProperties:
         f = parse("x^2")
         n = 4
         g = build_approximant(f, UNIT, n, EDGES)
-        grid = block_grid(UNIT, n)
-        edges, eps = grid.boundaries(), grid.epsilon
+        edges, eps = block_grid(UNIT, n).points, epsilon_n(UNIT, n)
         m = [darboux.infimum_on(f, Interval(lo, hi), EDGES) for lo, hi in zip(edges[:-1], edges[1:])]
         for k in range(1, 16):
             # the strips either side of inner edge k hold the ramp

@@ -521,6 +521,11 @@ class TestProblemType:
         with pytest.raises(AttributeError):
             p.alpha = 5.0
 
+    def test_construction_compiles_phi_dphi_and_product_to_one_tape(self):
+        p = problem("x^2", "t*sin(1/t)", 0.0, 1.0)
+        registers = [g._tape[0] for g in (p.phi, p.dphi, p.product)]
+        assert registers[0] is registers[1] is registers[2]
+
     def test_derived_expressions_leave_equality_alone(self):
         p = problem("x^2", "t^3-t", 0.0, 1.0)
         fresh = problem("x^2", "t^3-t", 0.0, 1.0)

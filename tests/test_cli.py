@@ -212,6 +212,18 @@ class TestImproperCommand:
         assert abs(payload["rhs"]["value"] - 2.0) < 1e-2
         assert abs(payload["lhs"]["value"] - 2.0) < 1e-2
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--phi", "t", "--alpha", "5", "--beta", "inf"], 0.2),
+        (["--phi", "1/t", "--alpha", "0", "--beta", "0.2", "--open-alpha"], -0.2),
+    ], ids=["t side", "x side"])
+    def test_first_cutoff_lies_past_the_finite_end(self, capsys, argv, value):
+        # the default cutoff 1.0 lay below the finite end 5 of [5, inf)
+        code, out = run(capsys, "improper", "--f", "1/x^2", *argv, "--tol", "1e-3")
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["verdict"] == "verified"
+        assert abs(payload["rhs"]["value"] - value) < 1e-3
+        assert abs(payload["lhs"]["value"] - value) < 1e-3
+
     def test_requires_open_endpoint(self, capsys):
         code, _ = run(capsys, "improper", "--f", "x", "--phi", "t",
                       "--alpha", "0", "--beta", "1")
@@ -439,6 +451,26 @@ class TestImproperSchedule:
         s = ImproperSchedule(lo=-math.inf, hi=math.inf, cutoff_base=125.0)
         assert s.truncation(0) == (-125.0, 125.0)
         assert s.truncation(4) == (-2000.0, 2000.0)
+
+    def test_default_cutoff_lies_past_a_finite_end(self):
+        def schedule(lo, hi, **kwargs):
+            s = ImproperSchedule(lo=lo, hi=hi, **kwargs)
+            return s.cutoff_base, s.truncation(0)
+
+        assert schedule(0.0, math.inf, lo_open=True) == (1.0, (0.25, 1.0))
+        assert schedule(-math.inf, math.inf) == (1.0, (-1.0, 1.0))
+        assert schedule(1.0, math.inf) == (2.0, (1.0, 2.0))
+        assert schedule(5.0, math.inf) == (8.0, (5.0, 8.0))
+        assert schedule(-math.inf, -5.0, hi_open=True) == (8.0, (-8.0, -5.25))
+        assert schedule(5.0, math.inf, cutoff_base=1.0)[1] == (5.0, 1.0)  # as given
+        with pytest.raises(ValueError, match=r"no finite first cutoff .* \[1e\+308, inf\]"):
+            ImproperSchedule(lo=1e308, hi=math.inf)
+
+    def test_steps_run_from_one_to_the_cap(self):
+        assert ImproperSchedule(lo=0.0, hi=math.inf, max_steps=improper.MAX_STEPS).max_steps == 1024
+        for steps in (0, 1025):
+            with pytest.raises(ValueError, match=r"max_steps must be in \[1, 1024\]"):
+                ImproperSchedule(lo=0.0, hi=math.inf, max_steps=steps)
 
     def test_closed_side_fixed(self):
         s = ImproperSchedule(lo=0.0, hi=1.0, lo_open=True, offset=0.25)
@@ -910,6 +942,9 @@ _OUT_OF_RANGE = [
     ("substitute", "--grid-size", "1048577"),
     ("improper", "--steps", "0"),
     ("improper", "--lhs-steps", "0"),
+    # step 1,024's cutoff 2.0**1024 raised OverflowError
+    ("improper", "--steps", "1025"),
+    ("improper", "--lhs-steps", "1025"),
 ] + [
     # the lengths of improper's truncation schedules are finite and > 0
     ("improper", option, value)
@@ -964,6 +999,25 @@ class TestCountOptions:
         code, out = run(capsys, "integrate", "--f", "x", "--a", "0", "--b", "1",
                         "--samples", "8192", "--max-cells", "1", "--tol", "1")
         assert code == EXIT_OK and json.loads(out)["cells"] == 1
+
+    def test_highest_valid_steps_run(self, capsys):
+        code, out = run(capsys, "improper", "--f", "1", "--phi", "t", "--alpha", "0",
+                        "--beta", "inf", "--tol", "1e-3", "--steps", "1024")
+        payload = json.loads(out)
+        assert code == EXIT_NUMERIC and payload["verdict"] == "inconclusive"
+        assert payload["rhs"]["steps"][-1]["step"] == 1023
+
+    @pytest.mark.parametrize("steps", [0, 1025])
+    def test_library_rejects_lhs_steps_out_of_range_before_the_rhs(self, monkeypatch, steps):
+        def integrating(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(improper.darboux, "integrate", integrating)
+        p = SubstitutionProblem(parse("x"), parse("1/(1+t)"), 1.0, 2.0)
+        schedule = ImproperSchedule(lo=0.0, hi=math.inf, lo_open=True, tol=1e-3)
+        with pytest.raises(ValueError, match=r"lhs_max_steps must be in \[1, 1024\]"):
+            improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=1e-4, lhs_inner_tol=1e-4,
+                            lhs_max_steps=steps)
 
     @pytest.mark.parametrize("lengths", [{"lhs_offset": math.nan}, {"lhs_offset": -1.0},
                                          {"lhs_cutoff_base": 0.0}], ids=str)

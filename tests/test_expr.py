@@ -101,6 +101,16 @@ class TestParse:
             parse("(" * 5000 + "x" + ")" * 5000)
         assert exc.value.offset == E.MAX_PARSE_DEPTH
 
+    def test_parse_error_holds_no_parser_frames(self):
+        with pytest.raises(ParseError) as exc:
+            parse("(" * 5000 + "x" + ")" * 5000)
+        tb, frames = exc.value.__traceback__, []
+        while tb is not None:
+            frames.append(tb.tb_frame)
+            tb = tb.tb_next
+        assert not any(isinstance(f.f_locals.get("self"), E._Parser) for f in frames)
+        assert exc.value.__context__ is None
+
     @pytest.mark.parametrize("shape", ["+", "*", "/", "nested 1/(", "nested tan(", "^1"])
     def test_tree_at_height_cap(self, shape):
         # chains count: every shape is exactly MAX_TREE_HEIGHT tall, and

@@ -128,7 +128,7 @@ class TestStripsIntegrateAlone:
         schedule = ImproperSchedule(**sched, max_steps=steps, tol=1e-4)
         cfg = SamplingConfig(samples_per_cell=samples)
         p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
-        ev = p.product_evaluator()
+        ev = darboux.as_evaluator(p.product)
         with np.errstate(all="ignore"):
             assert side_outcome(ev, schedule, inner, cfg, max_cells) == sequential_side(
                 ev, schedule, inner, cfg, max_cells)
@@ -245,7 +245,7 @@ class TestSweepAhead:
         schedule = ImproperSchedule(**sched, max_steps=8, tol=1e-4)
         cfg = SamplingConfig(samples_per_cell=samples)
         p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
-        fused = p.product_integrand()
+        fused = p.product
         assert isinstance(fused, Expr)
         for side, tol in ((fused, 1e-4), (parse("1/(x^2+1)"), 1e-3)):  # a t side, an x side
             with np.errstate(all="ignore"):
@@ -345,7 +345,7 @@ class TestSweepAhead:
         f, phi, sched = MAPS["t/(1+t)"]
         schedule = ImproperSchedule(**sched, max_steps=10, tol=1e-4)
         cfg = SamplingConfig(samples_per_cell=16)
-        fused = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0)).product_integrand()
+        fused = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0)).product
         enclosed = []
 
         def counting(tape, lo, hi):
@@ -393,7 +393,7 @@ class TestStripsInherit:
         schedule = ImproperSchedule(**sched, max_steps=20, tol=1e-4)
         cfg = SamplingConfig(samples_per_cell=samples)
         p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
-        fused = p.product_integrand()
+        fused = p.product
         enclosed = []
 
         def counting(tape, lo, hi):

@@ -189,8 +189,8 @@ class TestEnclose:
 
     def test_point_tape_is_left_alone(self):
         p = SubstitutionProblem(parse("x^3"), parse("t*sin(1/t)"), 0.0, 1.0)
-        product = p.product_integrand()
-        roots = (p.phi, p._derived_exprs()[0], product)
+        product = p.product
+        roots = (p.phi, p.dphi, product)
         tapes = [g._tape for g in roots]
         slope = I.slope_tape(product)
         enclose(slope, [0.5], [0.6])
@@ -241,7 +241,7 @@ def sampled_in_full(f):
 
 
 def product(f_text, phi_text, alpha, beta):
-    return SubstitutionProblem(parse(f_text), parse(phi_text), alpha, beta).product_integrand()
+    return SubstitutionProblem(parse(f_text), parse(phi_text), alpha, beta).product
 
 
 FORMULAS = {key: SPECIAL.get(key) or parse(key) for key in EVAL_PINNED}
@@ -301,7 +301,7 @@ class TestCertifiedCells:
 
     def test_e1_rhs_closes_with_the_bits_of_sampling_in_full(self):
         p = SubstitutionProblem(parse("x^3"), parse("t*sin(1/t)"), 0.0, 2 / math.pi * 1.01)
-        f, iv = p.product_integrand(), Interval(0.0, 2 / math.pi * 1.01)
+        f, iv = p.product, Interval(0.0, 2 / math.pi * 1.01)
         got, certified = counted(f, iv, 5e-6, CFG64, D.CELL_CAP)
         assert got == counted(sampled_in_full(f), iv, 5e-6, CFG64, D.CELL_CAP)[0]
         assert got[2] == 65536 and certified > 0.98 * 65536
@@ -696,7 +696,7 @@ class TestEnclosedCount:
         # there only the 64 children of each of the 104 cells the first level
         # left uncertified are enclosed; afresh, all 65,536 would be
         p = SubstitutionProblem(parse("x^3"), parse("t*sin(1/t)"), 0.0, 0.6366197723675814)
-        rhs = p.product_integrand()
+        rhs = p.product
         enclosed, level = {}, [None]  # each level's enclose calls, by size
 
         def counting(tape, lo, hi):

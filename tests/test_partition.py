@@ -87,21 +87,21 @@ class TestEpsilon:
 
 class TestBlockGrid:
     def test_level4_interior_strip_is_epsilon(self):
-        g = block_grid(Interval(0.0, 1.0), 4)
-        assert g.block_count == 16
-        assert g.epsilon == 1.0 / 64.0
+        iv = Interval(0.0, 1.0)
+        assert block_grid(iv, 4).cell_count == 16
+        assert epsilon_n(iv, 4) == 1.0 / 64.0
 
     def test_block_widths_equal(self):
-        g = block_grid(Interval(0.2, 0.9), 6)
-        widths = np.diff(g.boundaries())
+        widths = block_grid(Interval(0.2, 0.9), 6).widths()
         # each boundary carries one rounding at endpoint scale
         assert max(widths) - min(widths) <= 4 * np.spacing(0.9)
 
-    def test_boundaries_match_uniform_partition(self):
-        iv = Interval(0.0, 1.0)
-        g = block_grid(iv, 4)
-        p = uniform_partition(iv, 16)
-        assert np.array_equal(g.boundaries(), p.points)
+    @given(a=st.floats(-100.0, 100.0), width=st.floats(1e-3, 50.0), n=st.integers(3, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_boundaries_match_uniform_partition(self, a, width, n):
+        iv = Interval(a, a + width)
+        got = block_grid(iv, n).points
+        assert got.tobytes() == uniform_partition(iv, 2**n).points.tobytes()
 
     def test_level_below_three_rejected(self):
         with pytest.raises(ValueError):
@@ -120,10 +120,10 @@ class TestBlockGrid:
     def test_invariants(self, a, width, n):
         iv = Interval(a, a + width)
         g = block_grid(iv, n)
-        e, eps = g.boundaries(), g.epsilon
-        h = iv.width / g.block_count
+        e, eps = g.points, epsilon_n(iv, n)
+        h = iv.width / g.cell_count
         tol = 8 * np.spacing(max(abs(iv.a), abs(iv.b), h))
-        assert e.size == g.block_count + 1
+        assert e.size == g.cell_count + 1
         assert e[0] == iv.a and e[-1] == iv.b
         assert np.all(np.abs(np.diff(e) - h) <= tol)
         # the ramp strips either side of every edge stay apart
