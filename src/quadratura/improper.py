@@ -1,11 +1,23 @@
 """Improper integrals: verify the identity through truncation schedules.
 
+An integral is improper only at an end where its integrand is unbounded
+or its interval infinite.  So a t side with finite ends whose product is
+defined at both is first integrated once, as a proper integral over the
+closed [alpha, beta]; only if that step fails (the product is unbounded
+near an end although defined at it) is it truncated as below.  The x
+side and its image probes keep the caller's open ends: phi may be
+unbounded where the product is not, as tan is in the gallery's E3.
+
 Each side is truncated on its own schedule: finite open endpoints are
 approached geometrically (offset * 2^-k) and infinite ones through
 doubling cutoffs (base * 2^k).  A side counts as converged when three
 consecutive truncation values differ by less than its tolerance; a
 stable geometric tail is also extrapolated (Aitken) and the
-extrapolated value is preferred when trustworthy.
+extrapolated value is preferred when trustworthy.  A side open at both
+ends sums symmetric truncations, which would take a principal value, so
+each end must settle too: the running sum of the strips added at that
+end has its last three changes below the tolerance for the side to
+converge, and is settled or stably geometric for its trend to be stable.
 
 Truncation is incremental.  Step 0 integrates [u_0, v_0]; step k >= 1
 integrates only the strips it adds, [u_k, u_{k-1}] and [v_{k-1}, v_k]
@@ -38,7 +50,7 @@ tested, so that the next inherits its certification, open alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -181,6 +193,11 @@ def _aitken(values: list[float]) -> tuple[float | None, bool]:
     return float(limit), True
 
 
+def _settled(values: list[float], tol: float) -> bool:
+    """Whether the last three changes of ``values`` are each below ``tol``."""
+    return len(values) >= 4 and all(abs(b - a) < tol for a, b in zip(values[-4:-1], values[-3:]))
+
+
 def _strips(schedule: ImproperSchedule, k: int) -> list[tuple[float, float]] | None:
     """The strips step k integrates, or None where its truncation is degenerate."""
     u, v = schedule.truncation(k)
@@ -230,6 +247,12 @@ def _run_side(
     values: list[float] = []
     lower = upper = 0.0
     cells = 0
+    # Two open ends are summed symmetrically, which alone would take a
+    # principal value: each end keeps its own running value too, the
+    # midpoints of the strips added at it since step 1.
+    both_open = schedule.lo_open and schedule.hi_open
+    tails = [0.0, 0.0]
+    tail_values: tuple[list[float], list[float]] = ([], [])
     # An expression that takes no monotone test opens the strips of the
     # coming steps together, as many as fit in one evaluator block.
     opening = min(darboux.START_CELLS, max_cells)
@@ -258,6 +281,8 @@ def _run_side(
                 upper += est.upper
                 cells += est.cells
                 budget -= est.upper - est.lower
+                if k > 0:  # the strip at the hi end ends at v
+                    tails[b == v] += 0.5 * est.lower + 0.5 * est.upper
         except (NonConvergenceError, ValueError) as exc:
             side.error = f"step {k} on [{u:.6g}, {v:.6g}]: {exc}"
             break
@@ -269,6 +294,8 @@ def _run_side(
             mid = 0.5 * lower + 0.5 * upper
         value = sign * mid
         values.append(value)
+        for tail, trail in zip(tails, tail_values):
+            trail.append(sign * tail)
         side.steps.append(
             {
                 "step": k,
@@ -282,14 +309,18 @@ def _run_side(
         if not schedule.any_open:
             side.converged = True
             break
-        if len(values) >= 4:
-            d = np.abs(np.diff(values[-4:]))
-            if (d < schedule.tol).all():
-                side.converged = True
-                break
+        if _settled(values, schedule.tol) and (
+            not both_open or all(_settled(trail, schedule.tol) for trail in tail_values)
+        ):
+            side.converged = True
+            break
     if values:
         side.last = values[-1]
         ext, stable = _aitken(values)
+        if both_open:
+            stable = stable and all(
+                _settled(trail, schedule.tol) or _aitken(trail)[1] for trail in tail_values
+            )
         side.extrapolated = ext
         side.stable_trend = stable
         side.value = ext if (stable and ext is not None) else side.last
@@ -343,7 +374,9 @@ def improper_verify(
     """Truncate both sides toward their improper endpoints and compare.
 
     The t side integrates (f o phi) phi' over the ``t_schedule``
-    truncations.  The x side integrates f over its own schedule built on
+    truncations, or, where both ends are finite and the product is
+    defined at both, in one step over the closed [lo, hi] if that step
+    closes.  The x side integrates f over its own schedule built on
     the probed limits of phi (finite limits approached geometrically,
     infinite ones through doubling cutoffs), oriented by the direction
     of phi.
@@ -352,7 +385,16 @@ def improper_verify(
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
     _check_lengths(lhs_offset=lhs_offset, lhs_cutoff_base=lhs_cutoff_base)
     _check_steps(lhs_max_steps=lhs_max_steps)
-    rhs = _run_side(p.product, t_schedule, rhs_inner_tol, cfg, max_cells)
+    # A product defined at both finite t ends is integrated once, as a proper
+    # integral; the caller's schedule runs only where that step fails.
+    rhs = None
+    ends = np.array([t_schedule.lo, t_schedule.hi])
+    if t_schedule.any_open and np.isfinite(ends).all():
+        if not np.isnan(darboux.as_evaluator(p.product)(ends)).any():
+            closed = replace(t_schedule, lo_open=False, hi_open=False)
+            rhs = _run_side(p.product, closed, rhs_inner_tol, cfg, max_cells)
+    if rhs is None or rhs.error:
+        rhs = _run_side(p.product, t_schedule, rhs_inner_tol, cfg, max_cells)
 
     phi_ev = changevar.as_evaluator(p.phi)
     probe_ks = (0, 6, 12, 18, 24, 30, 36)

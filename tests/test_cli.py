@@ -504,8 +504,9 @@ class TestImproperSchedule:
 IMPROPER_CASES = {
     "x over 1/(1+t) on (0, inf)": (
         "x", "1/(1+t)", dict(lo=0.0, hi=math.inf, lo_open=True, max_steps=20, tol=1e-3)),
-    "x^2 over t on (0, 1)": (
-        "x^2", "t", dict(lo=0.0, hi=1.0, lo_open=True, hi_open=True, tol=1e-3)),
+    # the product sqrt(t)/2 is undefined at t = 0, so the rhs truncates too
+    "x^2 over sqrt(t) on (0, 1)": (
+        "x^2", "sqrt(t)", dict(lo=0.0, hi=1.0, lo_open=True, hi_open=True, tol=1e-3)),
 }
 # The t^-2 tail needs most of each step's budget in the strip toward inf.
 TAIL_CASE = "x^2 over t/(1+t) on (0, inf)"
@@ -593,6 +594,19 @@ class TestImproperEngine:
             last = side.steps[-1]
             whole = darboux.integrate(ev, Interval(last["lo"], last["hi"]), INNER_TOL, cfg)
             assert abs(last["value"] - sign * whole.midpoint) <= INNER_TOL
+
+    def test_product_defined_at_both_ends_takes_the_proper_route(self):
+        # t^2 is defined at 0 and 1: the rhs is one step over [0, 1]; the x
+        # side keeps the caller's open ends
+        p = SubstitutionProblem(parse("x^2"), parse("t"), 0.0, 1.0)
+        schedule = ImproperSchedule(lo=0.0, hi=1.0, lo_open=True, hi_open=True, tol=1e-3)
+        report = improper_verify(p, schedule, tol=1e-3, rhs_inner_tol=INNER_TOL,
+                                 lhs_inner_tol=INNER_TOL, cfg=SamplingConfig(samples_per_cell=2))
+        assert report.verdict == "verified"
+        assert [(s["lo"], s["hi"]) for s in report.rhs.steps] == [(0.0, 1.0)]
+        assert report.rhs.converged and report.rhs.steps[0]["bracket_width"] <= INNER_TOL
+        assert len(report.lhs.steps) >= 4 and report.lhs.steps[0]["lo"] > report.image_lo
+        assert abs(report.rhs.value - 1.0 / 3.0) <= INNER_TOL
 
     def test_repeatable(self):
         first, second = (improper_report("x over 1/(1+t) on (0, inf)") for _ in range(2))

@@ -10,6 +10,7 @@ the strip loop that opens every strip alone, bit for bit, and those of
 testing every level afresh.
 """
 
+import json
 import math
 from unittest import mock
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadratura import changevar, darboux, improper
+from quadratura import changevar, cli, darboux, gallery, improper
 from quadratura.changevar import SubstitutionProblem
 from quadratura.darboux import CELL_CAP, NonConvergenceError, SamplingConfig
 from quadratura.expr import Expr, parse
@@ -450,3 +451,83 @@ class TestImageProbes:
         assert report.verdict == "verified"
         assert [n for g, n in calls if g is p.phi] == [7, 7]
         assert [n for g, n in calls if g is p.f][0] == 2
+
+
+def improper_run(f, phi, inner_tol, **sched):
+    """(problem, schedule, report) of ``improper_verify`` at 2 samples, tol 1e-2."""
+    schedule = ImproperSchedule(**sched)
+    p = SubstitutionProblem(parse(f), parse(phi), *schedule.truncation(0))
+    report = improper_verify(p, schedule, tol=1e-2, rhs_inner_tol=inner_tol,
+                             lhs_inner_tol=inner_tol, cfg=EDGES)
+    return p, schedule, report
+
+
+class TestProperRoute:
+    """A t side with finite ends whose product is defined at both is one proper step."""
+
+    def test_e3_rhs_is_one_level(self):
+        (row,) = gallery.run_gallery(only="E3")
+        rhs = row["detail"]["rhs"]
+        assert row["verdict"] == "verified" and rhs["converged"]
+        assert [(s["lo"], s["hi"], s["cells"]) for s in rhs["steps"]] == [
+            (-math.pi / 2, math.pi / 2, 1024)]
+        assert abs(rhs["value"] - math.pi) <= 1e-12
+        # the x side keeps its doubling cutoffs out to +-2000
+        assert (row["detail"]["lhs"]["steps"][-1]["lo"], row["detail"]["lhs"]["steps"][-1]["hi"]) == (
+            -2000.0, 2000.0)
+
+    def test_product_undefined_at_an_end_runs_the_callers_schedule(self):
+        # sqrt(t)/2 is 0/0 at t = 0: no closed step is tried
+        with mock.patch.object(improper, "_run_side", wraps=improper._run_side) as run_side:
+            p, schedule, report = improper_run("x^2", "sqrt(t)", 1e-4, lo=0.0, hi=1.0,
+                                               lo_open=True, hi_open=True, tol=1e-3)
+        assert run_side.call_count == 2  # the rhs and the x side, once each
+        assert run_side.call_args_list[0].args[1] is schedule
+        want = improper._run_side(p.product, schedule, 1e-4, EDGES, CELL_CAP)
+        assert hexed(report.rhs.to_json()) == hexed(want.to_json())
+        assert len(report.rhs.steps) >= 4
+
+    def test_an_unbounded_product_falls_back_with_the_same_report(self):
+        # 1/sqrt(t+1e-300) is 1e150 at t = 0: the closed step fails to close
+        # and the caller's schedule runs, giving the report it gave before
+        p, schedule, report = improper_run("1/sqrt(x)", "t+1e-300", 1e-3, lo=0.0, hi=1.0,
+                                           lo_open=True, tol=1e-2)
+        want = improper._run_side(p.product, schedule, 1e-3, EDGES, CELL_CAP)
+        assert hexed(report.rhs.to_json()) == hexed(want.to_json())
+        got = [(len(side.steps), side.steps[-1]["cells"], side.value.hex(),
+                side.steps[-1]["bracket_width"].hex(), side.converged, side.stable_trend)
+               for side in (report.rhs, report.lhs)]
+        assert got == [(14, 15360, "0x1.0000009696912p+1", "0x1.7304f333fa800p-11", True, True),
+                       (14, 15360, "0x1.0000009277824p+1", "0x1.7304f32dc0800p-11", True, True)]
+        assert report.verdict == "verified"
+
+
+class TestTwoOpenEnds:
+    """A side open at both ends converges only where each end does."""
+
+    @pytest.mark.parametrize("f", ["x", "x+1/(x^2+1)"])
+    def test_principal_values_are_inconclusive(self, capsys, f):
+        # the symmetric truncations of x cancel at every step; neither end converges
+        argv = ["improper", "--f", f, "--phi", "t", "--alpha=-inf", "--beta", "inf",
+                "--tol", "1e-3"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["verdict"] == "inconclusive" and err == ""
+        for side in ("rhs", "lhs"):
+            assert not report[side]["converged"] and not report[side]["stable_trend"]
+
+    @pytest.mark.parametrize("f, value", [("1/(x^2+1)", math.pi), ("exp(-x^2)", math.sqrt(math.pi)),
+                                          ("x*exp(-x^2)", 0.0)])
+    def test_integrals_over_the_line_verify(self, f, value):
+        _, _, report = improper_run(f, "t", 2.5e-4, lo=-math.inf, hi=math.inf, tol=1e-3)
+        assert report.verdict == "verified"
+        for side in (report.rhs, report.lhs):
+            assert side.converged and abs(side.value - value) <= 1e-3
+
+    def test_each_end_settles_before_the_side_converges(self):
+        # x*exp(-x^2)'s running values change by less than 3e-9 from step 0
+        # on, yet its ends change by 0.17, 0.009 and 6e-8 at steps 1 to 3
+        _, _, report = improper_run("x*exp(-x^2)", "t", 2.5e-4, lo=-math.inf, hi=math.inf,
+                                    tol=1e-3)
+        assert len(report.rhs.steps) == 6

@@ -308,7 +308,7 @@ EVAL_PINNED = {'x': ('-0x1.0000000000000p+1', '-0x1.0000000000000p+0', '-0x1.000
                     '0x0.0p+0', '-0x0.0p+0', 'nan')}
 RHS_PINNED = {'E1': (1024, '0x1.4f7094d5b7231p-5', '0x1.515a0ae94eb1dp-5'),
  'E2': (65536, '0x1.921f35442d7c3p-2', '0x1.922035442d7a3p-2'),
- 'E3': (34, 68608, '0x1.921fb543de48ep+1', '0x1.0000000000000p-48'),
+ 'E3': (1, 1024, '0x1.921fb54442d18p+1', '0x1.0000000000000p-51'),
  'oscillatory': (65536, '0x1.5ddebad95170dp-5', '0x1.5de69a1fcdfb4p-5')}
 
 _X = var("x")
