@@ -186,14 +186,9 @@ class SubstitutionReport:
 
 
 def report_to_json(report: SubstitutionReport) -> dict:
-    def est(e: DarbouxEstimate | None):
-        if e is None:
-            return None
-        return {"lower": e.lower, "upper": e.upper}
-
     return {
-        "lhs": est(report.lhs),
-        "rhs": est(report.rhs),
+        "lhs": report.lhs.to_json() if report.lhs else None,
+        "rhs": report.rhs.to_json() if report.rhs else None,
         "abs_diff": report.abs_diff,
         "tol": report.tol,
         "hypotheses": report.hypotheses.to_json(),

@@ -1,11 +1,13 @@
 """Batch command-line front end: argument parsing, commands, output.
 
 Subcommands: integrate, substitute, improper, approx, diff, gallery.
-Each prints a JSON report on stdout (CSV where noted) and exits 0 on
-success/verified, 1 on usage or parse errors, 2 on numerical
-non-convergence, mismatch or resource limits.  The improper runner
-lives in ``quadratura.improper`` and the examples in
-``quadratura.gallery``.
+Each prints a JSON report on stdout (CSV where noted), except that
+``gallery`` prints a pass table and ``diff`` the derivative's text
+unless given ``--json``.  Each exits 0 on success/verified, 1 on usage
+or parse errors, 2 on numerical non-convergence, mismatch or resource
+limits.  The improper runner lives in ``quadratura.improper``.  The
+examples in ``quadratura.gallery`` are ``substitute`` and ``improper``
+command lines, run through ``substitute_report`` and ``improper_report``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import os
 import sys
 
 from . import approximant, changevar, darboux, expr
-from .changevar import VERIFIED, SubstitutionProblem
-from .darboux import CELL_CAP, DarbouxEstimate, NonConvergenceError, SamplingConfig
+from .changevar import VERIFIED, SubstitutionProblem, SubstitutionReport
+from .darboux import CELL_CAP, NonConvergenceError, SamplingConfig
 from .expr import ParseError
-from .gallery import run_gallery
 from .improper import MAX_STEPS, ImproperReport, ImproperSchedule, improper_verify
 from .partition import Interval, ResourceLimitError
 
@@ -105,16 +106,6 @@ def _gallery_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _estimate_json(est: DarbouxEstimate) -> dict:
-    return {
-        "lower": est.lower,
-        "upper": est.upper,
-        "midpoint": est.midpoint,
-        "norm": est.norm,
-        "cells": est.cells,
-    }
-
-
 def _parse_formula(text: str, what: str, max_height: int | None = None) -> expr.Expr:
     try:
         return expr.parse(text, max_height)
@@ -138,63 +129,63 @@ def cmd_integrate(args) -> int:
             f, args.a, args.b, args.tol, _cfg_from(args), max_cells=args.max_cells
         )
     except NonConvergenceError as exc:
-        payload = _estimate_json(exc.estimate)
+        payload = exc.estimate.to_json()
         payload["error"] = str(exc)
         _emit(payload, args)
         return EXIT_NUMERIC
     except ValueError as exc:
         return _usage_error(str(exc))
-    _emit(_estimate_json(est), args)
+    _emit(est.to_json(), args)
     return EXIT_OK
+
+
+def substitute_report(args) -> SubstitutionReport:
+    """The ``substitute`` report of ``args``; ValueError where the problem cannot be built."""
+    problem = SubstitutionProblem(
+        f=_parse_formula(args.f, "--f"),
+        phi=_parse_formula(args.phi, "--phi"),
+        alpha=args.alpha,
+        beta=args.beta,
+        phi_prime=_parse_formula(args.phi_prime, "--phi-prime") if args.phi_prime else None,
+    )
+    return changevar.verify(
+        problem, args.tol, _cfg_from(args), grid_size=args.grid_size, max_cells=args.max_cells
+    )
 
 
 def cmd_substitute(args) -> int:
     try:
-        problem = SubstitutionProblem(
-            f=_parse_formula(args.f, "--f"),
-            phi=_parse_formula(args.phi, "--phi"),
-            alpha=args.alpha,
-            beta=args.beta,
-            phi_prime=_parse_formula(args.phi_prime, "--phi-prime") if args.phi_prime else None,
-        )
+        report = substitute_report(args)
     except ValueError as exc:
         return _usage_error(str(exc))
-    report = changevar.verify(
-        problem, args.tol, _cfg_from(args), grid_size=args.grid_size, max_cells=args.max_cells
-    )
     _emit(report.to_json(), args)
     return EXIT_OK if report.verdict == VERIFIED else EXIT_NUMERIC
 
 
-def cmd_improper(args) -> int:
-    lo, hi = args.alpha, args.beta
-    lo_open = args.open_alpha or math.isinf(lo)
-    hi_open = args.open_beta or math.isinf(hi)
-    if not (lo_open or hi_open):
-        return _usage_error("improper needs at least one open or infinite endpoint")
-    try:
-        schedule = ImproperSchedule(
-            lo=lo,
-            hi=hi,
-            lo_open=lo_open,
-            hi_open=hi_open,
-            offset=args.offset,
-            cutoff_base=args.cutoff_base,
-            max_steps=args.steps,
-            tol=args.tol,
-        )
-        first_lo, first_hi = schedule.truncation(0)
-        problem = SubstitutionProblem(
-            f=_parse_formula(args.f, "--f"),
-            phi=_parse_formula(args.phi, "--phi"),
-            alpha=first_lo,
-            beta=first_hi,
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+def improper_report(args) -> ImproperReport:
+    """The ``improper`` report of ``args``; ValueError where the problem cannot be built."""
+    schedule = ImproperSchedule(
+        lo=args.alpha,
+        hi=args.beta,
+        lo_open=args.open_alpha,
+        hi_open=args.open_beta,
+        offset=args.offset,
+        cutoff_base=args.cutoff_base,
+        max_steps=args.steps,
+        tol=args.tol,
+    )
+    if not schedule.any_open:  # an infinite end is open
+        raise ValueError("improper needs at least one open or infinite endpoint")
+    first_lo, first_hi = schedule.truncation(0)
+    problem = SubstitutionProblem(
+        f=_parse_formula(args.f, "--f"),
+        phi=_parse_formula(args.phi, "--phi"),
+        alpha=first_lo,
+        beta=first_hi,
+    )
     inner = args.inner_tol if args.inner_tol is not None else max(args.tol / 4.0, 1e-12)
     lhs_inner = args.lhs_inner_tol if args.lhs_inner_tol is not None else inner
-    report = improper_verify(
+    return improper_verify(
         problem,
         schedule,
         tol=args.tol,
@@ -207,6 +198,13 @@ def cmd_improper(args) -> int:
         cfg=_cfg_from(args),
         max_cells=args.max_cells,
     )
+
+
+def cmd_improper(args) -> int:
+    try:
+        report = improper_report(args)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if args.csv:
         _emit_text(_steps_csv(report), args)
     else:
@@ -264,6 +262,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_gallery(args) -> int:
+    from .gallery import run_gallery  # the gallery runs this module's report functions
+
     rows = run_gallery(
         only=args.only,
         tol_override=args.tol,
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-size", type=_GRID_SIZE, default=1000, help="hypothesis-check grid, 100 to 2^20"
     )
     _add_common(p)
-    p.set_defaults(func=cmd_substitute)
+    p.set_defaults(func=cmd_substitute, report=substitute_report)
 
     p = sub.add_parser("improper", help="verify the identity through truncation schedules")
     p.add_argument("--f", required=True)
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lhs-tol", type=_tolerance, default=None)
     p.add_argument("--csv", action="store_true", help="emit the step table as CSV")
     _add_common(p)
-    p.set_defaults(func=cmd_improper)
+    p.set_defaults(func=cmd_improper, report=improper_report)
 
     p = sub.add_parser("approx", help="build the piecewise-linear below-approximant")
     p.add_argument("--f", required=True)

@@ -212,6 +212,11 @@ class DarbouxEstimate:
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
+    def to_json(self) -> dict:
+        """The estimate as ``integrate`` prints it and as each side of a ``substitute`` report."""
+        return {"lower": self.lower, "upper": self.upper, "midpoint": self.midpoint,
+                "norm": self.norm, "cells": self.cells}
+
     def __neg__(self) -> "DarbouxEstimate":
         return DarbouxEstimate(
             -self.upper, -self.lower, self.norm, self.cells, self.levels, self.swept, self.certified

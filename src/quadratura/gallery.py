@@ -1,18 +1,21 @@
-"""The built-in examples E1-E3, run end to end.
+"""The built-in examples E1-E3, each a CLI command line run end to end.
 
-Each entry's expected value is a formula evaluated at run time; E1 and
-E2 go through ``changevar.verify`` and E3 through the improper runner.
+Each entry's expected value is a formula evaluated at run time.  An
+entry is the ``substitute`` or ``improper`` command that ``argv()``
+spells, parsed by the CLI's parser and run through that command's own
+report function; the gallery's overrides are set on the parsed
+namespace, so an override out of range is the library's ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from . import changevar, expr
-from .changevar import VERIFIED, SubstitutionProblem
-from .darboux import CELL_CAP, SamplingConfig
-from .improper import ImproperSchedule, improper_verify
+from . import cli, expr
+from .changevar import VERIFIED
+from .darboux import CELL_CAP
 
 __all__ = [
     "GalleryEntry",
@@ -22,10 +25,16 @@ __all__ = [
     "run_gallery",
 ]
 
+_parser = functools.cache(cli.build_parser)
+
 
 @dataclass(frozen=True, slots=True)
 class GalleryEntry:
-    """A shipped example; ``expected`` is a formula, evaluated at run time."""
+    """A shipped example; ``expected`` is a formula, evaluated at run time.
+
+    ``flags`` are the command's own flags; ``tol`` is the error within which
+    both sides must meet ``expected`` for the entry to pass.
+    """
 
     id: str
     f: str
@@ -34,9 +43,22 @@ class GalleryEntry:
     beta: float
     expected: str
     tol: float
+    flags: tuple[str, ...]
     improper: bool = False
 
+    def argv(self) -> list[str]:
+        """The command line that runs this entry."""
+        return [
+            "improper" if self.improper else "substitute",
+            "--f", self.f, "--phi", self.phi,
+            "--alpha", repr(self.alpha), "--beta", repr(self.beta),
+            *self.flags,
+        ]
 
+
+# E1's product oscillates, so it gets the dense sampling; E2 and E3 are
+# piecewise monotone and run on cell edges, the default.  E2 and E3 are the
+# README's `substitute` and `improper` examples.
 GALLERY: tuple[GalleryEntry, ...] = (
     GalleryEntry(
         id="E1",
@@ -46,6 +68,7 @@ GALLERY: tuple[GalleryEntry, ...] = (
         beta=2.0 / math.pi,
         expected="4/pi^4",
         tol=5e-4,
+        flags=("--tol", "5e-4", "--samples", "64"),
     ),
     GalleryEntry(
         id="E2",
@@ -55,6 +78,7 @@ GALLERY: tuple[GalleryEntry, ...] = (
         beta=1.0,
         expected="pi/8",
         tol=1e-7,
+        flags=("--tol", "1e-5"),
     ),
     GalleryEntry(
         id="E3",
@@ -64,40 +88,15 @@ GALLERY: tuple[GalleryEntry, ...] = (
         beta=math.pi / 2.0,
         expected="pi",
         tol=1.5e-3,
+        flags=("--open-alpha", "--open-beta", "--lhs-cutoff-base", "125", "--lhs-steps", "5",
+               "--lhs-inner-tol", "2e-2", "--tol", "1.5e-3"),
         improper=True,
     ),
 )
 
-# Engine knobs per entry: sampling density and internal tolerances are
-# tuned to each integrand (E1's product oscillates, so it gets the dense
-# sampling; E2 and E3 are piecewise monotone and run on cell edges).
-GALLERY_PROFILES: dict[str, dict] = {
-    "E1": {"samples": 64, "verify_tol": 5e-4},
-    "E2": {"samples": 2, "verify_tol": 1e-5},
-    "E3": {
-        "samples": 2,
-        "rhs_tol": 1e-9,
-        "rhs_inner_tol": 2.5e-10,
-        "lhs_tol": 1.5e-3,
-        "lhs_inner_tol": 2e-2,
-        "lhs_cutoff_base": 125.0,
-        "lhs_max_steps": 5,
-        "max_steps": 40,
-    },
-}
-
 
 def expected_value(entry: GalleryEntry) -> float:
     return expr.evaluate(expr.parse(entry.expected), 0.0)
-
-
-def _entry_problem(entry: GalleryEntry) -> SubstitutionProblem:
-    return SubstitutionProblem(
-        f=expr.parse(entry.f),
-        phi=expr.parse(entry.phi),
-        alpha=entry.alpha,
-        beta=entry.beta,
-    )
 
 
 def run_gallery_entry(
@@ -106,49 +105,24 @@ def run_gallery_entry(
     samples_override: int | None = None,
     max_cells: int = CELL_CAP,
 ) -> dict:
-    """Run one entry end to end; returns a result row."""
-    profile = GALLERY_PROFILES[entry.id]
+    """Run one entry's command line, with the overrides given; returns a result row."""
+    args = _parser().parse_args(entry.argv())
+    args.max_cells = max_cells
+    if tol_override is not None:
+        args.tol = tol_override
+    if samples_override is not None:
+        args.samples = samples_override
+    report = args.report(args)
+    if entry.improper:
+        lhs_value, rhs_value = report.lhs.value, report.rhs.value
+    else:
+        lhs_value, rhs_value = (e.midpoint if e else math.nan for e in (report.lhs, report.rhs))
+
     expected = expected_value(entry)
     tol = entry.tol if tol_override is None else tol_override
-    samples = profile["samples"] if samples_override is None else samples_override
-    cfg = SamplingConfig(samples_per_cell=samples)
-    problem = _entry_problem(entry)
-
-    if entry.improper:
-        schedule = ImproperSchedule(
-            lo=entry.alpha,
-            hi=entry.beta,
-            lo_open=True,
-            hi_open=True,
-            max_steps=profile["max_steps"],
-            tol=profile["rhs_tol"] if tol_override is None else tol_override,
-        )
-        report = improper_verify(
-            problem,
-            schedule,
-            tol=tol,
-            rhs_inner_tol=profile["rhs_inner_tol"],
-            lhs_inner_tol=profile["lhs_inner_tol"],
-            lhs_cutoff_base=profile["lhs_cutoff_base"],
-            lhs_max_steps=profile["lhs_max_steps"],
-            lhs_tol=profile["lhs_tol"],
-            cfg=cfg,
-            max_cells=max_cells,
-        )
-        lhs_value, rhs_value = report.lhs.value, report.rhs.value
-        verdict = report.verdict
-        detail = report.to_json()
-    else:
-        verify_tol = profile["verify_tol"] if tol_override is None else tol_override
-        report = changevar.verify(problem, verify_tol, cfg, max_cells=max_cells)
-        lhs_value = report.lhs.midpoint if report.lhs else math.nan
-        rhs_value = report.rhs.midpoint if report.rhs else math.nan
-        verdict = report.verdict
-        detail = report.to_json()
-
     lhs_err = abs(lhs_value - expected)
     rhs_err = abs(rhs_value - expected)
-    ok = verdict == VERIFIED and lhs_err <= tol and rhs_err <= tol
+    ok = report.verdict == VERIFIED and lhs_err <= tol and rhs_err <= tol
     return {
         "id": entry.id,
         "expected": expected,
@@ -157,9 +131,9 @@ def run_gallery_entry(
         "lhs_error": lhs_err,
         "rhs_error": rhs_err,
         "tol": tol,
-        "verdict": verdict,
+        "verdict": report.verdict,
         "pass": ok,
-        "detail": detail,
+        "detail": report.to_json(),
     }
 
 

@@ -493,7 +493,7 @@ class TestReportJson:
             "lhs", "rhs", "abs_diff", "tol", "hypotheses", "verdict", "reason"
         }
         assert payload["reason"] == ""
-        assert set(payload["lhs"]) == {"lower", "upper"}
+        assert set(payload["lhs"]) == {"lower", "upper", "midpoint", "norm", "cells"}
         for entry in payload["hypotheses"]:
             assert set(entry) == {"name", "verdict", "witness"}
 

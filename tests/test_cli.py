@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadratura import darboux, expr, gallery, improper
+from quadratura import cli, darboux, expr, gallery, improper
 from quadratura.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from quadratura.changevar import SubstitutionProblem
 from quadratura.darboux import SamplingConfig
@@ -147,7 +148,7 @@ class TestSubstituteCommand:
                         "--alpha", alpha, "--beta", "1")
         payload = json.loads(out)
         assert code == EXIT_OK and payload["verdict"] == "verified"
-        assert payload["rhs"] == {"lower": 0.0, "upper": 0.0}
+        assert (payload["rhs"]["lower"], payload["rhs"]["upper"]) == (0.0, 0.0)
 
     def test_unevaluable_phi_inconclusive(self, capsys):
         code, out = run(capsys, "substitute", "--f", "x^2", "--phi", "sqrt(-1-t^2)",
@@ -436,6 +437,55 @@ class TestGalleryCommand:
         assert math.isclose(
             gallery.expected_value(GALLERY[0]), 4.0 / math.pi**4, rel_tol=1e-15
         )
+
+
+def readme_commands(*names: str) -> list[list[str]]:
+    """The arguments of the README's ``quadratura NAME`` lines, for each NAME, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()  # join continued lines
+    return [shlex.split(line)[1:] for line in lines
+            if line.split()[:2] in [["quadratura", name] for name in names]]
+
+
+class TestGalleryRunsTheCli:
+    """Each gallery entry is its command line, run through the CLI's own code."""
+
+    @pytest.mark.parametrize("entry", GALLERY, ids=lambda g: g.id)
+    def test_detail_is_the_command_report(self, capsys, entry):
+        detail = gallery.run_gallery_entry(entry)["detail"]
+        code, out = run(capsys, *entry.argv())
+        assert code == EXIT_OK
+        assert json.loads(out) == cli._finite_json(detail)
+
+    def test_override_is_the_flag(self, capsys):
+        e3 = GALLERY[2]
+        detail = gallery.run_gallery_entry(e3, tol_override=1e-3)["detail"]
+        _, out = run(capsys, *e3.argv(), "--tol", "0.001")
+        assert json.loads(out) == cli._finite_json(detail)
+
+    def test_readme_examples_are_the_entries(self):
+        # the CLI section's substitute and improper examples, then the gallery section's E1
+        parser = cli.build_parser()
+        readme = [vars(parser.parse_args(argv)) for argv in readme_commands("substitute", "improper")]
+        e1, e2, e3 = GALLERY
+        assert readme == [vars(parser.parse_args(e.argv())) for e in (e2, e3, e1)]
+
+    def test_cli_import_leaves_the_gallery_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for program in ("import sys, quadratura.cli; assert 'quadratura.gallery' not in sys.modules",
+                        "import quadratura.gallery"):
+            subprocess.run([sys.executable, "-c", program], env=env, timeout=60, check=True)
+
+    def test_library_errors_stay_value_errors(self, capsys):
+        e2 = GALLERY[1]
+        with pytest.raises(ValueError, match="samples_per_cell must be >= 2"):
+            gallery.run_gallery_entry(e2, samples_override=1)
+        row = gallery.run_gallery_entry(e2, max_cells=0)
+        assert row["verdict"] == "inconclusive" and row["pass"] is False
+        assert row["detail"]["reason"].startswith("lhs: max_cells must be >= 1")
+        assert capsys.readouterr().err == ""
 
 
 class TestImproperSchedule:

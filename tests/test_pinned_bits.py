@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from quadratura import changevar, darboux
+from quadratura.cli import build_parser
 from quadratura.expr import add, const, div, evaluate_array, mul, neg, parse, pow_, sub, var
-from quadratura.gallery import GALLERY, GALLERY_PROFILES
-from quadratura.improper import ImproperSchedule, improper_verify
+from quadratura.gallery import GALLERY
 
 EVAL_POINTS = ('-0x1.0000000000000p+1', '-0x1.0000000000000p+0', '-0x1.0000000000000p-1', '-0x0.0p+0',
  '0x0.0p+0', '0x1.56e1fc2f8f359p-997', '0x1.3333333333333p-2', '0x1.0000000000000p-1',
@@ -359,27 +359,14 @@ class TestEvaluatorBits:
 class TestRhsBits:
     @pytest.mark.parametrize("entry", GALLERY, ids=lambda g: g.id)
     def test_gallery_rhs(self, entry):
-        prof = GALLERY_PROFILES[entry.id]
-        cfg = darboux.SamplingConfig(samples_per_cell=prof["samples"])
-        p = changevar.SubstitutionProblem(
-            f=parse(entry.f), phi=parse(entry.phi), alpha=entry.alpha, beta=entry.beta
-        )
+        args = build_parser().parse_args(entry.argv())
+        rhs = args.report(args).rhs
         if entry.improper:
-            sched = ImproperSchedule(
-                lo=entry.alpha, hi=entry.beta, lo_open=True, hi_open=True,
-                max_steps=prof["max_steps"], tol=prof["rhs_tol"],
-            )
-            rep = improper_verify(
-                p, sched, tol=entry.tol, rhs_inner_tol=prof["rhs_inner_tol"],
-                lhs_inner_tol=prof["lhs_inner_tol"], lhs_cutoff_base=prof["lhs_cutoff_base"],
-                lhs_max_steps=prof["lhs_max_steps"], lhs_tol=prof["lhs_tol"], cfg=cfg,
-            )
-            last = rep.rhs.steps[-1]
-            got = (len(rep.rhs.steps), last["cells"],
+            last = rhs.steps[-1]
+            got = (len(rhs.steps), last["cells"],
                    float(last["value"]).hex(), float(last["bracket_width"]).hex())
         else:
-            est = changevar.rhs_integral(p, prof["verify_tol"] / 2.0, cfg)
-            got = (est.cells, est.lower.hex(), est.upper.hex())
+            got = (rhs.cells, rhs.lower.hex(), rhs.upper.hex())
         assert got == RHS_PINNED[entry.id]
 
     def test_verify_oscillatory_rhs(self):
