@@ -487,4 +487,6 @@ def _run(argv: list[str] | None) -> int:
 
 
 if __name__ == "__main__":
+    # run as ``python -m quadratura.cli``: the gallery's ``from . import cli`` gets this module
+    sys.modules.setdefault("quadratura.cli", sys.modules[__name__])
     sys.exit(main())

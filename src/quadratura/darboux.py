@@ -422,11 +422,14 @@ def _cell_bounds(
 
     Cell [a, b] samples ``a + (width/w)*arange(w+1)`` with the last point
     set to b.  Runs of cells share their edge samples and are evaluated
-    in chunks of at most _CHUNK_POINTS samples.  A run ends at an inner
-    edge of -0.0, which the cell on its left samples as b = -0.0 and the
-    one on its right as a + 0 = +0.0.  The hints inside (a, b) are then
-    evaluated in one call and folded in; one on an inner edge belongs to
-    the cell on its right.  An Interval gives floats, a Partition arrays.
+    in chunks of at most _CHUNK_POINTS samples, each chunk's grid written
+    in place into one array; at 2 samples a cell it is the points
+    themselves plus 0.0.  A run ends at an inner edge of -0.0, found by
+    binary search (the points increase, so at most one is zero), which
+    the cell on its left samples as b = -0.0 and the one on its right as
+    a + 0 = +0.0.  The hints inside (a, b) are then evaluated in one call
+    and folded in; one on an inner edge belongs to the cell on its right.
+    An Interval gives floats, a Partition arrays.
     """
     if isinstance(cells, Partition):
         pts = cells.points
@@ -440,13 +443,20 @@ def _cell_bounds(
     ramp = np.arange(w)
 
     def grid(e: np.ndarray) -> np.ndarray:
-        # each cell's np.linspace(a, b, w + 1) bit for bit, its edges shared
-        rows = e[:-1, None] + (np.diff(e) / w)[:, None] * ramp
-        return np.append(rows.ravel(), e[-1])
+        # each cell's np.linspace(a, b, w + 1) bit for bit, its edges shared;
+        # IEEE addition commutes, and + 0.0 samples a left edge of -0.0 as +0.0
+        xs = np.empty((e.size - 1) * w + 1)
+        rows = xs[:-1].reshape(-1, w)
+        if w == 1:
+            np.add(e[:-1, None], 0.0, out=rows)
+        else:
+            np.multiply((np.diff(e) / w)[:, None], ramp, out=rows)
+            rows += e[:-1, None]
+        xs[-1] = e[-1]
+        return xs
 
-    inner = pts[1:-1]
-    negative_zero = (np.flatnonzero((inner == 0) & np.signbit(inner)) + 1).tolist()
-    cuts = [0, *negative_zero, n]
+    k = int(np.searchsorted(pts, 0.0))
+    cuts = [0, k, n] if 0 < k < n and pts[k] == 0 and np.signbit(pts[k]) else [0, n]
 
     lo, hi = np.empty(n), np.empty(n)
     per_chunk = max(1, (_CHUNK_POINTS - 1) // w)
@@ -499,18 +509,6 @@ def supremum_on(
     return _cell_bounds(f, cells, cfg, hints)[1]
 
 
-def _partition_sums(
-    f: Integrand,
-    p: Partition,
-    cfg: SamplingConfig,
-    hints: Sequence[float] | None,
-) -> tuple[float, float]:
-    """(lower, upper) sampled Darboux sums: the cell extrema times the widths."""
-    with np.errstate(over="ignore"):
-        lower, upper = compensated_sum(np.stack(_cell_bounds(f, p, cfg, hints)) * p.widths())
-    return lower, upper
-
-
 def lower_sum(
     f: Integrand,
     p: Partition,
@@ -518,7 +516,8 @@ def lower_sum(
     hints: Sequence[float] | None = None,
 ) -> float:
     """Sampled lower Darboux sum: sum of (cell minimum) * (cell width)."""
-    return _partition_sums(f, p, cfg, hints)[0]
+    with np.errstate(over="ignore"):
+        return compensated_sum(_cell_bounds(f, p, cfg, hints)[0] * p.widths())
 
 
 def upper_sum(
@@ -528,7 +527,8 @@ def upper_sum(
     hints: Sequence[float] | None = None,
 ) -> float:
     """Sampled upper Darboux sum: sum of (cell maximum) * (cell width)."""
-    return _partition_sums(f, p, cfg, hints)[1]
+    with np.errstate(over="ignore"):
+        return compensated_sum(_cell_bounds(f, p, cfg, hints)[1] * p.widths())
 
 
 def _row_points(a: float, b: float, step: float, last: int, i0: int, i1: int, stride: int = 1):

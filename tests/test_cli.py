@@ -478,6 +478,19 @@ class TestGalleryRunsTheCli:
                         "import quadratura.gallery"):
             subprocess.run([sys.executable, "-c", program], env=env, timeout=60, check=True)
 
+    def test_module_run_loads_the_cli_once(self, capsys):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        argv = ["gallery", "--only", "E2"]
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quadratura.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK
+        # -X importtime writes one stderr line a module: "import time: self | cumulative | name"
+        assert [line for line in proc.stderr.splitlines()
+                if line.split("|")[-1].strip() == "quadratura.cli"] == []
+        assert run(capsys, *argv) == (EXIT_OK, proc.stdout)
+
     def test_library_errors_stay_value_errors(self, capsys):
         e2 = GALLERY[1]
         with pytest.raises(ValueError, match="samples_per_cell must be >= 2"):

@@ -140,12 +140,15 @@ class TestPartitionForm:
     @given(
         text=st.sampled_from(REFERENCE_FORMULAS),
         case=partition_cases(),
-        samples=st.sampled_from([2, 8, 64]),
+        samples=st.sampled_from([2, 3, 8, 64]),
         chunk_points=st.sampled_from([D._CHUNK_POINTS, 5, 64]),
     )
     # an inner edge of -0.0: the cell on its left samples -0.0, the one on its right +0.0
     @example(text="x", case=(np.array([-1.0, -0.0, 1.0]), None), samples=2,
              chunk_points=D._CHUNK_POINTS)
+    # a first point of -0.0, sampled as +0.0; an inner edge of +0.0, which ends no run
+    @example(text="x", case=(np.array([-0.0, 0.5, 1.0]), None), samples=2, chunk_points=5)
+    @example(text="x", case=(np.array([-1.0, 0.0, 1.0]), None), samples=2, chunk_points=5)
     # a hint on an edge, one inside, a repeat, one outside and one undefined for sqrt
     @example(text="sqrt(x)", case=(np.array([-0.5, 0.25, 0.5, 2.0]), [0.25, 0.3, 0.3, 3.0, -0.2]),
              samples=8, chunk_points=5)
@@ -306,6 +309,43 @@ class TestSumsOfCellExtrema:
         with np.errstate(all="ignore"):
             sums = cell_outcome(lambda: (lower_sum(f, p, cfg, hints), upper_sum(f, p, cfg, hints)))
             assert sums == cell_outcome(weighted)
+
+
+class TestSumsAreTheirOwnRow:
+    """lower_sum/upper_sum sum one row each: the bits of summing both rows at once."""
+
+    @staticmethod
+    def outcomes(f, p, cfg, hints=None):
+        with np.errstate(all="ignore"):
+            sums = cell_outcome(lambda: (lower_sum(f, p, cfg, hints), upper_sum(f, p, cfg, hints)))
+            both = cell_outcome(
+                lambda: compensated_sum(np.stack(D._cell_bounds(f, p, cfg, hints)) * p.widths())
+            )
+        return sums, both
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=st.sampled_from(REFERENCE_FORMULAS),
+        case=partition_cases(),
+        samples=st.sampled_from([2, 3, 8, 64]),
+    )
+    def test_matches_two_row_sum(self, text, case, samples):
+        pts, hints = case
+        cfg = SamplingConfig(samples_per_cell=samples)
+        sums, both = self.outcomes(parse(text), Partition(pts), cfg, hints)
+        assert sums == both
+
+    @pytest.mark.parametrize("samples", [2, 3])
+    def test_block_sums_past_4096_cells(self, samples):
+        p = uniform_partition(Interval(-1.0, 2.0), 5000)
+        sums, both = self.outcomes(parse("sin(7*x)*exp(x)"), p, SamplingConfig(samples_per_cell=samples))
+        assert sums == both and isinstance(sums[0], bytes)  # sums, not an error
+
+    def test_terms_that_overflow(self):
+        # cell extrema 0, 1.5e308 and 1.5e308, inf: every term but the first overflows
+        sums, both = self.outcomes(parse("x*1e308"), Partition(np.array([0.0, 1.5, 3.0])), EDGES)
+        assert sums == both
+        assert [np.frombuffer(s).tolist() for s in sums] == [[math.inf], [math.inf]]
 
 
 class TestSums:
